@@ -65,6 +65,7 @@ from .integrate import (
     picard_solve,
     resolve_step,
     simulate_batch,
+    simulate_increments,
     simulate_terminal,
 )
 from .io import TOOL_VERSION as __version_source__
@@ -83,6 +84,7 @@ from .malliavin import (
     DerivativeField,
     DerivativeFieldBatch,
     cameron_martin_fd,
+    cameron_martin_fd_batch,
     h_norm_sq,
     inner_product,
     propagate_derivative,
@@ -112,13 +114,13 @@ __all__ = [
     "sup_norm_estimate",
     # integrate
     "NoiseBlock", "PathState", "PathBatch", "TerminalSample", "PicardResult",
-    "generate_increments", "resolve_step", "euler_path", "simulate_batch",
-    "simulate_terminal", "explicit_additive_path", "kahan_cumsum",
-    "picard_solve",
+    "generate_increments", "resolve_step", "euler_path",
+    "simulate_increments", "simulate_batch", "simulate_terminal",
+    "explicit_additive_path", "kahan_cumsum", "picard_solve",
     # malliavin
     "DerivativeField", "DerivativeFieldBatch", "propagate_derivative",
     "propagate_derivative_batch", "h_norm_sq", "sup_h_norm_sq",
-    "inner_product", "cameron_martin_fd",
+    "inner_product", "cameron_martin_fd", "cameron_martin_fd_batch",
     # bounds
     "theta", "diff_bound", "sup_lower_bound", "final_lower_bound",
     "max_horizon", "RegimeReport", "regime_report",

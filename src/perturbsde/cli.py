@@ -199,11 +199,26 @@ def _chunks(n_paths: int, workers: int) -> list[tuple[int, int]]:
             for lo in range(0, n_paths, size)]
 
 
+def _pool_size(workers: int, n_chunks: int, n_cpus: int) -> int:
+    """Processes to start: no more than requested, than there are chunks,
+    or than CPUs this process may run on.  A pool launches all its
+    processes on the first submit, so ``--workers`` alone must not size
+    it."""
+    return max(1, min(workers, n_chunks, n_cpus))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunked(worker, common: tuple, n_paths: int, workers: int) -> list:
     chunks = _chunks(n_paths, workers)
-    if workers <= 1 or len(chunks) == 1:
+    pool_size = _pool_size(workers, len(chunks), _usable_cpus())
+    if pool_size == 1:
         return [worker(*common, count, offset) for offset, count in chunks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         futures = [pool.submit(worker, *common, count, offset)
                    for offset, count in chunks]
         return [f.result() for f in futures]

@@ -39,10 +39,13 @@ __all__ = [
     "euler_path",
     "explicit_additive_path",
     "picard_solve",
+    "simulate_increments",
     "simulate_batch",
     "simulate_terminal",
     "generate_increments",
     "kahan_cumsum",
+    "additive_closed_form",
+    "max_bookkeeping",
 ]
 
 _U64 = np.uint64
@@ -218,12 +221,40 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
     return x, M, tau
 
 
-def _argmax_from_new(new_tm: np.ndarray) -> np.ndarray:
-    """First-attainment argmax indices, time-major ``(n+1, P)``, from the
-    per-step new-maximum flags."""
-    n1, P = new_tm.shape
-    idx = np.where(new_tm, np.arange(n1, dtype=np.int64)[:, None], 0)
-    return np.maximum.accumulate(idx, axis=0)
+def max_bookkeeping(x: np.ndarray | None = None, *,
+                    new: np.ndarray | None = None,
+                    argmax: np.ndarray | None = None):
+    """Running-maximum bookkeeping along the time axis (axis 0).
+
+    Give exactly one source, shaped ``(n+1,)`` or time-major ``(n+1, P)``:
+
+    - ``x``, path values: step ``k`` sets a new maximum when ``x[k]``
+      strictly exceeds the running maximum before it;
+    - ``new``, the per-step new-maximum flags themselves;
+    - ``argmax``, first-attainment argmax indices: ``new[k]`` holds exactly
+      when ``argmax[k] == k`` for ``k >= 1``.
+
+    Returns ``(running_max, new, argmax)``; ``running_max`` is None unless
+    ``x`` was given.  Step 0 never sets a new maximum.
+    """
+    if sum(a is not None for a in (x, new, argmax)) != 1:
+        raise ConfigError("max_bookkeeping takes exactly one of x, new, "
+                          "argmax")
+    running_max = None
+    if x is not None:
+        running_max = np.maximum.accumulate(x, axis=0)
+        new = np.zeros(x.shape, dtype=bool)
+        new[1:] = x[1:] > running_max[:-1]
+    src = new if argmax is None else argmax
+    steps = np.arange(src.shape[0], dtype=np.int64).reshape(
+        (-1,) + (1,) * (src.ndim - 1))
+    if argmax is None:
+        argmax = np.where(new, steps, 0)
+        np.maximum.accumulate(argmax, axis=0, out=argmax)
+    else:
+        new = argmax == steps
+        new[0] = False
+    return running_max, new, argmax
 
 
 @dataclass(frozen=True)
@@ -252,16 +283,14 @@ class PathBatch:
 
     def argmax_idx(self) -> np.ndarray:
         """Time-major first-attainment argmax indices, shape (n+1, P)."""
-        return _argmax_from_new(self.new_max)
+        return max_bookkeeping(new=self.new_max)[2]
 
     def final_argmax_idx(self) -> np.ndarray:
-        new = self.new_max
-        n1 = new.shape[0]
-        idx = np.where(new, np.arange(n1, dtype=np.int64)[:, None], 0)
-        return idx.max(axis=0)
+        # a copy, so the (n+1, P) index array is freed on return
+        return self.argmax_idx()[-1].copy()
 
     def path(self, i: int) -> PathState:
-        argmax = _argmax_from_new(self.new_max[:, i:i + 1])[:, 0]
+        argmax = max_bookkeeping(new=self.new_max[:, i])[2]
         return PathState(
             x=self.x[:, i].copy(),
             running_max=self.running_max[:, i].copy(),
@@ -283,6 +312,35 @@ class TerminalSample:
     path_offset: int = 0
 
 
+def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
+                        record: bool = True, seed: int | None = None,
+                        path_offset: int = 0):
+    """Advance a caller-supplied increment block through the scheme.
+
+    ``db`` is time-major with shape ``(n_steps, n_paths)``: row ``k`` holds
+    the increments of step ``k`` for every path.  Column ``i`` comes out
+    bitwise equal to :func:`euler_path` on ``db[:, i]``, whatever the other
+    columns hold.  With ``record`` the result is a :class:`PathBatch`
+    holding whole trajectories (and ``db`` itself, not a copy); otherwise a
+    :class:`TerminalSample` of terminal quantities.  ``seed`` and
+    ``path_offset`` only label the result: they record which keyed stream
+    the columns came from, ``None`` for synthetic blocks.
+    """
+    vspec = validate(spec)
+    db_tm = np.ascontiguousarray(db, dtype=float)
+    if db_tm.ndim != 2 or db_tm.shape[0] != grid.n_steps \
+            or db_tm.shape[1] < 1:
+        raise GridMismatch(
+            f"increment block has shape {db_tm.shape}, grid expects "
+            f"({grid.n_steps}, n_paths >= 1)")
+    if record:
+        x_tm, M_tm, new_tm = _euler_core(vspec, grid.dt, db_tm, record=True)
+        return PathBatch(x=x_tm, running_max=M_tm, new_max=new_tm, db=db_tm,
+                         seed=seed, path_offset=path_offset)
+    x, M, tau = _euler_core(vspec, grid.dt, db_tm, record=False)
+    return TerminalSample(x, M, tau, seed=seed, path_offset=path_offset)
+
+
 def euler_path(spec, grid: GridSpec, noise: NoiseBlock) -> PathState:
     """Simulate one path of the perturbed dynamics on the given grid.
 
@@ -291,17 +349,11 @@ def euler_path(spec, grid: GridSpec, noise: NoiseBlock) -> PathState:
     :func:`resolve_step`.  With ``alpha = 0`` the scheme reduces bitwise to
     classical Euler-Maruyama with compensated increment accumulation.
     """
-    vspec = validate(spec)
-    if noise.n_steps != grid.n_steps:
-        raise GridMismatch(
-            f"noise has {noise.n_steps} increments, grid expects "
-            f"{grid.n_steps}")
-    db_tm = np.ascontiguousarray(noise.db[:, None])
-    x_tm, M_tm, new_tm = _euler_core(vspec, grid.dt, db_tm, record=True)
-    argmax = _argmax_from_new(new_tm)[:, 0]
-    return PathState(x=x_tm[:, 0].copy(), running_max=M_tm[:, 0].copy(),
-                     argmax_idx=argmax, db=noise.db,
-                     seed=noise.seed, path_index=noise.path_index)
+    batch = simulate_increments(spec, grid, noise.db[:, None])
+    return PathState(x=batch.x[:, 0], running_max=batch.running_max[:, 0],
+                     argmax_idx=max_bookkeeping(new=batch.new_max[:, 0])[2],
+                     db=noise.db, seed=noise.seed,
+                     path_index=noise.path_index)
 
 
 def simulate_batch(spec, grid: GridSpec, n_paths: int, seed: int,
@@ -311,9 +363,8 @@ def simulate_batch(spec, grid: GridSpec, n_paths: int, seed: int,
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
     db_tm = _generate_block(seed, path_offset, n_paths, grid.n_steps, grid.dt)
-    x_tm, M_tm, new_tm = _euler_core(vspec, grid.dt, db_tm, record=True)
-    return PathBatch(x=x_tm, running_max=M_tm, new_max=new_tm, db=db_tm,
-                     seed=seed, path_offset=path_offset)
+    return simulate_increments(vspec, grid, db_tm, seed=seed,
+                               path_offset=path_offset)
 
 
 def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
@@ -327,41 +378,43 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
     vspec = validate(spec)
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
-    xs, Ms, taus = [], [], []
+    parts = []
     for lo in range(0, n_paths, chunk_paths):
         hi = min(lo + chunk_paths, n_paths)
         db_tm = _generate_block(seed, path_offset + lo, hi - lo,
                                 grid.n_steps, grid.dt)
         try:
-            x, M, tau = _euler_core(vspec, grid.dt, db_tm, record=False)
+            parts.append(simulate_increments(vspec, grid, db_tm,
+                                             record=False))
         except NonFinite as exc:
             raise NonFinite(
                 str(exc), step=exc.step,
                 path_index=None if exc.path_index is None
                 else path_offset + lo + exc.path_index) from None
-        xs.append(x)
-        Ms.append(M)
-        taus.append(tau)
-    return TerminalSample(np.concatenate(xs), np.concatenate(Ms),
-                          np.concatenate(taus), seed=seed,
-                          path_offset=path_offset)
+    return TerminalSample(
+        np.concatenate([p.x_final for p in parts]),
+        np.concatenate([p.running_max_final for p in parts]),
+        np.concatenate([p.argmax_idx_final for p in parts]),
+        seed=seed, path_offset=path_offset)
 
 
 # -- explicit solution in the driftless additive case -------------------------
 
 
 def kahan_cumsum(increments: np.ndarray) -> np.ndarray:
-    """Compensated cumulative sum with a leading zero.
+    """Compensated cumulative sum with a leading zero, along axis 0.
 
     ``out[k] = sum(increments[:k])`` accumulated exactly like the Euler
     engine accumulates its increments, so both sides of the additive
-    identity see the same partials.
+    identity see the same partials.  ``increments`` is ``(n,)`` or
+    time-major ``(n, P)``; each column of a 2-D input is summed
+    independently and comes out bitwise equal to its 1-D sum.
     """
     inc = np.asarray(increments, float)
-    out = np.empty(inc.shape[0] + 1)
+    out = np.empty((inc.shape[0] + 1,) + inc.shape[1:])
     out[0] = 0.0
-    s = 0.0
-    c = 0.0
+    s = np.zeros(inc.shape[1:])
+    c = np.zeros(inc.shape[1:])
     for k in range(inc.shape[0]):
         y = inc[k] - c
         t = s + y
@@ -369,6 +422,18 @@ def kahan_cumsum(increments: np.ndarray) -> np.ndarray:
         s = t
         out[k + 1] = s
     return out
+
+
+def additive_closed_form(x0: float, alpha: float, sigma_const: float,
+                         db: np.ndarray) -> np.ndarray:
+    """Closed-form driftless path values from increments ``db``, ``(n,)``
+    or time-major ``(n, P)``; see :func:`explicit_additive_path`."""
+    if not alpha < 1.0:
+        raise ConfigError("the additive closed form requires alpha < 1")
+    z = kahan_cumsum(sigma_const * np.asarray(db, float))
+    s = np.maximum.accumulate(z, axis=0)
+    beta = alpha / (1.0 - alpha)
+    return x0 / (1.0 - alpha) + z + beta * s
 
 
 def explicit_additive_path(x0: float, alpha: float, sigma_const: float,
@@ -384,18 +449,8 @@ def explicit_additive_path(x0: float, alpha: float, sigma_const: float,
     noise.  (Taking the running maximum of ``Z`` rather than of ``B`` keeps
     the identity exact for negative ``sigma`` as well.)
     """
-    if not alpha < 1.0:
-        raise ConfigError("explicit_additive_path requires alpha < 1")
-    z = kahan_cumsum(sigma_const * noise.db)
-    s = np.maximum.accumulate(z)
-    beta = alpha / (1.0 - alpha)
-    x = x0 / (1.0 - alpha) + z + beta * s
-    M = np.maximum.accumulate(x)
-    n1 = x.shape[0]
-    new = np.zeros(n1, dtype=bool)
-    new[1:] = x[1:] > M[:-1]
-    argmax = np.maximum.accumulate(
-        np.where(new, np.arange(n1, dtype=np.int64), 0))
+    x = additive_closed_form(x0, alpha, sigma_const, noise.db)
+    M, _, argmax = max_bookkeeping(x)
     return PathState(x=x, running_max=M, argmax_idx=argmax, db=noise.db,
                      seed=noise.seed, path_index=noise.path_index)
 
@@ -466,11 +521,7 @@ def picard_solve(spec, grid: GridSpec, noise: NoiseBlock,
             converged = True
             break
 
-    M = np.maximum.accumulate(x_prev)
-    new = np.zeros(n1, dtype=bool)
-    new[1:] = x_prev[1:] > M[:-1]
-    argmax = np.maximum.accumulate(
-        np.where(new, np.arange(n1, dtype=np.int64), 0))
+    M, _, argmax = max_bookkeeping(x_prev)
     path = PathState(x=x_prev, running_max=M, argmax_idx=argmax, db=db,
                      seed=noise.seed, path_index=noise.path_index)
     return PicardResult(path=path, sup_diffs=np.asarray(sup_diffs),

@@ -40,7 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatch
-from .integrate import NoiseBlock, PathBatch, euler_path
+from .integrate import (
+    NoiseBlock,
+    PathBatch,
+    max_bookkeeping,
+    simulate_increments,
+)
 from .model import GridSpec, PathState, validate
 
 __all__ = [
@@ -51,6 +56,7 @@ __all__ = [
     "h_norm_sq",
     "sup_h_norm_sq",
     "cameron_martin_fd",
+    "cameron_martin_fd_batch",
     "inner_product",
 ]
 
@@ -185,14 +191,6 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
                                 h_norm_sq_by_time=by_time)
 
 
-def _new_max_flags(path: PathState) -> np.ndarray:
-    n1 = path.x.shape[0]
-    new = np.zeros(n1, dtype=bool)
-    idx = np.asarray(path.argmax_idx)
-    new[1:] = idx[1:] == np.arange(1, n1)
-    return new
-
-
 def propagate_derivative(path: PathState, spec, grid: GridSpec,
                          track_all_times: bool = False) -> DerivativeField:
     """Derivative field of one simulated path.
@@ -205,7 +203,8 @@ def propagate_derivative(path: PathState, spec, grid: GridSpec,
         raise GridMismatch("path/grid step mismatch")
     d_x, dm, h_final, h_sup, by_time = _propagate_core(
         vspec, grid.dt, path.x[:, None], path.db[:, None],
-        _new_max_flags(path)[:, None], track_all_times)
+        max_bookkeeping(argmax=path.argmax_idx)[1][:, None],
+        track_all_times)
     return DerivativeField(
         d_x=d_x[0], d_m=dm[0], h_norm_sq_final=float(h_final[0]),
         sup_h_norm_sq=float(h_sup[0]), dt=grid.dt,
@@ -243,6 +242,42 @@ def inner_product(field: DerivativeField, h: np.ndarray, dt: float) -> float:
     return float(dt * np.dot(field.d_x, h_arr))
 
 
+def cameron_martin_fd_batch(spec, grid: GridSpec, db: np.ndarray,
+                            h: np.ndarray, eps: float = 1e-4,
+                            base: np.ndarray | None = None) -> np.ndarray:
+    """Finite-difference directional derivatives of many terminal values.
+
+    ``db`` is a time-major ``(n_steps, n_paths)`` increment block.  Every
+    column is re-simulated with its increments shifted by
+    ``eps * h(t_k) * dt`` and the result is ``(X_T^eps - X_T) / eps`` per
+    path.  ``base`` may supply the unshifted terminal values ``X_T`` when
+    the caller has already simulated ``db``; otherwise the base and the
+    shifted columns run together as one block.  Column ``i`` equals
+    :func:`cameron_martin_fd` on ``db[:, i]`` bitwise.
+    """
+    if eps <= 0.0:
+        raise ConfigError("eps must be positive")
+    h_arr = np.asarray(h, float)
+    if h_arr.shape != (grid.n_steps,):
+        raise GridMismatch("h must have one entry per increment")
+    db = np.asarray(db, float)
+    if db.ndim != 2 or db.shape[0] != grid.n_steps:
+        raise GridMismatch("db must be a time-major (n_steps, n_paths) "
+                           "block")
+    shifted = db + (eps * h_arr * grid.dt)[:, None]
+    if base is None:
+        block = np.concatenate([db, shifted], axis=1)
+        final = simulate_increments(spec, grid, block, record=False).x_final
+        base, bumped = np.split(final, 2)
+    else:
+        bumped = simulate_increments(spec, grid, shifted,
+                                     record=False).x_final
+        base = np.asarray(base, float)
+        if base.shape != bumped.shape:
+            raise GridMismatch("base must hold one terminal value per path")
+    return (bumped - base) / eps
+
+
 def cameron_martin_fd(spec, grid: GridSpec, noise: NoiseBlock,
                       h: np.ndarray, eps: float = 1e-4) -> float:
     """Finite-difference directional derivative of the terminal value.
@@ -251,15 +286,8 @@ def cameron_martin_fd(spec, grid: GridSpec, noise: NoiseBlock,
     returns ``(X_T^eps - X_T) / eps``.  As ``eps`` shrinks this converges
     to the pairing of the propagated field with ``h`` (they differ by
     O(eps), plus rare jumps when the shift reorders near-tied maxima), so
-    it serves as a derivative-free cross-check of the propagation.
+    it serves as a derivative-free cross-check of the propagation.  The
+    one-path case of :func:`cameron_martin_fd_batch`.
     """
-    if eps <= 0.0:
-        raise ConfigError("eps must be positive")
-    h_arr = np.asarray(h, float)
-    if h_arr.shape != (grid.n_steps,):
-        raise GridMismatch("h must have one entry per increment")
-    vspec = validate(spec)
-    base = euler_path(vspec, grid, noise)
-    shifted = NoiseBlock.from_increments(noise.db + eps * h_arr * grid.dt)
-    bumped = euler_path(vspec, grid, shifted)
-    return float((bumped.x[-1] - base.x[-1]) / eps)
+    return float(cameron_martin_fd_batch(spec, grid, noise.db[:, None], h,
+                                         eps=eps)[0])

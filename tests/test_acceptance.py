@@ -38,6 +38,7 @@ from perturbsde import (
     picard_solve,
     propagate_derivative_batch,
     simulate_batch,
+    simulate_increments,
     sup_lower_bound,
     theta,
     transformed_field,
@@ -179,25 +180,29 @@ def test_criterion_07_admissibility_boundary_constants():
 
 
 def test_criterion_08_strong_order_on_linear_benchmark():
-    # mean-reverting drift -x, unit additive noise: the transition law is
-    # Gaussian, so an exact recursion on the shared increments provides
-    # the reference at every resolution
+    # the package's integrator on mean-reverting drift -x, unit additive
+    # noise and alpha = 0: the transition law is Gaussian, so an exact
+    # recursion on the shared increments provides the reference at every
+    # resolution
+    spec = ProblemSpec(x0=1.0, alpha=0.0,
+                       drift=Coefficient.ornstein_uhlenbeck(rate=1.0),
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
     n_paths, n_fine = 256, 4096
     dt_fine = 1.0 / n_fine
     db_fine = np.stack([generate_increments(20240808, p, n_fine, dt_fine)
                         for p in range(n_paths)])
     errors, dts = [], []
     for n in (256, 512, 1024, 2048, 4096):
-        dt = 1.0 / n
+        grid = GridSpec(n_steps=n, horizon=1.0)
+        dt = grid.dt
         db = db_fine.reshape(n_paths, n, n_fine // n).sum(axis=2)
         a = math.exp(-dt)
         q = math.sqrt((1.0 - math.exp(-2.0 * dt)) / 2.0)
         sdt = math.sqrt(dt)
         exact = np.ones(n_paths)
-        euler = np.ones(n_paths)
         for k in range(n):
             exact = a * exact + q * db[:, k] / sdt
-            euler = euler - euler * dt + db[:, k]
+        euler = simulate_increments(spec, grid, db.T, record=False).x_final
         errors.append(float(np.mean(np.abs(exact - euler))))
         dts.append(dt)
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])

@@ -8,7 +8,7 @@ import pytest
 
 import perturbsde.verify as verify_mod
 from perturbsde import SuiteResult, validate
-from perturbsde.cli import main
+from perturbsde.cli import _chunks, _pool_size, main
 from perturbsde.io import TOOL_VERSION, problem_from_json, read_json
 
 
@@ -157,6 +157,16 @@ def test_missing_and_malformed_config(tmp_path, capsys):
 def test_workers_must_be_positive(tmp_path, write_config):
     cfg = write_config(simulate_config())
     assert run("simulate", cfg, tmp_path / "o", "--workers", "0") == 2
+
+
+def test_pool_size_is_clamped():
+    # pure function of the request, the chunk count and the usable CPUs;
+    # no process is started here
+    assert _pool_size(4, 4, 8) == 4
+    assert _pool_size(10_000, len(_chunks(3, 10_000)), 64) == 3
+    assert _pool_size(10_000, len(_chunks(10_000, 10_000)), 2) == 2
+    assert _pool_size(1, 5, 8) == 1
+    assert _pool_size(4, 4, 0) == 1
 
 
 def test_numeric_blowup_exits_3(tmp_path, write_config, capsys):

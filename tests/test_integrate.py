@@ -23,9 +23,11 @@ from perturbsde import (
     picard_solve,
     resolve_step,
     simulate_batch,
+    simulate_increments,
     simulate_terminal,
     validate,
 )
+from perturbsde.integrate import max_bookkeeping
 from conftest import make_driftless, make_tanh
 
 
@@ -240,6 +242,66 @@ def test_batch_agrees_with_single_paths_bitwise(tanh_spec, grid_1000):
                                       path.argmax_idx)
 
 
+COEFFICIENT_CASES = {
+    "const": (Coefficient.const(0.0), Coefficient.const(1.0)),
+    "tanh": (Coefficient.tanh(amplitude=0.1, scale=1.0),
+             Coefficient.const(1.0)),
+    "sine": (Coefficient.sine(amplitude=0.5),
+             Coefficient.sine(amplitude=0.2, offset=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
+def test_increment_block_columns_equal_single_paths_bitwise(case):
+    drift, diffusion = COEFFICIENT_CASES[case]
+    spec = ProblemSpec(x0=0.2, alpha=0.3, drift=drift, diffusion=diffusion,
+                       horizon=1.0)
+    grid = GridSpec(n_steps=400, horizon=1.0)
+    db = np.stack([generate_increments(61, i, grid.n_steps, grid.dt)
+                   for i in range(6)], axis=1)
+    batch = simulate_increments(spec, grid, db)
+    term = simulate_increments(spec, grid, db, record=False)
+    assert batch.seed is None and term.seed is None
+    for i in range(6):
+        path = euler_path(spec, grid, NoiseBlock.from_increments(db[:, i]))
+        np.testing.assert_array_equal(batch.x[:, i], path.x)
+        np.testing.assert_array_equal(batch.running_max[:, i],
+                                      path.running_max)
+        np.testing.assert_array_equal(batch.path(i).argmax_idx,
+                                      path.argmax_idx)
+        assert term.x_final[i] == path.x[-1]
+        assert term.running_max_final[i] == path.running_max[-1]
+        assert term.argmax_idx_final[i] == path.argmax_idx[-1]
+
+
+def test_increment_block_shape_validation(tanh_spec, grid_1000):
+    for bad in (np.zeros(1000), np.zeros((999, 2)), np.zeros((1000, 0))):
+        with pytest.raises(GridMismatch):
+            simulate_increments(tanh_spec, grid_1000, bad)
+
+
+def test_max_bookkeeping_sources_agree():
+    x = np.array([0.0, 1.0, 1.0, 0.5, 2.0, -1.0, 2.0, 3.0])
+    M, new, argmax = max_bookkeeping(x)
+    np.testing.assert_array_equal(M, [0, 1, 1, 1, 2, 2, 2, 3])
+    np.testing.assert_array_equal(new, [0, 1, 0, 0, 1, 0, 0, 1])
+    np.testing.assert_array_equal(argmax, [0, 1, 1, 1, 4, 4, 4, 7])
+    assert max_bookkeeping(new=new)[0] is None
+    np.testing.assert_array_equal(max_bookkeeping(new=new)[2], argmax)
+    np.testing.assert_array_equal(max_bookkeeping(argmax=argmax)[1], new)
+    # time-major columns are handled independently
+    xs = np.stack([x, -x, x[::-1]], axis=1)
+    _, new2, argmax2 = max_bookkeeping(xs)
+    for j in range(3):
+        _, nj, aj = max_bookkeeping(xs[:, j])
+        np.testing.assert_array_equal(new2[:, j], nj)
+        np.testing.assert_array_equal(argmax2[:, j], aj)
+    with pytest.raises(ConfigError):
+        max_bookkeeping(x, new=new)
+    with pytest.raises(ConfigError):
+        max_bookkeeping()
+
+
 def test_batch_offset_is_a_pure_relabeling(tanh_spec):
     grid = GridSpec(n_steps=128, horizon=1.0)
     whole = simulate_batch(tanh_spec, grid, 6, seed=7)
@@ -318,6 +380,15 @@ def test_kahan_cumsum_prefixes_match_exact_sums():
     assert out.shape == (1001,)
     for k in (1, 10, 500, 1000):
         assert out[k] == pytest.approx(math.fsum(inc[:k]), abs=1e-13)
+
+
+def test_kahan_cumsum_columns_equal_one_dimensional_sums():
+    rng = np.random.default_rng(3)
+    inc = rng.standard_normal((1000, 7)) * 0.03
+    out = kahan_cumsum(inc)
+    assert out.shape == (1001, 7)
+    for j in range(7):
+        np.testing.assert_array_equal(out[:, j], kahan_cumsum(inc[:, j]))
 
 
 # -- Picard iteration ---------------------------------------------------------

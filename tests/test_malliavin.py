@@ -14,6 +14,7 @@ from perturbsde import (
     NoiseBlock,
     ProblemSpec,
     cameron_martin_fd,
+    cameron_martin_fd_batch,
     euler_path,
     h_norm_sq,
     inner_product,
@@ -215,6 +216,35 @@ def test_directional_derivative_with_smooth_drift():
         ip = inner_product(fields.field(i), h, grid.dt)
         rel.append(abs(fd - ip) / max(abs(fd), abs(ip), 1e-300))
     assert float(np.median(rel)) <= 1e-2
+
+
+def test_batch_directional_derivative_equals_per_path_calls():
+    spec = ProblemSpec(x0=0.0, alpha=0.2,
+                       drift=Coefficient.sine(amplitude=0.5),
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
+    grid = GridSpec(n_steps=500, horizon=1.0)
+    h = np.cos(np.linspace(0.0, 3.0, grid.n_steps))
+    batch = simulate_batch(spec, grid, 12, seed=257)
+    per_path = [cameron_martin_fd(spec, grid,
+                                  NoiseBlock.generate(257, i, grid), h)
+                for i in range(12)]
+    together = cameron_martin_fd_batch(spec, grid, batch.db, h)
+    reused = cameron_martin_fd_batch(spec, grid, batch.db, h,
+                                     base=batch.x[-1])
+    np.testing.assert_array_equal(together, per_path)
+    np.testing.assert_array_equal(reused, per_path)
+
+
+def test_batch_directional_derivative_input_validation(tanh_spec, grid_1000):
+    db = simulate_batch(tanh_spec, grid_1000, 3, seed=0).db
+    h = np.ones(grid_1000.n_steps)
+    with pytest.raises(GridMismatch):
+        cameron_martin_fd_batch(tanh_spec, grid_1000, db[:, 0], h)
+    with pytest.raises(GridMismatch):
+        cameron_martin_fd_batch(tanh_spec, grid_1000, db[:-1], h)
+    with pytest.raises(GridMismatch):
+        cameron_martin_fd_batch(tanh_spec, grid_1000, db, h,
+                                base=np.zeros(2))
 
 
 def test_directional_derivative_input_validation(tanh_spec, grid_1000):
