@@ -89,7 +89,6 @@ from .malliavin import (
     inner_product,
     propagate_derivative,
     propagate_derivative_batch,
-    sup_h_norm_sq,
 )
 from .model import (
     Coefficient,
@@ -98,7 +97,6 @@ from .model import (
     ProblemSpec,
     SupNormBounds,
     ValidatedSpec,
-    eval_coefficient,
     sup_norm_estimate,
     validate,
 )
@@ -110,8 +108,7 @@ __all__ = [
     "__version__",
     # model
     "Coefficient", "SupNormBounds", "EffectiveBounds", "ProblemSpec",
-    "ValidatedSpec", "GridSpec", "validate", "eval_coefficient",
-    "sup_norm_estimate",
+    "ValidatedSpec", "GridSpec", "validate", "sup_norm_estimate",
     # integrate
     "NoiseBlock", "PathState", "PathBatch", "TerminalSample", "PicardResult",
     "generate_increments", "resolve_step", "euler_path",
@@ -119,8 +116,8 @@ __all__ = [
     "explicit_additive_path", "kahan_cumsum", "picard_solve",
     # malliavin
     "DerivativeField", "DerivativeFieldBatch", "propagate_derivative",
-    "propagate_derivative_batch", "h_norm_sq", "sup_h_norm_sq",
-    "inner_product", "cameron_martin_fd", "cameron_martin_fd_batch",
+    "propagate_derivative_batch", "h_norm_sq", "inner_product",
+    "cameron_martin_fd", "cameron_martin_fd_batch",
     # bounds
     "theta", "diff_bound", "sup_lower_bound", "final_lower_bound",
     "max_horizon", "RegimeReport", "regime_report",

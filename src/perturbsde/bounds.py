@@ -158,13 +158,6 @@ class RegimeReport:
         self.lower_bound_curve.flags.writeable = False
 
 
-def _is_structurally_const(coefficient) -> bool:
-    if coefficient.preset_id == "const":
-        return True
-    return (coefficient.preset_id == "linear"
-            and coefficient.params["slope"] == 0.0)
-
-
 def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
                   n_transform_nodes: int = 4097) -> RegimeReport:
     """Evaluate the regime machinery for one problem at horizon ``t0``.
@@ -180,10 +173,11 @@ def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
     vspec = validate(spec)
     alpha = vspec.alpha
 
-    if _is_structurally_const(vspec.diffusion):
+    sigma_const = vspec.diffusion.constant_value
+    if sigma_const is not None:
         lb = vspec.drift_bounds.sup_d1
         lb_source = vspec.drift_bounds.source
-        sigma_bar = abs(vspec.diffusion(0.0, 0))
+        sigma_bar = abs(sigma_const)
         transformed = False
     else:
         from .lamperti import build_transform, transformed_drift_bound

@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any
 
-import jsonschema
 import numpy as np
 
 from . import io
@@ -56,84 +55,10 @@ from .malliavin import propagate_derivative_batch
 from .model import Coefficient, GridSpec, ProblemSpec, validate
 from . import verify as verify_mod
 
-__all__ = ["main", "CONFIG_SCHEMA"]
+__all__ = ["main"]
 
 _NUMERIC_ERRORS = (NonFinite, IntegrationFailure, OutOfDomain,
                    DomainTooSmall, EmptySample, DegenerateDiffusion)
-
-# -- config schema ------------------------------------------------------------
-
-_BOUND_VALUE = {"oneOf": [{"type": "number"},
-                          {"const": "inf"},
-                          {"type": "null"}]}
-
-_COEFFICIENT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "preset": {"enum": ["const", "linear", "sine", "tanh",
-                            "ornstein_uhlenbeck", "custom-tabulated"]},
-        "params": {"type": "object"},
-        "declared_bounds": {
-            "type": "object",
-            "properties": {"sup_f": _BOUND_VALUE,
-                           "sup_d1": _BOUND_VALUE,
-                           "sup_d2": _BOUND_VALUE},
-            "additionalProperties": False,
-        },
-    },
-    "required": ["preset"],
-    "additionalProperties": False,
-}
-
-_PROBLEM_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "x0": {"type": "number"},
-        # alpha is range-checked in code so the error names the field
-        "alpha": {"type": "number"},
-        "drift": _COEFFICIENT_SCHEMA,
-        "diffusion": _COEFFICIENT_SCHEMA,
-        "horizon": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["x0", "alpha", "drift", "diffusion", "horizon"],
-    "additionalProperties": False,
-}
-
-_GRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "n_steps": {"type": "integer", "minimum": 1},
-        "horizon": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["n_steps"],
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "problem": _PROBLEM_SCHEMA,
-        "grid": _GRID_SCHEMA,
-        "n_paths": {"type": "integer", "minimum": 0},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "t0": {"type": "number", "exclusiveMinimum": 0},
-        "bandwidth": {"type": "number", "exclusiveMinimum": 0},
-        "n_grid": {"type": "integer", "minimum": 8},
-        "transform": {
-            "type": "object",
-            "properties": {
-                "n_nodes": {"type": "integer", "minimum": 5},
-                "domain": {"type": "array", "items": {"type": "number"},
-                           "minItems": 2, "maxItems": 2},
-            },
-            "additionalProperties": False,
-        },
-        "suites": {"type": "array", "items": {"type": "string"}},
-        "out": {"type": "string"},
-        "format": {"enum": ["csv", "json"]},
-    },
-    "additionalProperties": False,
-}
 
 
 def _require(config: dict, command: str, *fields: str) -> None:
@@ -244,22 +169,6 @@ def _regime_block(report) -> dict[str, Any]:
             "alpha": report.alpha, "lb": report.lb,
             "lb_source": report.lb_source, "sigma_bar": report.sigma_bar,
             "transformed": report.transformed, "rigorous": report.rigorous}
-
-
-def _driftless_const_sigma(problem: ProblemSpec) -> float | None:
-    """The constant diffusion value when the problem has zero drift and
-    constant diffusion, else None.  Gates the closed-form density column."""
-    b, s = problem.drift, problem.diffusion
-    b_zero = (b.preset_id == "const" and b.params["value"] == 0.0) or \
-        (b.preset_id == "linear" and b.params["slope"] == 0.0
-         and b.params["intercept"] == 0.0)
-    if not b_zero:
-        return None
-    if s.preset_id == "const":
-        return float(s.params["value"])
-    if s.preset_id == "linear" and s.params["slope"] == 0.0:
-        return float(s.params["intercept"])
-    return None
 
 
 # -- subcommands --------------------------------------------------------------
@@ -402,8 +311,9 @@ def cmd_density(config: dict, out_dir: Path, workers: int, meta: dict,
             "note": smooth.note,
         },
     }
-    sigma_const = _driftless_const_sigma(problem)
-    if sigma_const is not None and sigma_const != 0.0:
+    # Zero drift and constant nonzero diffusion: the closed form applies.
+    sigma_const = problem.diffusion.constant_value
+    if problem.drift.constant_value == 0.0 and sigma_const not in (None, 0.0):
         p_oracle = oracle_driftless(problem.x0, sigma_const, problem.alpha,
                                     grid.horizon, estimate.grid)
         columns["p_oracle"] = p_oracle
@@ -523,12 +433,11 @@ def _effective_config(args: argparse.Namespace) -> dict:
         raw = io.read_json(args.config)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    jsonschema.validate(raw, CONFIG_SCHEMA)
     config = io.decode_floats(raw)
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
+    # the override is checked with the rest; a non-object config fails there
+    if args.seed is not None and isinstance(config, dict):
         config["seed"] = args.seed
+    io.check_config(config)
     return config
 
 
@@ -559,10 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<config>"
-        print(f"error: config: {where}: {exc.message}", file=sys.stderr)
-        return 2
     except (PerturbSDEError, ValueError) as exc:
         # Remaining package errors are configuration problems; ValueError
         # covers malformed JSON text.

@@ -14,7 +14,7 @@ class PerturbSDEError(Exception):
 
 
 class ConfigError(PerturbSDEError):
-    """A run configuration or serialized spec failed schema validation."""
+    """A run configuration or serialized spec is malformed or out of range."""
 
 
 class AlphaOutOfRange(PerturbSDEError):

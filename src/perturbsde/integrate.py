@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatch, NonFinite
-from .model import Coefficient, GridSpec, PathState, ValidatedSpec, validate
+from .model import GridSpec, PathState, ValidatedSpec, validate
 
 __all__ = [
     "NoiseBlock",
@@ -148,15 +148,6 @@ def resolve_step(A, M_prev, alpha: float):
 # -- batched Euler engine -----------------------------------------------------
 
 
-def _const_value(c: Coefficient) -> float | None:
-    """Constant value of a coefficient if structurally constant else None."""
-    if c.preset_id == "const":
-        return float(c.params["value"])
-    if c.preset_id == "linear" and c.params["slope"] == 0.0:
-        return float(c.params["intercept"])
-    return None
-
-
 def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
                 record: bool):
     """Advance all columns of ``db_tm`` (time-major ``(n, P)``) through the
@@ -166,7 +157,7 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
     alpha = vspec.alpha
     one_minus = 1.0 - alpha
     b, s = vspec.drift, vspec.diffusion
-    b_const, s_const = _const_value(b), _const_value(s)
+    b_const, s_const = b.constant_value, s.constant_value
 
     x = np.full(P, vspec.x0 / one_minus)
     M = x.copy()

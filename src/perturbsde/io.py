@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from collections.abc import Mapping
 from importlib import metadata as _importlib_metadata
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, UnknownPreset
-from .model import Coefficient, GridSpec, ProblemSpec, SupNormBounds
+from .model import PRESETS, Coefficient, GridSpec, ProblemSpec, SupNormBounds
 
 __all__ = [
     "TOOL_VERSION",
@@ -33,6 +34,7 @@ __all__ = [
     "decode_floats",
     "canonical_json",
     "config_hash",
+    "check_config",
     "coefficient_to_json",
     "coefficient_from_json",
     "problem_to_json",
@@ -105,43 +107,160 @@ def config_hash(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-# -- coefficients -------------------------------------------------------------
+# -- structural checks --------------------------------------------------------
+#
+# One set of checks serves both the library parsers below and
+# :func:`check_config`, which the command line runs on the whole config
+# before any subcommand looks at it.  Errors name the offending field as
+# ``config: <field>: <reason>``.
 
-# Required and optional parameter names per serializable preset.
-_PRESET_PARAMS: dict[str, tuple[set[str], set[str]]] = {
-    "const": ({"value"}, set()),
-    "linear": ({"slope"}, {"intercept"}),
-    "sine": (set(), {"amplitude", "offset", "frequency", "phase"}),
-    "tanh": (set(), {"amplitude", "scale"}),
-    "ornstein_uhlenbeck": (set(), {"rate", "mean"}),
-    "custom-tabulated": ({"nodes", "values"}, {"d1_values"}),
+
+def _invalid(field: str, reason: str) -> ConfigError:
+    return ConfigError(f"config: {field}: {reason}")
+
+
+def _check_keys(obj: Any, field: str, allowed, required=()) -> None:
+    if not isinstance(obj, Mapping):
+        raise _invalid(field, "must be an object")
+    # each loop raises on its first key, in sorted order
+    for key in sorted(set(required) - set(obj)):
+        raise _invalid(f"{field}.{key}", "required field missing")
+    for key in sorted(set(obj) - set(allowed)):
+        raise _invalid(f"{field}.{key}", "unknown key")
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number that converts to a float; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _check_number(value: Any, field: str, positive: bool = False) -> None:
+    if not (_is_number(value) and math.isfinite(value)):
+        raise _invalid(field, f"must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise _invalid(field, f"must be > 0, got {value!r}")
+
+
+def _check_int(value: Any, field: str, lo: int, hi: int | None = None) -> None:
+    # JSON integers only: a float such as 4.0 or a bool is refused.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _invalid(field, f"must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise _invalid(field, f"must be {bound}, got {value}")
+
+
+_BOUND_KEYS = ("sup_f", "sup_d1", "sup_d2")
+
+
+def _check_coefficient(obj: Any, field: str) -> None:
+    _check_keys(obj, field, ("preset", "params", "declared_bounds"),
+                required=("preset",))
+    preset = obj["preset"]
+    if not isinstance(preset, str) or preset not in PRESETS:
+        raise UnknownPreset(
+            f"config: {field}.preset: unknown coefficient preset "
+            f"{preset!r}; catalog: "
+            f"{', '.join(p for p, names in PRESETS.items() if names)}")
+    if PRESETS[preset] is None:
+        raise _invalid(f"{field}.preset",
+                       "callback coefficients cannot be built from JSON")
+    required, optional = PRESETS[preset]
+    params = obj.get("params", {})
+    _check_keys(params, f"{field}.params", required | optional, required)
+    if preset != "custom-tabulated":
+        for key, value in params.items():
+            if not _is_number(value):
+                raise _invalid(f"{field}.params.{key}", "must be a number")
+    if "declared_bounds" in obj:
+        bounds, where = obj["declared_bounds"], f"{field}.declared_bounds"
+        _check_keys(bounds, where, _BOUND_KEYS)
+        for key, value in bounds.items():
+            v = decode_floats(value)
+            # NaN and -inf fail the comparison
+            if v is not None and not (_is_number(v) and v > -math.inf):
+                raise _invalid(f"{where}.{key}",
+                               "must be a number, null, or \"inf\"")
+
+
+_PROBLEM_KEYS = ("x0", "alpha", "drift", "diffusion", "horizon")
+
+
+def _check_problem(obj: Any, field: str = "problem") -> None:
+    _check_keys(obj, field, _PROBLEM_KEYS, required=_PROBLEM_KEYS)
+    _check_number(obj["x0"], f"{field}.x0")
+    _check_number(obj["alpha"], f"{field}.alpha")
+    _check_number(obj["horizon"], f"{field}.horizon", positive=True)
+    _check_coefficient(obj["drift"], f"{field}.drift")
+    _check_coefficient(obj["diffusion"], f"{field}.diffusion")
+
+
+def _check_grid(obj: Any, field: str = "grid") -> None:
+    _check_keys(obj, field, ("n_steps", "horizon"), required=("n_steps",))
+    _check_int(obj["n_steps"], f"{field}.n_steps", 1)
+    if "horizon" in obj:
+        _check_number(obj["horizon"], f"{field}.horizon", positive=True)
+
+
+def _check_transform(obj: Any, field: str) -> None:
+    _check_keys(obj, field, ("n_nodes", "domain"))
+    if "n_nodes" in obj:
+        _check_int(obj["n_nodes"], f"{field}.n_nodes", 5)
+    if "domain" in obj:
+        _check_list(obj["domain"], f"{field}.domain", _check_number, length=2)
+
+
+def _check_list(value: Any, field: str, check_item,
+                length: int | None = None) -> None:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise _invalid(field, "must be a list" if length is None
+                       else f"must be a list of {length} items")
+    for i, item in enumerate(value):
+        check_item(item, f"{field}[{i}]")
+
+
+def _check_string(value: Any, field: str, choices=None) -> None:
+    if not isinstance(value, str):
+        raise _invalid(field, f"must be a string, got {value!r}")
+    if choices is not None and value not in choices:
+        raise _invalid(field, f"must be one of {list(choices)}, got {value!r}")
+
+
+# Every top-level config key and its check; any other key is an error.
+_CONFIG_FIELDS = {
+    "problem": _check_problem,
+    "grid": _check_grid,
+    "n_paths": lambda v, f: _check_int(v, f, 0),
+    "seed": lambda v, f: _check_int(v, f, 0, 2**64 - 1),
+    "t0": lambda v, f: _check_number(v, f, positive=True),
+    "bandwidth": lambda v, f: _check_number(v, f, positive=True),
+    "n_grid": lambda v, f: _check_int(v, f, 8),
+    "transform": _check_transform,
+    "suites": lambda v, f: _check_list(v, f, _check_string),
+    "out": _check_string,
+    "format": lambda v, f: _check_string(v, f, ("csv", "json")),
 }
 
 
-def _bounds_to_json(bounds: SupNormBounds) -> dict[str, Any]:
-    return {"sup_f": encode_floats(bounds.sup_f),
-            "sup_d1": encode_floats(bounds.sup_d1),
-            "sup_d2": encode_floats(bounds.sup_d2)}
+def check_config(config: Any) -> None:
+    """Check the keys, types and ranges of a whole run config.
+
+    Every block present is checked, whether or not the subcommand reads
+    it; which fields a subcommand requires is left to the subcommand.
+    Integer fields take JSON integers only.  Raises :class:`ConfigError`
+    naming the first offending field.
+    """
+    if not isinstance(config, Mapping):
+        raise ConfigError("config: must be an object")
+    for key in sorted(set(config) - set(_CONFIG_FIELDS)):
+        raise _invalid(key, "unknown key")
+    for key, value in config.items():
+        _CONFIG_FIELDS[key](value, key)
 
 
-def _bounds_from_json(obj: Any) -> SupNormBounds:
-    if not isinstance(obj, Mapping):
-        raise ConfigError("declared_bounds must be an object")
-    extra = set(obj) - {"sup_f", "sup_d1", "sup_d2"}
-    if extra:
-        raise ConfigError(
-            f"declared_bounds has unknown keys: {sorted(extra)}")
-
-    def one(key: str) -> float | None:
-        v = decode_floats(obj.get(key))
-        if v is None:
-            return None
-        if not isinstance(v, (int, float)):
-            raise ConfigError(f"declared_bounds.{key} must be a number, "
-                              f"null, or \"inf\"")
-        return float(v)
-
-    return SupNormBounds(one("sup_f"), one("sup_d1"), one("sup_d2"))
+# -- coefficients -------------------------------------------------------------
 
 
 def coefficient_to_json(coefficient: Coefficient) -> dict[str, Any]:
@@ -150,64 +269,44 @@ def coefficient_to_json(coefficient: Coefficient) -> dict[str, Any]:
     Raises :class:`ConfigError` for callback coefficients: closures cannot
     be written to a config file.  Tabulate them first.
     """
-    if coefficient.preset_id == "custom-callback":
+    if PRESETS[coefficient.preset_id] is None:
         raise ConfigError(
             "callback coefficients are not serializable; use "
             "Coefficient.tabulated to sample them onto a grid first")
     out: dict[str, Any] = {"preset": coefficient.preset_id,
                            "params": encode_floats(dict(coefficient.params))}
-    if coefficient.declared_bounds is not None:
-        out["declared_bounds"] = _bounds_to_json(coefficient.declared_bounds)
+    bounds = coefficient.declared_bounds
+    if bounds is not None:
+        out["declared_bounds"] = {key: encode_floats(getattr(bounds, key))
+                                  for key in _BOUND_KEYS}
     return out
+
+
+def _build_coefficient(obj: Mapping[str, Any]) -> Coefficient:
+    """Build a coefficient from a dict that passed ``_check_coefficient``."""
+    bounds = None
+    if "declared_bounds" in obj:
+        values = [decode_floats(obj["declared_bounds"].get(key))
+                  for key in _BOUND_KEYS]
+        bounds = SupNormBounds(*(None if v is None else float(v)
+                                 for v in values))
+    preset, params = obj["preset"], obj.get("params", {})
+    if preset == "custom-tabulated":
+        d1 = params.get("d1_values")
+        return Coefficient.tabulated(
+            np.asarray(params["nodes"], float),
+            np.asarray(params["values"], float),
+            None if d1 is None else np.asarray(d1, float),
+            declared_bounds=bounds)
+    builder = getattr(Coefficient, preset)
+    return builder(declared_bounds=bounds,
+                   **{key: float(value) for key, value in params.items()})
 
 
 def coefficient_from_json(obj: Any) -> Coefficient:
     """Rebuild a coefficient from :func:`coefficient_to_json` output."""
-    if not isinstance(obj, Mapping):
-        raise ConfigError("coefficient must be an object")
-    extra = set(obj) - {"preset", "params", "declared_bounds"}
-    if extra:
-        raise ConfigError(f"coefficient has unknown keys: {sorted(extra)}")
-    preset = obj.get("preset")
-    if preset == "custom-callback":
-        raise ConfigError(
-            "callback coefficients cannot be constructed from JSON")
-    if preset not in _PRESET_PARAMS:
-        raise UnknownPreset(
-            f"unknown coefficient preset {preset!r}; "
-            f"catalog: {', '.join(sorted(_PRESET_PARAMS))}")
-    params = obj.get("params", {})
-    if not isinstance(params, Mapping):
-        raise ConfigError("coefficient params must be an object")
-    required, optional = _PRESET_PARAMS[preset]
-    missing = required - set(params)
-    if missing:
-        raise ConfigError(
-            f"coefficient {preset!r} is missing params: {sorted(missing)}")
-    unknown = set(params) - required - optional
-    if unknown:
-        raise ConfigError(
-            f"coefficient {preset!r} has unknown params: {sorted(unknown)}")
-    bounds = None
-    if obj.get("declared_bounds") is not None:
-        bounds = _bounds_from_json(obj["declared_bounds"])
-
-    if preset == "custom-tabulated":
-        nodes = np.asarray(params["nodes"], float)
-        values = np.asarray(params["values"], float)
-        d1 = params.get("d1_values")
-        d1_values = None if d1 is None else np.asarray(d1, float)
-        return Coefficient.tabulated(nodes, values, d1_values,
-                                     declared_bounds=bounds)
-
-    scalars = {}
-    for key, value in params.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(
-                f"coefficient param {key!r} must be a number")
-        scalars[key] = float(value)
-    builder = getattr(Coefficient, preset)
-    return builder(declared_bounds=bounds, **scalars)
+    _check_coefficient(obj, "coefficient")
+    return _build_coefficient(obj)
 
 
 # -- problem and grid ---------------------------------------------------------
@@ -222,22 +321,11 @@ def problem_to_json(problem: ProblemSpec) -> dict[str, Any]:
 
 
 def problem_from_json(obj: Any) -> ProblemSpec:
-    if not isinstance(obj, Mapping):
-        raise ConfigError("problem must be an object")
-    required = {"x0", "alpha", "drift", "diffusion", "horizon"}
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"problem is missing fields: {sorted(missing)}")
-    extra = set(obj) - required
-    if extra:
-        raise ConfigError(f"problem has unknown keys: {sorted(extra)}")
-    for key in ("x0", "alpha", "horizon"):
-        if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
-            raise ConfigError(f"problem.{key} must be a number")
+    _check_problem(obj)
     return ProblemSpec(x0=float(obj["x0"]),
                        alpha=float(obj["alpha"]),
-                       drift=coefficient_from_json(obj["drift"]),
-                       diffusion=coefficient_from_json(obj["diffusion"]),
+                       drift=_build_coefficient(obj["drift"]),
+                       diffusion=_build_coefficient(obj["diffusion"]),
                        horizon=float(obj["horizon"]))
 
 
@@ -252,23 +340,16 @@ def grid_from_json(obj: Any, default_horizon: float | None = None) -> GridSpec:
     here as ``default_horizon``.  A grid block that also states a horizon
     must agree with it.
     """
-    if not isinstance(obj, Mapping):
-        raise ConfigError("grid must be an object")
-    extra = set(obj) - {"n_steps", "horizon"}
-    if extra:
-        raise ConfigError(f"grid has unknown keys: {sorted(extra)}")
-    if "n_steps" not in obj:
-        raise ConfigError("grid is missing field: n_steps")
+    _check_grid(obj)
     horizon = obj.get("horizon", default_horizon)
     if horizon is None:
-        raise ConfigError("grid.horizon is required when no problem "
-                          "horizon is available")
+        raise _invalid("grid.horizon", "required when no problem horizon "
+                                       "is available")
     if "horizon" in obj and default_horizon is not None \
-            and not math.isclose(float(obj["horizon"]), default_horizon,
-                                 rel_tol=0.0, abs_tol=0.0):
-        raise ConfigError(
-            f"grid.horizon ({obj['horizon']}) disagrees with "
-            f"problem.horizon ({default_horizon})")
+            and float(obj["horizon"]) != default_horizon:
+        raise _invalid("grid.horizon",
+                       f"{obj['horizon']} disagrees with problem.horizon "
+                       f"({default_horizon})")
     return GridSpec(n_steps=obj["n_steps"], horizon=horizon)
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "propagate_derivative",
     "propagate_derivative_batch",
     "h_norm_sq",
-    "sup_h_norm_sq",
     "cameron_martin_fd",
     "cameron_martin_fd_batch",
     "inner_product",
@@ -226,11 +225,6 @@ def h_norm_sq(d_x: np.ndarray, dt: float, k: int | None = None) -> float:
     sub = arr[..., :k]
     out = dt * np.einsum("...i,...i->...", sub, sub)
     return float(out) if arr.ndim == 1 else out
-
-
-def sup_h_norm_sq(path: PathState, spec, grid: GridSpec) -> float:
-    """Maximum of the squared Cameron-Martin norm over all grid times."""
-    return propagate_derivative(path, spec, grid).sup_h_norm_sq
 
 
 def inner_product(field: DerivativeField, h: np.ndarray, dt: float) -> float:

@@ -40,7 +40,7 @@ __all__ = [
     "GridSpec",
     "PathState",
     "validate",
-    "eval_coefficient",
+    "PRESETS",
     "sup_norm_estimate",
     "validation_grid",
     "VALIDATION_GRID_SIZE",
@@ -55,8 +55,20 @@ VALIDATION_GRID_SIZE = 4096
 FD_STEP = 1e-4
 FD_TOL = 1e-6
 
-_CATALOG = ("const", "linear", "sine", "tanh", "ornstein_uhlenbeck",
-            "custom-callback", "custom-tabulated")
+# The coefficient catalog: preset id -> (required, optional) parameter
+# names.  Callback coefficients carry closures and free-form params, so they
+# have no parameter contract and no JSON form (None).
+PRESETS: dict[str, tuple[frozenset[str], frozenset[str]] | None] = {
+    "const": (frozenset({"value"}), frozenset()),
+    "linear": (frozenset({"slope"}), frozenset({"intercept"})),
+    "sine": (frozenset(),
+             frozenset({"amplitude", "offset", "frequency", "phase"})),
+    "tanh": (frozenset(), frozenset({"amplitude", "scale"})),
+    "ornstein_uhlenbeck": (frozenset(), frozenset({"rate", "mean"})),
+    "custom-callback": None,
+    "custom-tabulated": (frozenset({"nodes", "values"}),
+                         frozenset({"d1_values"})),
+}
 
 
 @dataclass(frozen=True)
@@ -93,10 +105,10 @@ class Coefficient:
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.preset_id not in _CATALOG:
+        if self.preset_id not in PRESETS:
             raise UnknownPreset(
                 f"unknown coefficient preset {self.preset_id!r}; "
-                f"catalog: {', '.join(_CATALOG)}")
+                f"catalog: {', '.join(PRESETS)}")
         if self._value is None:
             raise ConfigError(
                 "Coefficient must be built via its classmethod constructors")
@@ -256,10 +268,16 @@ class Coefficient:
         return (self._value, self._d1, self._d2)[order] is not None \
             if order in (0, 1, 2) else False
 
-
-def eval_coefficient(coefficient: Coefficient, x, order: int = 0):
-    """Evaluate ``f``, ``f'`` or ``f''`` at ``x`` (scalar or array)."""
-    return coefficient(x, order)
+    @property
+    def constant_value(self) -> float | None:
+        """The value of a structurally constant coefficient (``const``, or
+        ``linear`` with zero slope), else None.  Other presets are never
+        reported constant, whatever their parameters."""
+        if self.preset_id == "const":
+            return float(self.params["value"])
+        if self.preset_id == "linear" and self.params["slope"] == 0.0:
+            return float(self.params["intercept"])
+        return None
 
 
 def sup_norm_estimate(coefficient: Coefficient, order: int,

@@ -189,6 +189,7 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
                                         track_all_times=True)
     by_time = fields.h_norm_sq_by_time          # time-major (n+1, P)
     sup_sq = fields.sup_h_norm_sq               # (P,)
+    del batch, fields   # free paths and slot matrices before the pair checks
 
     sup_floor = sup_lower_bound(spec.horizon, alpha, lb, sigma_bar)
     sup_viol = int(np.count_nonzero(sup_sq < slack * sup_floor))
@@ -205,15 +206,21 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
     i2 = rng.integers(1, n_steps + 1, size=(n_paths, n_pairs))
     gap_theta = np.array([theta(g * dt, alpha, lb)
                           for g in range(n_steps + 1)])
-    rows = np.arange(n_paths)[:, None]
-    diff = np.abs(by_time[i2, rows] - by_time[i1, rows])
-    gaps = np.abs(i2 - i1) * dt
-    plain = 2.0 * gap_theta[np.abs(i2 - i1)] * sup_sq[:, None]
-    repaired = (plain + 2.0 * sigma_bar ** 2 * gaps
-                + 2.0 * lb ** 2 * gaps ** 2 * sup_sq[:, None])
-    diff_viol = int(np.count_nonzero(diff > repaired / slack + 1e-12))
-    plain_viol_rate = float(np.count_nonzero(diff > plain / slack + 1e-12)
-                            / diff.size)
+    # Blocks of paths keep the float temporaries at (block, n_pairs).
+    diff_viol = plain_viol = 0
+    for lo in range(0, n_paths, 100):
+        hi = min(lo + 100, n_paths)
+        rows = np.arange(lo, hi)[:, None]
+        j1, j2 = i1[lo:hi], i2[lo:hi]
+        sup = sup_sq[lo:hi, None]
+        diff = np.abs(by_time[j2, rows] - by_time[j1, rows])
+        gaps = np.abs(j2 - j1) * dt
+        plain = 2.0 * gap_theta[np.abs(j2 - j1)] * sup
+        repaired = (plain + 2.0 * sigma_bar ** 2 * gaps
+                    + 2.0 * lb ** 2 * gaps ** 2 * sup)
+        diff_viol += int(np.count_nonzero(diff > repaired / slack + 1e-12))
+        plain_viol += int(np.count_nonzero(diff > plain / slack + 1e-12))
+    plain_viol_rate = float(plain_viol / i1.size)
 
     total = sup_viol + final_viol + diff_viol
     return SuiteResult(

@@ -135,6 +135,63 @@ def test_wrong_type_rejected_by_schema(tmp_path, write_config):
     assert run("simulate", cfg, tmp_path / "o") == 2
 
 
+# Each case runs the subcommand that reads the field.
+@pytest.mark.parametrize("command,field,value,name", [
+    ("simulate", "n_paths", 4.0, "n_paths"),
+    ("simulate", "n_paths", -1, "n_paths"),
+    ("simulate", "seed", -1, "seed"),
+    ("simulate", "seed", 2**64, "seed"),
+    ("simulate", "seed", 3.0, "seed"),
+    ("derivative", "t0", 0.0, "t0"),
+    ("derivative", "t0", 10**400, "t0"),
+    ("density", "bandwidth", "wide", "bandwidth"),
+    ("density", "n_grid", 64.0, "n_grid"),
+    ("transform", "transform", {"n_nodes": 65.0}, "transform.n_nodes"),
+    ("transform", "transform", {"domain": [1.0]}, "transform.domain"),
+    ("transform", "transform", {"spacing": 0.1}, "transform.spacing"),
+    ("verify", "suites", ["additive_identity", 3], "suites"),
+    ("simulate", "out", 5, "out"),
+    ("simulate", "format", "xml", "format"),
+], ids=["n_paths-float", "n_paths-negative", "seed-negative", "seed-2**64",
+        "seed-float", "t0-zero", "t0-overflows-float", "bandwidth-string",
+        "n_grid-float", "transform.n_nodes-float", "transform.domain-length",
+        "transform-unknown-key", "suites-item", "out-type", "format-xml"])
+def test_invalid_field_exits_2_and_names_it(tmp_path, write_config, capsys,
+                                             command, field, value, name):
+    cfg = write_config(simulate_config(**{field: value}))
+    assert run(command, cfg, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config" in err and name in err
+
+
+@pytest.mark.parametrize("block,path", [
+    ("problem", ()),
+    ("grid", ()),
+    ("problem", ("drift",)),
+    ("problem", ("diffusion", "declared_bounds")),
+])
+def test_unknown_nested_key_exits_2_and_names_it(tmp_path, write_config,
+                                                 capsys, block, path):
+    config = simulate_config()
+    obj = config[block]
+    for key in path:
+        obj = obj.setdefault(key, {})
+    obj["mystery"] = 1
+    cfg = write_config(config)
+    assert run("simulate", cfg, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config" in err
+    assert ".".join((block, *path, "mystery")) in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_flag_out_of_range_exits_2(tmp_path, write_config, capsys, seed):
+    cfg = write_config(simulate_config())
+    assert run("simulate", cfg, tmp_path / "o", "--seed", seed) == 2
+    err = capsys.readouterr().err
+    assert "config" in err and "seed" in err
+
+
 def test_alpha_out_of_range_names_the_field(tmp_path, write_config, capsys):
     cfg = write_config(simulate_config(problem=base_problem(alpha=1.0)))
     assert run("simulate", cfg, tmp_path / "o") == 2

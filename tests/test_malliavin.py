@@ -21,7 +21,6 @@ from perturbsde import (
     propagate_derivative,
     propagate_derivative_batch,
     simulate_batch,
-    sup_h_norm_sq,
 )
 from conftest import make_driftless
 
@@ -155,7 +154,8 @@ def test_single_path_and_batch_fields_agree(tanh_spec, grid_1000):
         assert single.sup_h_norm_sq == fields.sup_h_norm_sq[i]
         np.testing.assert_array_equal(single.h_norm_sq_by_time,
                                       fields.h_norm_sq_by_time[:, i])
-    assert sup_h_norm_sq(batch.path(0), tanh_spec, grid_1000) == \
+    assert propagate_derivative(batch.path(0), tanh_spec,
+                                grid_1000).sup_h_norm_sq == \
         fields.sup_h_norm_sq[0]
 
 

@@ -19,7 +19,6 @@ from perturbsde import (
     UnknownPreset,
     UnsupportedOrder,
     ValidatedSpec,
-    eval_coefficient,
     euler_path,
     sup_norm_estimate,
     validate,
@@ -52,14 +51,34 @@ def test_catalog_derivatives_match_finite_differences(coefficient):
 
 
 def test_eval_coefficient_spot_values():
-    assert eval_coefficient(Coefficient.const(2.0), 5.0) == 2.0
-    assert eval_coefficient(Coefficient.const(2.0), 5.0, order=1) == 0.0
-    assert eval_coefficient(Coefficient.sine(), 0.0, order=1) == 1.0
+    assert Coefficient.const(2.0)(5.0) == 2.0
+    assert Coefficient.const(2.0)(5.0, order=1) == 0.0
+    assert Coefficient.sine()(0.0, order=1) == 1.0
     lin = Coefficient.linear(slope=2.0, intercept=1.0)
-    assert eval_coefficient(lin, 3.0) == 7.0
+    assert lin(3.0) == 7.0
     ou = Coefficient.ornstein_uhlenbeck(rate=2.0, mean=1.0)
-    assert eval_coefficient(ou, 0.0) == 2.0
-    assert eval_coefficient(ou, 4.0, order=1) == -2.0
+    assert ou(0.0) == 2.0
+    assert ou(4.0, order=1) == -2.0
+
+
+@pytest.mark.parametrize("coefficient,expected", [
+    (Coefficient.const(2.5), 2.5),
+    (Coefficient.linear(slope=0.0, intercept=-1.5), -1.5),
+    (Coefficient.linear(slope=0.3, intercept=-1.5), None),
+    (Coefficient.sine(amplitude=0.0, offset=2.0), None),
+    (Coefficient.tanh(amplitude=0.0), None),
+    (Coefficient.ornstein_uhlenbeck(rate=0.0), None),
+    (Coefficient.tabulated(np.linspace(0.0, 1.0, 5), np.full(5, 3.0)), None),
+    (Coefficient.from_callbacks(lambda x: np.full_like(x, 3.0)), None),
+], ids=["const", "linear-flat", "linear-sloped", "sine", "tanh",
+        "ornstein_uhlenbeck", "tabulated", "callback"])
+def test_constant_value(coefficient, expected):
+    # only const and zero-slope linear are constant by structure; presets
+    # that happen to be constant for their parameters are not reported
+    value = coefficient.constant_value
+    assert value == expected
+    if expected is not None:
+        assert type(value) is float
 
 
 def test_tanh_second_derivative_against_finite_differences():
