@@ -286,7 +286,7 @@ def cmd_density(config: dict, out_dir: Path, workers: int, meta: dict,
     sample = _assemble(results, 0, axis=0)
 
     estimate = kde(sample, bandwidth=config.get("bandwidth"),
-                   n_grid=config.get("n_grid", 512))
+                   n_grid=config.get("n_grid", 512), ladder=False)
     # The curvature ladder needs the slower-shrinking derivative bandwidth;
     # at the density-optimal rate the second-derivative rungs are noise.
     deriv_est = kde(sample, bandwidth=derivative_bandwidth_rule(sample),

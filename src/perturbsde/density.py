@@ -9,6 +9,13 @@ diagnostic is calibrated around the slower-shrinking rule
 derivative of the estimate is noise-dominated even for a clean Gaussian
 at sample sizes around 10^5, and no stability verdict is possible).
 
+Kernel sums are binned, not direct: the sample is linearly binned onto a
+uniform mesh and the counts are convolved with the kernels by FFT
+(Silverman, AS 176, Appl. Statist. 31, 1982; Wand, J. Comput. Graph.
+Statist. 3, 1994), O(N + mesh log mesh) instead of O(N x grid).  See
+:func:`kde` for the error bound, the uniform-grid requirement and the mesh
+cap.
+
 In the driftless constant-``sigma`` case the terminal law is known in
 closed form (:func:`oracle_driftless`), which turns the whole pipeline
 into a measurable quantity: the L1 gap between the kernel estimate and
@@ -42,12 +49,20 @@ __all__ = [
     "D1_THRESHOLD",
     "D2_THRESHOLD",
     "CALIBRATED_MIN_SAMPLES",
+    "MAX_MESH_NODES",
 ]
 
 DEFAULT_GRID_POINTS = 512
 GRID_HALFWIDTH_STDS = 6.0
-_KDE_CHUNK = 8192
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Binned estimation: the mesh spacing is at most h / _MESH_PER_BANDWIDTH, the
+# mesh reaches _MESH_TAIL bandwidths past the grid, and the convolution
+# length n_mesh + half is capped so that no bandwidth or grid size alone can
+# size the allocation.
+_MESH_PER_BANDWIDTH = 64
+_MESH_TAIL = 10.0
+MAX_MESH_NODES = 2**22
 
 # Ladder verdict thresholds for the relative L2 discrepancy of derivative
 # estimates between adjacent rungs on the central window, calibrated on
@@ -173,22 +188,80 @@ class DensityEstimate:
         return float(np.trapezoid(self.pdf, self.grid))
 
 
+def _mesh_plan(h: float, dz: float, n_grid: int, below: float,
+               above: float) -> tuple[int, int, int, int, int]:
+    """Layout of the binning mesh for bandwidth ``h`` on an ``n_grid``-point
+    grid of spacing ``dz``, for a sample reaching ``below`` past the first
+    grid point and ``above`` past the last (negative when it stops short).
+
+    A pure function of its arguments.  The mesh steps ``r`` times per grid
+    step, with ``r = 2 ceil(32 dz / h)`` even, so its spacing is ``h/64`` or
+    finer and every grid point and grid midpoint is a node.  It reaches
+    ``_MESH_TAIL`` bandwidths past each grid end, no further than the
+    sample, plus one node.  Returns ``(r, n_lo, n_mesh, half, n_fft)``:
+    nodes below the first grid point, mesh nodes, kernel half-width in
+    nodes, and FFT length.  Raises :class:`ConfigError` naming the
+    bandwidth when ``n_mesh + half``, and with it the FFT length, could
+    exceed :data:`MAX_MESH_NODES`.
+    """
+    steps = 0.5 * _MESH_PER_BANDWIDTH * dz / h
+    r = 2.0 * math.ceil(steps) if steps <= MAX_MESH_NODES else 2.0 * steps
+    tail = _MESH_TAIL * h
+    ext_lo = max(0.0, min(tail, below))
+    ext_hi = max(0.0, min(tail, above))
+    reach = (n_grid - 1) * dz + ext_lo + ext_hi
+    # an upper bound on n_mesh + half, taken in floating point so that it
+    # is checked before any of it becomes an integer size
+    size = (reach + min(tail, reach)) * r / dz + 9.0
+    if not size <= MAX_MESH_NODES:
+        raise ConfigError(
+            f"config: bandwidth: {h:.6g} on a {n_grid}-point grid needs a "
+            f"kernel mesh of about {size:.3g} nodes, more than "
+            f"{MAX_MESH_NODES}")
+    r = int(r)
+    delta = dz / r
+    n_lo = math.ceil(ext_lo / delta) + 1
+    n_mesh = n_lo + (n_grid - 1) * r + math.ceil(ext_hi / delta) + 2
+    half = min(math.ceil(tail / delta), n_mesh - 1)
+    # circular convolution of length >= n_mesh + half never wraps a kernel
+    # offset within +-half onto another
+    n_fft = 1 << (n_mesh + half - 1).bit_length()
+    return r, n_lo, n_mesh, half, n_fft
+
+
 def _kernel_sums(sample: np.ndarray, zs: np.ndarray, h: float
                  ) -> LadderRung:
-    n = sample.size
-    pdf = np.zeros_like(zs)
-    d1 = np.zeros_like(zs)
-    d2 = np.zeros_like(zs)
-    for i in range(0, n, _KDE_CHUNK):
-        u = (zs[:, None] - sample[None, i:i + _KDE_CHUNK]) / h
-        phi = np.exp(-0.5 * u * u)
-        pdf += phi.sum(axis=1)
-        u *= phi
-        d1 += u.sum(axis=1)          # sum of u phi(u)
-        u *= (zs[:, None] - sample[None, i:i + _KDE_CHUNK]) / h
-        d2 += u.sum(axis=1)          # sum of u^2 phi(u)
-    d2 -= pdf                        # sum of (u^2 - 1) phi(u)
-    norm = n * h * _SQRT_2PI
+    n_grid = zs.size
+    dz = float(zs[-1] - zs[0]) / (n_grid - 1)
+    r, n_lo, n_mesh, half, n_fft = _mesh_plan(
+        h, dz, n_grid, float(zs[0] - sample.min()),
+        float(sample.max() - zs[-1]))
+    delta = dz / r
+
+    # linear binning; a sample on a node puts its whole weight there
+    t = (sample - zs[0]) / delta + n_lo
+    t = t[(t >= 0.0) & (t <= n_mesh - 1)]
+    j = np.minimum(t.astype(np.int64), n_mesh - 2)
+    w = t - j
+    counts = (np.bincount(j, 1.0 - w, minlength=n_mesh)
+              + np.bincount(j + 1, w, minlength=n_mesh))
+    counts_f = np.fft.rfft(counts, n_fft)
+
+    # kernels at circular offsets k = node(z) - node(x), so u = k delta / h
+    k = np.fft.fftfreq(n_fft, 1.0 / n_fft)
+    u = k * (delta / h)
+    phi = np.where(np.abs(k) <= half, np.exp(-0.5 * u * u), 0.0)
+    at_grid = n_lo + r * np.arange(n_grid)
+
+    def convolve(kernel):
+        return np.fft.irfft(counts_f * np.fft.rfft(kernel), n_fft)[at_grid]
+
+    pdf = convolve(phi)
+    d1 = convolve(u * phi)                # sum of u phi(u)
+    d2 = convolve((u * u - 1.0) * phi)    # sum of (u^2 - 1) phi(u)
+    # roundoff of the transform can dip below zero where the sum underflows
+    np.maximum(pdf, 0.0, out=pdf)
+    norm = sample.size * h * _SQRT_2PI
     return LadderRung(bandwidth=h,
                       pdf=pdf / norm,
                       d1=-d1 / (norm * h),
@@ -204,9 +277,28 @@ def kde(sample, bandwidth: float | None = None,
     ``bandwidth=None`` applies :func:`bandwidth_rule`.  The default grid
     spans the sample mean plus or minus six sample standard deviations,
     wide enough that the estimate integrates to 1 within a couple of
-    percent.  With ``ladder`` the first two derivatives are also
-    estimated at half, one and two times the bandwidth, the input
-    :func:`smoothness_diagnostic` consumes.
+    percent.  A given ``eval_grid`` must be strictly increasing and
+    uniformly spaced (a ``linspace``).  With ``ladder`` the first two
+    derivatives are also estimated at half, one and two times the
+    bandwidth, the input :func:`smoothness_diagnostic` consumes.
+
+    Each bandwidth is one binned estimate: the sample is linearly binned
+    onto a mesh of spacing ``h/64`` or finer that holds every grid point
+    (see :func:`_mesh_plan`), and the counts are convolved with the
+    sampled kernels ``phi(u)``, ``u phi(u)`` and ``(u^2 - 1) phi(u)`` by
+    FFT.  For every rung of the estimates the package builds (at
+    :func:`bandwidth_rule` and :func:`derivative_bandwidth_rule`) the
+    result agrees with the direct sums over the sample to within
+    ``1e-4`` of each channel's maximum absolute value, for the pdf and
+    both derivatives (tested on normal, perturbed and point-mass samples
+    of 10^5 draws).  Binning moves each sample's kernel by at most
+    ``(h_mesh/h)^2 max|K''| / 8``, at most ``9.2e-5`` of the kernel's
+    maximum for ``K = (u^2 - 1) phi``, and not at all for a sample on a
+    mesh node.  Samples more than ten bandwidths beyond the grid are left
+    out and kernels are cut at ten bandwidths; what that drops is below
+    ``1e-19`` of a kernel's maximum.  A bandwidth so small against the
+    grid that the mesh would exceed :data:`MAX_MESH_NODES` raises
+    :class:`ConfigError`.
     """
     sample = np.ascontiguousarray(np.asarray(sample, float).ravel())
     if sample.size < 2:
@@ -231,6 +323,13 @@ def kde(sample, bandwidth: float | None = None,
     zs = np.ascontiguousarray(np.asarray(eval_grid, float))
     if zs.ndim != 1 or zs.size < 2:
         raise ConfigError("eval_grid must be a 1-D array of >= 2 points")
+    # uniform to 1e-6 of the spacing, far looser than linspace roundoff
+    gaps = np.diff(zs)
+    spacing = (zs[-1] - zs[0]) / (zs.size - 1)
+    if not (np.all(gaps > 0.0) and math.isfinite(spacing)
+            and float(np.max(np.abs(gaps - spacing))) <= 1e-6 * spacing):
+        raise ConfigError(
+            "eval_grid must be strictly increasing and uniformly spaced")
 
     rungs: tuple[LadderRung, ...]
     if ladder:

@@ -50,6 +50,7 @@ __all__ = [
 
 _U64 = np.uint64
 _MAX_U64 = 2**64
+_NOISE_PATHS = 512
 
 
 def _check_u64(name: str, value: int) -> int:
@@ -77,15 +78,26 @@ def generate_increments(seed: int, path_index: int, n_steps: int,
 def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
                     dt: float) -> np.ndarray:
     """Increment block for paths ``path_offset .. path_offset+n_paths-1``,
-    returned time-major with shape ``(n_steps, n_paths)``."""
-    buf = np.empty((n_paths, n_steps))
+    returned time-major with shape ``(n_steps, n_paths)``.
+
+    Paths are drawn ``_NOISE_PATHS`` at a time into one reused path-major
+    buffer and transposed into the output, so no second full-size copy is
+    held; column ``p`` is bitwise :func:`generate_increments` for path
+    ``path_offset + p``.
+    """
+    out = np.empty((n_steps, n_paths))
+    buf = np.empty((min(n_paths, _NOISE_PATHS), n_steps))
     key = np.array([_check_u64("seed", seed), 0], dtype=_U64)
-    for p in range(n_paths):
-        key[1] = path_offset + p
-        gen = np.random.Generator(np.random.Philox(key=key))
-        gen.standard_normal(out=buf[p])
-    buf *= math.sqrt(dt)
-    return np.ascontiguousarray(buf.T)
+    scale = math.sqrt(dt)
+    for lo in range(0, n_paths, _NOISE_PATHS):
+        block = buf[:min(_NOISE_PATHS, n_paths - lo)]
+        for i, row in enumerate(block):
+            key[1] = path_offset + lo + i
+            gen = np.random.Generator(np.random.Philox(key=key))
+            gen.standard_normal(out=row)
+        block *= scale
+        out[:, lo:lo + block.shape[0]] = block.T
+    return out
 
 
 @dataclass(frozen=True)
@@ -363,8 +375,8 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
                       chunk_paths: int = 8192) -> TerminalSample:
     """Simulate keyed paths keeping only terminal-time quantities.
 
-    Memory stays bounded by ``chunk_paths`` full increment blocks, so this
-    scales to ensemble sizes used for density estimation.
+    Memory stays bounded by one increment block of ``chunk_paths`` paths,
+    so this scales to ensemble sizes used for density estimation.
     """
     vspec = validate(spec)
     if n_paths < 1:
@@ -382,6 +394,7 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
                 str(exc), step=exc.step,
                 path_index=None if exc.path_index is None
                 else path_offset + lo + exc.path_index) from None
+        del db_tm        # freed before the next block is drawn
     return TerminalSample(
         np.concatenate([p.x_final for p in parts]),
         np.concatenate([p.running_max_final for p in parts]),

@@ -146,6 +146,7 @@ def test_wrong_type_rejected_by_schema(tmp_path, write_config):
     ("derivative", "t0", 10**400, "t0"),
     ("density", "bandwidth", "wide", "bandwidth"),
     ("density", "n_grid", 64.0, "n_grid"),
+    ("density", "bandwidth", 1e-9, "bandwidth"),
     ("transform", "transform", {"n_nodes": 65.0}, "transform.n_nodes"),
     ("transform", "transform", {"domain": [1.0]}, "transform.domain"),
     ("transform", "transform", {"spacing": 0.1}, "transform.spacing"),
@@ -154,8 +155,9 @@ def test_wrong_type_rejected_by_schema(tmp_path, write_config):
     ("simulate", "format", "xml", "format"),
 ], ids=["n_paths-float", "n_paths-negative", "seed-negative", "seed-2**64",
         "seed-float", "t0-zero", "t0-overflows-float", "bandwidth-string",
-        "n_grid-float", "transform.n_nodes-float", "transform.domain-length",
-        "transform-unknown-key", "suites-item", "out-type", "format-xml"])
+        "n_grid-float", "bandwidth-mesh-too-fine", "transform.n_nodes-float",
+        "transform.domain-length", "transform-unknown-key", "suites-item",
+        "out-type", "format-xml"])
 def test_invalid_field_exits_2_and_names_it(tmp_path, write_config, capsys,
                                              command, field, value, name):
     cfg = write_config(simulate_config(**{field: value}))
@@ -303,6 +305,17 @@ def test_density_artifacts(tmp_path, write_config):
     assert doc["l1_to_oracle"] >= 0.0
     assert "below the calibrated sample size" in doc["smoothness"]["note"]
     assert doc["regime"]["admissible"] is False
+
+
+def test_density_deterministic_across_workers(tmp_path, write_config):
+    cfg = write_config({"problem": base_problem(alpha=0.5, x0=0.0),
+                        "grid": {"n_steps": 64}, "n_paths": 3000,
+                        "seed": 5})
+    one, two = tmp_path / "w1", tmp_path / "w2"
+    assert run("density", cfg, one, "--workers", "1") == 0
+    assert run("density", cfg, two, "--workers", "2") == 0
+    for name in ("density.csv", "diagnostic.json"):
+        assert (one / name).read_bytes() == (two / name).read_bytes()
 
 
 def test_transform_artifacts_revalidate(tmp_path, write_config):

@@ -22,7 +22,11 @@ from perturbsde import (
     oracle_driftless,
     smoothness_diagnostic,
 )
-from perturbsde.density import CALIBRATED_MIN_SAMPLES
+from perturbsde.density import (
+    CALIBRATED_MIN_SAMPLES,
+    MAX_MESH_NODES,
+    _mesh_plan,
+)
 
 
 def brownian_with_sup(rng, n, t=1.0):
@@ -32,6 +36,22 @@ def brownian_with_sup(rng, n, t=1.0):
     u = 1.0 - rng.random(n)
     s = 0.5 * (b + np.sqrt(b * b - 2.0 * t * np.log(u)))
     return b, s
+
+
+def direct_kernel_sums(sample, zs, h):
+    # reference for the binned estimator: the O(N x grid) Gaussian sums of
+    # the pdf, u phi(u) and (u^2 - 1) phi(u) channels, normalized as in kde
+    pdf = np.zeros(zs.size)
+    d1 = np.zeros(zs.size)
+    d2 = np.zeros(zs.size)
+    for i in range(0, sample.size, 4096):
+        v = (zs[:, None] - sample[None, i:i + 4096]) / h
+        phi = np.exp(-0.5 * v * v)
+        pdf += phi.sum(axis=1)
+        d1 += (v * phi).sum(axis=1)
+        d2 += ((v * v - 1.0) * phi).sum(axis=1)
+    norm_ = sample.size * h * math.sqrt(2.0 * math.pi)
+    return pdf / norm_, -d1 / (norm_ * h), d2 / (norm_ * h * h)
 
 
 def cdf_alpha_half(z):
@@ -185,10 +205,65 @@ def test_kde_input_validation():
         kde(sample, eval_grid=np.zeros((2, 2)))
     with pytest.raises(ConfigError):
         kde(sample, eval_grid=np.array([0.0]))
+    for grid in (np.array([0.0, 1.0, 3.0]), np.linspace(2.0, -2.0, 9),
+                 np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.0, math.inf])):
+        with pytest.raises(ConfigError, match="eval_grid"):
+            kde(sample, bandwidth=0.5, eval_grid=grid)
     with pytest.raises(EmptySample):
         bandwidth_rule(np.array([3.0]))
     with pytest.raises(EmptySample):
         derivative_bandwidth_rule(np.array([3.0]))
+
+
+def perturbed_sample(rng, n):
+    # alpha = 0.3 terminal draw b + beta s with beta = 3/7
+    b, s = brownian_with_sup(rng, n)
+    return b + (3.0 / 7.0) * s
+
+
+def atom_sample(rng, n):
+    # 10 % point-mass contamination of a standard normal
+    sample = rng.standard_normal(n)
+    sample[: n // 10] = 0.0
+    return sample
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, n: rng.standard_normal(n), perturbed_sample, atom_sample,
+], ids=["normal", "perturbed-alpha-0.3", "atom"])
+@pytest.mark.parametrize("rule", [bandwidth_rule, derivative_bandwidth_rule])
+def test_binned_kde_matches_direct_sums(draw, rule):
+    sample = draw(np.random.default_rng(71), 100_000)
+    est = kde(sample, bandwidth=rule(sample))
+    for rung in est.ladder:
+        ref = direct_kernel_sums(sample, est.grid, rung.bandwidth)
+        for got, want in zip((rung.pdf, rung.d1, rung.d2), ref):
+            assert float(np.max(np.abs(got - want))) \
+                <= 1e-4 * float(np.max(np.abs(want)))
+
+
+def test_mesh_plan_size_rule():
+    # pure function of (h, grid spacing and size, sample reach); nothing of
+    # the planned size is allocated here
+    r, n_lo, n_mesh, half, n_fft = _mesh_plan(0.1, 0.01, 101, 5.0, 5.0)
+    assert r == 8                          # 2 ceil(32 * 0.01 / 0.1)
+    assert n_lo == 801                     # 10 h / (0.01 / 8), plus one
+    assert n_mesh == 801 + 100 * 8 + 801 + 1
+    assert half == 800
+    assert n_fft == 4096 and n_fft >= n_mesh + half
+    # a sample inside the grid keeps one spare node past each end
+    r, n_lo, n_mesh, half, n_fft = _mesh_plan(0.1, 0.01, 101, -1.0, 0.02)
+    assert (n_lo, n_mesh) == (1, 1 + 100 * 8 + 17 + 1)
+    # the mesh grows like 1/h; past the cap it is refused by name
+    assert _mesh_plan(1e-4, 0.01, 101, 0.0, 0.0)[4] <= MAX_MESH_NODES
+    for h in (1e-6, 1e-9, 5e-324):
+        with pytest.raises(ConfigError, match="bandwidth.*nodes"):
+            _mesh_plan(h, 0.01, 101, 5.0, 5.0)
+    with pytest.raises(ConfigError, match="bandwidth"):
+        _mesh_plan(0.1, 0.01, 10**9, 0.0, 0.0)
+    sample = np.random.default_rng(73).standard_normal(1000)
+    with pytest.raises(ConfigError, match="bandwidth"):
+        kde(sample, bandwidth=1e-9)
 
 
 def test_bandwidth_rules_scaling():

@@ -27,7 +27,7 @@ from perturbsde import (
     simulate_terminal,
     validate,
 )
-from perturbsde.integrate import max_bookkeeping
+from perturbsde.integrate import _NOISE_PATHS, _generate_block, max_bookkeeping
 from conftest import make_driftless, make_tanh
 
 
@@ -102,6 +102,17 @@ def test_increment_variance_scales_with_dt():
     db = generate_increments(0, 0, 200_000, 0.01)
     assert np.std(db) == pytest.approx(0.1, rel=2e-2)
     assert np.mean(db) == pytest.approx(0.0, abs=2e-3)
+
+
+def test_increment_block_columns_are_the_keyed_streams():
+    # a path count that is not a multiple of the generator's path block,
+    # at a nonzero offset
+    n_paths, offset = 2 * _NOISE_PATHS + 37, 1001
+    block = _generate_block(5, offset, n_paths, 24, 0.125)
+    assert block.shape == (24, n_paths) and block.flags.c_contiguous
+    for p in range(n_paths):
+        np.testing.assert_array_equal(
+            block[:, p], generate_increments(5, offset + p, 24, 0.125))
 
 
 def test_seed_domain_validation():
