@@ -13,7 +13,6 @@ in a config or report is always a bug upstream.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -373,31 +372,52 @@ def write_json(path: str | Path, payload: Mapping[str, Any], *,
         f.write("\n")
 
 
-def _format_cell(value: Any) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    # 17 significant digits round-trip any IEEE double exactly.
-    return format(float(value), ".17g")
+# Rows formatted per block.  A block's cells live as Python objects and its
+# text as one string until the block is written: about 0.3 MB per 1000 rows
+# of four columns.  Larger blocks barely save time and raise peak memory.
+_CSV_BLOCK_ROWS = 4096
+# Characters that would make a header cell need CSV quoting.
+_CSV_SPECIAL = frozenset(',"\r\n')
 
 
 def write_csv(path: str | Path, columns: Mapping[str, np.ndarray], *,
               meta: Mapping[str, Any] | None = None) -> None:
     """Write named columns with ``# key = value`` metadata comment lines.
 
-    All columns must share one length.  Integer-typed columns are written
-    as integers, everything else with 17 significant digits.
+    All columns must share one length and have a bool, integer or float
+    dtype.  Integer-typed columns are written as integers, everything else
+    with 17 significant digits, which round-trip any IEEE double exactly.
+    Column names must be non-empty strings that need no CSV quoting (no
+    comma, double quote, carriage return or newline).
+
+    Rows are formatted in blocks of ``_CSV_BLOCK_ROWS``: one ``%``-format
+    per row over the block's ``.tolist()`` column slices and one write per
+    block, so the memory the writer adds is bounded by the block size
+    (about 1.2 MB for four columns) and does not grow with the number of
+    rows.
     """
     names = list(columns)
     arrays = [np.asarray(columns[name]) for name in names]
     if not arrays:
         raise ConfigError("write_csv needs at least one column")
-    n = arrays[0].shape[0]
-    if any(a.ndim != 1 or a.shape[0] != n for a in arrays):
+    if any(a.ndim != 1 for a in arrays) \
+            or len({a.shape[0] for a in arrays}) != 1:
         raise ConfigError("write_csv columns must be 1-D with equal length")
+    for name, a in zip(names, arrays):
+        if not isinstance(name, str) or not name or _CSV_SPECIAL & set(name):
+            raise ConfigError(f"write_csv column name {name!r} must be a "
+                              f"non-empty string without , \" or line breaks")
+        if a.dtype.kind not in "biuf":
+            raise ConfigError(f"write_csv column {name!r} has non-numeric "
+                              f"dtype {a.dtype}")
+    row = ",".join("%d" if a.dtype.kind in "iu" else "%.17g"
+                   for a in arrays) + "\n"
+    n = arrays[0].shape[0]
     with open(path, "w", newline="", encoding="utf-8") as f:
         for key, value in (meta or {}).items():
             f.write(f"# {key} = {value}\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(names)
-        for i in range(n):
-            writer.writerow([_format_cell(a[i]) for a in arrays])
+        f.write(",".join(names) + "\n")
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            cells = zip(*[a[lo:lo + _CSV_BLOCK_ROWS].tolist()
+                          for a in arrays])
+            f.write("".join([row % cell for cell in cells]))

@@ -23,16 +23,18 @@ steps on the forward spline, and falls back to bracketed root finding
 for the rare points Newton leaves; the polished inverse is vectorized,
 which the transformed-drift evaluations in the inner simulation loop
 rely on.
+
+scipy is imported only when a table is built or a root is bracketed, so
+importing the package (and the command line) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (
     ConfigError,
@@ -51,6 +53,9 @@ from .model import (
     sup_norm_estimate,
     validate,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline, PchipInterpolator
 
 __all__ = [
     "TransformTable",
@@ -114,6 +119,8 @@ def build_transform(spec: ProblemSpec | ValidatedSpec,
     raises :class:`DegenerateDiffusion`: a sign flip would break the
     max-commutation property the supremum term depends on.
     """
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
     vspec = validate(spec, require_transform=True)
     if n_nodes < 5:
         raise ConfigError("n_nodes must be >= 5")
@@ -165,6 +172,13 @@ def forward(table: TransformTable, y):
         raise OutOfDomain(
             f"forward transform evaluated outside [{lo:.6g}, {hi:.6g}]")
     return float(out) if y_arr.ndim == 0 else out
+
+
+def brentq(f, a: float, b: float, **kwargs) -> float:
+    """``scipy.optimize.brentq``, imported on the first call."""
+    from scipy.optimize import brentq as _brentq
+
+    return _brentq(f, a, b, **kwargs)
 
 
 def inverse(table: TransformTable, z, tol: float = INVERSE_TOL):

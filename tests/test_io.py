@@ -1,11 +1,15 @@
 """Serialization: JSON round trips, canonical hashing, and artifact writers."""
 
+import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from perturbsde import io
 from perturbsde import (
     Coefficient,
     ConfigError,
@@ -233,3 +237,143 @@ def test_write_csv_validation(tmp_path):
                   {"a": np.arange(3), "b": np.arange(4)})
     with pytest.raises(ConfigError):
         write_csv(tmp_path / "bad.csv", {"a": np.zeros((2, 2))})
+
+
+# -- the CSV writer against the per-cell writer it replaced --------------------
+
+
+def _reference_cell(value):
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def reference_write_csv(path, columns, *, meta=None):
+    """Byte reference for ``write_csv``: ``csv.writer`` with one formatted
+    cell at a time, the writer's earlier per-cell form."""
+    names = list(columns)
+    arrays = [np.asarray(columns[name]) for name in names]
+    n = arrays[0].shape[0]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        for key, value in (meta or {}).items():
+            f.write(f"# {key} = {value}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(names)
+        for i in range(n):
+            writer.writerow([_reference_cell(a[i]) for a in arrays])
+
+
+_SPECIAL_FLOATS = [0.1, 1.0 / 3.0, 2.0**53 + 1.0, math.inf, -math.inf,
+                   math.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   2.2250738585072014e-308, 1e16, 123456789012345678.0, -2.5]
+
+
+def _columns(n: int) -> dict:
+    """Every column kind the writer distinguishes, ``n`` rows each."""
+    rng = np.random.default_rng(5)
+    specials = np.resize(np.array(_SPECIAL_FLOATS), n)
+    return {
+        "path": np.arange(n, dtype=np.int64) - 3,
+        "big": np.resize(np.array([0, 2**64 - 1, 2**63, 7], np.uint64), n),
+        "i64": np.resize(np.array([-2**63, 2**63 - 1, -1], np.int64), n),
+        "small": np.arange(n, dtype=np.int8),
+        "flag": np.arange(n) % 3 == 0,
+        "special": specials,
+        "f32": (rng.standard_normal(n) * 1e3).astype(np.float32),
+        "f16": np.resize(np.array([0.1, -6e-8, 65504.0], np.float16), n),
+        "normal": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, len(_SPECIAL_FLOATS), 2 * 5 + 3])
+def test_write_csv_bytes_match_reference_writer(tmp_path, monkeypatch, n):
+    # a block of 5 rows makes n = 13 two full blocks and a partial one
+    monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", 5)
+    columns = _columns(n)
+    meta = {"tool_version": TOOL_VERSION, "seed": 7, "config_hash": "ab12",
+            "alpha": 0.1}
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_csv(new, columns, meta=meta)
+    reference_write_csv(ref, columns, meta=meta)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def test_write_csv_default_blocks_match_reference_writer(tmp_path):
+    n = 2 * io._CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(9)
+    columns = {"path": np.repeat(np.arange(n), 2)[:n],
+               "r": np.tile(np.linspace(0.0, 1.0, 7), n)[:n],
+               "d_x": rng.standard_normal(n),
+               "d_m": np.where(rng.random(n) < 0.5, 0.0, rng.random(n))}
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_csv(new, columns)
+    reference_write_csv(ref, columns)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+_NAME = st.text(st.sampled_from('ab_ ,"\r\n\t\'#=1é'), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NAME, min_size=1, max_size=3))
+def test_write_csv_header_matches_reference_or_is_refused(tmp_path_factory,
+                                                         names):
+    columns = {name: np.zeros(1) for name in names}
+    out = tmp_path_factory.mktemp("header")
+    new, ref = out / "new.csv", out / "ref.csv"
+    reference_write_csv(ref, columns)
+    quoted = '"' in ref.read_text(encoding="utf-8")
+    try:
+        write_csv(new, columns)
+    except ConfigError:
+        bad = [n for n in columns if not n or set(n) & set(',"\r\n')]
+        assert bad, "a name csv.writer leaves bare was refused"
+        return
+    assert not quoted
+    assert new.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["a,b", 'say "x"', "cr\r", "line\nbreak",
+                                  ""])
+def test_write_csv_refuses_names_that_need_quoting(tmp_path, name):
+    with pytest.raises(ConfigError, match="column name"):
+        write_csv(tmp_path / "bad.csv", {"ok": np.zeros(2), name: np.ones(2)})
+    assert not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("values", [np.array(["1.5", "2"]),
+                                    np.array([1, "x"], dtype=object),
+                                    np.array([1 + 2j, 0j]),
+                                    np.array(["2020-01-01"] * 2,
+                                             dtype="datetime64[D]")])
+def test_write_csv_refuses_non_numeric_columns(tmp_path, values):
+    with pytest.raises(ConfigError, match="non-numeric"):
+        write_csv(tmp_path / "bad.csv", {"v": values})
+
+
+def _write_peak_bytes(path, n: int) -> int:
+    rng = np.random.default_rng(3)
+    columns = {"path": np.repeat(np.arange(n // 64 + 1), 64)[:n],
+               "r": np.tile(np.linspace(0.0, 1.0, 64), n // 64 + 1)[:n],
+               "d_x": rng.standard_normal(n),
+               "d_m": rng.standard_normal(n)}
+    tracemalloc.start()
+    try:
+        write_csv(path, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
+    # One block of four columns holds its cells and text at about 0.3 MB
+    # per 1000 rows, about 1.2 MB at 4096 rows.  The budget leaves room
+    # for that and nothing that grows with the row count: formatting the
+    # whole table at once takes about 9 MB here, and 65536-row blocks
+    # (with the row count scaled to eight of them) about 18 MB.
+    budget = 3_000_000
+    block = io._CSV_BLOCK_ROWS
+    peak_2 = _write_peak_bytes(tmp_path / "two.csv", 2 * block)
+    peak_8 = _write_peak_bytes(tmp_path / "eight.csv", 8 * block)
+    assert peak_8 < budget
+    assert peak_8 < peak_2 + 200_000

@@ -2,6 +2,11 @@
 transport, and the derivative-norm lift."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from perturbsde import (
     build_transform,
     forward,
     inverse,
+    lamperti,
     lift_bound_check,
     propagate_derivative_batch,
     simulate_batch,
@@ -292,3 +298,56 @@ def test_build_transform_validation():
         build_transform(spec, n_nodes=4)
     with pytest.raises(ConfigError, match="x0"):
         build_transform(spec, domain=(1.0, 2.0))
+
+
+# -- scipy is loaded on demand ------------------------------------------------
+
+_SRC = Path(lamperti.__file__).resolve().parents[1]
+
+
+def test_scipy_loads_only_when_a_transform_is_built(tmp_path, repo_configs):
+    # A fresh interpreter: this one has scipy loaded by the tests already.
+    code = textwrap.dedent("""
+        import sys
+        import perturbsde.cli
+        assert "scipy" not in sys.modules, "import perturbsde.cli loads scipy"
+        import perturbsde
+        assert "scipy" not in sys.modules, "import perturbsde loads scipy"
+        rc = perturbsde.cli.main(["transform", "--config", sys.argv[1],
+                                  "--out", sys.argv[2]])
+        assert rc == 0, rc
+        assert "scipy.interpolate" in sys.modules
+        table = perturbsde.build_transform(perturbsde.ProblemSpec(
+            x0=0.0, alpha=0.0, drift=perturbsde.Coefficient.const(0.0),
+            diffusion=perturbsde.Coefficient.const(2.0), horizon=1.0))
+        assert abs(perturbsde.inverse(table, 2.0) - 4.0) <= 1e-9
+        assert abs(perturbsde.lamperti.brentq(lambda v: v - 0.25, 0.0, 1.0)
+                   - 0.25) <= 1e-12
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(repo_configs / "transform.json"),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "out" / "transform_table.csv").exists()
+
+
+def test_inverse_fallback_calls_the_module_brentq(monkeypatch):
+    # The benchmark counts fallbacks by rebinding lamperti.brentq.
+    calls = []
+    original = lamperti.brentq
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lamperti, "brentq", counting)
+    table = build_transform(make_spec(Coefficient.const(0.0), SINE_SIGMA))
+    ys = np.linspace(-3.0, 3.0, 101)
+    # Newton leaves a few of these residuals above a tolerance this tight
+    back = inverse(table, forward(table, ys), tol=1e-300)
+    assert calls
+    np.testing.assert_allclose(back, ys, atol=1e-12)
