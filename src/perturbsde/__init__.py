@@ -30,7 +30,6 @@ from .density import (
     SmoothnessReport,
     bandwidth_rule,
     derivative_bandwidth_rule,
-    ensemble,
     kde,
     l1_distance,
     oracle_driftless,
@@ -53,17 +52,13 @@ from .errors import (
     VerificationFailure,
 )
 from .integrate import (
-    NoiseBlock,
     PathBatch,
-    PathState,
     PicardResult,
     TerminalSample,
-    euler_path,
     explicit_additive_path,
     generate_increments,
     kahan_cumsum,
     picard_solve,
-    resolve_step,
     simulate_batch,
     simulate_increments,
     simulate_terminal,
@@ -81,13 +76,10 @@ from .lamperti import (
     transformed_spec,
 )
 from .malliavin import (
-    DerivativeField,
     DerivativeFieldBatch,
     cameron_martin_fd,
-    cameron_martin_fd_batch,
     h_norm_sq,
     inner_product,
-    propagate_derivative,
     propagate_derivative_batch,
 )
 from .model import (
@@ -110,14 +102,12 @@ __all__ = [
     "Coefficient", "SupNormBounds", "EffectiveBounds", "ProblemSpec",
     "ValidatedSpec", "GridSpec", "validate", "sup_norm_estimate",
     # integrate
-    "NoiseBlock", "PathState", "PathBatch", "TerminalSample", "PicardResult",
-    "generate_increments", "resolve_step", "euler_path",
+    "PathBatch", "TerminalSample", "PicardResult", "generate_increments",
     "simulate_increments", "simulate_batch", "simulate_terminal",
     "explicit_additive_path", "kahan_cumsum", "picard_solve",
     # malliavin
-    "DerivativeField", "DerivativeFieldBatch", "propagate_derivative",
-    "propagate_derivative_batch", "h_norm_sq", "inner_product",
-    "cameron_martin_fd", "cameron_martin_fd_batch",
+    "DerivativeFieldBatch", "propagate_derivative_batch", "h_norm_sq",
+    "inner_product", "cameron_martin_fd",
     # bounds
     "theta", "diff_bound", "sup_lower_bound", "final_lower_bound",
     "max_horizon", "RegimeReport", "regime_report",
@@ -126,7 +116,7 @@ __all__ = [
     "transformed_spec", "transformed_drift_bound", "transformed_field",
     "lift_bound_check",
     # density
-    "ensemble", "oracle_driftless", "bandwidth_rule",
+    "oracle_driftless", "bandwidth_rule",
     "derivative_bandwidth_rule", "kde", "DensityEstimate",
     "smoothness_diagnostic", "SmoothnessReport", "l1_distance",
     # verify

@@ -1,13 +1,14 @@
 """Monte Carlo estimation of the terminal law, with a closed-form check.
 
-The pipeline is ensemble -> kde -> diagnostics.  Kernel estimates use the
-Gaussian kernel; the default bandwidth is the normal-reference rule
-``1.06 s N^{-1/5}``.  Estimating density *derivatives* well needs more
-smoothing than estimating the density itself, so the bandwidth-ladder
-diagnostic is calibrated around the slower-shrinking rule
-``1.06 s N^{-1/9}`` (at the density-optimal bandwidth the second
-derivative of the estimate is noise-dominated even for a clean Gaussian
-at sample sizes around 10^5, and no stability verdict is possible).
+The pipeline is terminal sample (``integrate.simulate_terminal``) -> kde
+-> diagnostics.  Kernel estimates use the Gaussian kernel; the default
+bandwidth is the normal-reference rule ``1.06 s N^{-1/5}``.  Estimating
+density *derivatives* well needs more smoothing than estimating the
+density itself, so the bandwidth-ladder diagnostic is calibrated around
+the slower-shrinking rule ``1.06 s N^{-1/9}`` (at the density-optimal
+bandwidth the second derivative of the estimate is noise-dominated even
+for a clean Gaussian at sample sizes around 10^5, and no stability
+verdict is possible).
 
 Kernel sums are binned, not direct: the sample is linearly binned onto a
 uniform mesh and the counts are convolved with the kernels by FFT
@@ -30,14 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDiffusion, EmptySample, GridMismatch
-from .integrate import simulate_terminal
-from .model import GridSpec
 
 __all__ = [
     "DensityEstimate",
     "LadderRung",
     "SmoothnessReport",
-    "ensemble",
     "oracle_driftless",
     "bandwidth_rule",
     "derivative_bandwidth_rule",
@@ -74,17 +72,6 @@ MAX_MESH_NODES = 2**22
 D1_THRESHOLD = 0.25
 D2_THRESHOLD = 0.50
 CALIBRATED_MIN_SAMPLES = 50_000
-
-
-def ensemble(spec, grid: GridSpec, n_paths: int, seed: int) -> np.ndarray:
-    """Terminal values of ``n_paths`` simulated paths.
-
-    Reproducible from ``seed`` alone; ``n_paths = 0`` yields an empty
-    sample (estimation on it fails downstream with :class:`EmptySample`).
-    """
-    if n_paths == 0:
-        return np.empty(0)
-    return simulate_terminal(spec, grid, n_paths, seed).x_final
 
 
 def oracle_driftless(x0: float, sigma_const: float, alpha: float, t: float,

@@ -28,14 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatch, NonFinite
-from .model import GridSpec, PathState, ValidatedSpec, validate
+from .model import GridSpec, ValidatedSpec, validate
 
 __all__ = [
-    "NoiseBlock",
     "PathBatch",
     "TerminalSample",
     "PicardResult",
-    "resolve_step",
     "euler_path",
     "explicit_additive_path",
     "picard_solve",
@@ -44,7 +42,6 @@ __all__ = [
     "simulate_terminal",
     "generate_increments",
     "kahan_cumsum",
-    "additive_closed_form",
     "max_bookkeeping",
 ]
 
@@ -100,71 +97,15 @@ def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
     return out
 
 
-@dataclass(frozen=True)
-class NoiseBlock:
-    """The Brownian increments driving one path, with their provenance.
-
-    ``seed``/``path_index`` identify a reproducible generator stream; they
-    are ``None`` for synthetic blocks (for example Cameron-Martin shifted
-    increments) that were not drawn from a keyed stream.
-    """
-
-    db: np.ndarray
-    seed: int | None = None
-    path_index: int | None = None
-
-    def __post_init__(self) -> None:
-        db = np.asarray(self.db, float)
-        if db.ndim != 1 or db.shape[0] < 1:
-            raise GridMismatch("db must be a 1-D array with >= 1 increment")
-        object.__setattr__(self, "db", db)
-        db.flags.writeable = False
-
-    @classmethod
-    def generate(cls, seed: int, path_index: int, grid: GridSpec
-                 ) -> "NoiseBlock":
-        db = generate_increments(seed, path_index, grid.n_steps, grid.dt)
-        return cls(db, seed=seed, path_index=path_index)
-
-    @classmethod
-    def from_increments(cls, db: np.ndarray) -> "NoiseBlock":
-        return cls(np.array(db, float))
-
-    @property
-    def n_steps(self) -> int:
-        return self.db.shape[0]
-
-
-def resolve_step(A, M_prev, alpha: float):
-    """Solve ``x = A + alpha * max(M_prev, x)`` for one step.
-
-    Returns ``(x, is_new_max)``.  Scalar or array inputs are accepted and
-    broadcast.  The solution is unique for ``alpha < 1``: if
-    ``A + alpha * M_prev <= M_prev`` the maximum is unchanged and
-    ``x = A + alpha * M_prev``; otherwise a new maximum forms and
-    ``x = A / (1 - alpha)``.  At the boundary both branches coincide and
-    ``is_new_max`` is False.
-    """
-    if not alpha < 1.0:
-        raise ConfigError("resolve_step requires alpha < 1")
-    A_arr = np.asarray(A, float)
-    M_arr = np.asarray(M_prev, float)
-    keep = A_arr + alpha * M_arr
-    new = keep > M_arr
-    x = np.where(new, A_arr / (1.0 - alpha), keep)
-    if A_arr.ndim == 0 and M_arr.ndim == 0:
-        return float(x), bool(new)
-    return x, new
-
-
 # -- batched Euler engine -----------------------------------------------------
 
 
 def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
-                record: bool):
+                record: bool, path_offset: int):
     """Advance all columns of ``db_tm`` (time-major ``(n, P)``) through the
     left-frozen scheme.  Returns time-major state arrays when ``record``,
-    otherwise only terminal quantities."""
+    otherwise only terminal quantities.  A non-finite state is reported
+    for path ``path_offset + column``."""
     n, P = db_tm.shape
     alpha = vspec.alpha
     one_minus = 1.0 - alpha
@@ -212,13 +153,14 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
         bad = ~np.isfinite(x_tm)
         if bad.any():
             kk, pp = np.argwhere(bad)[0]
+            pp += path_offset
             raise NonFinite(
                 f"non-finite state at step {kk} of path {pp}",
                 step=int(kk), path_index=int(pp))
         return x_tm, M_tm, new_tm
     bad = ~(np.isfinite(x) & np.isfinite(M))
     if bad.any():
-        pp = int(np.argwhere(bad)[0][0])
+        pp = path_offset + int(np.argwhere(bad)[0][0])
         raise NonFinite(f"non-finite terminal state on path {pp}",
                         path_index=pp)
     return x, M, tau
@@ -266,7 +208,8 @@ class PathBatch:
 
     ``x[k]`` is the vector of path values at time index ``k``; this layout
     keeps the per-step propagation of path and derivative states on
-    contiguous memory.  ``path(i)`` extracts a standard :class:`PathState`.
+    contiguous memory.  Column ``i`` is path ``path_offset + i``; a single
+    path is a batch of one column.
     """
 
     x: np.ndarray          # (n_steps+1, n_paths)
@@ -292,17 +235,6 @@ class PathBatch:
         # a copy, so the (n+1, P) index array is freed on return
         return self.argmax_idx()[-1].copy()
 
-    def path(self, i: int) -> PathState:
-        argmax = max_bookkeeping(new=self.new_max[:, i])[2]
-        return PathState(
-            x=self.x[:, i].copy(),
-            running_max=self.running_max[:, i].copy(),
-            argmax_idx=argmax,
-            db=self.db[:, i].copy(),
-            seed=self.seed,
-            path_index=None if self.seed is None else self.path_offset + i,
-        )
-
 
 @dataclass(frozen=True)
 class TerminalSample:
@@ -322,12 +254,18 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
 
     ``db`` is time-major with shape ``(n_steps, n_paths)``: row ``k`` holds
     the increments of step ``k`` for every path.  Column ``i`` comes out
-    bitwise equal to :func:`euler_path` on ``db[:, i]``, whatever the other
+    bitwise equal to the same column simulated alone, whatever the other
     columns hold.  With ``record`` the result is a :class:`PathBatch`
     holding whole trajectories (and ``db`` itself, not a copy); otherwise a
     :class:`TerminalSample` of terminal quantities.  ``seed`` and
     ``path_offset`` only label the result: they record which keyed stream
-    the columns came from, ``None`` for synthetic blocks.
+    the columns came from, ``None`` for synthetic blocks.  A
+    :class:`NonFinite` error names path ``path_offset + i`` for column
+    ``i``.
+
+    The state starts at the time-zero fixed point ``x0 / (1 - alpha)``.
+    With ``alpha = 0`` the scheme reduces bitwise to classical
+    Euler-Maruyama with compensated increment accumulation.
     """
     vspec = validate(spec)
     db_tm = np.ascontiguousarray(db, dtype=float)
@@ -337,26 +275,21 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
             f"increment block has shape {db_tm.shape}, grid expects "
             f"({grid.n_steps}, n_paths >= 1)")
     if record:
-        x_tm, M_tm, new_tm = _euler_core(vspec, grid.dt, db_tm, record=True)
+        x_tm, M_tm, new_tm = _euler_core(vspec, grid.dt, db_tm, True,
+                                         path_offset)
         return PathBatch(x=x_tm, running_max=M_tm, new_max=new_tm, db=db_tm,
                          seed=seed, path_offset=path_offset)
-    x, M, tau = _euler_core(vspec, grid.dt, db_tm, record=False)
+    x, M, tau = _euler_core(vspec, grid.dt, db_tm, False, path_offset)
     return TerminalSample(x, M, tau, seed=seed, path_offset=path_offset)
 
 
-def euler_path(spec, grid: GridSpec, noise: NoiseBlock) -> PathState:
-    """Simulate one path of the perturbed dynamics on the given grid.
-
-    The state starts at the time-zero fixed point ``x0 / (1 - alpha)`` and
-    each step resolves the implicit maximum equation; see
-    :func:`resolve_step`.  With ``alpha = 0`` the scheme reduces bitwise to
-    classical Euler-Maruyama with compensated increment accumulation.
-    """
-    batch = simulate_increments(spec, grid, noise.db[:, None])
-    return PathState(x=batch.x[:, 0], running_max=batch.running_max[:, 0],
-                     argmax_idx=max_bookkeeping(new=batch.new_max[:, 0])[2],
-                     db=noise.db, seed=noise.seed,
-                     path_index=noise.path_index)
+# No package code calls this: the benchmark's tracer wraps it by name
+# (``integrate.euler_path`` in bench/spans.py), so it stays until the
+# benchmark drops that span.
+def euler_path(spec, grid: GridSpec, db: np.ndarray) -> PathBatch:
+    """One path, increments ``db`` of shape ``(n_steps,)``, as a one-column
+    :class:`PathBatch` of :func:`simulate_increments`."""
+    return simulate_increments(spec, grid, np.asarray(db, float)[:, None])
 
 
 def simulate_batch(spec, grid: GridSpec, n_paths: int, seed: int,
@@ -386,14 +319,8 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
         hi = min(lo + chunk_paths, n_paths)
         db_tm = _generate_block(seed, path_offset + lo, hi - lo,
                                 grid.n_steps, grid.dt)
-        try:
-            parts.append(simulate_increments(vspec, grid, db_tm,
-                                             record=False))
-        except NonFinite as exc:
-            raise NonFinite(
-                str(exc), step=exc.step,
-                path_index=None if exc.path_index is None
-                else path_offset + lo + exc.path_index) from None
+        parts.append(simulate_increments(vspec, grid, db_tm, record=False,
+                                         path_offset=path_offset + lo))
         del db_tm        # freed before the next block is drawn
     return TerminalSample(
         np.concatenate([p.x_final for p in parts]),
@@ -428,23 +355,13 @@ def kahan_cumsum(increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def additive_closed_form(x0: float, alpha: float, sigma_const: float,
-                         db: np.ndarray) -> np.ndarray:
-    """Closed-form driftless path values from increments ``db``, ``(n,)``
-    or time-major ``(n, P)``; see :func:`explicit_additive_path`."""
-    if not alpha < 1.0:
-        raise ConfigError("the additive closed form requires alpha < 1")
-    z = kahan_cumsum(sigma_const * np.asarray(db, float))
-    s = np.maximum.accumulate(z, axis=0)
-    beta = alpha / (1.0 - alpha)
-    return x0 / (1.0 - alpha) + z + beta * s
-
-
 def explicit_additive_path(x0: float, alpha: float, sigma_const: float,
-                           noise: NoiseBlock) -> PathState:
-    """Closed-form path for zero drift and constant diffusion.
+                           db: np.ndarray) -> np.ndarray:
+    """Closed-form path values for zero drift and constant diffusion.
 
-    With ``Z_k = sigma * B_k`` the resolved solution is
+    ``db`` holds increments, ``(n,)`` or time-major ``(n, P)``, and the
+    result has one more row.  With ``Z_k = sigma * B_k`` the resolved
+    solution is
 
         x[k] = x0/(1-alpha) + Z_k + (alpha/(1-alpha)) * max_{j<=k} Z_j,
 
@@ -453,10 +370,12 @@ def explicit_additive_path(x0: float, alpha: float, sigma_const: float,
     noise.  (Taking the running maximum of ``Z`` rather than of ``B`` keeps
     the identity exact for negative ``sigma`` as well.)
     """
-    x = additive_closed_form(x0, alpha, sigma_const, noise.db)
-    M, _, argmax = max_bookkeeping(x)
-    return PathState(x=x, running_max=M, argmax_idx=argmax, db=noise.db,
-                     seed=noise.seed, path_index=noise.path_index)
+    if not alpha < 1.0:
+        raise ConfigError("the additive closed form requires alpha < 1")
+    z = kahan_cumsum(sigma_const * np.asarray(db, float))
+    s = np.maximum.accumulate(z, axis=0)
+    beta = alpha / (1.0 - alpha)
+    return x0 / (1.0 - alpha) + z + beta * s
 
 
 # -- Picard iteration ---------------------------------------------------------
@@ -464,27 +383,32 @@ def explicit_additive_path(x0: float, alpha: float, sigma_const: float,
 
 @dataclass(frozen=True)
 class PicardResult:
-    """Outcome of :func:`picard_solve`.
+    """Outcome of :func:`picard_solve` for a block of ``P`` paths.
 
-    ``sup_diffs[m]`` is the uniform distance between successive iterates
-    ``X^{m+1}`` and ``X^m``.  When the tolerance is not reached within the
-    iteration budget the best iterate is still returned with
-    ``converged = False`` rather than raising; callers that need a hard
-    failure can check the flag.
+    ``paths`` holds the last iterate of every column.  ``n_sweeps[p]``
+    counts the sweeps column ``p`` took, and ``sup_diffs[m, p]`` is the
+    uniform distance between its iterates ``X^{m+1}`` and ``X^m``; rows
+    past a column's last sweep are NaN.  ``n_iterations`` is the total
+    sweep count.  A column that misses the tolerance within the iteration
+    budget still returns its best iterate, with ``converged[p] = False``
+    rather than an error; callers that need a hard failure can check the
+    flags.
     """
 
-    path: PathState
-    sup_diffs: np.ndarray
-    converged: bool
+    paths: PathBatch
+    sup_diffs: np.ndarray      # (max sweeps, P)
+    converged: np.ndarray      # bool, (P,)
+    n_sweeps: np.ndarray       # int, (P,)
     n_iterations: int
 
 
-def picard_solve(spec, grid: GridSpec, noise: NoiseBlock,
+def picard_solve(spec, grid: GridSpec, db: np.ndarray,
                  n_iter: int = 25, tol: float = 1e-10) -> PicardResult:
     """Solve the discrete dynamics by fixed-point iteration on whole paths.
 
-    Starting from the constant path ``X^0 = x0``, each sweep integrates the
-    coefficients along the previous iterate,
+    ``db`` is a time-major ``(n_steps, P)`` increment block.  Starting from
+    the constant path ``X^0 = x0``, each sweep integrates the coefficients
+    along the previous iterate,
 
         Z_k = sum_{j<k} [ b(X^n_j) dt + sigma(X^n_j) db_j ],
 
@@ -493,40 +417,53 @@ def picard_solve(spec, grid: GridSpec, noise: NoiseBlock,
         X^{n+1}_k = x0/(1-alpha) + Z_k + (alpha/(1-alpha)) max_{j<=k} Z_j.
 
     The fixed point of this map is exactly the per-step Euler solution, so
-    a converged iteration reproduces :func:`euler_path` on the same noise.
+    a converged iteration reproduces :func:`simulate_increments` on the
+    same block.  A column stops sweeping once its gap is within ``tol``,
+    so each column's iterates are those of a one-column solve.
     """
     vspec = validate(spec)
-    if noise.n_steps != grid.n_steps:
-        raise GridMismatch("noise/grid step mismatch in picard_solve")
+    db = np.asarray(db, float)
+    if db.ndim != 2 or db.shape[0] != grid.n_steps or db.shape[1] < 1:
+        raise GridMismatch(
+            f"increment block has shape {db.shape}, grid expects "
+            f"({grid.n_steps}, n_paths >= 1)")
     if n_iter < 1:
         raise ConfigError("n_iter must be >= 1")
     alpha, x0 = vspec.alpha, vspec.x0
     beta = alpha / (1.0 - alpha)
     c0 = x0 / (1.0 - alpha)
     b, s = vspec.drift, vspec.diffusion
-    dt, db = grid.dt, noise.db
-    n1 = grid.n_steps + 1
+    dt, P = grid.dt, db.shape[1]
 
-    x_prev = np.full(n1, float(x0))
-    sup_diffs: list[float] = []
-    converged = False
-    z = np.empty(n1)
-    for _ in range(n_iter):
-        left = x_prev[:-1]
-        incr = b(left, 0) * dt + s(left, 0) * db
+    x = np.full((grid.n_steps + 1, P), float(x0))
+    sup_diffs = np.full((n_iter, P), np.nan)
+    n_sweeps = np.zeros(P, dtype=np.int64)
+    converged = np.zeros(P, dtype=bool)
+    live = np.arange(P)
+    for m in range(n_iter):
+        prev = x[:, live]
+        left = prev[:-1]
+        incr = b(left, 0) * dt + s(left, 0) * db[:, live]
+        z = np.empty_like(prev)
         z[0] = 0.0
-        np.cumsum(incr, out=z[1:])
-        x_new = c0 + z + beta * np.maximum.accumulate(z)
-        if not np.all(np.isfinite(x_new)):
-            raise NonFinite("non-finite Picard iterate")
-        sup_diffs.append(float(np.max(np.abs(x_new - x_prev))))
-        x_prev = x_new
-        if sup_diffs[-1] <= tol:
-            converged = True
+        np.cumsum(incr, axis=0, out=z[1:])
+        x_new = c0 + z + beta * np.maximum.accumulate(z, axis=0)
+        bad = ~np.all(np.isfinite(x_new), axis=0)
+        if bad.any():
+            raise NonFinite("non-finite Picard iterate",
+                            path_index=int(live[bad][0]))
+        gap = np.max(np.abs(x_new - prev), axis=0)
+        x[:, live] = x_new
+        sup_diffs[m, live] = gap
+        n_sweeps[live] += 1
+        done = gap <= tol
+        converged[live[done]] = True
+        live = live[~done]
+        if live.size == 0:
             break
 
-    M, _, argmax = max_bookkeeping(x_prev)
-    path = PathState(x=x_prev, running_max=M, argmax_idx=argmax, db=db,
-                     seed=noise.seed, path_index=noise.path_index)
-    return PicardResult(path=path, sup_diffs=np.asarray(sup_diffs),
-                        converged=converged, n_iterations=len(sup_diffs))
+    running_max, new, _ = max_bookkeeping(x)
+    paths = PathBatch(x=x, running_max=running_max, new_max=new, db=db)
+    return PicardResult(paths=paths, sup_diffs=sup_diffs[:n_sweeps.max()],
+                        converged=converged, n_sweeps=n_sweeps,
+                        n_iterations=int(n_sweeps.sum()))

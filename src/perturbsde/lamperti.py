@@ -331,17 +331,18 @@ class LiftBoundReport:
     inf_sigma: float
 
 
-def lift_bound_check(x_field, y_field, inf_sigma: float,
+def lift_bound_check(x_field: DerivativeFieldBatch,
+                     y_field: DerivativeFieldBatch, inf_sigma: float,
                      slack: float | None = None) -> LiftBoundReport:
-    """Compare matched derivative fields of the original and transformed
-    problems.  Accepts single fields or batches; ``slack`` defaults to ten
-    time steps' worth of the fields' grid spacing, the discretization
-    error scale of the comparison.
+    """Compare matched derivative batches of the original and transformed
+    problems, path by path.  ``slack`` defaults to ten time steps' worth of
+    the fields' grid spacing, the discretization error scale of the
+    comparison.
     """
     if inf_sigma < 0.0:
         raise ConfigError("inf_sigma must be >= 0")
-    hx = np.atleast_1d(np.asarray(x_field.h_norm_sq_final, float))
-    hy = np.atleast_1d(np.asarray(y_field.h_norm_sq_final, float))
+    hx = np.asarray(x_field.h_norm_sq_final, float)
+    hy = np.asarray(y_field.h_norm_sq_final, float)
     if hx.shape != hy.shape:
         raise ConfigError("field batches must have matching path counts")
     if slack is None:

@@ -40,22 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatch
-from .integrate import (
-    NoiseBlock,
-    PathBatch,
-    max_bookkeeping,
-    simulate_increments,
-)
-from .model import GridSpec, PathState, validate
+from .integrate import PathBatch, simulate_increments
+from .model import GridSpec, validate
 
 __all__ = [
-    "DerivativeField",
     "DerivativeFieldBatch",
-    "propagate_derivative",
     "propagate_derivative_batch",
     "h_norm_sq",
     "cameron_martin_fd",
-    "cameron_martin_fd_batch",
     "inner_product",
 ]
 
@@ -66,34 +58,18 @@ _RESCALE_HI = 1e130
 
 
 @dataclass(frozen=True)
-class DerivativeField:
-    """Noise derivatives of one path at its final time.
-
-    ``d_x[i]`` is the sensitivity of ``x[n]`` to increment ``i`` and
-    ``d_m[i]`` the matching sensitivity of the final running maximum; both
-    have one slot per increment.  ``h_norm_sq_final`` is the squared
-    Cameron-Martin norm at the final time, ``sup_h_norm_sq`` its maximum
-    over all grid times, and ``h_norm_sq_by_time`` (when tracked) the whole
-    curve with entry ``k`` for time ``t_k``.
-    """
-
-    d_x: np.ndarray
-    d_m: np.ndarray
-    h_norm_sq_final: float
-    sup_h_norm_sq: float
-    dt: float
-    h_norm_sq_by_time: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        for arr in (self.d_x, self.d_m, self.h_norm_sq_by_time):
-            if arr is not None:
-                arr.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class DerivativeFieldBatch:
-    """Batch form of :class:`DerivativeField`; slot arrays are path-major
-    ``(n_paths, n_steps)`` and the by-time curve is time-major."""
+    """Noise derivatives of a batch of paths at their final time.
+
+    ``d_x[p, i]`` is the sensitivity of path ``p``'s ``x[n]`` to increment
+    ``i`` and ``d_m[p, i]`` the matching sensitivity of its final running
+    maximum; slot arrays are path-major ``(n_paths, n_steps)``.
+    ``h_norm_sq_final`` is the squared Cameron-Martin norm at the final
+    time, ``sup_h_norm_sq`` its maximum over all grid times, and
+    ``h_norm_sq_by_time`` (when tracked) the whole time-major
+    ``(n_steps+1, n_paths)`` curve with row ``k`` for time ``t_k``.  One
+    path is a batch of one.
+    """
 
     d_x: np.ndarray
     d_m: np.ndarray
@@ -106,18 +82,15 @@ class DerivativeFieldBatch:
     def n_paths(self) -> int:
         return self.d_x.shape[0]
 
-    def field(self, i: int) -> DerivativeField:
-        by_time = None if self.h_norm_sq_by_time is None \
-            else self.h_norm_sq_by_time[:, i].copy()
-        return DerivativeField(
-            d_x=self.d_x[i].copy(), d_m=self.d_m[i].copy(),
-            h_norm_sq_final=float(self.h_norm_sq_final[i]),
-            sup_h_norm_sq=float(self.sup_h_norm_sq[i]),
-            dt=self.dt, h_norm_sq_by_time=by_time)
 
-
-def _propagate_core(vspec, dt: float, x_tm: np.ndarray, db_tm: np.ndarray,
-                    new_tm: np.ndarray, track_all_times: bool):
+def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
+                               track_all_times: bool = False
+                               ) -> DerivativeFieldBatch:
+    """Propagate derivative fields for every path of a batch."""
+    vspec = validate(spec)
+    if batch.n_steps != grid.n_steps:
+        raise GridMismatch("batch/grid step mismatch")
+    x_tm, db_tm, new_tm, dt = batch.x, batch.db, batch.new_max, grid.dt
     n1, P = x_tm.shape
     n = n1 - 1
     alpha = vspec.alpha
@@ -173,41 +146,9 @@ def _propagate_core(vspec, dt: float, x_tm: np.ndarray, db_tm: np.ndarray,
     np.maximum(h_sup, h_final, out=h_sup)
     if track_all_times:
         by_time[n] = h_final
-    return d_x, dm, h_final, h_sup, by_time
-
-
-def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
-                               track_all_times: bool = False
-                               ) -> DerivativeFieldBatch:
-    """Propagate derivative fields for every path of a batch."""
-    vspec = validate(spec)
-    if batch.n_steps != grid.n_steps:
-        raise GridMismatch("batch/grid step mismatch")
-    d_x, dm, h_final, h_sup, by_time = _propagate_core(
-        vspec, grid.dt, batch.x, batch.db, batch.new_max, track_all_times)
     return DerivativeFieldBatch(d_x=d_x, d_m=dm, h_norm_sq_final=h_final,
                                 sup_h_norm_sq=h_sup, dt=grid.dt,
                                 h_norm_sq_by_time=by_time)
-
-
-def propagate_derivative(path: PathState, spec, grid: GridSpec,
-                         track_all_times: bool = False) -> DerivativeField:
-    """Derivative field of one simulated path.
-
-    The path must carry consistent running-maximum bookkeeping (as produced
-    by the integrators); the propagation replays its new-maximum pattern.
-    """
-    vspec = validate(spec)
-    if path.n_steps != grid.n_steps:
-        raise GridMismatch("path/grid step mismatch")
-    d_x, dm, h_final, h_sup, by_time = _propagate_core(
-        vspec, grid.dt, path.x[:, None], path.db[:, None],
-        max_bookkeeping(argmax=path.argmax_idx)[1][:, None],
-        track_all_times)
-    return DerivativeField(
-        d_x=d_x[0], d_m=dm[0], h_norm_sq_final=float(h_final[0]),
-        sup_h_norm_sq=float(h_sup[0]), dt=grid.dt,
-        h_norm_sq_by_time=None if by_time is None else by_time[:, 0])
 
 
 def h_norm_sq(d_x: np.ndarray, dt: float, k: int | None = None) -> float:
@@ -227,27 +168,35 @@ def h_norm_sq(d_x: np.ndarray, dt: float, k: int | None = None) -> float:
     return float(out) if arr.ndim == 1 else out
 
 
-def inner_product(field: DerivativeField, h: np.ndarray, dt: float) -> float:
-    """Pairing ``dt * sum_i d_x[i] h[i]`` of a field with a direction ``h``
-    sampled at the increment left endpoints."""
+def inner_product(fields: DerivativeFieldBatch, h: np.ndarray,
+                  dt: float) -> np.ndarray:
+    """Pairings ``dt * sum_i d_x[p, i] h[i]`` of every path's field with a
+    direction ``h`` sampled at the increment left endpoints, shape
+    ``(n_paths,)``.  Each path is one ``np.dot``, so a pairing does not
+    depend on the other paths of the batch."""
     h_arr = np.asarray(h, float)
-    if h_arr.shape != field.d_x.shape:
+    if h_arr.shape != fields.d_x.shape[1:]:
         raise GridMismatch("direction h must have one entry per increment")
-    return float(dt * np.dot(field.d_x, h_arr))
+    return np.array([dt * np.dot(row, h_arr) for row in fields.d_x])
 
 
-def cameron_martin_fd_batch(spec, grid: GridSpec, db: np.ndarray,
-                            h: np.ndarray, eps: float = 1e-4,
-                            base: np.ndarray | None = None) -> np.ndarray:
-    """Finite-difference directional derivatives of many terminal values.
+def cameron_martin_fd(spec, grid: GridSpec, db: np.ndarray,
+                      h: np.ndarray, eps: float = 1e-4,
+                      base: np.ndarray | None = None) -> np.ndarray:
+    """Finite-difference directional derivatives of terminal values.
 
     ``db`` is a time-major ``(n_steps, n_paths)`` increment block.  Every
     column is re-simulated with its increments shifted by
     ``eps * h(t_k) * dt`` and the result is ``(X_T^eps - X_T) / eps`` per
     path.  ``base`` may supply the unshifted terminal values ``X_T`` when
     the caller has already simulated ``db``; otherwise the base and the
-    shifted columns run together as one block.  Column ``i`` equals
-    :func:`cameron_martin_fd` on ``db[:, i]`` bitwise.
+    shifted columns run together as one block.  Either way column ``i``
+    comes out bitwise equal to the same column run alone.
+
+    As ``eps`` shrinks this converges to :func:`inner_product` of the
+    propagated field with ``h`` (they differ by O(eps), plus rare jumps
+    when the shift reorders near-tied maxima), so it serves as a
+    derivative-free cross-check of the propagation.
     """
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
@@ -270,18 +219,3 @@ def cameron_martin_fd_batch(spec, grid: GridSpec, db: np.ndarray,
         if base.shape != bumped.shape:
             raise GridMismatch("base must hold one terminal value per path")
     return (bumped - base) / eps
-
-
-def cameron_martin_fd(spec, grid: GridSpec, noise: NoiseBlock,
-                      h: np.ndarray, eps: float = 1e-4) -> float:
-    """Finite-difference directional derivative of the terminal value.
-
-    Re-simulates with increments shifted by ``eps * h(t_k) * dt`` and
-    returns ``(X_T^eps - X_T) / eps``.  As ``eps`` shrinks this converges
-    to the pairing of the propagated field with ``h`` (they differ by
-    O(eps), plus rare jumps when the shift reorders near-tied maxima), so
-    it serves as a derivative-free cross-check of the propagation.  The
-    one-path case of :func:`cameron_martin_fd_batch`.
-    """
-    return float(cameron_martin_fd_batch(spec, grid, noise.db[:, None], h,
-                                         eps=eps)[0])

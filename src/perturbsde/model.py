@@ -25,7 +25,6 @@ from .errors import (
     AlphaOutOfRange,
     ConfigError,
     DegenerateDiffusion,
-    GridMismatch,
     InconsistentDerivatives,
     UnknownPreset,
     UnsupportedOrder,
@@ -38,7 +37,6 @@ __all__ = [
     "ProblemSpec",
     "ValidatedSpec",
     "GridSpec",
-    "PathState",
     "validate",
     "PRESETS",
     "sup_norm_estimate",
@@ -481,7 +479,7 @@ def validate(spec: ProblemSpec | ValidatedSpec, *,
                          sigma_inf, sign_constant)
 
 
-# -- time grid and path state -------------------------------------------------
+# -- time grid -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -505,40 +503,3 @@ class GridSpec:
         times = np.linspace(0.0, self.horizon, self.n_steps + 1)
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
-
-
-@dataclass(frozen=True)
-class PathState:
-    """One discretized trajectory with its running-maximum bookkeeping.
-
-    ``x[k]`` approximates ``X_{t_k}`` (``x[0] = x0 / (1 - alpha)``, the
-    time-zero fixed point), ``running_max[k] = max_{j<=k} x[j]``, and
-    ``argmax_idx[k]`` is the smallest index attaining that maximum.  ``db``
-    holds the ``n_steps`` Brownian increments that drove the path.  Arrays
-    are frozen after construction.
-    """
-
-    x: np.ndarray
-    running_max: np.ndarray
-    argmax_idx: np.ndarray
-    db: np.ndarray
-    seed: int | None = None
-    path_index: int | None = None
-
-    def __post_init__(self) -> None:
-        n = self.db.shape[0]
-        if self.x.shape != (n + 1,) or self.running_max.shape != (n + 1,) \
-                or self.argmax_idx.shape != (n + 1,):
-            raise GridMismatch(
-                "PathState arrays must have n_steps+1 entries for x, "
-                "running_max, argmax_idx and n_steps entries for db")
-        for arr in (self.x, self.running_max, self.argmax_idx, self.db):
-            arr.flags.writeable = False
-
-    @property
-    def n_steps(self) -> int:
-        return self.db.shape[0]
-
-    def argmax_time(self, grid: GridSpec) -> float:
-        """Time of first attainment of the final running maximum."""
-        return float(grid.times[self.argmax_idx[-1]])

@@ -3,9 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from perturbsde import Coefficient, GridSpec, ProblemSpec
+from perturbsde import Coefficient, GridSpec, ProblemSpec, generate_increments
 
 
 def make_driftless(alpha: float, x0: float = 0.0, sigma: float = 1.0,
@@ -22,6 +23,32 @@ def make_tanh(alpha: float = 0.1, amplitude: float = 0.1,
                        drift=Coefficient.tanh(amplitude=amplitude, scale=1.0),
                        diffusion=Coefficient.const(1.0),
                        horizon=horizon)
+
+
+# (drift, diffusion) pairs for the column-independence checks
+COEFFICIENT_CASES = {
+    "const": (Coefficient.const(0.0), Coefficient.const(1.0)),
+    "tanh": (Coefficient.tanh(amplitude=0.1, scale=1.0),
+             Coefficient.const(1.0)),
+    "sine": (Coefficient.sine(amplitude=0.5),
+             Coefficient.sine(amplitude=0.2, offset=1.0)),
+}
+
+
+def mixed_case(name: str):
+    """``(spec, grid, db)`` for coefficient case ``name``: a 400-step block
+    of six keyed columns next to a constant, a zero and a large-increment
+    column, so one block mixes calm and busy paths."""
+    drift, diffusion = COEFFICIENT_CASES[name]
+    spec = ProblemSpec(x0=0.2, alpha=0.3, drift=drift, diffusion=diffusion,
+                       horizon=1.0)
+    grid = GridSpec(n_steps=400, horizon=1.0)
+    keyed = [generate_increments(61, i, grid.n_steps, grid.dt)
+             for i in range(6)]
+    db = np.stack(keyed + [np.full(grid.n_steps, 0.05),
+                           np.zeros(grid.n_steps),
+                           5.0 * keyed[0][::-1]], axis=1)
+    return spec, grid, db
 
 
 @pytest.fixture

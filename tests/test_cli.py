@@ -200,7 +200,7 @@ def test_alpha_out_of_range_names_the_field(tmp_path, write_config, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def test_density_rejects_empty_ensemble(tmp_path, write_config, capsys):
+def test_density_rejects_zero_paths(tmp_path, write_config, capsys):
     cfg = write_config(simulate_config(n_paths=0))
     assert run("density", cfg, tmp_path / "o") == 2
     assert "n_paths" in capsys.readouterr().err

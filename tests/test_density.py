@@ -16,10 +16,10 @@ from perturbsde import (
     GridSpec,
     bandwidth_rule,
     derivative_bandwidth_rule,
-    ensemble,
     kde,
     l1_distance,
     oracle_driftless,
+    simulate_terminal,
     smoothness_diagnostic,
 )
 from perturbsde.density import (
@@ -134,7 +134,8 @@ def test_oracle_scalar_and_input_validation():
 
 def test_ensemble_mean_classical(driftless):
     grid = GridSpec(n_steps=64, horizon=1.0)
-    sample = ensemble(driftless(0.0, x0=0.4), grid, 40_000, seed=19)
+    sample = simulate_terminal(driftless(0.0, x0=0.4), grid, 40_000,
+                               seed=19).x_final
     assert float(np.mean(sample)) == pytest.approx(0.4, abs=0.02)
 
 
@@ -142,17 +143,18 @@ def test_ensemble_mean_perturbed(driftless):
     # discrete-maximum bias shrinks like sqrt(dt), so the step count
     # must be generous for the continuum mean to show through
     grid = GridSpec(n_steps=2048, horizon=1.0)
-    sample = ensemble(driftless(0.5), grid, 10_000, seed=23)
+    sample = simulate_terminal(driftless(0.5), grid, 10_000,
+                               seed=23).x_final
     assert float(np.mean(sample)) == pytest.approx(
         math.sqrt(2.0 / math.pi), abs=0.04)
 
 
 def test_ensemble_empty(driftless):
     grid = GridSpec(n_steps=8, horizon=1.0)
-    sample = ensemble(driftless(0.3), grid, 0, seed=1)
-    assert sample.size == 0
+    with pytest.raises(ConfigError):
+        simulate_terminal(driftless(0.3), grid, 0, seed=1)
     with pytest.raises(EmptySample):
-        kde(sample)
+        kde(np.empty(0))
 
 
 # -- kernel estimation --------------------------------------------------------

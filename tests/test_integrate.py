@@ -9,75 +9,94 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perturbsde import (
+    AlphaOutOfRange,
     Coefficient,
     ConfigError,
     GridMismatch,
     GridSpec,
-    NoiseBlock,
     NonFinite,
     ProblemSpec,
-    euler_path,
     explicit_additive_path,
     generate_increments,
     kahan_cumsum,
     picard_solve,
-    resolve_step,
     simulate_batch,
     simulate_increments,
     simulate_terminal,
     validate,
 )
 from perturbsde.integrate import _NOISE_PATHS, _generate_block, max_bookkeeping
-from conftest import make_driftless, make_tanh
+from conftest import (COEFFICIENT_CASES, make_driftless, make_tanh,
+                      mixed_case)
 
 
-# -- resolve_step -------------------------------------------------------------
+# -- one step of the maximum resolution ---------------------------------------
+
+
+def one_step(A, M, alpha):
+    """Resolve ``x = A + alpha * max(M, x)`` through one driftless unit-noise
+    step of the engine: ``x0 = (1 - alpha) M`` puts the running maximum at
+    ``M``, and the increment ``A - x0`` brings the accumulator to ``A``.
+    Returns ``(x, new)`` per column, plus the ``A`` and ``M`` the engine
+    actually used."""
+    A, M = np.atleast_1d(A).astype(float), np.atleast_1d(M).astype(float)
+    x0 = (1.0 - alpha) * float(M[0])
+    assert np.all(M == M[0])
+    batch = simulate_increments(make_driftless(alpha, x0=x0),
+                                GridSpec(n_steps=1, horizon=1.0),
+                                (A - x0)[None, :])
+    return (batch.x[1], batch.new_max[1], x0 + (A - x0), batch.x[0])
 
 
 def test_resolve_step_hand_cases():
     # alpha = 0 removes the feedback entirely
-    assert resolve_step(1.0, 2.0, 0.0) == (1.0, False)
+    x, new, _, _ = one_step(1.0, 2.0, 0.0)
+    assert (x[0], new[0]) == (1.0, False)
     # 2 + 0.5 * max(1, 4) = 4: new maximum
-    assert resolve_step(2.0, 1.0, 0.5) == (4.0, True)
+    x, new, _, _ = one_step(2.0, 1.0, 0.5)
+    assert (x[0], new[0]) == (4.0, True)
     # 0.5 + 0.5 * max(2, 1.5) = 1.5: maximum unchanged
-    assert resolve_step(0.5, 2.0, 0.5) == (1.5, False)
+    x, new, _, _ = one_step(0.5, 2.0, 0.5)
+    assert (x[0], new[0]) == (1.5, False)
 
 
 def test_resolve_step_tie_keeps_old_maximum():
     # A + alpha * M == M exactly; both branches give M, flag stays False
-    x, new = resolve_step(1.0, 2.0, 0.5)
-    assert x == 2.0
-    assert new is False
+    x, new, _, _ = one_step(1.0, 2.0, 0.5)
+    assert x[0] == 2.0
+    assert not new[0]
 
 
 def test_resolve_step_negative_alpha():
-    x, new = resolve_step(2.0, 1.0, -1.0)
+    x, new, _, _ = one_step(2.0, 1.0, -1.0)
     # x = 2 - max(1, x); solution x = 2 - x => x = 1... check: 2 - 1 = 1,
     # boundary case: keep = 2 - 1 = 1 <= 1, so no new maximum
-    assert x == 1.0
-    assert new is False
-    x, new = resolve_step(3.0, 1.0, -1.0)
-    assert new is True
-    assert x == pytest.approx(1.5)
-    assert x == pytest.approx(3.0 - 1.0 * max(1.0, x))
+    assert x[0] == 1.0
+    assert not new[0]
+    x, new, _, _ = one_step(3.0, 1.0, -1.0)
+    assert new[0]
+    assert x[0] == pytest.approx(1.5)
+    assert x[0] == pytest.approx(3.0 - 1.0 * max(1.0, x[0]))
 
 
 def test_resolve_step_array_broadcast():
-    x, new = resolve_step(np.array([2.0, 0.5]), np.array([1.0, 2.0]), 0.5)
+    # the columns of one block resolve independently
+    x, new, _, _ = one_step(np.array([2.0, 0.5]), np.array([2.0, 2.0]), 0.5)
     np.testing.assert_array_equal(x, [4.0, 1.5])
     np.testing.assert_array_equal(new, [True, False])
 
 
 def test_resolve_step_rejects_alpha_at_one():
-    with pytest.raises(ConfigError):
-        resolve_step(1.0, 0.0, 1.0)
+    with pytest.raises(AlphaOutOfRange):
+        one_step(1.0, 0.0, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(A=st.floats(-100.0, 100.0), M=st.floats(-100.0, 100.0),
        alpha=st.floats(-5.0, 0.999))
 def test_resolve_step_solves_the_fixed_point(A, M, alpha):
-    x, new = resolve_step(A, M, alpha)
+    x, new, A, M = one_step(A, M, alpha)
+    x, new, A, M = float(x[0]), bool(new[0]), float(A[0]), float(M[0])
     residual = abs(x - (A + alpha * max(M, x)))
     scale = max(abs(x), abs(A), abs(alpha * M), abs(alpha * x), 1.0)
     assert residual <= 8.0 * math.ulp(scale)
@@ -125,17 +144,19 @@ def test_seed_domain_validation():
     generate_increments(2**64 - 1, 0, 8, 0.1)
 
 
-def test_noise_block_validation_and_identity():
+def test_noise_block_validation_and_identity(tanh_spec):
     grid = GridSpec(n_steps=16, horizon=1.0)
-    block = NoiseBlock.generate(5, 2, grid)
-    assert block.n_steps == 16
-    assert (block.seed, block.path_index) == (5, 2)
-    np.testing.assert_array_equal(block.db,
+    batch = simulate_batch(tanh_spec, grid, 1, seed=5, path_offset=2)
+    assert batch.n_steps == 16
+    assert (batch.seed, batch.path_offset) == (5, 2)
+    np.testing.assert_array_equal(batch.db[:, 0],
                                   generate_increments(5, 2, 16, grid.dt))
-    synthetic = NoiseBlock.from_increments(np.ones(4))
+    synthetic = simulate_increments(tanh_spec, GridSpec(n_steps=4,
+                                                        horizon=1.0),
+                                    np.ones((4, 1)))
     assert synthetic.seed is None
     with pytest.raises(GridMismatch):
-        NoiseBlock(db=np.zeros((2, 2)))
+        simulate_increments(tanh_spec, grid, np.zeros((2, 2, 2)))
 
 
 # -- explicit driftless solution ----------------------------------------------
@@ -143,70 +164,74 @@ def test_noise_block_validation_and_identity():
 
 def test_explicit_path_hand_case_positive_alpha():
     # discrete Brownian points B = (0, 1, 0.5)
-    noise = NoiseBlock.from_increments([1.0, -0.5])
-    path = explicit_additive_path(0.0, 0.5, 1.0, noise)
-    np.testing.assert_allclose(path.x, [0.0, 2.0, 1.5], atol=1e-15)
-    np.testing.assert_allclose(path.running_max, [0.0, 2.0, 2.0], atol=1e-15)
-    np.testing.assert_array_equal(path.argmax_idx, [0, 1, 1])
+    x = explicit_additive_path(0.0, 0.5, 1.0, np.array([1.0, -0.5]))
+    np.testing.assert_allclose(x, [0.0, 2.0, 1.5], atol=1e-15)
+    running_max, _, argmax = max_bookkeeping(x)
+    np.testing.assert_allclose(running_max, [0.0, 2.0, 2.0], atol=1e-15)
+    np.testing.assert_array_equal(argmax, [0, 1, 1])
 
 
 def test_explicit_path_hand_case_negative_alpha():
-    noise = NoiseBlock.from_increments([1.0, -0.5])
-    path = explicit_additive_path(0.0, -1.0, 1.0, noise)
-    np.testing.assert_allclose(path.x, [0.0, 0.5, 0.0], atol=1e-15)
+    x = explicit_additive_path(0.0, -1.0, 1.0, np.array([1.0, -0.5]))
+    np.testing.assert_allclose(x, [0.0, 0.5, 0.0], atol=1e-15)
 
 
 def test_explicit_path_alpha_zero_is_brownian():
-    noise = NoiseBlock.from_increments([0.3, -0.1, 0.7])
-    path = explicit_additive_path(1.0, 0.0, 2.0, noise)
+    db = np.array([0.3, -0.1, 0.7])
+    x = explicit_additive_path(1.0, 0.0, 2.0, db)
     np.testing.assert_allclose(
-        path.x, 1.0 + 2.0 * np.concatenate([[0.0], np.cumsum(noise.db)]),
-        atol=1e-15)
+        x, 1.0 + 2.0 * np.concatenate([[0.0], np.cumsum(db)]), atol=1e-15)
 
 
 def test_explicit_path_handles_negative_sigma():
     grid = GridSpec(n_steps=200, horizon=1.0)
-    noise = NoiseBlock.generate(3, 0, grid)
     spec = make_driftless(0.4, x0=0.2, sigma=-1.5)
-    direct = euler_path(spec, grid, noise)
-    closed = explicit_additive_path(0.2, 0.4, -1.5, noise)
-    assert float(np.max(np.abs(direct.x - closed.x))) <= 1e-12
+    direct = simulate_batch(spec, grid, 1, seed=3)
+    closed = explicit_additive_path(0.2, 0.4, -1.5, direct.db[:, 0])
+    assert float(np.max(np.abs(direct.x[:, 0] - closed))) <= 1e-12
 
 
 def test_explicit_path_rejects_alpha_at_one():
     with pytest.raises(ConfigError):
-        explicit_additive_path(0.0, 1.0, 1.0,
-                               NoiseBlock.from_increments([0.1]))
+        explicit_additive_path(0.0, 1.0, 1.0, np.array([0.1]))
+
+
+def test_explicit_path_columns_equal_one_dimensional_paths():
+    db = np.stack([generate_increments(5, i, 300, 1.0 / 300)
+                   for i in range(4)], axis=1)
+    x = explicit_additive_path(0.3, 0.6, 1.2, db)
+    assert x.shape == (301, 4)
+    for i in range(4):
+        np.testing.assert_array_equal(
+            x[:, i], explicit_additive_path(0.3, 0.6, 1.2, db[:, i]))
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.3, 0.9])
 def test_euler_matches_explicit_solution(alpha, driftless):
     grid = GridSpec(n_steps=1000, horizon=1.0)
     spec = driftless(alpha, x0=0.5)
-    for i in range(5):
-        noise = NoiseBlock.generate(17, i, grid)
-        direct = euler_path(spec, grid, noise)
-        closed = explicit_additive_path(0.5, alpha, 1.0, noise)
-        assert float(np.max(np.abs(direct.x - closed.x))) <= 1e-12
-        np.testing.assert_array_equal(direct.argmax_idx, closed.argmax_idx)
+    direct = simulate_batch(spec, grid, 5, seed=17)
+    closed = explicit_additive_path(0.5, alpha, 1.0, direct.db)
+    assert float(np.max(np.abs(direct.x - closed))) <= 1e-12
+    np.testing.assert_array_equal(direct.argmax_idx(),
+                                  max_bookkeeping(closed)[2])
 
 
 def test_monotone_coupling_in_alpha():
     # x0 = 0, sigma = 1: x_k = Z_k + (a/(1-a)) S_k with S_k >= 0, and
     # a/(1-a) increases in a, so paths order pointwise by alpha
     grid = GridSpec(n_steps=300, horizon=1.0)
-    noise = NoiseBlock.generate(23, 0, grid)
     alphas = [-1.0, -0.5, 0.0, 0.3, 0.6, 0.9]
-    paths = [euler_path(make_driftless(a), grid, noise).x for a in alphas]
+    paths = [simulate_batch(make_driftless(a), grid, 1, seed=23).x
+             for a in alphas]
     for lo, hi in zip(paths[:-1], paths[1:]):
         assert np.all(hi - lo >= -1e-12)
 
 
 def test_initial_point_is_the_fixed_point():
     grid = GridSpec(n_steps=4, horizon=1.0)
-    noise = NoiseBlock.generate(1, 0, grid)
-    path = euler_path(make_driftless(0.5, x0=3.0), grid, noise)
-    assert path.x[0] == 6.0  # solves X = 3 + 0.5 X
+    batch = simulate_batch(make_driftless(0.5, x0=3.0), grid, 1, seed=1)
+    assert batch.x[0, 0] == 6.0  # solves X = 3 + 0.5 X
 
 
 # -- alpha = 0 reduction ------------------------------------------------------
@@ -217,8 +242,8 @@ def test_alpha_zero_reduces_to_classical_euler_bitwise(grid_1000):
                        drift=Coefficient.sine(amplitude=0.5),
                        diffusion=Coefficient.sine(amplitude=0.2, offset=1.0),
                        horizon=1.0)
-    noise = NoiseBlock.generate(29, 0, grid_1000)
-    path = euler_path(spec, grid_1000, noise)
+    batch = simulate_batch(spec, grid_1000, 1, seed=29)
+    db = batch.db[:, 0]
 
     # independent classical reference: plain Euler-Maruyama with the same
     # compensated accumulation, no maximum machinery at all
@@ -229,14 +254,14 @@ def test_alpha_zero_reduces_to_classical_euler_bitwise(grid_1000):
     comp = np.array([0.0])
     ref = [0.3]
     for k in range(grid_1000.n_steps):
-        incr = b(x, 0) * dt + s(x, 0) * noise.db[k]
+        incr = b(x, 0) * dt + s(x, 0) * db[k]
         y = incr - comp
         t = A + y
         comp = (t - A) - y
         A = t
         x = A.copy()
         ref.append(x[0])
-    np.testing.assert_array_equal(path.x, np.array(ref))
+    np.testing.assert_array_equal(batch.x[:, 0], np.array(ref))
 
 
 # -- batching and determinism -------------------------------------------------
@@ -245,44 +270,33 @@ def test_alpha_zero_reduces_to_classical_euler_bitwise(grid_1000):
 def test_batch_agrees_with_single_paths_bitwise(tanh_spec, grid_1000):
     batch = simulate_batch(tanh_spec, grid_1000, 8, seed=101)
     for i in (0, 3, 7):
-        noise = NoiseBlock.generate(101, i, grid_1000)
-        path = euler_path(tanh_spec, grid_1000, noise)
-        np.testing.assert_array_equal(batch.x[:, i], path.x)
-        np.testing.assert_array_equal(batch.db[:, i], noise.db)
-        np.testing.assert_array_equal(batch.path(i).argmax_idx,
-                                      path.argmax_idx)
-
-
-COEFFICIENT_CASES = {
-    "const": (Coefficient.const(0.0), Coefficient.const(1.0)),
-    "tanh": (Coefficient.tanh(amplitude=0.1, scale=1.0),
-             Coefficient.const(1.0)),
-    "sine": (Coefficient.sine(amplitude=0.5),
-             Coefficient.sine(amplitude=0.2, offset=1.0)),
-}
+        alone = simulate_batch(tanh_spec, grid_1000, 1, seed=101,
+                               path_offset=i)
+        np.testing.assert_array_equal(batch.x[:, i], alone.x[:, 0])
+        np.testing.assert_array_equal(
+            batch.db[:, i],
+            generate_increments(101, i, grid_1000.n_steps, grid_1000.dt))
+        np.testing.assert_array_equal(batch.argmax_idx()[:, i],
+                                      alone.argmax_idx()[:, 0])
 
 
 @pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
 def test_increment_block_columns_equal_single_paths_bitwise(case):
-    drift, diffusion = COEFFICIENT_CASES[case]
-    spec = ProblemSpec(x0=0.2, alpha=0.3, drift=drift, diffusion=diffusion,
-                       horizon=1.0)
-    grid = GridSpec(n_steps=400, horizon=1.0)
-    db = np.stack([generate_increments(61, i, grid.n_steps, grid.dt)
-                   for i in range(6)], axis=1)
+    spec, grid, db = mixed_case(case)
     batch = simulate_increments(spec, grid, db)
     term = simulate_increments(spec, grid, db, record=False)
     assert batch.seed is None and term.seed is None
-    for i in range(6):
-        path = euler_path(spec, grid, NoiseBlock.from_increments(db[:, i]))
-        np.testing.assert_array_equal(batch.x[:, i], path.x)
+    argmax = batch.argmax_idx()
+    for i in range(db.shape[1]):
+        alone = simulate_increments(spec, grid, db[:, i:i + 1])
+        np.testing.assert_array_equal(batch.x[:, i], alone.x[:, 0])
         np.testing.assert_array_equal(batch.running_max[:, i],
-                                      path.running_max)
-        np.testing.assert_array_equal(batch.path(i).argmax_idx,
-                                      path.argmax_idx)
-        assert term.x_final[i] == path.x[-1]
-        assert term.running_max_final[i] == path.running_max[-1]
-        assert term.argmax_idx_final[i] == path.argmax_idx[-1]
+                                      alone.running_max[:, 0])
+        np.testing.assert_array_equal(argmax[:, i],
+                                      alone.argmax_idx()[:, 0])
+        assert term.x_final[i] == alone.x[-1, 0]
+        assert term.running_max_final[i] == alone.running_max[-1, 0]
+        assert term.argmax_idx_final[i] == alone.final_argmax_idx()[0]
 
 
 def test_increment_block_shape_validation(tanh_spec, grid_1000):
@@ -346,9 +360,9 @@ def test_batch_path_count_validation(tanh_spec, grid_1000):
 
 
 def test_noise_grid_mismatch_rejected(tanh_spec):
-    noise = NoiseBlock.from_increments(np.zeros(8))
     with pytest.raises(GridMismatch):
-        euler_path(tanh_spec, GridSpec(n_steps=16, horizon=1.0), noise)
+        simulate_increments(tanh_spec, GridSpec(n_steps=16, horizon=1.0),
+                            np.zeros((8, 1)))
 
 
 # -- statistical sanity -------------------------------------------------------
@@ -372,12 +386,26 @@ def test_divergent_drift_raises_non_finite():
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     grid = GridSpec(n_steps=1000, horizon=1.0)
     with pytest.raises(NonFinite, match="non-finite") as exc_info:
-        euler_path(spec, grid, NoiseBlock.generate(0, 0, grid))
+        simulate_increments(spec, grid, generate_increments(
+            0, 0, grid.n_steps, grid.dt)[:, None])
     assert exc_info.value.step is not None
     with pytest.raises(NonFinite) as exc_info:
         simulate_terminal(spec, grid, 3, seed=0, path_offset=10)
     assert exc_info.value.path_index is not None
     assert exc_info.value.path_index >= 10
+
+
+@pytest.mark.parametrize("simulate", [simulate_batch, simulate_terminal])
+def test_non_finite_report_names_the_offset_path(simulate):
+    # every path diverges, so the first one reported is path_offset itself
+    spec = ProblemSpec(x0=1.0, alpha=0.0,
+                       drift=Coefficient.linear(slope=2000.0),
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
+    grid = GridSpec(n_steps=1000, horizon=1.0)
+    with pytest.raises(NonFinite) as exc_info:
+        simulate(spec, grid, 3, seed=0, path_offset=10)
+    assert exc_info.value.path_index == 10
+    assert "path 10" in str(exc_info.value)
 
 
 # -- compensated summation ----------------------------------------------------
@@ -407,50 +435,86 @@ def test_kahan_cumsum_columns_equal_one_dimensional_sums():
 
 def test_picard_first_iterate_solves_the_additive_case(driftless, grid_1000):
     spec = driftless(0.3, x0=0.5)
-    noise = NoiseBlock.generate(41, 0, grid_1000)
-    result = picard_solve(spec, grid_1000, noise, n_iter=5, tol=0.0)
+    db = simulate_batch(spec, grid_1000, 1, seed=41).db
+    result = picard_solve(spec, grid_1000, db, n_iter=5, tol=0.0)
     # constant coefficients: one sweep lands on the solution, the next
     # sweep confirms it with a zero gap
-    assert result.converged
+    assert result.converged[0]
     assert result.n_iterations == 2
-    assert result.sup_diffs[1] == 0.0
-    closed = explicit_additive_path(0.5, 0.3, 1.0, noise)
-    assert float(np.max(np.abs(result.path.x - closed.x))) <= 1e-12
+    assert result.sup_diffs[1, 0] == 0.0
+    closed = explicit_additive_path(0.5, 0.3, 1.0, db)
+    assert float(np.max(np.abs(result.paths.x - closed))) <= 1e-12
 
 
 def test_picard_converges_to_the_per_step_scheme(grid_1000):
     spec = make_tanh(alpha=0.1)
+    direct = simulate_batch(spec, grid_1000, 5, seed=43)
+    result = picard_solve(spec, grid_1000, direct.db, n_iter=30, tol=1e-10)
+    assert np.all(result.converged)
     for i in range(5):
-        noise = NoiseBlock.generate(43, i, grid_1000)
-        result = picard_solve(spec, grid_1000, noise, n_iter=30, tol=1e-10)
-        direct = euler_path(spec, grid_1000, noise)
-        assert result.converged
-        assert float(np.max(np.abs(result.path.x - direct.x))) <= 1e-9
+        assert float(np.max(np.abs(result.paths.x[:, i]
+                                   - direct.x[:, i]))) <= 1e-9
         # geometric-style contraction after the first sweep
-        diffs = result.sup_diffs
+        diffs = result.sup_diffs[:result.n_sweeps[i], i]
         assert np.all(np.diff(diffs[1:]) <= 1e-14)
 
 
 def test_picard_reports_non_convergence_with_best_iterate(grid_1000):
     spec = make_tanh(alpha=0.1)
-    noise = NoiseBlock.generate(47, 0, grid_1000)
-    result = picard_solve(spec, grid_1000, noise, n_iter=1, tol=1e-16)
-    assert not result.converged
+    db = simulate_batch(spec, grid_1000, 1, seed=47).db
+    result = picard_solve(spec, grid_1000, db, n_iter=1, tol=1e-16)
+    assert not result.converged[0]
     assert result.n_iterations == 1
-    assert result.path.x.shape == (1001,)
+    assert result.paths.x.shape == (1001, 1)
+
+
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
+def test_picard_columns_equal_single_column_solves(case):
+    # each column freezes when it converges, so a block solve sweeps
+    # every column exactly as a solve of that column alone does
+    spec, grid, db = mixed_case(case)
+    block = picard_solve(spec, grid, db, n_iter=30, tol=1e-9)
+    assert isinstance(block.n_iterations, int)
+    assert block.n_iterations == int(block.n_sweeps.sum())
+    assert block.sup_diffs.shape == (block.n_sweeps.max(), db.shape[1])
+    for i in range(db.shape[1]):
+        alone = picard_solve(spec, grid, db[:, i:i + 1], n_iter=30,
+                             tol=1e-9)
+        k = alone.n_iterations
+        assert block.n_sweeps[i] == k
+        assert block.converged[i] == alone.converged[0]
+        np.testing.assert_array_equal(block.paths.x[:, i], alone.paths.x[:, 0])
+        np.testing.assert_array_equal(block.sup_diffs[:k, i],
+                                      alone.sup_diffs[:, 0])
+        assert np.all(np.isnan(block.sup_diffs[k:, i]))
+
+
+def test_picard_non_finite_iterate_names_the_path():
+    # the zero-noise column stays at 0; the driven one overflows
+    spec = ProblemSpec(x0=0.0, alpha=0.0,
+                       drift=Coefficient.linear(slope=1e12),
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
+    grid = GridSpec(n_steps=100, horizon=1.0)
+    db = np.stack([np.zeros(100),
+                   generate_increments(0, 0, 100, grid.dt)], axis=1)
+    with pytest.raises(NonFinite) as exc_info, \
+            np.errstate(over="ignore", invalid="ignore"):
+        picard_solve(spec, grid, db, n_iter=30)
+    assert exc_info.value.path_index == 1
 
 
 def test_picard_input_validation(tanh_spec, grid_1000):
-    noise = NoiseBlock.generate(0, 0, grid_1000)
+    db = simulate_batch(tanh_spec, grid_1000, 1, seed=0).db
     with pytest.raises(ConfigError):
-        picard_solve(tanh_spec, grid_1000, noise, n_iter=0)
+        picard_solve(tanh_spec, grid_1000, db, n_iter=0)
     with pytest.raises(GridMismatch):
-        picard_solve(tanh_spec, GridSpec(n_steps=10, horizon=1.0), noise)
+        picard_solve(tanh_spec, GridSpec(n_steps=10, horizon=1.0), db)
+    with pytest.raises(GridMismatch):
+        picard_solve(tanh_spec, grid_1000, db[:, 0])
 
 
 def test_validated_spec_passes_straight_through(tanh_spec, grid_1000):
     vspec = validate(tanh_spec)
-    noise = NoiseBlock.generate(3, 0, grid_1000)
-    a = euler_path(vspec, grid_1000, noise)
-    b = euler_path(tanh_spec, grid_1000, noise)
+    a = simulate_batch(vspec, grid_1000, 1, seed=3)
+    b = simulate_batch(tanh_spec, grid_1000, 1, seed=3)
     np.testing.assert_array_equal(a.x, b.x)

@@ -94,9 +94,22 @@ def test_transform_commutes_with_running_maximum():
     grid = GridSpec(n_steps=256, horizon=1.0)
     batch = simulate_batch(spec, grid, 4, seed=83)
     for i in range(4):
-        x = batch.path(i).x
+        x = batch.x[:, i]
         assert forward(table, float(np.max(x))) == \
             float(np.max(forward(table, x)))
+
+
+def test_forward_on_a_block_equals_per_column_calls():
+    # the lamperti_consistency suite maps a whole time-major block at once
+    spec = make_spec(Coefficient.tanh(amplitude=0.1), SINE_SIGMA, alpha=0.1)
+    table = build_transform(spec)
+    grid = GridSpec(n_steps=256, horizon=1.0)
+    batch = simulate_batch(spec, grid, 20, seed=89)
+    mapped = forward(table, batch.x)
+    assert mapped.shape == batch.x.shape
+    for i in range(20):
+        np.testing.assert_array_equal(mapped[:, i],
+                                      forward(table, batch.x[:, i]))
 
 
 # -- transformed drift --------------------------------------------------------

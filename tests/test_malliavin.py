@@ -11,18 +11,15 @@ from perturbsde import (
     ConfigError,
     GridMismatch,
     GridSpec,
-    NoiseBlock,
     ProblemSpec,
     cameron_martin_fd,
-    cameron_martin_fd_batch,
-    euler_path,
     h_norm_sq,
     inner_product,
-    propagate_derivative,
     propagate_derivative_batch,
     simulate_batch,
+    simulate_increments,
 )
-from conftest import make_driftless
+from conftest import COEFFICIENT_CASES, mixed_case
 
 
 # -- closed forms in the driftless additive case ------------------------------
@@ -61,12 +58,11 @@ def test_driftless_norm_closed_form(alpha, driftless, grid_1000):
 
 
 def test_classical_case_has_unit_derivative(driftless, grid_1000):
-    path = euler_path(driftless(0.0), grid_1000,
-                      NoiseBlock.generate(5, 0, grid_1000))
-    field = propagate_derivative(path, make_driftless(0.0), grid_1000)
+    batch = simulate_batch(driftless(0.0), grid_1000, 1, seed=5)
+    field = propagate_derivative_batch(batch, driftless(0.0), grid_1000)
     np.testing.assert_allclose(field.d_x, 1.0, atol=1e-14)
-    assert field.h_norm_sq_final == pytest.approx(1.0, abs=1e-12)
-    assert field.sup_h_norm_sq == pytest.approx(1.0, abs=1e-12)
+    assert field.h_norm_sq_final[0] == pytest.approx(1.0, abs=1e-12)
+    assert field.sup_h_norm_sq[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ornstein_uhlenbeck_first_variation(grid_1000):
@@ -76,11 +72,11 @@ def test_ornstein_uhlenbeck_first_variation(grid_1000):
     spec = ProblemSpec(x0=0.5, alpha=0.0,
                        drift=Coefficient.ornstein_uhlenbeck(rate=1.0),
                        diffusion=Coefficient.const(1.0), horizon=1.0)
-    path = euler_path(spec, grid_1000, NoiseBlock.generate(9, 0, grid_1000))
-    field = propagate_derivative(path, spec, grid_1000)
+    batch = simulate_batch(spec, grid_1000, 1, seed=9)
+    field = propagate_derivative_batch(batch, spec, grid_1000)
     r = grid_1000.times[:-1]
     expected = np.exp(-(1.0 - r))
-    assert float(np.max(np.abs(field.d_x - expected))) <= 2e-3
+    assert float(np.max(np.abs(field.d_x[0] - expected))) <= 2e-3
 
 
 # -- norm bookkeeping ---------------------------------------------------------
@@ -142,29 +138,30 @@ def test_max_derivative_norm_below_running_sup(tanh_spec, grid_1000):
 
 
 def test_single_path_and_batch_fields_agree(tanh_spec, grid_1000):
-    batch = simulate_batch(tanh_spec, grid_1000, 4, seed=239)
-    fields = propagate_derivative_batch(batch, tanh_spec, grid_1000,
-                                        track_all_times=True)
-    for i in (0, 3):
-        single = propagate_derivative(batch.path(i), tanh_spec, grid_1000,
-                                      track_all_times=True)
-        np.testing.assert_array_equal(single.d_x, fields.d_x[i])
-        np.testing.assert_array_equal(single.d_m, fields.d_m[i])
-        assert single.h_norm_sq_final == fields.h_norm_sq_final[i]
-        assert single.sup_h_norm_sq == fields.sup_h_norm_sq[i]
-        np.testing.assert_array_equal(single.h_norm_sq_by_time,
-                                      fields.h_norm_sq_by_time[:, i])
-    assert propagate_derivative(batch.path(0), tanh_spec,
-                                grid_1000).sup_h_norm_sq == \
-        fields.sup_h_norm_sq[0]
+    # a column propagated inside a block equals the same column propagated
+    # as a batch of one: keyed tanh paths, then a mixed block per
+    # coefficient case
+    cases = [(tanh_spec, grid_1000,
+              simulate_batch(tanh_spec, grid_1000, 4, seed=239).db)]
+    cases += [mixed_case(name) for name in COEFFICIENT_CASES]
+    for spec, grid, db in cases:
+        fields = propagate_derivative_batch(
+            simulate_increments(spec, grid, db), spec, grid,
+            track_all_times=True)
+        for i in range(db.shape[1]):
+            alone = propagate_derivative_batch(
+                simulate_increments(spec, grid, db[:, i:i + 1]), spec, grid,
+                track_all_times=True)
+            np.testing.assert_array_equal(alone.d_x[0], fields.d_x[i])
+            np.testing.assert_array_equal(alone.d_m[0], fields.d_m[i])
+            assert alone.h_norm_sq_final[0] == fields.h_norm_sq_final[i]
+            assert alone.sup_h_norm_sq[0] == fields.sup_h_norm_sq[i]
+            np.testing.assert_array_equal(alone.h_norm_sq_by_time[:, 0],
+                                          fields.h_norm_sq_by_time[:, i])
 
 
 def test_grid_mismatch_rejected(tanh_spec, grid_1000):
-    path = euler_path(tanh_spec, grid_1000,
-                      NoiseBlock.generate(0, 0, grid_1000))
     other = GridSpec(n_steps=500, horizon=1.0)
-    with pytest.raises(GridMismatch):
-        propagate_derivative(path, tanh_spec, other)
     batch = simulate_batch(tanh_spec, grid_1000, 2, seed=0)
     with pytest.raises(GridMismatch):
         propagate_derivative_batch(batch, tanh_spec, other)
@@ -176,10 +173,10 @@ def test_grid_mismatch_rejected(tanh_spec, grid_1000):
 def test_constant_direction_classical_case(driftless, grid_1000):
     # X_T is a linear functional of the noise, so the quotient is exact
     spec = driftless(0.0)
-    noise = NoiseBlock.generate(13, 0, grid_1000)
+    db = simulate_batch(spec, grid_1000, 1, seed=13).db
     h = np.ones(grid_1000.n_steps)
     for eps in (0.5, 1e-4):
-        assert cameron_martin_fd(spec, grid_1000, noise, h, eps=eps) == \
+        assert cameron_martin_fd(spec, grid_1000, db, h, eps=eps)[0] == \
             pytest.approx(1.0, abs=1e-7)
 
 
@@ -191,14 +188,10 @@ def test_directional_derivative_matches_field_pairing(driftless, grid_1000):
     batch = simulate_batch(spec, grid_1000, 20, seed=241)
     fields = propagate_derivative_batch(batch, spec, grid_1000)
     tau = batch.final_argmax_idx() * grid_1000.dt
-    gaps = []
-    for i in range(20):
-        noise = NoiseBlock.generate(241, i, grid_1000)
-        fd = cameron_martin_fd(spec, grid_1000, noise, h, eps=1e-4)
-        ip = inner_product(fields.field(i), h, grid_1000.dt)
-        assert ip == pytest.approx(tau[i] / 0.5 + (1.0 - tau[i]), rel=1e-10)
-        gaps.append(abs(fd - ip))
-    assert float(np.median(gaps)) <= 1e-9
+    fd = cameron_martin_fd(spec, grid_1000, batch.db, h, eps=1e-4)
+    ip = inner_product(fields, h, grid_1000.dt)
+    np.testing.assert_allclose(ip, tau / 0.5 + (1.0 - tau), rtol=1e-10)
+    assert float(np.median(np.abs(fd - ip))) <= 1e-9
 
 
 def test_directional_derivative_with_smooth_drift():
@@ -209,52 +202,67 @@ def test_directional_derivative_with_smooth_drift():
     h = np.ones(grid.n_steps)
     batch = simulate_batch(spec, grid, 20, seed=251)
     fields = propagate_derivative_batch(batch, spec, grid)
-    rel = []
-    for i in range(20):
-        noise = NoiseBlock.generate(251, i, grid)
-        fd = cameron_martin_fd(spec, grid, noise, h, eps=1e-4)
-        ip = inner_product(fields.field(i), h, grid.dt)
-        rel.append(abs(fd - ip) / max(abs(fd), abs(ip), 1e-300))
+    fd = cameron_martin_fd(spec, grid, batch.db, h, eps=1e-4)
+    ip = inner_product(fields, h, grid.dt)
+    rel = np.abs(fd - ip) / np.maximum(np.maximum(np.abs(fd), np.abs(ip)),
+                                       1e-300)
     assert float(np.median(rel)) <= 1e-2
 
 
 def test_batch_directional_derivative_equals_per_path_calls():
-    spec = ProblemSpec(x0=0.0, alpha=0.2,
-                       drift=Coefficient.sine(amplitude=0.5),
-                       diffusion=Coefficient.const(1.0), horizon=1.0)
-    grid = GridSpec(n_steps=500, horizon=1.0)
-    h = np.cos(np.linspace(0.0, 3.0, grid.n_steps))
-    batch = simulate_batch(spec, grid, 12, seed=257)
-    per_path = [cameron_martin_fd(spec, grid,
-                                  NoiseBlock.generate(257, i, grid), h)
-                for i in range(12)]
-    together = cameron_martin_fd_batch(spec, grid, batch.db, h)
-    reused = cameron_martin_fd_batch(spec, grid, batch.db, h,
-                                     base=batch.x[-1])
-    np.testing.assert_array_equal(together, per_path)
-    np.testing.assert_array_equal(reused, per_path)
+    # each column of a block equals the same column run alone: keyed
+    # sine-drift paths, then a mixed block per coefficient case
+    sine_spec = ProblemSpec(x0=0.0, alpha=0.2,
+                            drift=Coefficient.sine(amplitude=0.5),
+                            diffusion=Coefficient.const(1.0), horizon=1.0)
+    keyed_grid = GridSpec(n_steps=500, horizon=1.0)
+    cases = [(sine_spec, keyed_grid,
+              simulate_batch(sine_spec, keyed_grid, 12, seed=257).db)]
+    cases += [mixed_case(name) for name in COEFFICIENT_CASES]
+    for spec, grid, db in cases:
+        h = np.cos(np.linspace(0.0, 3.0, grid.n_steps))
+        base = simulate_increments(spec, grid, db, record=False).x_final
+        per_path = [cameron_martin_fd(spec, grid, db[:, i:i + 1], h)[0]
+                    for i in range(db.shape[1])]
+        together = cameron_martin_fd(spec, grid, db, h)
+        reused = cameron_martin_fd(spec, grid, db, h, base=base)
+        np.testing.assert_array_equal(together, per_path)
+        np.testing.assert_array_equal(reused, per_path)
 
 
 def test_batch_directional_derivative_input_validation(tanh_spec, grid_1000):
     db = simulate_batch(tanh_spec, grid_1000, 3, seed=0).db
     h = np.ones(grid_1000.n_steps)
     with pytest.raises(GridMismatch):
-        cameron_martin_fd_batch(tanh_spec, grid_1000, db[:, 0], h)
+        cameron_martin_fd(tanh_spec, grid_1000, db[:, 0], h)
     with pytest.raises(GridMismatch):
-        cameron_martin_fd_batch(tanh_spec, grid_1000, db[:-1], h)
+        cameron_martin_fd(tanh_spec, grid_1000, db[:-1], h)
     with pytest.raises(GridMismatch):
-        cameron_martin_fd_batch(tanh_spec, grid_1000, db, h,
-                                base=np.zeros(2))
+        cameron_martin_fd(tanh_spec, grid_1000, db, h, base=np.zeros(2))
 
 
 def test_directional_derivative_input_validation(tanh_spec, grid_1000):
-    noise = NoiseBlock.generate(0, 0, grid_1000)
+    batch = simulate_batch(tanh_spec, grid_1000, 1, seed=0)
     with pytest.raises(ConfigError):
-        cameron_martin_fd(tanh_spec, grid_1000, noise,
+        cameron_martin_fd(tanh_spec, grid_1000, batch.db,
                           np.ones(grid_1000.n_steps), eps=0.0)
     with pytest.raises(GridMismatch):
-        cameron_martin_fd(tanh_spec, grid_1000, noise, np.ones(5))
-    field = propagate_derivative(
-        euler_path(tanh_spec, grid_1000, noise), tanh_spec, grid_1000)
+        cameron_martin_fd(tanh_spec, grid_1000, batch.db, np.ones(5))
+    fields = propagate_derivative_batch(batch, tanh_spec, grid_1000)
     with pytest.raises(GridMismatch):
-        inner_product(field, np.ones(5), grid_1000.dt)
+        inner_product(fields, np.ones(5), grid_1000.dt)
+
+
+def test_inner_product_rows_equal_one_path_batches(tanh_spec, grid_1000):
+    # one np.dot per path: a pairing does not depend on the rest of the
+    # batch
+    batch = simulate_batch(tanh_spec, grid_1000, 6, seed=263)
+    fields = propagate_derivative_batch(batch, tanh_spec, grid_1000)
+    h = np.sin(np.linspace(0.0, 5.0, grid_1000.n_steps))
+    ips = inner_product(fields, h, grid_1000.dt)
+    assert ips.shape == (6,)
+    for i in range(6):
+        alone = propagate_derivative_batch(
+            simulate_batch(tanh_spec, grid_1000, 1, seed=263, path_offset=i),
+            tanh_spec, grid_1000)
+        assert inner_product(alone, h, grid_1000.dt)[0] == ips[i]

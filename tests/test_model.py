@@ -9,17 +9,14 @@ from perturbsde import (
     AlphaOutOfRange,
     Coefficient,
     ConfigError,
-    GridMismatch,
     GridSpec,
     InconsistentDerivatives,
-    NoiseBlock,
-    PathState,
     ProblemSpec,
     SupNormBounds,
     UnknownPreset,
     UnsupportedOrder,
     ValidatedSpec,
-    euler_path,
+    simulate_batch,
     sup_norm_estimate,
     validate,
 )
@@ -318,23 +315,12 @@ def test_grid_spec_validation():
 def test_path_state_invariants_on_simulated_paths(driftless):
     grid = GridSpec(n_steps=64, horizon=1.0)
     for alpha in (-0.5, 0.0, 0.5):
-        path = euler_path(driftless(alpha), grid,
-                          NoiseBlock.generate(11, 0, grid))
-        x, M, idx = path.x, path.running_max, path.argmax_idx
+        batch = simulate_batch(driftless(alpha), grid, 1, seed=11)
+        x, M = batch.x[:, 0], batch.running_max[:, 0]
+        idx = batch.argmax_idx()[:, 0]
         assert M[0] == x[0]
         np.testing.assert_array_equal(M, np.maximum.accumulate(x))
         assert np.all(x <= M)
         for k in range(x.shape[0]):
             first = int(np.argmax(x[:k + 1] >= M[k]))
             assert idx[k] == first
-
-
-def test_path_state_shape_and_immutability():
-    with pytest.raises(GridMismatch):
-        PathState(x=np.zeros(4), running_max=np.zeros(4),
-                  argmax_idx=np.zeros(4, dtype=np.int64), db=np.zeros(4))
-    path = PathState(x=np.zeros(3), running_max=np.zeros(3),
-                     argmax_idx=np.zeros(3, dtype=np.int64), db=np.zeros(2))
-    assert path.n_steps == 2
-    with pytest.raises(ValueError):
-        path.x[0] = 1.0

@@ -1,5 +1,11 @@
 """The shipped self-check suites must all pass on their default seeds."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from perturbsde import ALL_SUITES, run_suites
@@ -65,3 +71,32 @@ def test_density_oracle_passes_at_defaults_on_former_failing_seeds(seed):
     result = density_oracle_suite(seed=seed)
     assert result.passed, f"worst={result.worst} details={result.details}"
     assert result.tolerance == 5e-3
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_tracer_names_resolve():
+    # bench/spans.py wraps package functions by module attribute, so a
+    # renamed or deleted entry point breaks the traced benchmark run
+    code = textwrap.dedent("""
+        import importlib, json
+        import spans
+        for target in spans.SPAN_TARGETS + spans.COUNT_TARGETS:
+            mod = importlib.import_module("perturbsde." + target[0])
+            assert callable(getattr(mod, target[1])), target
+        tracer = spans.Tracer()
+        spans.install(tracer)
+        from perturbsde import verify
+        assert verify.picard_suite(n_paths=5, n_steps=100).passed
+        json.dumps(tracer.counts)
+        iterations = tracer.counts["integrate.picard_solve.iterations"]
+        assert type(iterations) is int and iterations > 0, iterations
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(_ROOT / "src"), str(_ROOT / "bench")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
