@@ -278,8 +278,6 @@ def cmd_density(config: dict, out_dir: Path, workers: int, meta: dict,
     _require(config, "density", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
-    if n_paths < 1:
-        raise ConfigError("density needs n_paths >= 1")
     results = _run_chunked(_terminal_worker,
                            (config["problem"], grid_json, seed),
                            n_paths, workers)

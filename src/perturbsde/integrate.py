@@ -48,6 +48,8 @@ __all__ = [
 _U64 = np.uint64
 _MAX_U64 = 2**64
 _NOISE_PATHS = 512
+# simulate_terminal draws and integrates this many paths per increment block
+_TERMINAL_CHUNK_PATHS = 8192
 
 
 def _check_u64(name: str, value: int) -> int:
@@ -304,19 +306,19 @@ def simulate_batch(spec, grid: GridSpec, n_paths: int, seed: int,
 
 
 def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
-                      path_offset: int = 0,
-                      chunk_paths: int = 8192) -> TerminalSample:
+                      path_offset: int = 0) -> TerminalSample:
     """Simulate keyed paths keeping only terminal-time quantities.
 
-    Memory stays bounded by one increment block of ``chunk_paths`` paths,
-    so this scales to ensemble sizes used for density estimation.
+    Memory stays bounded by one increment block of
+    ``_TERMINAL_CHUNK_PATHS`` paths, so this scales to ensemble sizes used
+    for density estimation.
     """
     vspec = validate(spec)
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
     parts = []
-    for lo in range(0, n_paths, chunk_paths):
-        hi = min(lo + chunk_paths, n_paths)
+    for lo in range(0, n_paths, _TERMINAL_CHUNK_PATHS):
+        hi = min(lo + _TERMINAL_CHUNK_PATHS, n_paths)
         db_tm = _generate_block(seed, path_offset + lo, hi - lo,
                                 grid.n_steps, grid.dt)
         parts.append(simulate_increments(vspec, grid, db_tm, record=False,

@@ -231,7 +231,7 @@ def _check_string(value: Any, field: str, choices=None) -> None:
 _CONFIG_FIELDS = {
     "problem": _check_problem,
     "grid": _check_grid,
-    "n_paths": lambda v, f: _check_int(v, f, 0),
+    "n_paths": lambda v, f: _check_int(v, f, 1),
     "seed": lambda v, f: _check_int(v, f, 0, 2**64 - 1),
     "t0": lambda v, f: _check_number(v, f, positive=True),
     "bandwidth": lambda v, f: _check_number(v, f, positive=True),

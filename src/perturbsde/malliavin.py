@@ -13,24 +13,29 @@ implicit equation, while otherwise the running maximum was attained before
 the increment existed and contributes nothing.  Afterwards every step
 multiplies all live slots by the same factor
 
-    1 + c_k,   c_k = b'(x_k) dt + sigma'(x_k) db_k,
+    a_k = 1 + b'(x_k) dt + sigma'(x_k) db_k,
 
 and a new-maximum step additionally resolves the feedback,
 
-    d_i <- (d_i (1 + c_k) - alpha * m_i) / (1 - alpha),   m_i <- d_i,
+    d_i <- (d_i a_k - alpha * m_i) / (1 - alpha),   m_i <- d_i,
 
 where ``m_i`` is the slot's frozen derivative of the running maximum
 (zero until the first new maximum after slot creation).  Slots with
-``r > t`` stay exactly zero.
+``r > t`` stay exactly zero.  The squared Cameron-Martin norm at time
+``t_k`` is the left-endpoint sum ``dt * sum_{i < k} d_i(t_k)^2``.
 
-The squared Cameron-Martin norm at time ``t_k`` is the left-endpoint sum
-``dt * sum_{i < k} d_i(t_k)^2``.  Because the ordinary step is a common
-scalar multiple, the engine keeps slots in a lazily rescaled form: actual
-value = stored value * path scale.  Ordinary steps then cost O(paths) and
-only new-maximum steps touch O(active slots), which keeps large sweeps
-(10^4 paths x 10^3 steps) in the seconds range.  The rescaling is exact
-algebra, not an approximation; stored scales are renormalized long before
-they can overflow or vanish.
+No slot is stored while stepping.  A slot born up to the last new maximum
+equals ``m_i * G``, with ``G`` the product of ``a`` since that maximum, so
+at the next maximum ``k`` all their ``m_i`` scale by one factor ``mu_k =
+(G - alpha) / (1 - alpha)`` (``G`` including ``a_k``) and every younger
+slot (``m_i = 0``), once multiplied by ``a_k``, by ``1 / (1 - alpha)``.
+The forward sweep therefore carries three numbers per path: ``G``, the sum
+``S`` of ``m_i^2`` over the older slots and the sum ``Y`` of ``d_i^2`` over
+the younger ones, and reads the norm at every time as ``dt (G^2 S + Y)``.
+The backward sweep then builds each slot's final values from products of
+``a`` and ``mu`` over the steps after it, the adjoint argument of Giles &
+Glasserman, "Smoking adjoints" (Risk, 2006).  Both cost O(paths) per step,
+and a step with ``a_k = 0`` (every live slot annihilated) is no special case.
 """
 
 from __future__ import annotations
@@ -50,12 +55,6 @@ __all__ = [
     "cameron_martin_fd",
     "inner_product",
 ]
-
-# Lazy path scales are renormalized outside this band; values are far from
-# the representable limits so the rescaling itself is always safe.
-_RESCALE_LO = 1e-130
-_RESCALE_HI = 1e130
-
 
 @dataclass(frozen=True)
 class DerivativeFieldBatch:
@@ -97,56 +96,50 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
     one_minus = 1.0 - alpha
     b, s = vspec.drift, vspec.diffusion
 
-    D = np.zeros((P, n))       # lazily scaled slot values
-    dm = np.zeros((P, n))      # frozen max-derivatives, absolute scale
-    phi = np.ones(P)           # actual d = D * phi
-    Q = np.zeros(P)            # sum of D^2 over live slots
+    # forward sweep: the norm curve from three per-path sums
+    G = np.ones(P)
+    S = np.zeros(P)
+    Y = np.zeros(P)
     h_sup = np.zeros(P)
     by_time = np.zeros((n1, P)) if track_all_times else None
-
     for k in range(n):
         xk = x_tm[k]
-        c = b(xk, 1) * dt + s(xk, 1) * db_tm[k]
-        phi = phi * (1.0 + c)
-
-        dead = phi == 0.0
-        if dead.any():
-            # every live slot was annihilated at this step; the frozen
-            # max-derivatives survive untouched
-            D[dead, :k] = 0.0
-            Q[dead] = 0.0
-            phi[dead] = 1.0
-        norm = (np.abs(phi) < _RESCALE_LO) | (np.abs(phi) > _RESCALE_HI)
-        if norm.any():
-            D[norm, :k] *= phi[norm, None]
-            Q[norm] *= phi[norm] ** 2
-            phi[norm] = 1.0
-
+        a = 1.0 + (b(xk, 1) * dt + s(xk, 1) * db_tm[k])
+        G = G * a
+        Y = Y * (a * a)
         new = new_tm[k + 1]
-        if new.any() and k > 0:
-            sub = (D[new, :k] - (alpha / phi[new, None]) * dm[new, :k]) \
-                / one_minus
-            D[new, :k] = sub
-            dm[new, :k] = sub * phi[new, None]
-            Q[new] = np.einsum("ij,ij->i", sub, sub)
-
         sk = s(xk, 0)
-        init = np.where(new, sk / one_minus, sk)
-        D[:, k] = init / phi
-        dm[:, k] = np.where(new, init, 0.0)
-        Q = Q + D[:, k] ** 2
-
-        h = (phi * phi) * Q * dt
+        init2 = np.where(new, sk / one_minus, sk) ** 2
+        mu = (G - alpha) / one_minus
+        S = np.where(new, S * (mu * mu) + Y / one_minus**2 + init2, S)
+        Y = np.where(new, 0.0, Y + init2)
+        G = np.where(new, 1.0, G)
+        h = dt * (G * G * S + Y)
         np.maximum(h_sup, h, out=h_sup)
         if track_all_times:
             by_time[k + 1] = h
 
-    d_x = D * phi[:, None]
-    h_final = dt * np.einsum("ij,ij->i", d_x, d_x)
-    np.maximum(h_sup, h_final, out=h_sup)
-    if track_all_times:
-        by_time[n] = h_final
-    return DerivativeFieldBatch(d_x=d_x, d_m=dm, h_norm_sq_final=h_final,
+    # backward sweep, newest slot first; G now holds the product of a since
+    # the last new maximum.  R is the product of a from slot k+1 to the next
+    # maximum j (or the end) and M the product of mu over the maxima after
+    # j.  At a maximum k, R is the forward G at j, so mu_j needs no storage.
+    d_x = np.empty((P, n))
+    d_m = np.empty((P, n))
+    R = np.ones(P)
+    M = np.ones(P)
+    later = np.zeros(P, bool)
+    for k in range(n - 1, -1, -1):
+        xk = x_tm[k]
+        new = new_tm[k + 1]
+        M = np.where(new & later, (R - alpha) / one_minus * M, M)
+        sk = s(xk, 0)
+        m = sk / one_minus * np.where(new, M, np.where(later, R * M, 0.0))
+        d_m[:, k] = m
+        d_x[:, k] = np.where(new | later, m * G, sk * R)
+        a = 1.0 + (b(xk, 1) * dt + s(xk, 1) * db_tm[k])
+        R = np.where(new, a, R * a)
+        later |= new
+    return DerivativeFieldBatch(d_x=d_x, d_m=d_m, h_norm_sq_final=h,
                                 sup_h_norm_sq=h_sup, dt=grid.dt,
                                 h_norm_sq_by_time=by_time)
 

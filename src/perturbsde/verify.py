@@ -181,7 +181,7 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
                                         track_all_times=True)
     by_time = fields.h_norm_sq_by_time          # time-major (n+1, P)
     sup_sq = fields.sup_h_norm_sq               # (P,)
-    del batch, fields   # free paths and slot matrices before the pair checks
+    del batch, fields   # free paths and fields before the pair checks
 
     sup_floor = sup_lower_bound(spec.horizon, alpha, lb, sigma_bar)
     sup_viol = int(np.count_nonzero(sup_sq < slack * sup_floor))

@@ -200,9 +200,10 @@ def test_alpha_out_of_range_names_the_field(tmp_path, write_config, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def test_density_rejects_zero_paths(tmp_path, write_config, capsys):
+@pytest.mark.parametrize("command", ["simulate", "derivative", "density"])
+def test_rejects_zero_paths(command, tmp_path, write_config, capsys):
     cfg = write_config(simulate_config(n_paths=0))
-    assert run("density", cfg, tmp_path / "o") == 2
+    assert run(command, cfg, tmp_path / "o") == 2
     assert "n_paths" in capsys.readouterr().err
 
 

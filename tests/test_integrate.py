@@ -25,6 +25,7 @@ from perturbsde import (
     simulate_terminal,
     validate,
 )
+from perturbsde import integrate
 from perturbsde.integrate import _NOISE_PATHS, _generate_block, max_bookkeeping
 from conftest import (COEFFICIENT_CASES, make_driftless, make_tanh,
                       mixed_case)
@@ -334,10 +335,11 @@ def test_batch_offset_is_a_pure_relabeling(tanh_spec):
     np.testing.assert_array_equal(whole.x[:, 3:], tail.x)
 
 
-def test_terminal_sample_is_chunk_independent(tanh_spec):
+def test_terminal_sample_is_chunk_independent(tanh_spec, monkeypatch):
     grid = GridSpec(n_steps=64, horizon=1.0)
-    a = simulate_terminal(tanh_spec, grid, 10, seed=13, chunk_paths=3)
     b = simulate_terminal(tanh_spec, grid, 10, seed=13)
+    monkeypatch.setattr(integrate, "_TERMINAL_CHUNK_PATHS", 3)
+    a = simulate_terminal(tanh_spec, grid, 10, seed=13)
     np.testing.assert_array_equal(a.x_final, b.x_final)
     np.testing.assert_array_equal(a.running_max_final, b.running_max_final)
     np.testing.assert_array_equal(a.argmax_idx_final, b.argmax_idx_final)

@@ -160,6 +160,70 @@ def test_single_path_and_batch_fields_agree(tanh_spec, grid_1000):
                                           fields.h_norm_sq_by_time[:, i])
 
 
+def _slot_recursion(batch, spec, grid):
+    """The module docstring's recursion run slot by slot, unscaled: final
+    ``d_x``, ``d_m`` and the ``(n_steps+1, n_paths)`` norm curve."""
+    x, db, new, dt = batch.x, batch.db, batch.new_max, grid.dt
+    n, n_paths = db.shape
+    alpha = spec.alpha
+    d = np.zeros((n_paths, n))
+    m = np.zeros((n_paths, n))
+    by_time = np.zeros((n + 1, n_paths))
+    for k in range(n):
+        a = 1.0 + spec.drift(x[k], 1) * dt + spec.diffusion(x[k], 1) * db[k]
+        nk = new[k + 1]
+        for i in range(k):
+            d[:, i] *= a
+            d[nk, i] = (d[nk, i] - alpha * m[nk, i]) / (1.0 - alpha)
+            m[nk, i] = d[nk, i]
+        sk = spec.diffusion(x[k], 0)
+        d[:, k] = np.where(nk, sk / (1.0 - alpha), sk)
+        m[:, k] = np.where(nk, d[:, k], 0.0)
+        by_time[k + 1] = dt * np.sum(d[:, :k + 1] ** 2, axis=1)
+    return d, m, by_time
+
+
+# (alpha, drift) of the keyed 64-step cases, unit diffusion
+_RECURSION_CASES = {
+    "tanh=-1": (-1.0, Coefficient.tanh(amplitude=0.5)),
+    "tanh=0.3": (0.3, Coefficient.tanh(amplitude=0.5)),
+    "tanh=0.9": (0.9, Coefficient.tanh(amplitude=0.5)),
+    # a_k = 1 - 64 dt = 0 exactly: every step annihilates the live slots
+    "annihilation": (0.4, Coefficient.linear(slope=-64.0)),
+    # a_k = 0.001: live slots fall to about 1e-189
+    "tiny": (0.3, Coefficient.linear(slope=-63.936)),
+}
+
+
+def _recursion_case(name):
+    if name in COEFFICIENT_CASES:
+        # the first 64 steps of the mixed block, at its step size
+        spec, grid, db = mixed_case(name)
+        grid = GridSpec(n_steps=64, horizon=64 * grid.dt)
+        return spec, grid, simulate_increments(spec, grid, db[:64])
+    alpha, drift = _RECURSION_CASES[name]
+    spec = ProblemSpec(x0=0.2, alpha=alpha, drift=drift,
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
+    grid = GridSpec(n_steps=64, horizon=1.0)
+    return spec, grid, simulate_batch(spec, grid, 16, seed=269)
+
+
+@pytest.mark.parametrize("name", [*COEFFICIENT_CASES, *_RECURSION_CASES])
+def test_sweeps_match_the_slot_recursion(name):
+    spec, grid, batch = _recursion_case(name)
+    d, m, by_time = _slot_recursion(batch, spec, grid)
+    if name == "tiny":
+        assert 0.0 < np.min(np.abs(d[d != 0.0])) < 1e-180
+    fields = propagate_derivative_batch(batch, spec, grid,
+                                        track_all_times=True)
+    pairs = [(fields.d_x, d), (fields.d_m, m),
+             (fields.h_norm_sq_by_time, by_time),
+             (fields.sup_h_norm_sq, by_time.max(axis=0))]
+    for got, want in pairs:
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
 def test_grid_mismatch_rejected(tanh_spec, grid_1000):
     other = GridSpec(n_steps=500, horizon=1.0)
     batch = simulate_batch(tanh_spec, grid_1000, 2, seed=0)
