@@ -48,6 +48,8 @@ __all__ = [
 _U64 = np.uint64
 _MAX_U64 = 2**64
 _NOISE_PATHS = 512
+# paths per transposed write of a noise block into the time-major output
+_NOISE_TILE = 64
 # simulate_terminal draws and integrates this many paths per increment block
 _TERMINAL_CHUNK_PATHS = 8192
 
@@ -79,23 +81,35 @@ def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
     """Increment block for paths ``path_offset .. path_offset+n_paths-1``,
     returned time-major with shape ``(n_steps, n_paths)``.
 
-    Paths are drawn ``_NOISE_PATHS`` at a time into one reused path-major
-    buffer and transposed into the output, so no second full-size copy is
-    held; column ``p`` is bitwise :func:`generate_increments` for path
-    ``path_offset + p``.
+    One Philox bit generator serves the whole block: before each path its
+    state is reset to the fresh state of key ``(seed, path_index)``, with
+    counter, buffer and spare word cleared, which is exactly the state
+    :func:`generate_increments` constructs.  Paths are drawn
+    ``_NOISE_PATHS`` at a time into one reused path-major buffer, scaled,
+    and written into the output in ``_NOISE_TILE``-path tiles, so no second
+    full-size copy is held; column ``p`` is bitwise
+    :func:`generate_increments` for path ``path_offset + p``.
     """
+    seed = _check_u64("seed", seed)
+    path_offset = _check_u64("path_index", path_offset)
+    _check_u64("path_index", path_offset + n_paths - 1)
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=_U64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
     out = np.empty((n_steps, n_paths))
     buf = np.empty((min(n_paths, _NOISE_PATHS), n_steps))
-    key = np.array([_check_u64("seed", seed), 0], dtype=_U64)
     scale = math.sqrt(dt)
     for lo in range(0, n_paths, _NOISE_PATHS):
         block = buf[:min(_NOISE_PATHS, n_paths - lo)]
         for i, row in enumerate(block):
             key[1] = path_offset + lo + i
-            gen = np.random.Generator(np.random.Philox(key=key))
+            bitgen.state = fresh
             gen.standard_normal(out=row)
         block *= scale
-        out[:, lo:lo + block.shape[0]] = block.T
+        for t in range(0, block.shape[0], _NOISE_TILE):
+            tile = block[t:t + _NOISE_TILE]
+            out[:, lo + t:lo + t + tile.shape[0]] = tile.T
     return out
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -293,15 +294,16 @@ def transformed_field(table: TransformTable, batch, field):
     trough.
 
     ``field`` must have been propagated with ``track_all_times`` so the
-    transformed sup norm can be taken over the scaled curve.
+    transformed sup norm can be taken over the scaled curve.  The scaled
+    slots, like ``field``'s own, are computed on the first read of
+    ``d_x`` or ``d_m``.
     """
     if field.h_norm_sq_by_time is None:
         raise ConfigError(
             "transformed_field needs a field propagated with "
             "track_all_times=True")
     x = np.asarray(batch.x, float)
-    if field.d_x.shape != (x.shape[1], x.shape[0] - 1) \
-            or field.h_norm_sq_by_time.shape != x.shape:
+    if field.h_norm_sq_by_time.shape != x.shape:
         raise GridMismatch("batch and field disagree on steps or paths")
     fp = np.asarray(table._fwd_d1(x), float)
     fp_max = np.asarray(table._fwd_d1(batch.running_max[-1]), float)
@@ -311,12 +313,16 @@ def transformed_field(table: TransformTable, batch, field):
             f"batch states leave the table domain [{lo:.6g}, {hi:.6g}]")
     by_time = field.h_norm_sq_by_time * fp ** 2
     return DerivativeFieldBatch(
-        d_x=field.d_x * fp[-1][:, None],
-        d_m=field.d_m * fp_max[:, None],
         h_norm_sq_final=by_time[-1].copy(),
         sup_h_norm_sq=by_time.max(axis=0),
         dt=field.dt,
+        _slots=partial(_scaled_slots, field, fp[-1].copy(), fp_max),
         h_norm_sq_by_time=by_time)
+
+
+def _scaled_slots(source: DerivativeFieldBatch, x_scale: np.ndarray,
+                  m_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return source.d_x * x_scale[:, None], source.d_m * m_scale[:, None]
 
 
 @dataclass(frozen=True)

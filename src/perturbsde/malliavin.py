@@ -36,11 +36,19 @@ The backward sweep then builds each slot's final values from products of
 ``a`` and ``mu`` over the steps after it, the adjoint argument of Giles &
 Glasserman, "Smoking adjoints" (Risk, 2006).  Both cost O(paths) per step,
 and a step with ``a_k = 0`` (every live slot annihilated) is no special case.
+
+Only the forward sweep runs during propagation.  The backward sweep, and
+its two ``(n_paths, n_steps)`` slot arrays, run once on the first read of
+``d_x`` or ``d_m``, so a caller that reads only the norms never pays for
+them.  Until then the field holds the simulated batch, whose arrays must
+not be modified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -68,24 +76,45 @@ class DerivativeFieldBatch:
     ``h_norm_sq_by_time`` (when tracked) the whole time-major
     ``(n_steps+1, n_paths)`` curve with row ``k`` for time ``t_k``.  One
     path is a batch of one.
+
+    The slot arrays are computed on the first read of ``d_x`` or ``d_m``
+    by ``_slots``, which returns both; later reads return the same
+    arrays.  The field holds the batch it was propagated along, whose
+    arrays must not be modified before that first read.
     """
 
-    d_x: np.ndarray
-    d_m: np.ndarray
     h_norm_sq_final: np.ndarray
     sup_h_norm_sq: np.ndarray
     dt: float
+    _slots: Callable[[], tuple[np.ndarray, np.ndarray]] = field(
+        repr=False, compare=False)
     h_norm_sq_by_time: np.ndarray | None = None
+
+    @cached_property
+    def _slot_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._slots()
+
+    @property
+    def d_x(self) -> np.ndarray:
+        return self._slot_arrays[0]
+
+    @property
+    def d_m(self) -> np.ndarray:
+        return self._slot_arrays[1]
 
     @property
     def n_paths(self) -> int:
-        return self.d_x.shape[0]
+        return self.h_norm_sq_final.shape[0]
 
 
 def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
                                track_all_times: bool = False
                                ) -> DerivativeFieldBatch:
-    """Propagate derivative fields for every path of a batch."""
+    """Propagate derivative fields for every path of a batch.
+
+    Runs the forward sweep, which gives every norm; the slot arrays come
+    from the backward sweep on the first read of ``d_x`` or ``d_m``.
+    """
     vspec = validate(spec)
     if batch.n_steps != grid.n_steps:
         raise GridMismatch("batch/grid step mismatch")
@@ -118,11 +147,27 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
         np.maximum(h_sup, h, out=h_sup)
         if track_all_times:
             by_time[k + 1] = h
+    return DerivativeFieldBatch(
+        h_norm_sq_final=h, sup_h_norm_sq=h_sup, dt=dt,
+        _slots=partial(_backward_sweep, batch, vspec, dt, G),
+        h_norm_sq_by_time=by_time)
 
-    # backward sweep, newest slot first; G now holds the product of a since
-    # the last new maximum.  R is the product of a from slot k+1 to the next
-    # maximum j (or the end) and M the product of mu over the maxima after
-    # j.  At a maximum k, R is the forward G at j, so mu_j needs no storage.
+
+def _backward_sweep(batch: PathBatch, vspec, dt: float,
+                    G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(d_x, d_m)`` of a batch, newest slot first.
+
+    ``G`` is the forward sweep's final product of ``a`` since the last new
+    maximum.  R is the product of a from slot k+1 to the next maximum j
+    (or the end) and M the product of mu over the maxima after j.  At a
+    maximum k, R is the forward G at j, so mu_j needs no storage.
+    """
+    x_tm, db_tm, new_tm = batch.x, batch.db, batch.new_max
+    n1, P = x_tm.shape
+    n = n1 - 1
+    alpha = vspec.alpha
+    one_minus = 1.0 - alpha
+    b, s = vspec.drift, vspec.diffusion
     d_x = np.empty((P, n))
     d_m = np.empty((P, n))
     R = np.ones(P)
@@ -139,9 +184,7 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
         a = 1.0 + (b(xk, 1) * dt + s(xk, 1) * db_tm[k])
         R = np.where(new, a, R * a)
         later |= new
-    return DerivativeFieldBatch(d_x=d_x, d_m=d_m, h_norm_sq_final=h,
-                                sup_h_norm_sq=h_sup, dt=grid.dt,
-                                h_norm_sq_by_time=by_time)
+    return d_x, d_m
 
 
 def h_norm_sq(d_x: np.ndarray, dt: float, k: int | None = None) -> float:

@@ -26,7 +26,8 @@ from perturbsde import (
     validate,
 )
 from perturbsde import integrate
-from perturbsde.integrate import _NOISE_PATHS, _generate_block, max_bookkeeping
+from perturbsde.integrate import (_NOISE_PATHS, _NOISE_TILE, _generate_block,
+                                  max_bookkeeping)
 from conftest import (COEFFICIENT_CASES, make_driftless, make_tanh,
                       mixed_case)
 
@@ -133,6 +134,67 @@ def test_increment_block_columns_are_the_keyed_streams():
     for p in range(n_paths):
         np.testing.assert_array_equal(
             block[:, p], generate_increments(5, offset + p, 24, 0.125))
+
+
+def _assert_keyed_columns(block, seed, offset, dt):
+    """Every column of ``block`` is bitwise its keyed stream."""
+    for p in range(block.shape[1]):
+        want = generate_increments(seed, offset + p, block.shape[0], dt)
+        np.testing.assert_array_equal(block[:, p].view(np.uint64),
+                                      want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_paths", [1, _NOISE_TILE - 1, _NOISE_TILE + 1,
+                                     _NOISE_PATHS + 1])
+def test_increment_block_partial_tiles_and_blocks(n_paths):
+    block = _generate_block(11, 300, n_paths, 9, 0.5)
+    assert block.shape == (9, n_paths)
+    _assert_keyed_columns(block, 11, 300, 0.5)
+
+
+def test_increment_block_at_the_top_of_the_key_range():
+    n_paths = _NOISE_TILE + 3
+    offset = 2**64 - n_paths          # the last column is path 2**64 - 1
+    block = _generate_block(2**64 - 1, offset, n_paths, 7, 0.25)
+    _assert_keyed_columns(block, 2**64 - 1, offset, 0.25)
+
+
+def test_state_reset_leaves_nothing_of_the_previous_path():
+    # three normals per path end mid-way through Philox's four-word
+    # buffer, so a buffer or position carried over shifts the next path
+    block = _generate_block(3, 0, 1000, 3, 1.0)
+    _assert_keyed_columns(block, 3, 0, 1.0)
+    # the state assignment the generator relies on also clears the spare
+    # 32-bit word, which normal draws never leave behind
+    key = np.array([3, 999], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    fresh = bitgen.state
+    gen = np.random.Generator(bitgen)
+    for _ in range(1000):
+        gen.standard_normal(3)
+        gen.integers(0, 7, dtype=np.uint32)
+        bitgen.state = fresh
+    ref = np.random.Generator(np.random.Philox(key=key))
+    assert gen.integers(0, 2**32, 5, dtype=np.uint32).tolist() == \
+        ref.integers(0, 2**32, 5, dtype=np.uint32).tolist()
+    np.testing.assert_array_equal(gen.standard_normal(9),
+                                  ref.standard_normal(9))
+
+
+@pytest.mark.parametrize("offset, n_paths", [(-3, 4), (2**64 - 5, 10)])
+def test_path_range_outside_the_key_domain(tanh_spec, offset, n_paths):
+    grid = GridSpec(n_steps=8, horizon=1.0)
+    with pytest.raises(ConfigError, match="path_index"):
+        simulate_batch(tanh_spec, grid, n_paths, seed=5, path_offset=offset)
+    with pytest.raises(ConfigError, match="path_index"):
+        simulate_terminal(tanh_spec, grid, n_paths, seed=5,
+                          path_offset=offset)
+
+
+def test_last_path_index_is_drawn(tanh_spec):
+    grid = GridSpec(n_steps=8, horizon=1.0)
+    batch = simulate_batch(tanh_spec, grid, 1, seed=5, path_offset=2**64 - 1)
+    _assert_keyed_columns(batch.db, 5, 2**64 - 1, grid.dt)
 
 
 def test_seed_domain_validation():

@@ -2,6 +2,7 @@
 finite-difference cross-check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,12 +83,19 @@ def test_ornstein_uhlenbeck_first_variation(grid_1000):
 # -- norm bookkeeping ---------------------------------------------------------
 
 
-def test_h_norm_sq_hand_values():
+def test_h_norm_sq_hand_values(driftless):
     assert h_norm_sq(np.ones(100), dt=0.01, k=100) == pytest.approx(1.0)
     assert h_norm_sq(np.zeros(64), dt=0.1) == 0.0
     assert h_norm_sq(np.array([2.0, 3.0]), dt=0.5) == pytest.approx(6.5)
-    # driftless closed form at T = 1: tau/(1-a)^2 + (T - tau)
-    assert 0.25 / 0.25 + 0.75 == pytest.approx(1.75)
+    # driftless closed form at T = 1: tau/(1-a)^2 + (T - tau).  With
+    # alpha = 1/2 the partial sums 0.1, 0.4, 0.2, 0.1 set new maxima at
+    # steps 1 and 2 only, so tau = 2 dt = 0.5 and the norm is 2 + 0.5
+    spec, grid = driftless(0.5), GridSpec(n_steps=4, horizon=1.0)
+    batch = simulate_increments(spec, grid,
+                                np.array([[0.1], [0.3], [-0.2], [-0.1]]))
+    assert batch.final_argmax_idx()[0] == 2
+    fields = propagate_derivative_batch(batch, spec, grid)
+    assert fields.h_norm_sq_final[0] == pytest.approx(2.5, rel=1e-14)
 
 
 def test_h_norm_sq_prefix_and_batch_forms():
@@ -222,6 +230,34 @@ def test_sweeps_match_the_slot_recursion(name):
     for got, want in pairs:
         scale = float(np.max(np.abs(want)))
         assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+
+
+def test_norms_only_propagation_does_no_slot_work(tanh_spec):
+    # the backward sweep's two (P, n) outputs are 8 MB each here; the
+    # forward sweep holds a few (P,) vectors
+    grid = GridSpec(n_steps=500, horizon=1.0)
+    batch = simulate_batch(tanh_spec, grid, 2000, seed=271)
+    tracemalloc.start()
+    try:
+        fields = propagate_derivative_batch(batch, tanh_spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 500 * 8
+    d_x = fields.d_x
+    assert fields.d_x is d_x and fields.d_m is fields.d_m
+
+
+def test_slots_read_after_the_batch_is_dropped(tanh_spec, grid_1000):
+    batch = simulate_batch(tanh_spec, grid_1000, 8, seed=277)
+    eager = propagate_derivative_batch(batch, tanh_spec, grid_1000)
+    d_x, d_m = eager.d_x, eager.d_m
+    fields = propagate_derivative_batch(batch, tanh_spec, grid_1000)
+    del batch
+    np.testing.assert_array_equal(fields.d_x.view(np.uint64),
+                                  d_x.view(np.uint64))
+    np.testing.assert_array_equal(fields.d_m.view(np.uint64),
+                                  d_m.view(np.uint64))
 
 
 def test_grid_mismatch_rejected(tanh_spec, grid_1000):
