@@ -10,8 +10,9 @@ norm of the pathwise derivative between nearby times.  While
 ``theta < 1/2`` the norm cannot drop to zero on ``[0, t0]``: combining the
 oscillation bound with the supremum lower bound yields a strictly positive
 floor under the norm at every time, the quantitative route to smoothness of
-the terminal density.  All bounds here are closed-form evaluations; the
-Monte Carlo sweeps that exercise them live with the verification suites.
+the terminal density.  All bounds here are closed-form evaluations,
+vectorized over time; :func:`floor_violations` compares simulated norms
+with the floors for the command line and the verification suites alike.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDiffusion
-from .model import ProblemSpec, ValidatedSpec, validate
+from .model import GridSpec, ProblemSpec, ValidatedSpec, validate
 
 __all__ = [
     "theta",
@@ -32,6 +33,7 @@ __all__ = [
     "max_horizon",
     "RegimeReport",
     "regime_report",
+    "floor_violations",
     "ADMISSIBLE_THRESHOLD",
 ]
 
@@ -39,25 +41,29 @@ ADMISSIBLE_THRESHOLD = 0.5
 _CURVE_POINTS = 100
 
 
-def _check_nonneg(name: str, value: float) -> float:
-    v = float(value)
-    if not math.isfinite(v) or v < 0.0:
-        raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-    return v
+def _check_nonneg(name: str, value):
+    """``value`` as a float or float array, checked finite and >= 0."""
+    v = np.asarray(value, dtype=float)
+    bad = ~(np.isfinite(v) & (v >= 0.0))
+    if np.any(bad):
+        raise ConfigError(f"{name} must be finite and >= 0, got "
+                          f"{float(v[bad].flat[0])!r}")
+    return float(v) if v.ndim == 0 else v
 
 
-def theta(t0: float, alpha: float, lb: float) -> float:
+def theta(t0, alpha: float, lb: float):
     """Oscillation coefficient ``sqrt(2 Lb^2 t0^2 + 8 a^2) + Lb^2 t0^2 + 4 a^2``.
 
     ``lb`` bounds ``|b'|`` on the relevant domain.  Increasing in ``t0``,
     ``lb`` and ``|alpha|``; zero only when both the drift slope and the
-    feedback vanish.
+    feedback vanish.  An array ``t0`` gives the elementwise values.
     """
     t0 = _check_nonneg("t0", t0)
     lb = _check_nonneg("lb", lb)
     a2 = float(alpha) * float(alpha)
     u = lb * lb * t0 * t0
-    return math.sqrt(2.0 * u + 8.0 * a2) + u + 4.0 * a2
+    th = np.sqrt(2.0 * u + 8.0 * a2) + u + 4.0 * a2
+    return float(th) if np.ndim(th) == 0 else th
 
 
 def diff_bound(t1: float, t2: float, alpha: float, lb: float,
@@ -70,9 +76,8 @@ def diff_bound(t1: float, t2: float, alpha: float, lb: float,
     return 2.0 * theta(gap, alpha, lb) * sup_dx2
 
 
-def sup_lower_bound(t: float, alpha: float, lb: float,
-                    sigma_bar: float) -> float:
-    """Floor under ``sup_{s<=t} ||DX_s||^2``:
+def sup_lower_bound(t, alpha: float, lb: float, sigma_bar: float):
+    """Floor under ``sup_{s<=t} ||DX_s||^2``, elementwise for array ``t``:
 
         sigma_bar^2 * t / (2 (1 + 2 Lb^2 t^2 + 2 alpha^2)).
     """
@@ -84,10 +89,10 @@ def sup_lower_bound(t: float, alpha: float, lb: float,
         2.0 * (1.0 + 2.0 * lb * lb * t * t + 2.0 * a2))
 
 
-def final_lower_bound(t: float, t0: float, alpha: float, lb: float,
-                      sigma_bar: float) -> float:
+def final_lower_bound(t, t0: float, alpha: float, lb: float,
+                      sigma_bar: float):
     """Floor under ``||DX_t||^2`` itself, valid for ``t <= t0`` while
-    ``theta(t0, alpha, lb) < 1/2``:
+    ``theta(t0, alpha, lb) < 1/2``, elementwise for array ``t``:
 
         (1 - 2 theta(t0, alpha, lb)) * sup_lower_bound(t).
 
@@ -202,12 +207,38 @@ def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
         curve = np.zeros((1, 2))
     else:
         ts = np.linspace(0.0, t0_eff, _CURVE_POINTS)
-        vals = np.array([final_lower_bound(t, t0_eff, alpha, lb, sigma_bar)
-                         for t in ts])
-        curve = np.column_stack([ts, vals])
+        curve = np.column_stack(
+            [ts, final_lower_bound(ts, t0_eff, alpha, lb, sigma_bar)])
     rigorous = lb_source == "declared"
     return RegimeReport(t0=t0, theta_at_t0=th, admissible=admissible,
                         t0_max=t0_max, alpha=alpha, lb=lb,
                         lb_source=lb_source, sigma_bar=sigma_bar,
                         transformed=transformed, rigorous=rigorous,
                         lower_bound_curve=curve)
+
+
+def floor_violations(report: RegimeReport, grid: GridSpec,
+                     h_sup: np.ndarray, by_time: np.ndarray
+                     ) -> dict[str, float | int]:
+    """Count simulated norms under the floors, with slack ``1 - 10 dt``.
+
+    ``h_sup`` holds each path's running sup of ``||DX||^2`` at the horizon,
+    checked against the sup floor there; ``by_time``, the time-major
+    ``(n+1, P)`` norm curve, is checked against the final floor at every
+    grid time ``0 < t <= min(t0, t0_max, horizon)``, whose keys are left
+    out when no grid time qualifies."""
+    a, lb, sb = report.alpha, report.lb, report.sigma_bar
+    slack = 1.0 - 10.0 * grid.dt
+    sup_floor = sup_lower_bound(grid.horizon, a, lb, sb)
+    out: dict[str, float | int] = {
+        "slack_factor": slack, "sup_lower_bound_at_horizon": sup_floor,
+        "n_sup_violations": int(np.count_nonzero(h_sup < slack * sup_floor))}
+    t0_eff = min(report.t0, report.t0_max, grid.horizon)
+    k0 = min(grid.n_steps, int(math.floor(t0_eff / grid.dt + 1e-9)))
+    if k0 >= 1:
+        ts = grid.times[1:k0 + 1]
+        floors = final_lower_bound(ts, t0_eff, a, lb, sb)
+        out["final_bound_horizon"] = float(ts[-1])
+        out["n_final_violations"] = int(np.count_nonzero(
+            by_time[1:k0 + 1] < slack * floors[:, None]))
+    return out

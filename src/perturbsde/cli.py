@@ -24,13 +24,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import io
-from .bounds import final_lower_bound, regime_report, sup_lower_bound
+from .bounds import floor_violations, regime_report
 from .density import (
     derivative_bandwidth_rule,
     kde,
@@ -50,9 +51,14 @@ from .errors import (
     VerificationFailure,
 )
 from .integrate import simulate_batch, simulate_terminal
-from .lamperti import DEFAULT_NODES, build_transform, forward
+from .lamperti import (
+    DEFAULT_NODES,
+    build_transform,
+    tabulated_drift,
+    transformed_spec,
+)
 from .malliavin import propagate_derivative_batch
-from .model import Coefficient, GridSpec, ProblemSpec, validate
+from .model import GridSpec, ProblemSpec
 from . import verify as verify_mod
 
 __all__ = ["main"]
@@ -163,6 +169,12 @@ def _problem_and_grid(config: dict) -> tuple[ProblemSpec, GridSpec, dict]:
     return problem, grid, io.grid_to_json(grid)
 
 
+def _regime(config: dict, problem: ProblemSpec):
+    """Regime report at the config's ``t0`` and transform table size."""
+    n_nodes = config.get("transform", {}).get("n_nodes", DEFAULT_NODES)
+    return regime_report(problem, config["t0"], n_transform_nodes=n_nodes)
+
+
 def _regime_block(report) -> dict[str, Any]:
     return {"t0": report.t0, "theta_at_t0": report.theta_at_t0,
             "admissible": report.admissible, "t0_max": report.t0_max,
@@ -209,8 +221,7 @@ def cmd_derivative(config: dict, out_dir: Path, workers: int, meta: dict,
     _require(config, "derivative", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
-    t0 = config.get("t0")
-    track = t0 is not None
+    track = config.get("t0") is not None
     results = _run_chunked(_derivative_worker,
                            (config["problem"], grid_json, seed, track),
                            n_paths, workers)
@@ -236,36 +247,16 @@ def cmd_derivative(config: dict, out_dir: Path, workers: int, meta: dict,
         "argmax_time": grid.times[argmax_final],
     }
     if track:
-        report = regime_report(problem, t0)
-        slack = 1.0 - 10.0 * grid.dt
-        sup_floor = sup_lower_bound(grid.horizon, problem.alpha,
-                                    report.lb, report.sigma_bar)
-        block = _regime_block(report)
-        block["slack_factor"] = slack
-        block["sup_lower_bound_at_horizon"] = sup_floor
-        block["n_sup_violations"] = int(
-            np.count_nonzero(h_sup < slack * sup_floor))
-        t0_eff = min(report.t0, report.t0_max, grid.horizon)
-        k0 = min(n, int(math.floor(t0_eff / grid.dt + 1e-9)))
-        if k0 >= 1:
-            ts = grid.times[1:k0 + 1]
-            floors = np.array([final_lower_bound(t, t0_eff, problem.alpha,
-                                                 report.lb, report.sigma_bar)
-                               for t in ts])
-            viol = by_time[1:k0 + 1, :] < slack * floors[:, None]
-            block["final_bound_horizon"] = float(ts[-1])
-            block["n_final_violations"] = int(np.count_nonzero(viol))
-        summary["bounds"] = block
+        report = _regime(config, problem)
+        summary["bounds"] = {**_regime_block(report),
+                             **floor_violations(report, grid, h_sup, by_time)}
     io.write_json(out_dir / "derivative_summary.json", summary, meta=meta)
 
 
 def cmd_regime(config: dict, out_dir: Path, workers: int, meta: dict,
                fmt: str) -> None:
     _require(config, "regime", "problem", "t0")
-    problem = io.problem_from_json(config["problem"])
-    n_nodes = config.get("transform", {}).get("n_nodes", DEFAULT_NODES)
-    report = regime_report(problem, config["t0"],
-                           n_transform_nodes=n_nodes)
+    report = _regime(config, io.problem_from_json(config["problem"]))
     io.write_json(out_dir / "regime.json", _regime_block(report), meta=meta)
     _write_table(out_dir / "lower_bound_curve",
                  {"t": report.lower_bound_curve[:, 0],
@@ -317,8 +308,7 @@ def cmd_density(config: dict, out_dir: Path, workers: int, meta: dict,
         columns["p_oracle"] = p_oracle
         diagnostic["l1_to_oracle"] = l1_distance(estimate, p_oracle)
     if config.get("t0") is not None:
-        diagnostic["regime"] = _regime_block(
-            regime_report(problem, config["t0"]))
+        diagnostic["regime"] = _regime_block(_regime(config, problem))
     _write_table(out_dir / "density", columns, meta, fmt)
     io.write_json(out_dir / "diagnostic.json", diagnostic, meta=meta)
 
@@ -334,29 +324,10 @@ def cmd_transform(config: dict, out_dir: Path, workers: int, meta: dict,
                             domain=domain)
     _write_table(out_dir / "transform_table",
                  {"y": table.nodes, "F": table.F_values}, meta, fmt)
-
-    # Tabulate the transformed drift at the image nodes z_j = F(y_j), with
-    # values evaluated directly at y_j so no inverse-lookup error enters.
-    # Derivatives come from the value interpolant itself: a separate slope
-    # table would disagree with finite differences of the value table at
-    # the node-spacing-squared level and fail revalidation.
-    y = table.nodes
-    b = np.asarray(problem.drift(y, 0))
-    s = np.asarray(problem.diffusion(y, 0))
-    s_d1 = np.asarray(problem.diffusion(y, 1))
-    values = b / s - s_d1 / 2.0
-    drift_tab = Coefficient.tabulated(table.F_values, values)
-
-    alpha = problem.alpha
-    x0_t = (1.0 - alpha) * float(forward(table, problem.x0 / (1.0 - alpha)))
+    transformed = replace(transformed_spec(problem, table),
+                          drift=tabulated_drift(table))
     io.write_json(out_dir / "transformed_spec.json", {
-        "problem": {
-            "x0": x0_t,
-            "alpha": alpha,
-            "drift": io.coefficient_to_json(drift_tab),
-            "diffusion": io.coefficient_to_json(Coefficient.const(1.0)),
-            "horizon": problem.horizon,
-        },
+        "problem": io.problem_to_json(transformed),
         "domain": [table.domain[0], table.domain[1]],
         "n_nodes": int(table.nodes.size),
         "sigma_inf": table.sigma_inf,

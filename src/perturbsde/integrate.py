@@ -183,38 +183,30 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
 
 
 def max_bookkeeping(x: np.ndarray | None = None, *,
-                    new: np.ndarray | None = None,
-                    argmax: np.ndarray | None = None):
+                    new: np.ndarray | None = None):
     """Running-maximum bookkeeping along the time axis (axis 0).
 
     Give exactly one source, shaped ``(n+1,)`` or time-major ``(n+1, P)``:
 
     - ``x``, path values: step ``k`` sets a new maximum when ``x[k]``
       strictly exceeds the running maximum before it;
-    - ``new``, the per-step new-maximum flags themselves;
-    - ``argmax``, first-attainment argmax indices: ``new[k]`` holds exactly
-      when ``argmax[k] == k`` for ``k >= 1``.
+    - ``new``, the per-step new-maximum flags themselves.
 
-    Returns ``(running_max, new, argmax)``; ``running_max`` is None unless
-    ``x`` was given.  Step 0 never sets a new maximum.
+    Returns ``(running_max, new, argmax)`` with first-attainment argmax
+    indices; ``running_max`` is None unless ``x`` was given.  Step 0 never
+    sets a new maximum.
     """
-    if sum(a is not None for a in (x, new, argmax)) != 1:
-        raise ConfigError("max_bookkeeping takes exactly one of x, new, "
-                          "argmax")
+    if (x is None) == (new is None):
+        raise ConfigError("max_bookkeeping takes exactly one of x, new")
     running_max = None
     if x is not None:
         running_max = np.maximum.accumulate(x, axis=0)
         new = np.zeros(x.shape, dtype=bool)
         new[1:] = x[1:] > running_max[:-1]
-    src = new if argmax is None else argmax
-    steps = np.arange(src.shape[0], dtype=np.int64).reshape(
-        (-1,) + (1,) * (src.ndim - 1))
-    if argmax is None:
-        argmax = np.where(new, steps, 0)
-        np.maximum.accumulate(argmax, axis=0, out=argmax)
-    else:
-        new = argmax == steps
-        new[0] = False
+    steps = np.arange(new.shape[0], dtype=np.int64).reshape(
+        (-1,) + (1,) * (new.ndim - 1))
+    argmax = np.where(new, steps, 0)
+    np.maximum.accumulate(argmax, axis=0, out=argmax)
     return running_max, new, argmax
 
 

@@ -65,6 +65,7 @@ __all__ = [
     "forward",
     "inverse",
     "tilde_b",
+    "tabulated_drift",
     "transformed_spec",
     "transformed_drift_bound",
     "transformed_field",
@@ -220,11 +221,26 @@ def inverse(table: TransformTable, z, tol: float = INVERSE_TOL):
     return float(y[0]) if z_arr.ndim == 0 else y.reshape(z_arr.shape)
 
 
-def tilde_b(table: TransformTable, z):
-    """Transformed drift ``b(y)/sigma(y) - sigma'(y)/2`` at ``y = F^{-1}(z)``."""
-    y = inverse(table, z)
+def _tilde_b_at(table: TransformTable, y):
+    """``b(y)/sigma(y) - sigma'(y)/2`` at original-coordinate points ``y``."""
     s = table.diffusion(y, 0)
     return table.drift(y, 0) / s - 0.5 * table.diffusion(y, 1)
+
+
+def tilde_b(table: TransformTable, z):
+    """Transformed drift ``b(y)/sigma(y) - sigma'(y)/2`` at ``y = F^{-1}(z)``."""
+    return _tilde_b_at(table, inverse(table, z))
+
+
+def tabulated_drift(table: TransformTable) -> Coefficient:
+    """``tilde_b`` tabulated at the image nodes ``z_j = F(y_j)``, for
+    serialization.  Values are evaluated directly at ``y_j`` so no
+    inverse-lookup error enters.  Derivatives come from the value
+    interpolant itself: a separate slope table would disagree with finite
+    differences of the value table at the node-spacing-squared level and
+    fail revalidation."""
+    return Coefficient.tabulated(table.F_values,
+                                 _tilde_b_at(table, table.nodes))
 
 
 def _tilde_b_d1(table: TransformTable, z):
@@ -244,8 +260,9 @@ def transformed_spec(spec: ProblemSpec | ValidatedSpec,
                      table: TransformTable | None = None) -> ProblemSpec:
     """Unit-diffusion problem equivalent to ``spec`` through the transform.
 
-    The drift is a callback evaluating ``tilde_b`` (tabulate it for
-    serialization); the feedback weight and horizon carry over unchanged.
+    The drift is a callback evaluating ``tilde_b`` (:func:`tabulated_drift`
+    tabulates it for serialization); the feedback weight and horizon
+    carry over unchanged.
     The initial parameter is ``(1-alpha) F(x0/(1-alpha))``: plugging it
     into the time-zero fixed point reproduces ``F`` of the original start,
     and for constant sigma the two discretized problems then coincide

@@ -415,8 +415,7 @@ def _fd_check(c: Coefficient, grid: np.ndarray, name: str) -> None:
                 f"differences (max error {err:.3e}, tol {FD_TOL * scale:.3e})")
 
 
-def _effective_bounds(c: Coefficient, grid: np.ndarray,
-                      interval: tuple[float, float], name: str
+def _effective_bounds(c: Coefficient, grid: np.ndarray, name: str
                       ) -> EffectiveBounds:
     declared = c.declared_bounds
     sups: list[float] = []
@@ -462,9 +461,8 @@ def validate(spec: ProblemSpec | ValidatedSpec, *,
     interval = (float(grid[0]), float(grid[-1]))
     _fd_check(spec.drift, grid, "drift")
     _fd_check(spec.diffusion, grid, "diffusion")
-    drift_bounds = _effective_bounds(spec.drift, grid, interval, "drift")
-    diff_bounds = _effective_bounds(spec.diffusion, grid, interval,
-                                    "diffusion")
+    drift_bounds = _effective_bounds(spec.drift, grid, "drift")
+    diff_bounds = _effective_bounds(spec.diffusion, grid, "diffusion")
 
     sigma_vals = np.asarray(spec.diffusion(grid, 0))
     if not np.all(np.isfinite(sigma_vals)):

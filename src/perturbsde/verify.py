@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .bounds import diff_bound, final_lower_bound, max_horizon, sup_lower_bound, theta
+from .bounds import floor_violations, regime_report, theta
 from .density import oracle_driftless
 from .integrate import explicit_additive_path, picard_solve, simulate_batch
 from .lamperti import (
@@ -141,18 +141,19 @@ def cameron_martin_suite(seed: int = 20240803, n_paths: int = 100,
 
 
 def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
-                      n_steps: int = 1000, n_pairs: int = 1000,
-                      slack_steps: float = 10.0) -> SuiteResult:
+                      n_steps: int = 1000, n_pairs: int = 1000
+                      ) -> SuiteResult:
     """Monte Carlo sweep of the three derivative-norm inequalities.
 
     Problem: ``alpha=0.1``, ``b = 0.1 tanh``, unit diffusion, ``T=1``, for
     which ``theta(t0) < 1/2`` at ``t0 = min(1, max_horizon)``.  Checks per
-    path, all with multiplicative slack ``1 - slack_steps*dt`` (or its
-    reciprocal on the oscillation side) for discretization error:
+    path, all with the multiplicative slack of
+    :func:`~perturbsde.bounds.floor_violations` (or its reciprocal on the
+    oscillation side) for discretization error:
 
-    - running sup of ``||DX||^2`` at T beats ``sup_lower_bound(T)``;
-    - ``||DX_t||^2`` beats ``final_lower_bound(t, t0)`` at every grid
-      time ``0 < t <= t0``;
+    - running sup of ``||DX||^2`` at T beats ``sup_lower_bound(T)`` and
+      ``||DX_t||^2`` beats ``final_lower_bound(t, t0)`` at every grid
+      time ``0 < t <= t0``, both counted by ``floor_violations``;
     - the oscillation ``| ||DX_t2||^2 - ||DX_t1||^2 |`` stays within the
       repaired difference bound over ``n_pairs`` random time pairs per
       path.
@@ -166,15 +167,11 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
     plain form's observed violation rate is reported in the details.
     """
     spec = _tanh_spec(alpha=0.1)
-    vspec = validate(spec)
-    lb = vspec.drift_bounds.sup_d1
-    sigma_bar = 1.0
-    alpha = spec.alpha
+    report = regime_report(spec, spec.horizon)
+    lb, sigma_bar, alpha = report.lb, report.sigma_bar, report.alpha
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
     dt = grid.dt
-    slack = 1.0 - slack_steps * dt
-    t0 = min(spec.horizon, max_horizon(alpha, lb))
-    th = theta(t0, alpha, lb)
+    t0 = min(spec.horizon, report.t0_max)
 
     batch = simulate_batch(spec, grid, n_paths, seed)
     fields = propagate_derivative_batch(batch, spec, grid,
@@ -183,21 +180,15 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
     sup_sq = fields.sup_h_norm_sq               # (P,)
     del batch, fields   # free paths and fields before the pair checks
 
-    sup_floor = sup_lower_bound(spec.horizon, alpha, lb, sigma_bar)
-    sup_viol = int(np.count_nonzero(sup_sq < slack * sup_floor))
-
-    k0 = int(np.floor(t0 / dt + 1e-9))
-    times = grid.times[1:k0 + 1]
-    floors = np.array([final_lower_bound(t, t0, alpha, lb, sigma_bar)
-                       for t in times])
-    final_viol = int(np.count_nonzero(
-        by_time[1:k0 + 1, :] < slack * floors[:, None]))
+    floors = floor_violations(report, grid, sup_sq, by_time)
+    slack = floors["slack_factor"]
+    sup_viol = floors["n_sup_violations"]
+    final_viol = floors.get("n_final_violations", 0)
 
     rng = np.random.default_rng(seed)
     i1 = rng.integers(1, n_steps + 1, size=(n_paths, n_pairs))
     i2 = rng.integers(1, n_steps + 1, size=(n_paths, n_pairs))
-    gap_theta = np.array([theta(g * dt, alpha, lb)
-                          for g in range(n_steps + 1)])
+    gap_theta = theta(np.arange(n_steps + 1) * dt, alpha, lb)
     # Blocks of paths keep the float temporaries at (block, n_pairs).
     diff_viol = plain_viol = 0
     for lo in range(0, n_paths, 100):
@@ -221,7 +212,7 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
          "final_bound_violations": final_viol,
          "diff_bound_violations": diff_viol,
          "plain_diff_bound_violation_rate": plain_viol_rate,
-         "t0": t0, "theta_at_t0": th, "lb": lb,
+         "t0": t0, "theta_at_t0": theta(t0, alpha, lb), "lb": lb,
          "n_paths": n_paths, "n_steps": n_steps, "n_pairs": n_pairs})
 
 

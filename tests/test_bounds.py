@@ -18,7 +18,8 @@ from perturbsde import (
     sup_lower_bound,
     theta,
 )
-from perturbsde.bounds import ADMISSIBLE_THRESHOLD
+from perturbsde.bounds import ADMISSIBLE_THRESHOLD, floor_violations
+from perturbsde.model import GridSpec
 
 
 # sqrt(2 Lb^2 t^2 + 8 a^2) + Lb^2 t^2 + 4 a^2 at hand-picked points
@@ -124,6 +125,26 @@ def test_input_validation():
         max_horizon(0.0, -2.0)
 
 
+@given(ts=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=16),
+       t0=st.floats(0.0, 10.0), alpha=st.floats(-1.0, 0.9),
+       lb=st.floats(0.0, 5.0), sigma_bar=st.floats(0.0, 5.0),
+       bad=st.sampled_from([-1e-3, math.nan]), where=st.integers(0, 15))
+@settings(max_examples=100, deadline=None)
+def test_array_time_is_the_elementwise_scalar_calls(ts, t0, alpha, lb,
+                                                    sigma_bar, bad, where):
+    times = np.array(ts)
+    poisoned = times.copy()
+    poisoned[where % times.size] = bad
+    for fn, rest in [(theta, (alpha, lb)),
+                     (sup_lower_bound, (alpha, lb, sigma_bar)),
+                     (final_lower_bound, (t0, alpha, lb, sigma_bar))]:
+        scalars = [fn(t, *rest) for t in ts]
+        assert all(type(v) is float for v in scalars)
+        assert fn(times, *rest).tolist() == scalars
+        with pytest.raises(ConfigError):
+            fn(poisoned, *rest)
+
+
 # -- whole-problem classification ---------------------------------------------
 
 
@@ -192,3 +213,44 @@ def test_regime_report_rejects_vanishing_diffusion():
 def test_regime_report_rejects_negative_horizon(driftless):
     with pytest.raises(ConfigError):
         regime_report(driftless(0.0), t0=-1.0)
+
+
+# -- simulated norms against the floors ---------------------------------------
+
+
+def test_floor_violations_on_hand_built_norms(driftless):
+    # alpha = b = 0, sigma = 1 on [0, 0.2] in four steps: slack 1 - 10 dt is
+    # 1/2, the sup floor at the horizon is 0.1 and the final floor is t/2.
+    spec = driftless(0.0, horizon=0.2)
+    grid = GridSpec(n_steps=4, horizon=0.2)
+    t = grid.times
+    by_time = np.column_stack([
+        t,                                       # the exact norm, t
+        [0.0, 0.05, 0.01, 0.15, 0.2],            # under t/2 * 1/2 at t = 0.1
+        [0.0, 0.04, 0.04, 0.04, 0.04]])          # under t/2 * 1/2 at t = 0.2
+    h_sup = np.array([0.2, 0.2, 0.04])           # last under 0.1 * 1/2
+
+    got = floor_violations(regime_report(spec, t0=0.1), grid, h_sup,
+                           by_time)
+    assert list(got) == ["slack_factor", "sup_lower_bound_at_horizon",
+                         "n_sup_violations", "final_bound_horizon",
+                         "n_final_violations"]
+    assert got["slack_factor"] == pytest.approx(0.5, abs=1e-15)
+    assert got["sup_lower_bound_at_horizon"] == pytest.approx(0.1,
+                                                              abs=1e-15)
+    assert got["n_sup_violations"] == 1
+    assert got["final_bound_horizon"] == pytest.approx(0.1, abs=1e-15)
+    assert got["n_final_violations"] == 1
+
+    # a t0 short of one step checks no grid time against the final floor
+    short = floor_violations(regime_report(spec, t0=0.01), grid, h_sup,
+                             by_time)
+    assert list(short) == ["slack_factor", "sup_lower_bound_at_horizon",
+                           "n_sup_violations"]
+    assert short["n_sup_violations"] == 1
+
+    # a t0 past the horizon is cut there, which brings in the third path
+    long = floor_violations(regime_report(spec, t0=5.0), grid, h_sup,
+                            by_time)
+    assert long["final_bound_horizon"] == 0.2
+    assert long["n_final_violations"] == 2

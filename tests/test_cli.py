@@ -7,7 +7,7 @@ import math
 import pytest
 
 import perturbsde.verify as verify_mod
-from perturbsde import SuiteResult, validate
+from perturbsde import SuiteResult, regime_report, validate
 from perturbsde.cli import _chunks, _pool_size, main
 from perturbsde.io import TOOL_VERSION, problem_from_json, read_json
 
@@ -317,6 +317,42 @@ def test_density_deterministic_across_workers(tmp_path, write_config):
     assert run("density", cfg, two, "--workers", "2") == 0
     for name in ("density.csv", "diagnostic.json"):
         assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+def test_derivative_deterministic_across_workers(tmp_path, repo_configs):
+    cfg = repo_configs / "derivative.json"
+    one, two = tmp_path / "w1", tmp_path / "w2"
+    assert run("derivative", cfg, one, "--workers", "1") == 0
+    assert run("derivative", cfg, two, "--workers", "2") == 0
+    names = sorted(p.name for p in one.iterdir())
+    assert names == ["derivative.csv", "derivative_summary.json"]
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+def test_regime_blocks_agree_across_subcommands(tmp_path, write_config):
+    # A coarse transform table moves the transformed-drift slope estimate,
+    # so every subcommand must classify on the configured table size.
+    problem = {"x0": 0.0, "alpha": 0.1,
+               "drift": {"preset": "tanh",
+                         "params": {"amplitude": 0.1, "scale": 1.0}},
+               "diffusion": {"preset": "sine",
+                             "params": {"amplitude": 1.0, "offset": 2.0}},
+               "horizon": 1.0}
+    cfg = write_config({"problem": problem, "grid": {"n_steps": 50},
+                        "n_paths": 20, "seed": 3, "t0": 0.5,
+                        "transform": {"n_nodes": 9}})
+    for command in ("regime", "derivative", "density"):
+        assert run(command, cfg, tmp_path / command) == 0
+    regime = read_json(tmp_path / "regime" / "regime.json")
+    del regime["meta"]
+    assert regime["lb"] != regime_report(problem_from_json(problem),
+                                         0.5).lb
+    derivative = read_json(tmp_path / "derivative"
+                           / "derivative_summary.json")["bounds"]
+    density = read_json(tmp_path / "density" / "diagnostic.json")["regime"]
+    for block in (derivative, density):
+        assert {k: block[k] for k in regime} == regime
 
 
 def test_transform_artifacts_revalidate(tmp_path, write_config):

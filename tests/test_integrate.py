@@ -376,7 +376,6 @@ def test_max_bookkeeping_sources_agree():
     np.testing.assert_array_equal(argmax, [0, 1, 1, 1, 4, 4, 4, 7])
     assert max_bookkeeping(new=new)[0] is None
     np.testing.assert_array_equal(max_bookkeeping(new=new)[2], argmax)
-    np.testing.assert_array_equal(max_bookkeeping(argmax=argmax)[1], new)
     # time-major columns are handled independently
     xs = np.stack([x, -x, x[::-1]], axis=1)
     _, new2, argmax2 = max_bookkeeping(xs)
