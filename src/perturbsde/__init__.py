@@ -18,7 +18,6 @@ transform), ``density`` (kernel estimation and the closed-form oracle),
 
 from .bounds import (
     RegimeReport,
-    diff_bound,
     final_lower_bound,
     max_horizon,
     regime_report,
@@ -109,7 +108,7 @@ __all__ = [
     "DerivativeFieldBatch", "propagate_derivative_batch", "h_norm_sq",
     "inner_product", "cameron_martin_fd",
     # bounds
-    "theta", "diff_bound", "sup_lower_bound", "final_lower_bound",
+    "theta", "sup_lower_bound", "final_lower_bound",
     "max_horizon", "RegimeReport", "regime_report",
     # lamperti
     "TransformTable", "build_transform", "forward", "inverse", "tilde_b",

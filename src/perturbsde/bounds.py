@@ -27,7 +27,6 @@ from .model import GridSpec, ProblemSpec, ValidatedSpec, validate
 
 __all__ = [
     "theta",
-    "diff_bound",
     "sup_lower_bound",
     "final_lower_bound",
     "max_horizon",
@@ -64,16 +63,6 @@ def theta(t0, alpha: float, lb: float):
     u = lb * lb * t0 * t0
     th = np.sqrt(2.0 * u + 8.0 * a2) + u + 4.0 * a2
     return float(th) if np.ndim(th) == 0 else th
-
-
-def diff_bound(t1: float, t2: float, alpha: float, lb: float,
-               sup_dx2: float) -> float:
-    """Bound on ``| ||DX_{t2}||^2 - ||DX_{t1}||^2 |`` for one path:
-    ``2 * theta(|t2 - t1|, alpha, lb) * sup_dx2`` with ``sup_dx2`` the
-    path's running maximum of the squared derivative norm."""
-    sup_dx2 = _check_nonneg("sup_dx2", sup_dx2)
-    gap = abs(float(t2) - float(t1))
-    return 2.0 * theta(gap, alpha, lb) * sup_dx2
 
 
 def sup_lower_bound(t, alpha: float, lb: float, sigma_bar: float):

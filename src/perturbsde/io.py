@@ -291,12 +291,9 @@ def _build_coefficient(obj: Mapping[str, Any]) -> Coefficient:
                                  for v in values))
     preset, params = obj["preset"], obj.get("params", {})
     if preset == "custom-tabulated":
-        d1 = params.get("d1_values")
-        return Coefficient.tabulated(
-            np.asarray(params["nodes"], float),
-            np.asarray(params["values"], float),
-            None if d1 is None else np.asarray(d1, float),
-            declared_bounds=bounds)
+        return Coefficient.tabulated(params["nodes"], params["values"],
+                                     params.get("d1_values"),
+                                     declared_bounds=bounds)
     builder = getattr(Coefficient, preset)
     return builder(declared_bounds=bounds,
                    **{key: float(value) for key, value in params.items()})

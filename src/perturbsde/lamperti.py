@@ -14,26 +14,24 @@ exactly ``F`` of the original one.  The derivative bound transfers as
 computed for the unit-diffusion problem say something about the original.
 
 ``F`` is tabulated once per problem: per-interval Simpson quadrature of
-``1/sigma`` on an equispaced grid (fourth-order accurate cumulative
-values) interpolated by a cubic spline, whose derivative is accurate
-enough for the transformed drift to survive the finite-difference
-consistency check downstream.  The inverse starts from a monotone
-interpolant of the reversed table, polishes with safeguarded Newton
-steps on the forward spline, and falls back to bracketed root finding
-for the rare points Newton leaves; the polished inverse is vectorized,
-which the transformed-drift evaluations in the inner simulation loop
-rely on.
-
-scipy is imported only when a table is built or a root is bracketed, so
-importing the package (and the command line) does not load it.
+``1/sigma`` on an equispaced grid gives fourth-order accurate cumulative
+values, and the exact slopes ``F' = 1/sigma`` at the nodes come with
+them.  The piecewise cubic Hermite interpolant through both
+(:func:`~perturbsde.model.hermite`) is the forward map; its derivative
+is accurate enough for the transformed drift to survive the
+finite-difference consistency check downstream.  The inverse starts from
+linear interpolation of the reversed table (``F`` increases), polishes
+with safeguarded Newton steps on the forward interpolant, and falls back
+to bisection for the rare points Newton leaves; the polished inverse is
+vectorized, which the transformed-drift evaluations in the inner
+simulation loop rely on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,15 +46,11 @@ from .errors import (
 from .malliavin import DerivativeFieldBatch
 from .model import (
     Coefficient,
-    GridSpec,
     ProblemSpec,
     ValidatedSpec,
-    sup_norm_estimate,
+    hermite,
     validate,
 )
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline, PchipInterpolator
 
 __all__ = [
     "TransformTable",
@@ -83,23 +77,22 @@ DOMAIN_HALFWIDTH_STDS = 12.0
 
 @dataclass(frozen=True)
 class TransformTable:
-    """Tabulated primitive of ``1/sigma`` with monotone interpolants."""
+    """Tabulated primitive ``F`` of ``1/sigma``, with exact node slopes."""
 
     nodes: np.ndarray
     F_values: np.ndarray
+    F_slopes: np.ndarray
     x0: float
     alpha: float
     drift: Coefficient
     diffusion: Coefficient
     horizon: float
     sigma_inf: float
-    _fwd: CubicSpline = field(repr=False, compare=False, default=None)
-    _fwd_d1: CubicSpline = field(repr=False, compare=False, default=None)
-    _inv0: PchipInterpolator = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         self.nodes.flags.writeable = False
         self.F_values.flags.writeable = False
+        self.F_slopes.flags.writeable = False
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -121,8 +114,6 @@ def build_transform(spec: ProblemSpec | ValidatedSpec,
     raises :class:`DegenerateDiffusion`: a sign flip would break the
     max-commutation property the supremum term depends on.
     """
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
     vspec = validate(spec, require_transform=True)
     if n_nodes < 5:
         raise ConfigError("n_nodes must be >= 5")
@@ -152,23 +143,23 @@ def build_transform(spec: ProblemSpec | ValidatedSpec,
     G = np.empty(n_nodes)
     G[0] = 0.0
     np.cumsum(incr, out=G[1:])
-    anchor = float(CubicSpline(nodes, G)(vspec.x0))
-    F_values = G - anchor
-
-    fwd = CubicSpline(nodes, F_values, extrapolate=False)
-    inv0 = PchipInterpolator(F_values, nodes, extrapolate=False)
+    anchor = float(hermite(nodes, G, g_nodes, vspec.x0))
     return TransformTable(
-        nodes=nodes, F_values=F_values, x0=vspec.x0, alpha=vspec.alpha,
-        drift=vspec.drift, diffusion=vspec.diffusion, horizon=vspec.horizon,
-        sigma_inf=vspec.sigma_inf, _fwd=fwd, _fwd_d1=fwd.derivative(),
-        _inv0=inv0)
+        nodes=nodes, F_values=G - anchor, F_slopes=g_nodes, x0=vspec.x0,
+        alpha=vspec.alpha, drift=vspec.drift, diffusion=vspec.diffusion,
+        horizon=vspec.horizon, sigma_inf=vspec.sigma_inf)
+
+
+def _F(table: TransformTable, y, order: int = 0) -> np.ndarray:
+    """The table's interpolant of ``F`` (or ``F'``), NaN off the domain."""
+    return hermite(table.nodes, table.F_values, table.F_slopes, y, order)
 
 
 def forward(table: TransformTable, y):
     """Evaluate ``F(y)``; values outside the table domain raise
     :class:`OutOfDomain`."""
     y_arr = np.asarray(y, float)
-    out = table._fwd(y_arr)
+    out = _F(table, y_arr)
     if np.any(np.isnan(out)) and not np.any(np.isnan(y_arr)):
         lo, hi = table.domain
         raise OutOfDomain(
@@ -176,21 +167,36 @@ def forward(table: TransformTable, y):
     return float(out) if y_arr.ndim == 0 else out
 
 
-def brentq(f, a: float, b: float, **kwargs) -> float:
-    """``scipy.optimize.brentq``, imported on the first call."""
-    from scipy.optimize import brentq as _brentq
-
-    return _brentq(f, a, b, **kwargs)
+def brentq(f, a: float, b: float, xtol: float = 2e-12) -> float:
+    """Root of ``f`` in ``[a, b]`` by bisection, to ``xtol`` or to float
+    resolution, so any ``xtol`` terminates.  Raises ``ValueError`` when
+    ``f(a)`` and ``f(b)`` do not bracket a root or ``f`` is NaN.  The name
+    stays for callers that rebind it to count fallbacks."""
+    fa, fb = f(a), f(b)
+    sign = 1.0 if fa <= fb else -1.0   # then sign f(a) <= 0 <= sign f(b)
+    if not sign * fa <= 0.0 <= sign * fb:
+        raise ValueError(f"no sign change: f(a) = {fa!r}, f(b) = {fb!r}")
+    while b - a > xtol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        fm = sign * f(mid)
+        if math.isnan(fm):
+            raise ValueError(f"f is NaN at {mid!r}")
+        if fm < 0.0:
+            a = mid
+        else:
+            b = mid
+    return b
 
 
 def inverse(table: TransformTable, z, tol: float = INVERSE_TOL):
     """Solve ``F(y) = z`` on the table domain.
 
-    The interpolated inverse supplies the starting point inside the
-    bracketing node interval located by binary search; two Newton polish
-    steps on the forward interpolant bring the residual to roundoff, and
-    any stragglers fall back to bracketed root finding.  The result
-    satisfies ``|F(y) - z| <= tol``.
+    Linear interpolation of the reversed table supplies the starting
+    point; two Newton polish steps on the forward interpolant bring the
+    residual to roundoff, and any stragglers fall back to bisection
+    (:func:`brentq`).  The result satisfies ``|F(y) - z| <= tol``.
     """
     z_arr = np.asarray(z, float)
     flo, fhi = table.range
@@ -199,21 +205,21 @@ def inverse(table: TransformTable, z, tol: float = INVERSE_TOL):
             f"inverse target outside table range [{flo:.6g}, {fhi:.6g}]")
     # work on a 1-d copy: 0-d array arithmetic degrades to numpy scalars
     zf = np.atleast_1d(z_arr)
-    y = np.atleast_1d(np.asarray(table._inv0(zf), float)).copy()
+    y = np.interp(zf, table.F_values, table.nodes)
     lo, hi = table.domain
     np.clip(y, lo, hi, out=y)
     for _ in range(2):
-        slope = np.asarray(table._fwd_d1(y), float)
+        slope = _F(table, y, 1)
         slope = np.where(slope > 0.0, slope, 1.0)
-        y = y - (np.asarray(table._fwd(y), float) - zf) / slope
+        y = y - (_F(table, y) - zf) / slope
         np.clip(y, lo, hi, out=y)
-    resid = np.abs(np.asarray(table._fwd(y), float) - zf)
+    resid = np.abs(_F(table, y) - zf)
     bad = ~(resid <= tol)
     if np.any(bad):
         for idx in np.argwhere(bad):
             i = tuple(idx)
             try:
-                y[i] = brentq(lambda v: float(table._fwd(v)) - zf[i],
+                y[i] = brentq(lambda v: float(_F(table, v)) - zf[i],
                               lo, hi, xtol=tol)
             except ValueError as exc:
                 raise IntegrationFailure(
@@ -267,22 +273,25 @@ def transformed_spec(spec: ProblemSpec | ValidatedSpec,
     into the time-zero fixed point reproduces ``F`` of the original start,
     and for constant sigma the two discretized problems then coincide
     path by path on shared noise.
+
+    A passed ``table`` must come from ``spec``: ``x0``, ``alpha`` and the
+    horizon are read from the table, which holds them validated, so only
+    :func:`build_transform` validates ``spec``.
     """
-    vspec = validate(spec, require_transform=True)
     if table is None:
-        table = build_transform(vspec)
+        table = build_transform(spec)
     drift = Coefficient.from_callbacks(
         value=lambda zz: tilde_b(table, zz),
         d1=lambda zz: _tilde_b_d1(table, zz),
         params={"origin": "lamperti-transform"})
-    alpha = vspec.alpha
-    y0_fixed = forward(table, vspec.x0 / (1.0 - alpha))
+    alpha = table.alpha
+    y0_fixed = forward(table, table.x0 / (1.0 - alpha))
     return ProblemSpec(
         x0=(1.0 - alpha) * y0_fixed,
         alpha=alpha,
         drift=drift,
         diffusion=Coefficient.const(1.0),
-        horizon=vspec.horizon,
+        horizon=table.horizon,
     )
 
 
@@ -322,8 +331,8 @@ def transformed_field(table: TransformTable, batch, field):
     x = np.asarray(batch.x, float)
     if field.h_norm_sq_by_time.shape != x.shape:
         raise GridMismatch("batch and field disagree on steps or paths")
-    fp = np.asarray(table._fwd_d1(x), float)
-    fp_max = np.asarray(table._fwd_d1(batch.running_max[-1]), float)
+    fp = _F(table, x, 1)
+    fp_max = _F(table, batch.running_max[-1], 1)
     if np.any(np.isnan(fp)) or np.any(np.isnan(fp_max)):
         lo, hi = table.domain
         raise OutOfDomain(

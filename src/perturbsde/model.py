@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "ValidatedSpec",
     "GridSpec",
     "validate",
+    "hermite",
     "PRESETS",
     "sup_norm_estimate",
     "validation_grid",
@@ -207,14 +209,15 @@ class Coefficient:
                   d1_values: np.ndarray | None = None,
                   declared_bounds: SupNormBounds | None = None
                   ) -> "Coefficient":
-        """Cubic-spline interpolation of sampled values.
+        """Not-a-knot cubic-spline interpolation of sampled values.
 
         Used to serialize transformed drifts: the table round-trips through
-        JSON.  The first derivative interpolates ``d1_values`` when given
-        (the caller then owns value/slope consistency; sample densely
-        enough for the validation tolerance), otherwise it differentiates
-        the value interpolant, which is exactly consistent with finite
-        differences of it because the spline is C2.
+        JSON.  :func:`hermite` evaluates the spline, NaN outside the nodes.
+        The first derivative is a spline of its own through ``d1_values``
+        when given (the caller then owns value/slope consistency; sample
+        densely enough for the validation tolerance), otherwise it
+        differentiates the value spline, which is exactly consistent with
+        finite differences of it because the spline is C2.
 
         No second-derivative evaluator is supplied: a piecewise cubic's
         second derivative has kinks at every node, so it can neither meet
@@ -222,25 +225,29 @@ class Coefficient:
         trustworthy estimate.  Requesting order 2 raises
         :class:`UnsupportedOrder`.
         """
-        from scipy.interpolate import CubicSpline
-
-        nodes = np.asarray(nodes, float)
-        values = np.asarray(values, float)
-        if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 4:
-            raise ConfigError("tabulated coefficient needs >= 4 matching nodes")
-        f = CubicSpline(nodes, values, extrapolate=False)
+        # copies: the evaluators keep these arrays
+        nodes, values = np.array(nodes, float), np.array(values, float)
+        tables = {"nodes": nodes, "values": values}
         if d1_values is not None:
-            d1_values = np.asarray(d1_values, float)
-            if d1_values.shape != nodes.shape:
-                raise ConfigError("d1 table shape mismatch")
-            d1_fn = CubicSpline(nodes, d1_values, extrapolate=False)
-        else:
-            d1_fn = f.derivative()
-        params: dict[str, Any] = {"nodes": nodes, "values": values}
+            tables["d1_values"] = d1_values = np.array(d1_values, float)
+        if nodes.ndim != 1 or nodes.size < 4 or any(
+                t.shape != nodes.shape for t in tables.values()):
+            raise ConfigError("tabulated coefficient needs >= 4 nodes and "
+                              "value tables of the same shape")
+        for name, t in tables.items():
+            if not np.all(np.isfinite(t)):
+                raise ConfigError(f"tabulated coefficient {name} must be finite")
+        if not np.all(np.diff(nodes) > 0.0):
+            raise ConfigError(
+                "tabulated coefficient nodes must increase strictly")
+        slopes = _not_a_knot_slopes(nodes, values)
+        d1_fn = partial(hermite, nodes, values, slopes, order=1)
         if d1_values is not None:
-            params["d1_values"] = d1_values
-        return cls("custom-tabulated", params, declared_bounds,
-                   _value=f, _d1=d1_fn, _d2=None)
+            d1_fn = partial(hermite, nodes, d1_values,
+                            _not_a_knot_slopes(nodes, d1_values))
+        return cls("custom-tabulated", tables, declared_bounds,
+                   _value=partial(hermite, nodes, values, slopes),
+                   _d1=d1_fn, _d2=None)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -276,6 +283,65 @@ class Coefficient:
         if self.preset_id == "linear" and self.params["slope"] == 0.0:
             return float(self.params["intercept"])
         return None
+
+
+def hermite(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray, x,
+            order: int = 0) -> np.ndarray:
+    """Piecewise cubic Hermite interpolant through ``(nodes, values)`` with
+    node slopes ``slopes`` (``order=0``), or its first derivative
+    (``order=1``), at ``x``; NaN outside ``[nodes[0], nodes[-1]]``.
+
+    ``nodes`` increase strictly.  Each cubic is a polynomial in the offset
+    from its left node, so a node returns its value and slope exactly.
+    """
+    if order not in (0, 1):
+        raise UnsupportedOrder(f"hermite evaluates orders 0 and 1, not {order}")
+    x = np.asarray(x, float)
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    h = nodes[i + 1] - nodes[i]
+    s = x - nodes[i]
+    m0 = slopes[i]
+    secant = (values[i + 1] - values[i]) / h
+    t = (m0 + slopes[i + 1] - 2.0 * secant) / h
+    c3, c2 = t / h, (secant - m0) / h - t
+    if order == 0:
+        out = ((c3 * s + c2) * s + m0) * s + values[i]
+    else:
+        out = (3.0 * c3 * s + 2.0 * c2) * s + m0
+    out = np.where(x == nodes[-1], (values, slopes)[order][-1], out)
+    return np.where((x >= nodes[0]) & (x <= nodes[-1]), out, np.nan)
+
+
+def _not_a_knot_slopes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through ``(nodes, values)``:
+    a continuous second derivative at interior nodes, a continuous third
+    one at the second and second-to-last.  Thomas elimination needs no
+    pivoting because every pivot of this tridiagonal system is positive."""
+    dx = np.diff(nodes)
+    secant = np.diff(values) / dx
+    n = nodes.size
+    lower, diag, upper, rhs = np.zeros((4, n))
+    lower[1:-1] = dx[1:]
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    upper[1:-1] = dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
+    d = nodes[2] - nodes[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * secant[0]
+              + dx[0] ** 2 * secant[1]) / d
+    d = nodes[-1] - nodes[-3]
+    lower[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * secant[-2]
+               + (2.0 * d + dx[-1]) * dx[-2] * secant[-1]) / d
+    lo, di, up, r = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for k in range(1, n):
+        w = lo[k] / di[k - 1]
+        di[k] -= w * up[k - 1]
+        r[k] -= w * r[k - 1]
+    r[-1] /= di[-1]
+    for k in range(n - 2, -1, -1):
+        r[k] = (r[k] - up[k] * r[k + 1]) / di[k]
+    return np.array(r)
 
 
 def sup_norm_estimate(coefficient: Coefficient, order: int,

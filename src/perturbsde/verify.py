@@ -158,13 +158,13 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
       repaired difference bound over ``n_pairs`` random time pairs per
       path.
 
-    The repaired bound is ``diff_bound + 2 sigma_bar^2 gap
-    + 2 Lb^2 gap^2 sup``: increments arriving inside ``(t1, t2]`` enter
-    the norm at ``t2`` but not at ``t1`` and contribute about
-    ``sigma^2 (t2 - t1)`` to the difference, a boundary term the plain
-    ``2 theta(gap) sup`` form does not cover (at ``alpha = Lb = 0`` the
-    norm is exactly ``t`` and the plain form reads ``gap <= 0``).  The
-    plain form's observed violation rate is reported in the details.
+    The repaired bound is the plain ``2 theta(gap) sup`` bound plus
+    ``2 sigma_bar^2 gap + 2 Lb^2 gap^2 sup``: increments arriving inside
+    ``(t1, t2]`` enter the norm at ``t2`` but not at ``t1`` and contribute
+    about ``sigma^2 (t2 - t1)`` to the difference, a boundary term the
+    plain form does not cover (at ``alpha = Lb = 0`` the norm is exactly
+    ``t`` and the plain form reads ``gap <= 0``).  The plain form's
+    observed violation rate is reported in the details.
     """
     spec = _tanh_spec(alpha=0.1)
     report = regime_report(spec, spec.horizon)

@@ -11,7 +11,6 @@ from perturbsde import (
     ConfigError,
     DegenerateDiffusion,
     ProblemSpec,
-    diff_bound,
     final_lower_bound,
     max_horizon,
     regime_report,
@@ -31,16 +30,6 @@ def test_theta_spot_values():
     assert theta(5.0, 0.0, 0.0) == 0.0
     assert theta(0.0, 0.3, 2.0) == pytest.approx(
         2.0 * math.sqrt(2.0) * 0.3 + 4 * 0.09, abs=1e-15)
-
-
-def test_diff_bound_spot_value():
-    # gap of 0.1 with unit slope bound and unit norm level
-    expected = 2.0 * (math.sqrt(0.1) + 0.05)
-    assert diff_bound(0.2, 0.3, 0.1, 1.0, 1.0) == pytest.approx(
-        expected, abs=1e-15)
-    assert diff_bound(0.3, 0.2, 0.1, 1.0, 1.0) == pytest.approx(
-        expected, abs=1e-15)
-    assert diff_bound(0.4, 0.4, 0.0, 1.0, 3.0) == 0.0
 
 
 def test_lower_bound_spot_values():
@@ -113,8 +102,6 @@ def test_input_validation():
         theta(0.1, 0.0, -1.0)
     with pytest.raises(ConfigError):
         theta(math.nan, 0.0, 1.0)
-    with pytest.raises(ConfigError):
-        diff_bound(0.0, 0.1, 0.0, 1.0, -1.0)
     with pytest.raises(ConfigError):
         sup_lower_bound(-1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ConfigError):

@@ -200,6 +200,16 @@ def test_alpha_out_of_range_names_the_field(tmp_path, write_config, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_unsorted_tabulated_nodes_exit_2(tmp_path, write_config, capsys):
+    problem = base_problem()
+    problem["drift"] = {"preset": "custom-tabulated",
+                        "params": {"nodes": [-4.0, -2.0, 2.0, 0.0, 4.0],
+                                   "values": [0.0] * 5}}
+    cfg = write_config(simulate_config(problem=problem))
+    assert run("simulate", cfg, tmp_path / "o") == 2
+    assert "increase strictly" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "derivative", "density"])
 def test_rejects_zero_paths(command, tmp_path, write_config, capsys):
     cfg = write_config(simulate_config(n_paths=0))
@@ -373,6 +383,22 @@ def test_transform_artifacts_revalidate(tmp_path, write_config):
     assert 1.0 <= doc["sigma_inf"] <= 1.001
     rebuilt = problem_from_json(doc["problem"])
     validate(rebuilt)
+
+
+def test_transform_validates_the_problem_once(tmp_path, repo_configs,
+                                            monkeypatch):
+    import perturbsde.lamperti as lamperti
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(lamperti, "validate", counting)
+    assert run("transform", repo_configs / "transform.json",
+               tmp_path / "o") == 0
+    assert len(calls) == 1
 
 
 # -- verification subcommand --------------------------------------------------

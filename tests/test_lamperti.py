@@ -19,6 +19,7 @@ from perturbsde import (
     DomainTooSmall,
     GridMismatch,
     GridSpec,
+    IntegrationFailure,
     OutOfDomain,
     ProblemSpec,
     build_transform,
@@ -55,6 +56,15 @@ def test_constant_diffusion_gives_linear_map():
     assert np.all(np.diff(table.F_values) > 0.0)
     lo, hi = table.domain
     assert lo < spec.x0 < hi
+
+
+def test_forward_reproduces_the_table_at_the_nodes():
+    table = build_transform(make_spec(Coefficient.const(0.0), SINE_SIGMA))
+    assert np.array_equal(forward(table, table.nodes), table.F_values)
+    one_over_sigma = 1.0 / SINE_SIGMA(table.nodes)
+    assert np.array_equal(table.F_slopes, one_over_sigma)
+    # the slope Newton and transformed_field use
+    assert np.array_equal(lamperti._F(table, table.nodes, 1), one_over_sigma)
 
 
 def test_quadrature_matches_adaptive_reference():
@@ -300,6 +310,9 @@ def test_out_of_domain_and_out_of_range():
         forward(table, 5.0)
     with pytest.raises(DomainTooSmall):
         inverse(table, 100.0)
+    # NaN passes the range check, and the bisection refuses it
+    with pytest.raises(IntegrationFailure):
+        inverse(table, math.nan)
 
 
 def test_build_transform_validation():
@@ -313,27 +326,37 @@ def test_build_transform_validation():
         build_transform(spec, domain=(1.0, 2.0))
 
 
-# -- scipy is loaded on demand ------------------------------------------------
+# -- numpy only ---------------------------------------------------------------
 
 _SRC = Path(lamperti.__file__).resolve().parents[1]
 
 
-def test_scipy_loads_only_when_a_transform_is_built(tmp_path, repo_configs):
+def test_no_subcommand_loads_scipy(tmp_path, repo_configs):
     # A fresh interpreter: this one has scipy loaded by the tests already.
+    # The simulate run reads back the transformed problem, whose drift is
+    # a tabulated coefficient.
     code = textwrap.dedent("""
-        import sys
-        import perturbsde.cli
-        assert "scipy" not in sys.modules, "import perturbsde.cli loads scipy"
+        import json, sys
+        from pathlib import Path
         import perturbsde
-        assert "scipy" not in sys.modules, "import perturbsde loads scipy"
-        rc = perturbsde.cli.main(["transform", "--config", sys.argv[1],
-                                  "--out", sys.argv[2]])
-        assert rc == 0, rc
-        assert "scipy.interpolate" in sys.modules
-        table = perturbsde.build_transform(perturbsde.ProblemSpec(
-            x0=0.0, alpha=0.0, drift=perturbsde.Coefficient.const(0.0),
-            diffusion=perturbsde.Coefficient.const(2.0), horizon=1.0))
-        assert abs(perturbsde.inverse(table, 2.0) - 4.0) <= 1e-9
+        from perturbsde.cli import main
+        transform_cfg, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+        def run(command, config):
+            path = tmp / (command + ".json")
+            path.write_text(json.dumps(config))
+            rc = main([command, "--config", str(path),
+                       "--out", str(tmp / command)])
+            assert rc == 0, (command, rc)
+        run("transform", json.loads(transform_cfg.read_text()))
+        problem = json.loads(transform_cfg.read_text())["problem"]
+        run("regime", {"problem": problem, "t0": 0.5})
+        run("verify", {"suites": ["lamperti_consistency"]})
+        spec = json.loads(
+            (tmp / "transform" / "transformed_spec.json").read_text())
+        assert spec["problem"]["drift"]["preset"] == "custom-tabulated"
+        run("simulate", {"problem": spec["problem"],
+                         "grid": {"n_steps": 64}, "n_paths": 16, "seed": 1})
+        assert "scipy" not in sys.modules, "a subcommand loaded scipy"
         assert abs(perturbsde.lamperti.brentq(lambda v: v - 0.25, 0.0, 1.0)
                    - 0.25) <= 1e-12
     """)
@@ -342,10 +365,10 @@ def test_scipy_loads_only_when_a_transform_is_built(tmp_path, repo_configs):
         [str(_SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     res = subprocess.run(
         [sys.executable, "-c", code, str(repo_configs / "transform.json"),
-         str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120)
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert (tmp_path / "out" / "transform_table.csv").exists()
+    assert (tmp_path / "simulate" / "summary.json").exists()
 
 
 def test_inverse_fallback_calls_the_module_brentq(monkeypatch):

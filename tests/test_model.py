@@ -274,6 +274,29 @@ def test_tabulated_accepts_explicit_slope_table():
     assert tab(0.5, 1) == pytest.approx(math.cos(0.5), abs=1e-7)
 
 
+def test_tabulated_matches_scipy_not_a_knot_spline():
+    # scipy serves only as an independent reference here
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(4097)
+    nodes = np.sort(rng.uniform(-4.0, 4.0, 4097))
+    values = np.tanh(nodes) + 0.3 * np.sin(3.0 * nodes)
+    slopes = np.cos(2.0 * nodes)
+    xs = np.concatenate([nodes, rng.uniform(nodes[0], nodes[-1], 10_000)])
+    tab = Coefficient.tabulated(nodes, values)
+    with_slopes = Coefficient.tabulated(nodes, values, slopes)
+    ref = CubicSpline(nodes, values)
+    # errors relative to the largest reference magnitude
+    for got, want, rtol in [(tab(xs, 0), ref(xs), 1e-12),
+                            (with_slopes(xs, 0), ref(xs), 1e-12),
+                            (tab(xs, 1), ref(xs, 1), 1e-10),
+                            (with_slopes(xs, 1),
+                             CubicSpline(nodes, slopes)(xs), 1e-10)]:
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+    assert np.isnan(tab(nodes[-1] + 1e-9))
+    assert np.isnan(tab(nodes[0] - 1e-9, 1))
+
+
 def test_tabulated_input_validation():
     with pytest.raises(ConfigError):
         Coefficient.tabulated(np.array([0.0, 1.0, 2.0]), np.zeros(3))
@@ -282,6 +305,16 @@ def test_tabulated_input_validation():
     with pytest.raises(ConfigError):
         Coefficient.tabulated(np.linspace(0, 1, 10), np.zeros(10),
                               d1_values=np.zeros(9))
+    grid, zeros = np.arange(5.0), np.zeros(5)
+    inf_at_2 = np.where(grid == 2.0, np.inf, 0.0)
+    for nodes, values, d1_values, match in [
+            ([0.0, 2.0, 1.0, 3.0, 4.0], zeros, None, "increase strictly"),
+            ([0.0, 1.0, 1.0, 3.0, 4.0], zeros, None, "increase strictly"),
+            (grid + inf_at_2, zeros, None, "nodes must be finite"),
+            (grid, inf_at_2, None, "values must be finite"),
+            (grid, zeros, -inf_at_2, "d1_values must be finite")]:
+        with pytest.raises(ConfigError, match=match):
+            Coefficient.tabulated(np.asarray(nodes), values, d1_values)
 
 
 # -- grids and path state -----------------------------------------------------
