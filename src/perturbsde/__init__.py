@@ -69,7 +69,6 @@ from .lamperti import (
     forward,
     inverse,
     lift_bound_check,
-    tilde_b,
     transformed_drift_bound,
     transformed_field,
     transformed_spec,
@@ -111,7 +110,7 @@ __all__ = [
     "theta", "sup_lower_bound", "final_lower_bound",
     "max_horizon", "RegimeReport", "regime_report",
     # lamperti
-    "TransformTable", "build_transform", "forward", "inverse", "tilde_b",
+    "TransformTable", "build_transform", "forward", "inverse",
     "transformed_spec", "transformed_drift_bound", "transformed_field",
     "lift_bound_check",
     # density

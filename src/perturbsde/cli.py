@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -54,7 +53,6 @@ from .integrate import simulate_batch, simulate_terminal
 from .lamperti import (
     DEFAULT_NODES,
     build_transform,
-    tabulated_drift,
     transformed_spec,
 )
 from .malliavin import propagate_derivative_batch
@@ -82,15 +80,9 @@ def _moments(values: np.ndarray) -> dict[str, float]:
 
 
 def _write_table(stem: Path, columns: dict[str, np.ndarray],
-                 meta: dict, fmt: str) -> Path:
-    if fmt == "json":
-        path = stem.with_suffix(".json")
-        io.write_json(path, {"columns": columns}, meta=meta)
-    else:
-        path = stem.with_suffix(".csv")
-        csv_meta = {k: v for k, v in meta.items() if v is not None}
-        io.write_csv(path, columns, meta=csv_meta)
-    return path
+                 meta: dict) -> None:
+    csv_meta = {k: v for k, v in meta.items() if v is not None}
+    io.write_csv(stem.with_suffix(".csv"), columns, meta=csv_meta)
 
 
 # -- worker functions (top level so they survive pickling) --------------------
@@ -186,8 +178,8 @@ def _regime_block(report) -> dict[str, Any]:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_simulate(config: dict, out_dir: Path, workers: int, meta: dict,
-                 fmt: str) -> None:
+def cmd_simulate(config: dict, out_dir: Path, workers: int,
+                 meta: dict) -> None:
     _require(config, "simulate", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
@@ -204,7 +196,7 @@ def cmd_simulate(config: dict, out_dir: Path, workers: int, meta: dict,
                   "t": np.tile(grid.times, n_paths),
                   "x": x.T.reshape(-1),
                   "running_max": running_max.T.reshape(-1)},
-                 meta, fmt)
+                 meta)
     io.write_json(out_dir / "summary.json", {
         "n_paths": n_paths,
         "n_steps": grid.n_steps,
@@ -216,8 +208,8 @@ def cmd_simulate(config: dict, out_dir: Path, workers: int, meta: dict,
     }, meta=meta)
 
 
-def cmd_derivative(config: dict, out_dir: Path, workers: int, meta: dict,
-                   fmt: str) -> None:
+def cmd_derivative(config: dict, out_dir: Path, workers: int,
+                   meta: dict) -> None:
     _require(config, "derivative", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
@@ -238,7 +230,7 @@ def cmd_derivative(config: dict, out_dir: Path, workers: int, meta: dict,
                   "r": np.tile(grid.times[:n], n_paths),
                   "d_x": d_x.reshape(-1),
                   "d_m": d_m.reshape(-1)},
-                 meta, fmt)
+                 meta)
 
     summary: dict[str, Any] = {
         "n_paths": n_paths,
@@ -253,19 +245,19 @@ def cmd_derivative(config: dict, out_dir: Path, workers: int, meta: dict,
     io.write_json(out_dir / "derivative_summary.json", summary, meta=meta)
 
 
-def cmd_regime(config: dict, out_dir: Path, workers: int, meta: dict,
-               fmt: str) -> None:
+def cmd_regime(config: dict, out_dir: Path, workers: int,
+               meta: dict) -> None:
     _require(config, "regime", "problem", "t0")
     report = _regime(config, io.problem_from_json(config["problem"]))
     io.write_json(out_dir / "regime.json", _regime_block(report), meta=meta)
     _write_table(out_dir / "lower_bound_curve",
                  {"t": report.lower_bound_curve[:, 0],
                   "bound": report.lower_bound_curve[:, 1]},
-                 meta, fmt)
+                 meta)
 
 
-def cmd_density(config: dict, out_dir: Path, workers: int, meta: dict,
-                fmt: str) -> None:
+def cmd_density(config: dict, out_dir: Path, workers: int,
+                meta: dict) -> None:
     _require(config, "density", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
@@ -309,12 +301,12 @@ def cmd_density(config: dict, out_dir: Path, workers: int, meta: dict,
         diagnostic["l1_to_oracle"] = l1_distance(estimate, p_oracle)
     if config.get("t0") is not None:
         diagnostic["regime"] = _regime_block(_regime(config, problem))
-    _write_table(out_dir / "density", columns, meta, fmt)
+    _write_table(out_dir / "density", columns, meta)
     io.write_json(out_dir / "diagnostic.json", diagnostic, meta=meta)
 
 
-def cmd_transform(config: dict, out_dir: Path, workers: int, meta: dict,
-                  fmt: str) -> None:
+def cmd_transform(config: dict, out_dir: Path, workers: int,
+                  meta: dict) -> None:
     _require(config, "transform", "problem")
     problem = io.problem_from_json(config["problem"])
     block = config.get("transform", {})
@@ -323,19 +315,17 @@ def cmd_transform(config: dict, out_dir: Path, workers: int, meta: dict,
                             n_nodes=block.get("n_nodes", DEFAULT_NODES),
                             domain=domain)
     _write_table(out_dir / "transform_table",
-                 {"y": table.nodes, "F": table.F_values}, meta, fmt)
-    transformed = replace(transformed_spec(problem, table),
-                          drift=tabulated_drift(table))
+                 {"y": table.nodes, "F": table.F_values}, meta)
     io.write_json(out_dir / "transformed_spec.json", {
-        "problem": io.problem_to_json(transformed),
+        "problem": io.problem_to_json(transformed_spec(problem, table)),
         "domain": [table.domain[0], table.domain[1]],
         "n_nodes": int(table.nodes.size),
         "sigma_inf": table.sigma_inf,
     }, meta=meta)
 
 
-def cmd_verify(config: dict, out_dir: Path, workers: int, meta: dict,
-               fmt: str) -> None:
+def cmd_verify(config: dict, out_dir: Path, workers: int,
+               meta: dict) -> None:
     suites = config.get("suites")
     if suites is not None:
         unknown = set(suites) - set(verify_mod.ALL_SUITES)
@@ -429,8 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         meta = {"version": io.TOOL_VERSION,
                 "config_sha256": io.config_hash(hashed),
                 "seed": config.get("seed")}
-        _HANDLERS[args.command](config, out_dir, args.workers, meta,
-                                config.get("format", "csv"))
+        _HANDLERS[args.command](config, out_dir, args.workers, meta)
     except VerificationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

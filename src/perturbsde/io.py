@@ -169,7 +169,9 @@ def _check_coefficient(obj: Any, field: str) -> None:
     required, optional = PRESETS[preset]
     params = obj.get("params", {})
     _check_keys(params, f"{field}.params", required | optional, required)
-    if preset != "custom-tabulated":
+    if preset == "custom-tabulated":
+        _check_table(params, f"{field}.params")
+    else:
         for key, value in params.items():
             if not _is_number(value):
                 raise _invalid(f"{field}.params.{key}", "must be a number")
@@ -182,6 +184,18 @@ def _check_coefficient(obj: Any, field: str) -> None:
             if v is not None and not (_is_number(v) and v > -math.inf):
                 raise _invalid(f"{where}.{key}",
                                "must be a number, null, or \"inf\"")
+
+
+def _check_table(params: Mapping[str, Any], field: str) -> None:
+    """The arrays of a ``custom-tabulated`` coefficient: lists of finite
+    numbers, one per node, over at least 4 strictly increasing nodes."""
+    nodes = params["nodes"]
+    _check_list(nodes, f"{field}.nodes", _check_number)
+    if len(nodes) < 4 or any(b <= a for a, b in zip(nodes, nodes[1:])):
+        raise _invalid(f"{field}.nodes",
+                       "must be at least 4 numbers that increase strictly")
+    for key, value in params.items():
+        _check_list(value, f"{field}.{key}", _check_number, len(nodes))
 
 
 _PROBLEM_KEYS = ("x0", "alpha", "drift", "diffusion", "horizon")
@@ -239,7 +253,7 @@ _CONFIG_FIELDS = {
     "transform": _check_transform,
     "suites": lambda v, f: _check_list(v, f, _check_string),
     "out": _check_string,
-    "format": lambda v, f: _check_string(v, f, ("csv", "json")),
+    "format": lambda v, f: _check_string(v, f, ("csv",)),
 }
 
 

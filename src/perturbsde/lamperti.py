@@ -22,9 +22,13 @@ is accurate enough for the transformed drift to survive the
 finite-difference consistency check downstream.  The inverse starts from
 linear interpolation of the reversed table (``F`` increases), polishes
 with safeguarded Newton steps on the forward interpolant, and falls back
-to bisection for the rare points Newton leaves; the polished inverse is
-vectorized, which the transformed-drift evaluations in the inner
-simulation loop rely on.
+to bisection for the rare points Newton leaves.
+
+The transformed drift needs no inverse: its values at the image nodes
+``F(y_j)`` are ``tilde_b`` evaluated at ``y_j`` directly, and one spline
+through them is the drift the transformed problem simulates, the one the
+``transform`` subcommand serializes, and, through its slope, the source
+of the regime bound ``sup |tilde_b'|``.
 """
 
 from __future__ import annotations
@@ -45,10 +49,12 @@ from .errors import (
 )
 from .malliavin import DerivativeFieldBatch
 from .model import (
+    VALIDATION_GRID_SIZE,
     Coefficient,
     ProblemSpec,
     ValidatedSpec,
     hermite,
+    sup_norm_estimate,
     validate,
 )
 
@@ -58,8 +64,6 @@ __all__ = [
     "build_transform",
     "forward",
     "inverse",
-    "tilde_b",
-    "tabulated_drift",
     "transformed_spec",
     "transformed_drift_bound",
     "transformed_field",
@@ -227,52 +231,30 @@ def inverse(table: TransformTable, z, tol: float = INVERSE_TOL):
     return float(y[0]) if z_arr.ndim == 0 else y.reshape(z_arr.shape)
 
 
-def _tilde_b_at(table: TransformTable, y):
-    """``b(y)/sigma(y) - sigma'(y)/2`` at original-coordinate points ``y``."""
-    s = table.diffusion(y, 0)
-    return table.drift(y, 0) / s - 0.5 * table.diffusion(y, 1)
+def _tabulated_drift(table: TransformTable) -> Coefficient:
+    """The transformed drift as a table over the image nodes ``z_j = F(y_j)``.
 
-
-def tilde_b(table: TransformTable, z):
-    """Transformed drift ``b(y)/sigma(y) - sigma'(y)/2`` at ``y = F^{-1}(z)``."""
-    return _tilde_b_at(table, inverse(table, z))
-
-
-def tabulated_drift(table: TransformTable) -> Coefficient:
-    """``tilde_b`` tabulated at the image nodes ``z_j = F(y_j)``, for
-    serialization.  Values are evaluated directly at ``y_j`` so no
-    inverse-lookup error enters.  Derivatives come from the value
-    interpolant itself: a separate slope table would disagree with finite
-    differences of the value table at the node-spacing-squared level and
-    fail revalidation."""
-    return Coefficient.tabulated(table.F_values,
-                                 _tilde_b_at(table, table.nodes))
-
-
-def _tilde_b_d1(table: TransformTable, z):
-    """Slope of the transformed drift by the chain rule
-    (``dy/dz = sigma(y)``):
-
-        tilde_b'(z) = b'(y) - b(y) sigma'(y)/sigma(y) - sigma''(y) sigma(y)/2.
-    """
-    y = inverse(table, z)
-    s = table.diffusion(y, 0)
-    return (table.drift(y, 1)
-            - table.drift(y, 0) * table.diffusion(y, 1) / s
-            - 0.5 * table.diffusion(y, 2) * s)
+    Values are evaluated directly at ``y_j``, so no inverse-lookup error
+    enters; the slope is the value spline's own derivative, consistent
+    with finite differences of it, so the table revalidates and
+    round-trips through JSON."""
+    y = table.nodes
+    values = (table.drift(y, 0) / table.diffusion(y, 0)
+              - 0.5 * table.diffusion(y, 1))
+    return Coefficient.tabulated(table.F_values, values)
 
 
 def transformed_spec(spec: ProblemSpec | ValidatedSpec,
                      table: TransformTable | None = None) -> ProblemSpec:
     """Unit-diffusion problem equivalent to ``spec`` through the transform.
 
-    The drift is a callback evaluating ``tilde_b`` (:func:`tabulated_drift`
-    tabulates it for serialization); the feedback weight and horizon
-    carry over unchanged.
+    The drift is ``tilde_b`` tabulated over the transform's range, the
+    problem the ``transform`` subcommand serializes; the feedback weight
+    and horizon carry over unchanged.
     The initial parameter is ``(1-alpha) F(x0/(1-alpha))``: plugging it
     into the time-zero fixed point reproduces ``F`` of the original start,
     and for constant sigma the two discretized problems then coincide
-    path by path on shared noise.
+    path by path on shared noise, to interpolation level.
 
     A passed ``table`` must come from ``spec``: ``x0``, ``alpha`` and the
     horizon are read from the table, which holds them validated, so only
@@ -280,27 +262,22 @@ def transformed_spec(spec: ProblemSpec | ValidatedSpec,
     """
     if table is None:
         table = build_transform(spec)
-    drift = Coefficient.from_callbacks(
-        value=lambda zz: tilde_b(table, zz),
-        d1=lambda zz: _tilde_b_d1(table, zz),
-        params={"origin": "lamperti-transform"})
     alpha = table.alpha
     y0_fixed = forward(table, table.x0 / (1.0 - alpha))
     return ProblemSpec(
         x0=(1.0 - alpha) * y0_fixed,
         alpha=alpha,
-        drift=drift,
+        drift=_tabulated_drift(table),
         diffusion=Coefficient.const(1.0),
         horizon=table.horizon,
     )
 
 
 def transformed_drift_bound(table: TransformTable,
-                            n_grid: int = 4096) -> float:
-    """Grid estimate of ``sup |tilde_b'|`` over the transform's range."""
-    flo, fhi = table.range
-    zs = np.linspace(flo, fhi, n_grid)
-    return float(np.max(np.abs(_tilde_b_d1(table, zs))))
+                            n_grid: int = VALIDATION_GRID_SIZE) -> float:
+    """Grid estimate of ``sup |tilde_b'|`` over the transform's range, from
+    the slope of the drift table :func:`transformed_spec` simulates."""
+    return sup_norm_estimate(_tabulated_drift(table), 1, table.range, n_grid)
 
 
 def transformed_field(table: TransformTable, batch, field):

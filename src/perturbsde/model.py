@@ -458,8 +458,27 @@ def validation_grid(problem: ProblemSpec,
         pre = (problem.x0 - 10.0 * math.sqrt(T),
                problem.x0 + 10.0 * math.sqrt(T))
         sigma_bar = sup_norm_estimate(problem.diffusion, 0, pre, n_grid)
+        if not math.isfinite(sigma_bar):
+            # no scale to be had: the sweep is the grid, and it fails
+            return np.linspace(pre[0], pre[1], n_grid)
     half = 10.0 * max(sigma_bar, 1e-12) * math.sqrt(T)
     return np.linspace(problem.x0 - half, problem.x0 + half, n_grid)
+
+
+def _finite_values(c: Coefficient, grid: np.ndarray, name: str
+                   ) -> np.ndarray:
+    """Values of ``c`` on the validation grid, refused unless all finite.
+    A table narrower than the grid is the usual cause, so its node range
+    is named."""
+    values = np.asarray(c(grid, 0))
+    if not np.all(np.isfinite(values)):
+        where = f"[{grid[0]:.6g}, {grid[-1]:.6g}]"
+        msg = f"{name} is not finite on the validation grid {where}"
+        if c.preset_id == "custom-tabulated":
+            nodes = c.params["nodes"]
+            msg += f"; its table covers [{nodes[0]:.6g}, {nodes[-1]:.6g}]"
+        raise ConfigError(msg)
+    return values
 
 
 def _fd_check(c: Coefficient, grid: np.ndarray, name: str) -> None:
@@ -509,10 +528,12 @@ def validate(spec: ProblemSpec | ValidatedSpec, *,
              n_grid: int = VALIDATION_GRID_SIZE) -> ValidatedSpec:
     """Check a problem spec and attach effective coefficient bounds.
 
-    Idempotent: a ``ValidatedSpec`` passes through unchanged.  With
-    ``require_transform`` the diffusion must be bounded away from zero with
-    a single sign on the validation grid, otherwise a transform to unit
-    diffusion is impossible and :class:`DegenerateDiffusion` is raised.
+    Both coefficients must be finite on the validation grid, else
+    :class:`ConfigError`.  Idempotent: a ``ValidatedSpec`` passes through
+    unchanged.  With ``require_transform`` the diffusion must be bounded
+    away from zero with a single sign on the validation grid, otherwise a
+    transform to unit diffusion is impossible and
+    :class:`DegenerateDiffusion` is raised.
     """
     if isinstance(spec, ValidatedSpec):
         if require_transform and (spec.sigma_inf <= 0.0
@@ -525,14 +546,13 @@ def validate(spec: ProblemSpec | ValidatedSpec, *,
 
     grid = validation_grid(spec, n_grid)
     interval = (float(grid[0]), float(grid[-1]))
+    _finite_values(spec.drift, grid, "drift")
+    sigma_vals = _finite_values(spec.diffusion, grid, "diffusion")
     _fd_check(spec.drift, grid, "drift")
     _fd_check(spec.diffusion, grid, "diffusion")
     drift_bounds = _effective_bounds(spec.drift, grid, "drift")
     diff_bounds = _effective_bounds(spec.diffusion, grid, "diffusion")
 
-    sigma_vals = np.asarray(spec.diffusion(grid, 0))
-    if not np.all(np.isfinite(sigma_vals)):
-        raise DegenerateDiffusion("diffusion is non-finite on the grid")
     sigma_inf = float(np.min(np.abs(sigma_vals)))
     sign_constant = bool(np.all(sigma_vals > 0.0)
                          or np.all(sigma_vals < 0.0))

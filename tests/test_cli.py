@@ -4,10 +4,19 @@ metadata contract."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 import perturbsde.verify as verify_mod
-from perturbsde import SuiteResult, regime_report, validate
+from perturbsde import (
+    GridSpec,
+    SuiteResult,
+    build_transform,
+    regime_report,
+    simulate_batch,
+    transformed_spec,
+    validate,
+)
 from perturbsde.cli import _chunks, _pool_size, main
 from perturbsde.io import TOOL_VERSION, problem_from_json, read_json
 
@@ -109,18 +118,6 @@ def test_out_dir_precedence(tmp_path, write_config, monkeypatch):
     assert (flag_dir / "summary.json").exists()
 
 
-def test_json_table_format(tmp_path, write_config):
-    cfg = write_config(simulate_config(n_paths=4, format="json"))
-    out = tmp_path / "run"
-    assert run("simulate", cfg, out) == 0
-    assert not (out / "paths.csv").exists()
-    doc = read_json(out / "paths.json")
-    assert set(doc) == {"meta", "columns"}
-    cols = doc["columns"]
-    assert set(cols) == {"path", "t", "x", "running_max"}
-    assert len(cols["x"]) == 4 * 33
-
-
 # -- config validation and exit codes -----------------------------------------
 
 
@@ -153,11 +150,12 @@ def test_wrong_type_rejected_by_schema(tmp_path, write_config):
     ("verify", "suites", ["additive_identity", 3], "suites"),
     ("simulate", "out", 5, "out"),
     ("simulate", "format", "xml", "format"),
+    ("simulate", "format", "json", "format"),
 ], ids=["n_paths-float", "n_paths-negative", "seed-negative", "seed-2**64",
         "seed-float", "t0-zero", "t0-overflows-float", "bandwidth-string",
         "n_grid-float", "bandwidth-mesh-too-fine", "transform.n_nodes-float",
         "transform.domain-length", "transform-unknown-key", "suites-item",
-        "out-type", "format-xml"])
+        "out-type", "format-xml", "format-json"])
 def test_invalid_field_exits_2_and_names_it(tmp_path, write_config, capsys,
                                              command, field, value, name):
     cfg = write_config(simulate_config(**{field: value}))
@@ -207,7 +205,51 @@ def test_unsorted_tabulated_nodes_exit_2(tmp_path, write_config, capsys):
                                    "values": [0.0] * 5}}
     cfg = write_config(simulate_config(problem=problem))
     assert run("simulate", cfg, tmp_path / "o") == 2
-    assert "increase strictly" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "problem.drift.params.nodes:" in err and "increase strictly" in err
+
+
+_NODES = [-4.0, -2.0, 0.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("params,name,reason", [
+    ({"nodes": "abc", "values": [0.0] * 5}, "nodes", "must be a list"),
+    ({"nodes": _NODES, "values": [0.0, 0.0, "x", 0.0, 0.0]}, "values[2]",
+     "finite number"),
+    ({"nodes": _NODES, "values": [0.0, "inf", 0.0, 0.0, 0.0]}, "values[1]",
+     "finite number"),
+    ({"nodes": _NODES, "values": [0.0] * 5,
+      "d1_values": [0.0, True, 0.0, 0.0, 0.0]}, "d1_values[1]",
+     "finite number"),
+    ({"nodes": [0.0, 1.0, 2.0], "values": [0.0] * 3}, "nodes",
+     "at least 4 numbers"),
+    ({"nodes": _NODES, "values": [0.0] * 4}, "values", "list of 5 items"),
+], ids=["nodes-string", "values-item-string", "values-item-inf",
+        "d1_values-item-bool", "nodes-short", "values-short"])
+def test_bad_tabulated_table_exits_2_and_names_the_field(
+        tmp_path, write_config, capsys, params, name, reason):
+    problem = base_problem()
+    problem["drift"] = {"preset": "custom-tabulated", "params": params}
+    cfg = write_config(simulate_config(problem=problem))
+    assert run("simulate", cfg, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert f"problem.drift.params.{name}:" in err and reason in err
+
+
+@pytest.mark.parametrize("coefficient", ["drift", "diffusion"])
+def test_table_narrower_than_the_grid_exits_2(tmp_path, write_config, capsys,
+                                              coefficient):
+    # the validation grid of this problem, and the sweep that sizes it,
+    # is [-9, 11]
+    problem = base_problem()
+    nodes = [-4.0 + 0.5 * k for k in range(17)]
+    problem[coefficient] = {"preset": "custom-tabulated",
+                            "params": {"nodes": nodes, "values": [1.0] * 17}}
+    cfg = write_config(simulate_config(problem=problem))
+    assert run("simulate", cfg, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert (f"{coefficient} is not finite on the validation grid [-9, 11]; "
+            "its table covers [-4, 4]") in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "derivative", "density"])
@@ -383,6 +425,45 @@ def test_transform_artifacts_revalidate(tmp_path, write_config):
     assert 1.0 <= doc["sigma_inf"] <= 1.001
     rebuilt = problem_from_json(doc["problem"])
     validate(rebuilt)
+
+
+def test_transformed_spec_artifact_is_the_simulated_problem(
+        tmp_path, repo_configs):
+    out = tmp_path / "run"
+    assert run("transform", repo_configs / "transform.json", out) == 0
+    doc = read_json(out / "transformed_spec.json")
+    problem = problem_from_json(read_json(
+        repo_configs / "transform.json")["problem"])
+    grid = GridSpec(n_steps=200, horizon=problem.horizon)
+    read_back = simulate_batch(problem_from_json(doc["problem"]), grid, 16,
+                               seed=11)
+    direct = simulate_batch(
+        transformed_spec(problem, build_transform(problem)), grid, 16,
+        seed=11)
+    assert np.array_equal(read_back.x, direct.x)
+
+
+def test_regime_with_tabulated_diffusion(tmp_path, write_config):
+    # 2 + sin sampled on 2401 nodes over [-60, 60] classifies like the
+    # analytic sine: the drift table needs sigma and sigma' only
+    nodes = np.linspace(-60.0, 60.0, 2401)
+    sine = {"x0": 0.0, "alpha": 0.1,
+            "drift": {"preset": "tanh",
+                      "params": {"amplitude": 0.1, "scale": 1.0}},
+            "diffusion": {"preset": "sine",
+                          "params": {"amplitude": 1.0, "offset": 2.0}},
+            "horizon": 1.0}
+    tabulated = dict(sine, diffusion={
+        "preset": "custom-tabulated",
+        "params": {"nodes": nodes.tolist(),
+                   "values": (2.0 + np.sin(nodes)).tolist()}})
+    cfg = write_config({"problem": tabulated, "t0": 0.5})
+    out = tmp_path / "run"
+    assert run("regime", cfg, out) == 0
+    doc = read_json(out / "regime.json")
+    assert doc["transformed"] is True
+    analytic = regime_report(problem_from_json(sine), 0.5).lb
+    assert doc["lb"] == pytest.approx(analytic, rel=1e-3)
 
 
 def test_transform_validates_the_problem_once(tmp_path, repo_configs,

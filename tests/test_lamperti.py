@@ -29,11 +29,12 @@ from perturbsde import (
     lift_bound_check,
     propagate_derivative_batch,
     simulate_batch,
-    tilde_b,
     transformed_drift_bound,
     transformed_field,
     transformed_spec,
+    validate,
 )
+from perturbsde.io import problem_from_json, problem_to_json
 
 
 def make_spec(drift, diffusion, *, x0=0.0, alpha=0.0, horizon=1.0):
@@ -130,14 +131,50 @@ def test_transformed_drift_halves_the_angle():
     spec = make_spec(Coefficient.sine(), Coefficient.const(2.0))
     table = build_transform(spec)
     zs = np.linspace(-3.0, 3.0, 31)
-    np.testing.assert_allclose(tilde_b(table, zs), np.sin(2.0 * zs) / 2.0,
-                               atol=1e-9)
+    drift = transformed_spec(spec, table).drift
+    np.testing.assert_allclose(drift(zs), np.sin(2.0 * zs) / 2.0, atol=1e-9)
 
 
 def test_driftless_problem_stays_driftless():
     spec = make_spec(Coefficient.const(0.0), Coefficient.const(3.0))
     table = build_transform(spec)
-    assert abs(tilde_b(table, 1.3)) <= 1e-14
+    assert abs(transformed_spec(spec, table).drift(1.3)) <= 1e-14
+
+
+def test_transformed_drift_is_one_table():
+    # the simulated drift, its slope and the regime bound share one table
+    spec = make_spec(Coefficient.tanh(amplitude=0.1), SINE_SIGMA, alpha=0.1)
+    table = build_transform(spec)
+    drift = transformed_spec(spec, table).drift
+    assert drift.preset_id == "custom-tabulated"
+    np.testing.assert_array_equal(drift.params["nodes"], table.F_values)
+    y = table.nodes
+    np.testing.assert_array_equal(
+        drift.params["values"],
+        spec.drift(y) / SINE_SIGMA(y) - 0.5 * SINE_SIGMA(y, 1))
+    zs = np.linspace(*table.range, 4096)
+    slope_max = float(np.max(np.abs(drift(zs, 1))))
+    assert transformed_drift_bound(table) == slope_max
+
+
+def test_transformed_spec_serializes():
+    spec = make_spec(Coefficient.tanh(amplitude=0.1), SINE_SIGMA, alpha=0.1)
+    yspec = transformed_spec(spec)
+    doc = problem_to_json(yspec)
+    assert doc["drift"]["preset"] == "custom-tabulated"
+    rebuilt = problem_from_json(doc)
+    grid = GridSpec(n_steps=200, horizon=1.0)
+    np.testing.assert_array_equal(simulate_batch(rebuilt, grid, 8, seed=3).x,
+                                  simulate_batch(yspec, grid, 8, seed=3).x)
+
+
+def test_too_narrow_table_is_a_config_error():
+    # the transformed problem's validation grid leaves the drift table
+    spec = make_spec(Coefficient.tanh(amplitude=0.1), SINE_SIGMA)
+    yspec = transformed_spec(spec, build_transform(spec, domain=(-3.0, 3.0)))
+    with pytest.raises(ConfigError, match=r"drift is not finite on the "
+                       r"validation grid \[-10, 10\]; its table covers"):
+        validate(yspec)
 
 
 def test_transformed_drift_bound_known_slope():
