@@ -9,10 +9,11 @@ One JSON config describes one run; subcommands bind it to the pipeline:
 * ``transform``  unit-diffusion change-of-variables table + transformed spec
 * ``verify``     invariant suites with a pass/fail report
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4
-verification failure.  Everything a run produces carries the tool version,
-a hash of the effective config, and the seed, and is bitwise reproducible
-for a fixed config: worker processes only partition the path range, and
+Exit codes: 0 success, 2 configuration error (a run too large for the
+memory at hand included), 3 numerical failure, 4 verification failure.
+Everything a run produces carries the tool version, a hash of the
+effective config, and the seed, and is bitwise reproducible for a fixed
+config: worker processes only partition the path range, and
 each path's noise is keyed by (seed, path index), so the artifact content
 is independent of ``--workers``.
 """
@@ -92,7 +93,7 @@ def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
     spec = io.problem_from_json(problem_json)
     grid = io.grid_from_json(grid_json)
     batch = simulate_batch(spec, grid, n_paths, seed, path_offset)
-    return batch.x, batch.running_max, batch.final_argmax_idx()
+    return batch.x, batch.final_argmax_idx()
 
 
 def _terminal_worker(problem_json, grid_json, seed, n_paths, path_offset):
@@ -148,6 +149,10 @@ def _run_chunked(worker, common: tuple, n_paths: int, workers: int) -> list:
 
 
 def _assemble(results: list, part: int, axis: int) -> np.ndarray:
+    """Part ``part`` of every chunk result, joined along ``axis``; a single
+    chunk's array is returned as it is, not copied."""
+    if len(results) == 1:
+        return results[0][part]
     return np.concatenate([r[part] for r in results], axis=axis)
 
 
@@ -187,8 +192,8 @@ def cmd_simulate(config: dict, out_dir: Path, workers: int,
                            (config["problem"], grid_json, seed),
                            n_paths, workers)
     x = _assemble(results, 0, axis=1)            # (n_steps+1, n_paths)
-    running_max = _assemble(results, 1, axis=1)
-    argmax_final = _assemble(results, 2, axis=0)
+    argmax_final = _assemble(results, 1, axis=0)
+    running_max = np.maximum.accumulate(x, axis=0)
 
     n1 = grid.n_steps + 1
     _write_table(out_dir / "paths",
@@ -430,6 +435,12 @@ def main(argv: list[str] | None = None) -> int:
         # Remaining package errors are configuration problems; ValueError
         # covers malformed JSON text.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # the config sizes the run; numpy's message names the array
+        reason = str(exc) or "an allocation failed"
+        print(f"error: out of memory: {reason}; reduce n_paths, "
+              "grid.n_steps or n_grid", file=sys.stderr)
         return 2
     return 0
 

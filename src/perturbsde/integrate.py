@@ -18,6 +18,13 @@ advance one step per iteration, which keeps every numpy operation on
 contiguous memory.  Per-path values are bitwise independent of how paths are
 grouped into batches, which is what makes worker-count-independent output
 possible at the command line.
+
+Memory: a recorded :class:`PathBatch` of ``P`` paths over ``n`` steps
+holds ``9 (n+1) P`` bytes beyond its increment block (float values plus
+bool new-maximum flags).  The running maximum is derived from the values
+when asked for, and the step loop itself allocates only ``(P,)``
+vectors.  :func:`simulate_terminal` holds one increment block of
+``_TERMINAL_CHUNK_PATHS`` paths at a time.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ _NOISE_PATHS = 512
 # paths per transposed write of a noise block into the time-major output
 _NOISE_TILE = 64
 # simulate_terminal draws and integrates this many paths per increment block
-_TERMINAL_CHUNK_PATHS = 8192
+_TERMINAL_CHUNK_PATHS = 4096
 
 
 def _check_u64(name: str, value: int) -> int:
@@ -119,61 +126,78 @@ def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
 def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
                 record: bool, path_offset: int):
     """Advance all columns of ``db_tm`` (time-major ``(n, P)``) through the
-    left-frozen scheme.  Returns time-major state arrays when ``record``,
-    otherwise only terminal quantities.  A non-finite state is reported
-    for path ``path_offset + column``."""
+    left-frozen scheme.  Returns the time-major path values and new-maximum
+    flags when ``record``, otherwise terminal value, maximum and argmax
+    index.  A non-finite state is reported for path
+    ``path_offset + column``.
+
+    Every step writes into buffers allocated before the loop: with
+    ``record`` the state and flags go straight into their rows of the
+    output, otherwise into one ``(P,)`` vector each.  The running maximum
+    is ``max(M, x)``, so it equals ``maximum.accumulate`` of the recorded
+    values by construction and is never stored."""
     n, P = db_tm.shape
     alpha = vspec.alpha
     one_minus = 1.0 - alpha
     b, s = vspec.drift, vspec.diffusion
     b_const, s_const = b.constant_value, s.constant_value
 
-    x = np.full(P, vspec.x0 / one_minus)
+    if record:
+        x_tm = np.empty((n + 1, P))
+        new_tm = np.zeros((n + 1, P), dtype=bool)
+        x = x_tm[0]
+        x[:] = vspec.x0 / one_minus
+    else:
+        x = np.full(P, vspec.x0 / one_minus)
+        new = np.empty(P, dtype=bool)
+        tau = np.zeros(P, dtype=np.int64)
     M = x.copy()
     A = np.full(P, float(vspec.x0))      # compensated accumulator
     comp = np.zeros(P)
-    tau = np.zeros(P, dtype=np.int64)
-
-    if record:
-        x_tm = np.empty((n + 1, P))
-        M_tm = np.empty((n + 1, P))
-        new_tm = np.zeros((n + 1, P), dtype=bool)
-        x_tm[0] = x
-        M_tm[0] = M
+    incr, y, t = np.empty(P), np.empty(P), np.empty(P)
 
     # Overflow is not a warning condition here: divergence is detected on
     # the finished state and reported as NonFinite.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            bx = b_const if b_const is not None else b(x, 0)
-            sx = s_const if s_const is not None else s(x, 0)
-            incr = bx * dt + sx * db_tm[k]
+            # incr = b(x) dt + s(x) db_k; the sum is formed in the other
+            # order, which IEEE addition leaves bitwise unchanged
+            if s_const is not None:
+                np.multiply(db_tm[k], s_const, out=incr)
+            else:
+                np.multiply(s(x, 0), db_tm[k], out=incr)
+            if b_const is not None:
+                incr += b_const * dt
+            else:
+                np.multiply(b(x, 0), dt, out=y)
+                incr += y
             # Kahan update of A; the combined increment is one addend so the
             # accumulation order is part of the reproducibility contract.
-            y = incr - comp
-            t = A + y
-            comp = (t - A) - y
-            A = t
-            keep = A + alpha * M
-            new = keep > M
-            x = np.where(new, A / one_minus, keep)
-            M = np.where(new, x, M)
+            np.subtract(incr, comp, out=y)
+            np.add(A, y, out=t)
+            np.subtract(t, A, out=comp)
+            comp -= y
+            A, t = t, A
             if record:
-                x_tm[k + 1] = x
-                M_tm[k + 1] = M
-                new_tm[k + 1] = new
-            else:
-                tau[new] = k + 1
+                x, new = x_tm[k + 1], new_tm[k + 1]
+            # keep = A + alpha M, then x = A / (1 - alpha) on a new maximum
+            np.multiply(M, alpha, out=x)
+            x += A
+            np.greater(x, M, out=new)
+            np.divide(A, one_minus, out=x, where=new)
+            np.maximum(M, x, out=M)
+            if not record:
+                np.copyto(tau, k + 1, where=new)
 
     if record:
-        bad = ~np.isfinite(x_tm)
-        if bad.any():
-            kk, pp = np.argwhere(bad)[0]
+        finite = np.isfinite(x_tm)
+        if not finite.all():
+            kk, pp = np.argwhere(~finite)[0]
             pp += path_offset
             raise NonFinite(
                 f"non-finite state at step {kk} of path {pp}",
                 step=int(kk), path_index=int(pp))
-        return x_tm, M_tm, new_tm
+        return x_tm, new_tm
     bad = ~(np.isfinite(x) & np.isfinite(M))
     if bad.any():
         pp = path_offset + int(np.argwhere(bad)[0][0])
@@ -218,10 +242,16 @@ class PathBatch:
     keeps the per-step propagation of path and derivative states on
     contiguous memory.  Column ``i`` is path ``path_offset + i``; a single
     path is a batch of one column.
+
+    A batch holds three arrays: the values ``x`` (float, ``(n+1, P)``), the
+    new-maximum flags ``new_max`` (bool, ``(n+1, P)``) and the increments
+    ``db`` (float, ``(n, P)``).  The running maximum and the argmax curve
+    are derived from them on request, each as a fresh ``(n+1, P)`` array.
+    The flags are kept because a tie ``x[k] == max(x[:k])`` may set a new
+    maximum in the engine, so they do not follow from ``x``.
     """
 
     x: np.ndarray          # (n_steps+1, n_paths)
-    running_max: np.ndarray
     new_max: np.ndarray    # bool, new_max[k] = path set a new maximum at k
     db: np.ndarray         # (n_steps, n_paths)
     seed: int | None = None
@@ -235,13 +265,22 @@ class PathBatch:
     def n_steps(self) -> int:
         return self.db.shape[0]
 
+    @property
+    def running_max(self) -> np.ndarray:
+        """Time-major running maximum ``max(x[:k+1])``, shape (n+1, P)."""
+        return np.maximum.accumulate(self.x, axis=0)
+
     def argmax_idx(self) -> np.ndarray:
         """Time-major first-attainment argmax indices, shape (n+1, P)."""
         return max_bookkeeping(new=self.new_max)[2]
 
     def final_argmax_idx(self) -> np.ndarray:
-        # a copy, so the (n+1, P) index array is freed on return
-        return self.argmax_idx()[-1].copy()
+        """Terminal argmax index per path: the last step that set a new
+        maximum, 0 for a path that never did.  Equals ``argmax_idx()[-1]``
+        without building the ``(n+1, P)`` index array."""
+        new = self.new_max
+        last = new.shape[0] - 1 - np.argmax(new[::-1], axis=0)
+        return np.where(new.any(axis=0), last, 0)
 
 
 @dataclass(frozen=True)
@@ -283,10 +322,9 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
             f"increment block has shape {db_tm.shape}, grid expects "
             f"({grid.n_steps}, n_paths >= 1)")
     if record:
-        x_tm, M_tm, new_tm = _euler_core(vspec, grid.dt, db_tm, True,
-                                         path_offset)
-        return PathBatch(x=x_tm, running_max=M_tm, new_max=new_tm, db=db_tm,
-                         seed=seed, path_offset=path_offset)
+        x_tm, new_tm = _euler_core(vspec, grid.dt, db_tm, True, path_offset)
+        return PathBatch(x=x_tm, new_max=new_tm, db=db_tm, seed=seed,
+                         path_offset=path_offset)
     x, M, tau = _euler_core(vspec, grid.dt, db_tm, False, path_offset)
     return TerminalSample(x, M, tau, seed=seed, path_offset=path_offset)
 
@@ -470,8 +508,7 @@ def picard_solve(spec, grid: GridSpec, db: np.ndarray,
         if live.size == 0:
             break
 
-    running_max, new, _ = max_bookkeeping(x)
-    paths = PathBatch(x=x, running_max=running_max, new_max=new, db=db)
+    paths = PathBatch(x=x, new_max=max_bookkeeping(x)[1], db=db)
     return PicardResult(paths=paths, sup_diffs=sup_diffs[:n_sweeps.max()],
                         converged=converged, n_sweeps=n_sweeps,
                         n_iterations=int(n_sweeps.sum()))

@@ -309,7 +309,7 @@ def transformed_field(table: TransformTable, batch, field):
     if field.h_norm_sq_by_time.shape != x.shape:
         raise GridMismatch("batch and field disagree on steps or paths")
     fp = _F(table, x, 1)
-    fp_max = _F(table, batch.running_max[-1], 1)
+    fp_max = _F(table, x.max(axis=0), 1)
     if np.any(np.isnan(fp)) or np.any(np.isnan(fp_max)):
         lo, hi = table.domain
         raise OutOfDomain(

@@ -448,16 +448,24 @@ def validation_grid(problem: ProblemSpec,
     The half-width is ten diffusion standard deviations at the horizon.
     The diffusion scale itself needs a grid, so a preliminary sweep over
     ``x0 +- 10 sqrt(T)`` (or the declared ``sup |sigma|`` when available)
-    supplies the scale for the definitive interval.
+    supplies the scale for the definitive interval.  A tabulated diffusion
+    has no values past its nodes, so the sweep is clipped to the table
+    where the two overlap.
     """
     T = problem.horizon
-    declared = problem.diffusion.declared_bounds
+    diffusion = problem.diffusion
+    declared = diffusion.declared_bounds
     sigma_bar = declared.sup_f if declared and declared.sup_f is not None \
         else None
     if sigma_bar is None or not math.isfinite(sigma_bar):
         pre = (problem.x0 - 10.0 * math.sqrt(T),
                problem.x0 + 10.0 * math.sqrt(T))
-        sigma_bar = sup_norm_estimate(problem.diffusion, 0, pre, n_grid)
+        if diffusion.preset_id == "custom-tabulated":
+            nodes = diffusion.params["nodes"]
+            lo, hi = max(pre[0], nodes[0]), min(pre[1], nodes[-1])
+            if lo < hi:
+                pre = (lo, hi)
+        sigma_bar = sup_norm_estimate(diffusion, 0, pre, n_grid)
         if not math.isfinite(sigma_bar):
             # no scale to be had: the sweep is the grid, and it fails
             return np.linspace(pre[0], pre[1], n_grid)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import perturbsde.cli as cli_mod
 import perturbsde.verify as verify_mod
 from perturbsde import (
     GridSpec,
@@ -239,8 +240,9 @@ def test_bad_tabulated_table_exits_2_and_names_the_field(
 @pytest.mark.parametrize("coefficient", ["drift", "diffusion"])
 def test_table_narrower_than_the_grid_exits_2(tmp_path, write_config, capsys,
                                               coefficient):
-    # the validation grid of this problem, and the sweep that sizes it,
-    # is [-9, 11]
+    # the validation grid of this problem is [-9, 11], ten unit
+    # standard deviations about x0 = 1 (a tabulated diffusion sizes it
+    # from a sweep clipped to its table)
     problem = base_problem()
     nodes = [-4.0 + 0.5 * k for k in range(17)]
     problem[coefficient] = {"preset": "custom-tabulated",
@@ -250,6 +252,44 @@ def test_table_narrower_than_the_grid_exits_2(tmp_path, write_config, capsys,
     err = capsys.readouterr().err
     assert (f"{coefficient} is not finite on the validation grid [-9, 11]; "
             "its table covers [-4, 4]") in err
+
+
+def test_narrow_diffusion_table_sizes_its_own_grid(tmp_path, write_config,
+                                                  capsys):
+    # sigma = 0.1 gives the validation grid [-1, 1]; the preliminary sweep
+    # x0 +- 10 sqrt(T) = [-10, 10] reaches past the table, so it is clipped
+    # to the nodes before it sizes the grid
+    problem = base_problem(x0=0.0)
+    nodes = [-4.0 + 0.25 * k for k in range(33)]
+    problem["diffusion"] = {"preset": "custom-tabulated",
+                            "params": {"nodes": nodes, "values": [0.1] * 33}}
+    cfg = write_config(simulate_config(problem=problem))
+    assert run("simulate", cfg, tmp_path / "o") == 0
+    # a table narrower than that grid is still refused
+    nodes = [-0.5 + 0.125 * k for k in range(9)]
+    problem["diffusion"]["params"] = {"nodes": nodes, "values": [0.1] * 9}
+    cfg = write_config(simulate_config(problem=problem))
+    assert run("simulate", cfg, tmp_path / "p") == 2
+    assert ("diffusion is not finite on the validation grid [-1, 1]; "
+            "its table covers [-0.5, 0.5]") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError(),
+    MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                "(1000001, 1000000) and data type float64")])
+def test_out_of_memory_exits_2_without_traceback(tmp_path, write_config,
+                                                 capsys, monkeypatch, exc):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setitem(cli_mod._HANDLERS, "simulate", exhausted)
+    cfg = write_config(simulate_config())
+    assert run("simulate", cfg, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ")
+    assert str(exc) in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "derivative", "density"])
@@ -368,6 +408,18 @@ def test_density_deterministic_across_workers(tmp_path, write_config):
     assert run("density", cfg, one, "--workers", "1") == 0
     assert run("density", cfg, two, "--workers", "2") == 0
     for name in ("density.csv", "diagnostic.json"):
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+def test_simulate_deterministic_across_workers(tmp_path, repo_configs):
+    # one chunk hands its arrays over as they are, two are concatenated
+    cfg = repo_configs / "simulate.json"
+    one, two = tmp_path / "w1", tmp_path / "w2"
+    assert run("simulate", cfg, one, "--workers", "1") == 0
+    assert run("simulate", cfg, two, "--workers", "2") == 0
+    names = sorted(p.name for p in one.iterdir())
+    assert names == ["paths.csv", "summary.json"]
+    for name in names:
         assert (one / name).read_bytes() == (two / name).read_bytes()
 
 

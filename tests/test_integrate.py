@@ -2,6 +2,7 @@
 solution, reproducible noise, Picard iteration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,6 +416,97 @@ def test_terminal_sample_matches_batch(tanh_spec):
                                   batch.running_max[-1])
     np.testing.assert_array_equal(term.argmax_idx_final,
                                   batch.final_argmax_idx())
+
+
+# -- stored arrays: the running maximum is derived ------------------------------
+
+
+# drift and diffusion families for the derived-maximum property
+_PROPERTY_COEFFICIENTS = {
+    "const": lambda a: (Coefficient.const(a), Coefficient.const(1.0 + a)),
+    "tanh": lambda a: (Coefficient.tanh(amplitude=a, scale=2.0),
+                       Coefficient.const(1.0)),
+    "sine": lambda a: (Coefficient.sine(amplitude=a),
+                       Coefficient.sine(amplitude=0.5 * a, offset=1.0)),
+    "linear": lambda a: (Coefficient.linear(slope=a, intercept=0.1),
+                         Coefficient.linear(slope=0.5 * a, intercept=1.0)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(_PROPERTY_COEFFICIENTS)),
+       a=st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0]),
+       alpha=st.floats(-3.0, 0.999),
+       x0=st.sampled_from([-0.5, 0.0, 0.25]),
+       n_steps=st.integers(1, 40), n_paths=st.integers(1, 5),
+       quantum=st.sampled_from([0.0, 0.125, 0.25, 1.0]), data=st.data())
+def test_running_max_is_derived_from_the_values(case, a, alpha, x0, n_steps,
+                                                n_paths, quantum, data):
+    # quantized increments, many of them zero, put the state on its
+    # running maximum over and over: the tie-heavy blocks where a stored
+    # and a derived maximum could part
+    steps = data.draw(st.lists(st.integers(-2, 2), min_size=n_steps * n_paths,
+                               max_size=n_steps * n_paths))
+    db = quantum * np.array(steps, float).reshape(n_steps, n_paths)
+    drift, diffusion = _PROPERTY_COEFFICIENTS[case](a)
+    spec = ProblemSpec(x0=x0, alpha=alpha, drift=drift, diffusion=diffusion,
+                       horizon=1.0)
+    grid = GridSpec(n_steps=n_steps, horizon=1.0)
+    batch = simulate_increments(spec, grid, db)
+    term = simulate_increments(spec, grid, db, record=False)
+    running_max = batch.running_max
+    np.testing.assert_array_equal(running_max,
+                                  np.maximum.accumulate(batch.x, axis=0))
+    np.testing.assert_array_equal(running_max[-1].view(np.uint64),
+                                  term.running_max_final.view(np.uint64))
+    np.testing.assert_array_equal(batch.final_argmax_idx(),
+                                  term.argmax_idx_final)
+    for i in range(n_paths):
+        alone = simulate_increments(spec, grid, db[:, i:i + 1])
+        np.testing.assert_array_equal(batch.x[:, i].view(np.uint64),
+                                      alone.x[:, 0].view(np.uint64))
+        np.testing.assert_array_equal(running_max[:, i].view(np.uint64),
+                                      alone.running_max[:, 0].view(np.uint64))
+        np.testing.assert_array_equal(batch.new_max[:, i],
+                                      alone.new_max[:, 0])
+
+
+def test_recorded_batch_holds_no_second_float_array(tanh_spec):
+    # the batch's own arrays: the increment block, the values and the
+    # bool flags; a stored running maximum would add 8 (n+1) P bytes more
+    # than the stated slack of half that
+    n, P = 500, 2000
+    grid = GridSpec(n_steps=n, horizon=1.0)
+    simulate_batch(tanh_spec, grid, 4, seed=281)
+    tracemalloc.start()
+    try:
+        batch = simulate_batch(tanh_spec, grid, P, seed=281)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = batch.db.nbytes + batch.x.nbytes + batch.new_max.nbytes
+    assert held == 8 * n * P + 9 * (n + 1) * P
+    assert peak < held + 4 * (n + 1) * P
+
+
+def test_final_argmax_reads_the_flags_without_an_index_array(tanh_spec):
+    n, P = 500, 2000
+    grid = GridSpec(n_steps=n, horizon=1.0)
+    batch = simulate_batch(tanh_spec, grid, P, seed=283)
+    # columns that never set a new maximum report step 0; clear three
+    new_max = batch.new_max.copy()
+    new_max[:, :3] = False
+    batch = integrate.PathBatch(x=batch.x, new_max=new_max, db=batch.db)
+    tracemalloc.start()
+    try:
+        final = batch.final_argmax_idx()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n + 1) * P
+    np.testing.assert_array_equal(final, batch.argmax_idx()[-1])
+    np.testing.assert_array_equal(final == 0, ~new_max.any(axis=0))
+    assert final.dtype == np.int64 and np.all(final[:3] == 0)
 
 
 def test_batch_path_count_validation(tanh_spec, grid_1000):
