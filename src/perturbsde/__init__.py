@@ -53,7 +53,6 @@ from .errors import (
 from .integrate import (
     PathBatch,
     PicardResult,
-    TerminalSample,
     explicit_additive_path,
     generate_increments,
     kahan_cumsum,
@@ -76,7 +75,6 @@ from .lamperti import (
 from .malliavin import (
     DerivativeFieldBatch,
     cameron_martin_fd,
-    h_norm_sq,
     inner_product,
     propagate_derivative_batch,
 )
@@ -100,12 +98,12 @@ __all__ = [
     "Coefficient", "SupNormBounds", "EffectiveBounds", "ProblemSpec",
     "ValidatedSpec", "GridSpec", "validate", "sup_norm_estimate",
     # integrate
-    "PathBatch", "TerminalSample", "PicardResult", "generate_increments",
+    "PathBatch", "PicardResult", "generate_increments",
     "simulate_increments", "simulate_batch", "simulate_terminal",
     "explicit_additive_path", "kahan_cumsum", "picard_solve",
     # malliavin
-    "DerivativeFieldBatch", "propagate_derivative_batch", "h_norm_sq",
-    "inner_product", "cameron_martin_fd",
+    "DerivativeFieldBatch", "propagate_derivative_batch", "inner_product",
+    "cameron_martin_fd",
     # bounds
     "theta", "sup_lower_bound", "final_lower_bound",
     "max_horizon", "RegimeReport", "regime_report",

@@ -99,8 +99,7 @@ def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
 def _terminal_worker(problem_json, grid_json, seed, n_paths, path_offset):
     spec = io.problem_from_json(problem_json)
     grid = io.grid_from_json(grid_json)
-    sample = simulate_terminal(spec, grid, n_paths, seed, path_offset)
-    return (sample.x_final,)
+    return (simulate_terminal(spec, grid, n_paths, seed, path_offset),)
 
 
 def _derivative_worker(problem_json, grid_json, seed, track, n_paths,

@@ -17,13 +17,16 @@ on long grids.  The batched engine works on time-major arrays: all paths
 advance one step per iteration, which keeps every numpy operation on
 contiguous memory.  Per-path values are bitwise independent of how paths are
 grouped into batches, which is what makes worker-count-independent output
-possible at the command line.
+possible at the command line.  Coefficients enter through
+:meth:`~perturbsde.model.Coefficient.evaluator`, so a structurally
+constant one is a float the step multiplies by, not an array it builds.
 
 Memory: a recorded :class:`PathBatch` of ``P`` paths over ``n`` steps
 holds ``9 (n+1) P`` bytes beyond its increment block (float values plus
 bool new-maximum flags).  The running maximum is derived from the values
 when asked for, and the step loop itself allocates only ``(P,)``
-vectors.  :func:`simulate_terminal` holds one increment block of
+vectors.  Without recording, a run returns the ``(P,)`` terminal values
+and nothing else; :func:`simulate_terminal` holds one increment block of
 ``_TERMINAL_CHUNK_PATHS`` paths at a time.
 """
 
@@ -39,7 +42,6 @@ from .model import GridSpec, ValidatedSpec, validate
 
 __all__ = [
     "PathBatch",
-    "TerminalSample",
     "PicardResult",
     "euler_path",
     "explicit_additive_path",
@@ -127,9 +129,8 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
                 record: bool, path_offset: int):
     """Advance all columns of ``db_tm`` (time-major ``(n, P)``) through the
     left-frozen scheme.  Returns the time-major path values and new-maximum
-    flags when ``record``, otherwise terminal value, maximum and argmax
-    index.  A non-finite state is reported for path
-    ``path_offset + column``.
+    flags when ``record``, otherwise the terminal values.  A non-finite
+    state is reported for path ``path_offset + column``.
 
     Every step writes into buffers allocated before the loop: with
     ``record`` the state and flags go straight into their rows of the
@@ -139,8 +140,7 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
     n, P = db_tm.shape
     alpha = vspec.alpha
     one_minus = 1.0 - alpha
-    b, s = vspec.drift, vspec.diffusion
-    b_const, s_const = b.constant_value, s.constant_value
+    b, s = vspec.drift.evaluator(0), vspec.diffusion.evaluator(0)
 
     if record:
         x_tm = np.empty((n + 1, P))
@@ -150,7 +150,6 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
     else:
         x = np.full(P, vspec.x0 / one_minus)
         new = np.empty(P, dtype=bool)
-        tau = np.zeros(P, dtype=np.int64)
     M = x.copy()
     A = np.full(P, float(vspec.x0))      # compensated accumulator
     comp = np.zeros(P)
@@ -162,15 +161,8 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
         for k in range(n):
             # incr = b(x) dt + s(x) db_k; the sum is formed in the other
             # order, which IEEE addition leaves bitwise unchanged
-            if s_const is not None:
-                np.multiply(db_tm[k], s_const, out=incr)
-            else:
-                np.multiply(s(x, 0), db_tm[k], out=incr)
-            if b_const is not None:
-                incr += b_const * dt
-            else:
-                np.multiply(b(x, 0), dt, out=y)
-                incr += y
+            np.multiply(s(x), db_tm[k], out=incr)
+            incr += b(x) * dt
             # Kahan update of A; the combined increment is one addend so the
             # accumulation order is part of the reproducibility contract.
             np.subtract(incr, comp, out=y)
@@ -186,8 +178,6 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
             np.greater(x, M, out=new)
             np.divide(A, one_minus, out=x, where=new)
             np.maximum(M, x, out=M)
-            if not record:
-                np.copyto(tau, k + 1, where=new)
 
     if record:
         finite = np.isfinite(x_tm)
@@ -203,35 +193,24 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
         pp = path_offset + int(np.argwhere(bad)[0][0])
         raise NonFinite(f"non-finite terminal state on path {pp}",
                         path_index=pp)
-    return x, M, tau
+    return x
 
 
-def max_bookkeeping(x: np.ndarray | None = None, *,
-                    new: np.ndarray | None = None):
-    """Running-maximum bookkeeping along the time axis (axis 0).
+def max_bookkeeping(x: np.ndarray) -> np.ndarray:
+    """New-maximum flags of path values ``x``, shaped ``(n+1,)`` or
+    time-major ``(n+1, P)``: step ``k`` sets a new maximum when ``x[k]``
+    strictly exceeds the running maximum before it, and step 0 never does.
 
-    Give exactly one source, shaped ``(n+1,)`` or time-major ``(n+1, P)``:
-
-    - ``x``, path values: step ``k`` sets a new maximum when ``x[k]``
-      strictly exceeds the running maximum before it;
-    - ``new``, the per-step new-maximum flags themselves.
-
-    Returns ``(running_max, new, argmax)`` with first-attainment argmax
-    indices; ``running_max`` is None unless ``x`` was given.  Step 0 never
-    sets a new maximum.
+    The running maximum is carried one ``(P,)`` row at a time, so only the
+    bool flags are allocated at full size.
     """
-    if (x is None) == (new is None):
-        raise ConfigError("max_bookkeeping takes exactly one of x, new")
-    running_max = None
-    if x is not None:
-        running_max = np.maximum.accumulate(x, axis=0)
-        new = np.zeros(x.shape, dtype=bool)
-        new[1:] = x[1:] > running_max[:-1]
-    steps = np.arange(new.shape[0], dtype=np.int64).reshape(
-        (-1,) + (1,) * (new.ndim - 1))
-    argmax = np.where(new, steps, 0)
-    np.maximum.accumulate(argmax, axis=0, out=argmax)
-    return running_max, new, argmax
+    new = np.zeros(x.shape, dtype=bool)
+    rows, flags = x.reshape(x.shape[0], -1), new.reshape(x.shape[0], -1)
+    M = rows[0].copy()
+    for k in range(1, rows.shape[0]):
+        np.greater(rows[k], M, out=flags[k])
+        np.maximum(M, rows[k], out=M)
+    return new
 
 
 @dataclass(frozen=True)
@@ -245,10 +224,11 @@ class PathBatch:
 
     A batch holds three arrays: the values ``x`` (float, ``(n+1, P)``), the
     new-maximum flags ``new_max`` (bool, ``(n+1, P)``) and the increments
-    ``db`` (float, ``(n, P)``).  The running maximum and the argmax curve
-    are derived from them on request, each as a fresh ``(n+1, P)`` array.
-    The flags are kept because a tie ``x[k] == max(x[:k])`` may set a new
-    maximum in the engine, so they do not follow from ``x``.
+    ``db`` (float, ``(n, P)``).  The running maximum is derived from them
+    on request as a fresh ``(n+1, P)`` array, the terminal argmax index as
+    a ``(P,)`` one.  The flags are kept because a tie
+    ``x[k] == max(x[:k])`` may set a new maximum in the engine, so they do
+    not follow from ``x``.
     """
 
     x: np.ndarray          # (n_steps+1, n_paths)
@@ -270,28 +250,12 @@ class PathBatch:
         """Time-major running maximum ``max(x[:k+1])``, shape (n+1, P)."""
         return np.maximum.accumulate(self.x, axis=0)
 
-    def argmax_idx(self) -> np.ndarray:
-        """Time-major first-attainment argmax indices, shape (n+1, P)."""
-        return max_bookkeeping(new=self.new_max)[2]
-
     def final_argmax_idx(self) -> np.ndarray:
         """Terminal argmax index per path: the last step that set a new
-        maximum, 0 for a path that never did.  Equals ``argmax_idx()[-1]``
-        without building the ``(n+1, P)`` index array."""
+        maximum, 0 for a path that never did."""
         new = self.new_max
         last = new.shape[0] - 1 - np.argmax(new[::-1], axis=0)
         return np.where(new.any(axis=0), last, 0)
-
-
-@dataclass(frozen=True)
-class TerminalSample:
-    """Terminal-time summary of a (possibly large) simulated ensemble."""
-
-    x_final: np.ndarray
-    running_max_final: np.ndarray
-    argmax_idx_final: np.ndarray
-    seed: int
-    path_offset: int = 0
 
 
 def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
@@ -303,10 +267,10 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
     the increments of step ``k`` for every path.  Column ``i`` comes out
     bitwise equal to the same column simulated alone, whatever the other
     columns hold.  With ``record`` the result is a :class:`PathBatch`
-    holding whole trajectories (and ``db`` itself, not a copy); otherwise a
-    :class:`TerminalSample` of terminal quantities.  ``seed`` and
-    ``path_offset`` only label the result: they record which keyed stream
-    the columns came from, ``None`` for synthetic blocks.  A
+    holding whole trajectories (and ``db`` itself, not a copy); otherwise
+    the ``(n_paths,)`` array of terminal values.  ``seed`` and
+    ``path_offset`` only label a :class:`PathBatch`: they record which
+    keyed stream the columns came from, ``None`` for synthetic blocks.  A
     :class:`NonFinite` error names path ``path_offset + i`` for column
     ``i``.
 
@@ -325,8 +289,7 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
         x_tm, new_tm = _euler_core(vspec, grid.dt, db_tm, True, path_offset)
         return PathBatch(x=x_tm, new_max=new_tm, db=db_tm, seed=seed,
                          path_offset=path_offset)
-    x, M, tau = _euler_core(vspec, grid.dt, db_tm, False, path_offset)
-    return TerminalSample(x, M, tau, seed=seed, path_offset=path_offset)
+    return _euler_core(vspec, grid.dt, db_tm, False, path_offset)
 
 
 # No package code calls this: the benchmark's tracer wraps it by name
@@ -350,8 +313,9 @@ def simulate_batch(spec, grid: GridSpec, n_paths: int, seed: int,
 
 
 def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
-                      path_offset: int = 0) -> TerminalSample:
-    """Simulate keyed paths keeping only terminal-time quantities.
+                      path_offset: int = 0) -> np.ndarray:
+    """Simulate keyed paths and return their ``(n_paths,)`` terminal
+    values.
 
     Memory stays bounded by one increment block of
     ``_TERMINAL_CHUNK_PATHS`` paths, so this scales to ensemble sizes used
@@ -360,19 +324,15 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
     vspec = validate(spec)
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
-    parts = []
+    x_final = np.empty(n_paths)
     for lo in range(0, n_paths, _TERMINAL_CHUNK_PATHS):
         hi = min(lo + _TERMINAL_CHUNK_PATHS, n_paths)
         db_tm = _generate_block(seed, path_offset + lo, hi - lo,
                                 grid.n_steps, grid.dt)
-        parts.append(simulate_increments(vspec, grid, db_tm, record=False,
-                                         path_offset=path_offset + lo))
+        x_final[lo:hi] = simulate_increments(vspec, grid, db_tm, record=False,
+                                             path_offset=path_offset + lo)
         del db_tm        # freed before the next block is drawn
-    return TerminalSample(
-        np.concatenate([p.x_final for p in parts]),
-        np.concatenate([p.running_max_final for p in parts]),
-        np.concatenate([p.argmax_idx_final for p in parts]),
-        seed=seed, path_offset=path_offset)
+    return x_final
 
 
 # -- explicit solution in the driftless additive case -------------------------
@@ -478,7 +438,7 @@ def picard_solve(spec, grid: GridSpec, db: np.ndarray,
     alpha, x0 = vspec.alpha, vspec.x0
     beta = alpha / (1.0 - alpha)
     c0 = x0 / (1.0 - alpha)
-    b, s = vspec.drift, vspec.diffusion
+    b, s = vspec.drift.evaluator(0), vspec.diffusion.evaluator(0)
     dt, P = grid.dt, db.shape[1]
 
     x = np.full((grid.n_steps + 1, P), float(x0))
@@ -489,7 +449,7 @@ def picard_solve(spec, grid: GridSpec, db: np.ndarray,
     for m in range(n_iter):
         prev = x[:, live]
         left = prev[:-1]
-        incr = b(left, 0) * dt + s(left, 0) * db[:, live]
+        incr = b(left) * dt + s(left) * db[:, live]
         z = np.empty_like(prev)
         z[0] = 0.0
         np.cumsum(incr, axis=0, out=z[1:])
@@ -508,7 +468,7 @@ def picard_solve(spec, grid: GridSpec, db: np.ndarray,
         if live.size == 0:
             break
 
-    paths = PathBatch(x=x, new_max=max_bookkeeping(x)[1], db=db)
+    paths = PathBatch(x=x, new_max=max_bookkeeping(x), db=db)
     return PicardResult(paths=paths, sup_diffs=sup_diffs[:n_sweeps.max()],
                         converged=converged, n_sweeps=n_sweeps,
                         n_iterations=int(n_sweeps.sum()))

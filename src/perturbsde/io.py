@@ -151,7 +151,7 @@ def _check_int(value: Any, field: str, lo: int, hi: int | None = None) -> None:
         raise _invalid(field, f"must be {bound}, got {value}")
 
 
-_BOUND_KEYS = ("sup_f", "sup_d1", "sup_d2")
+_BOUND_KEYS = ("sup_f", "sup_d1")
 
 
 def _check_coefficient(obj: Any, field: str) -> None:

@@ -59,7 +59,6 @@ from .model import GridSpec, validate
 __all__ = [
     "DerivativeFieldBatch",
     "propagate_derivative_batch",
-    "h_norm_sq",
     "cameron_martin_fd",
     "inner_product",
 ]
@@ -123,7 +122,8 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
     n = n1 - 1
     alpha = vspec.alpha
     one_minus = 1.0 - alpha
-    b, s = vspec.drift, vspec.diffusion
+    b1, s0, s1 = (vspec.drift.evaluator(1), vspec.diffusion.evaluator(0),
+                  vspec.diffusion.evaluator(1))
 
     # forward sweep: the norm curve from three per-path sums
     G = np.ones(P)
@@ -133,11 +133,11 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
     by_time = np.zeros((n1, P)) if track_all_times else None
     for k in range(n):
         xk = x_tm[k]
-        a = 1.0 + (b(xk, 1) * dt + s(xk, 1) * db_tm[k])
+        a = 1.0 + (b1(xk) * dt + s1(xk) * db_tm[k])
         G = G * a
         Y = Y * (a * a)
         new = new_tm[k + 1]
-        sk = s(xk, 0)
+        sk = s0(xk)
         init2 = np.where(new, sk / one_minus, sk) ** 2
         mu = (G - alpha) / one_minus
         S = np.where(new, S * (mu * mu) + Y / one_minus**2 + init2, S)
@@ -167,7 +167,8 @@ def _backward_sweep(batch: PathBatch, vspec, dt: float,
     n = n1 - 1
     alpha = vspec.alpha
     one_minus = 1.0 - alpha
-    b, s = vspec.drift, vspec.diffusion
+    b1, s0, s1 = (vspec.drift.evaluator(1), vspec.diffusion.evaluator(0),
+                  vspec.diffusion.evaluator(1))
     d_x = np.empty((P, n))
     d_m = np.empty((P, n))
     R = np.ones(P)
@@ -177,31 +178,14 @@ def _backward_sweep(batch: PathBatch, vspec, dt: float,
         xk = x_tm[k]
         new = new_tm[k + 1]
         M = np.where(new & later, (R - alpha) / one_minus * M, M)
-        sk = s(xk, 0)
+        sk = s0(xk)
         m = sk / one_minus * np.where(new, M, np.where(later, R * M, 0.0))
         d_m[:, k] = m
         d_x[:, k] = np.where(new | later, m * G, sk * R)
-        a = 1.0 + (b(xk, 1) * dt + s(xk, 1) * db_tm[k])
+        a = 1.0 + (b1(xk) * dt + s1(xk) * db_tm[k])
         R = np.where(new, a, R * a)
         later |= new
     return d_x, d_m
-
-
-def h_norm_sq(d_x: np.ndarray, dt: float, k: int | None = None) -> float:
-    """Squared Cameron-Martin norm from a slot array.
-
-    ``dt * sum_{i < k} d_x[i]^2`` with ``k`` defaulting to all slots; slot
-    ``i`` carries the left-endpoint weight of the increment interval.
-    Accepts a batch array (slots on the last axis).
-    """
-    arr = np.asarray(d_x, float)
-    if k is None:
-        k = arr.shape[-1]
-    if not 0 <= k <= arr.shape[-1]:
-        raise GridMismatch(f"k={k} outside slot range {arr.shape[-1]}")
-    sub = arr[..., :k]
-    out = dt * np.einsum("...i,...i->...", sub, sub)
-    return float(out) if arr.ndim == 1 else out
 
 
 def inner_product(fields: DerivativeFieldBatch, h: np.ndarray,
@@ -246,11 +230,10 @@ def cameron_martin_fd(spec, grid: GridSpec, db: np.ndarray,
     shifted = db + (eps * h_arr * grid.dt)[:, None]
     if base is None:
         block = np.concatenate([db, shifted], axis=1)
-        final = simulate_increments(spec, grid, block, record=False).x_final
+        final = simulate_increments(spec, grid, block, record=False)
         base, bumped = np.split(final, 2)
     else:
-        bumped = simulate_increments(spec, grid, shifted,
-                                     record=False).x_final
+        bumped = simulate_increments(spec, grid, shifted, record=False)
         base = np.asarray(base, float)
         if base.shape != bumped.shape:
             raise GridMismatch("base must hold one terminal value per path")

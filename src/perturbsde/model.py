@@ -6,10 +6,12 @@ the ingredients of the dynamics
     X_t = x0 + int_0^t b(X_s) ds + int_0^t sigma(X_s) dB_s + alpha * sup_{s<=t} X_s
 
 with ``alpha < 1``.  Coefficients come from a small analytic catalog (plus a
-callback and a tabulated escape hatch) so that first and second derivatives
-and exact sup-norms are available without symbolic machinery.  ``validate``
-turns a ``ProblemSpec`` into a :class:`ValidatedSpec` carrying effective
-coefficient bounds; everything downstream consumes the validated form.
+callback and a tabulated escape hatch) so that values, first derivatives
+and exact sup-norms are available without symbolic machinery; nothing
+downstream reads a higher derivative.  ``validate`` turns a ``ProblemSpec``
+into a :class:`ValidatedSpec` carrying effective coefficient bounds
+(``sup |f|`` and ``sup |f'|``); everything downstream consumes the
+validated form.
 """
 
 from __future__ import annotations
@@ -73,35 +75,34 @@ PRESETS: dict[str, tuple[frozenset[str], frozenset[str]] | None] = {
 
 @dataclass(frozen=True)
 class SupNormBounds:
-    """Sup-norm declarations for a coefficient: ``sup |f|``, ``sup |f'|``,
-    ``sup |f''|``.  ``None`` means unknown; ``math.inf`` means unbounded."""
+    """Sup-norm declarations for a coefficient: ``sup |f|`` and
+    ``sup |f'|``.  ``None`` means unknown; ``math.inf`` means unbounded."""
 
     sup_f: float | None = None
     sup_d1: float | None = None
-    sup_d2: float | None = None
 
     def get(self, order: int) -> float | None:
-        return (self.sup_f, self.sup_d1, self.sup_d2)[order]
+        return (self.sup_f, self.sup_d1)[order]
 
 
 @dataclass(frozen=True)
 class Coefficient:
-    """A scalar coefficient ``f`` with evaluators for ``f``, ``f'``, ``f''``.
+    """A scalar coefficient ``f`` with evaluators for ``f`` and ``f'``.
 
     Instances are built through the classmethod constructors (``const``,
     ``sine``, ...) rather than directly; the constructors attach vectorized
     evaluators and, for the analytic presets, exact sup-norm declarations.
-    Evaluators accept floats or numpy arrays and return matching shapes.
+    An order in which the coefficient is constant by structure is stored
+    as that float instead of an evaluator.  Calls accept floats or numpy
+    arrays and return matching shapes.
     """
 
     preset_id: str
     params: Mapping[str, Any]
     declared_bounds: SupNormBounds | None = None
-    _value: Callable[[np.ndarray], np.ndarray] | None = field(
+    _value: Callable[[np.ndarray], np.ndarray] | float | None = field(
         default=None, repr=False, compare=False)
-    _d1: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
-    _d2: Callable[[np.ndarray], np.ndarray] | None = field(
+    _d1: Callable[[np.ndarray], np.ndarray] | float | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -120,11 +121,8 @@ class Coefficient:
               declared_bounds: SupNormBounds | None = None) -> "Coefficient":
         """f(x) = value."""
         v = float(value)
-        bounds = declared_bounds or SupNormBounds(abs(v), 0.0, 0.0)
-        return cls("const", {"value": v}, bounds,
-                   _value=lambda x: np.full_like(np.asarray(x, float), v),
-                   _d1=lambda x: np.zeros_like(np.asarray(x, float)),
-                   _d2=lambda x: np.zeros_like(np.asarray(x, float)))
+        bounds = declared_bounds or SupNormBounds(abs(v), 0.0)
+        return cls("const", {"value": v}, bounds, _value=v, _d1=0.0)
 
     @classmethod
     def linear(cls, slope: float, intercept: float = 0.0,
@@ -132,11 +130,10 @@ class Coefficient:
         """f(x) = slope * x + intercept."""
         a, c = float(slope), float(intercept)
         sup_f = abs(c) if a == 0.0 else math.inf
-        bounds = declared_bounds or SupNormBounds(sup_f, abs(a), 0.0)
+        bounds = declared_bounds or SupNormBounds(sup_f, abs(a))
+        value = c if a == 0.0 else (lambda x: a * np.asarray(x, float) + c)
         return cls("linear", {"slope": a, "intercept": c}, bounds,
-                   _value=lambda x: a * np.asarray(x, float) + c,
-                   _d1=lambda x: np.full_like(np.asarray(x, float), a),
-                   _d2=lambda x: np.zeros_like(np.asarray(x, float)))
+                   _value=value, _d1=a)
 
     @classmethod
     def sine(cls, amplitude: float = 1.0, offset: float = 0.0,
@@ -145,23 +142,20 @@ class Coefficient:
         """f(x) = offset + amplitude * sin(frequency * x + phase)."""
         a, c, w, p = (float(amplitude), float(offset), float(frequency),
                       float(phase))
-        bounds = declared_bounds or SupNormBounds(
-            abs(c) + abs(a), abs(a * w), abs(a * w * w))
+        bounds = declared_bounds or SupNormBounds(abs(c) + abs(a), abs(a * w))
         return cls("sine",
                    {"amplitude": a, "offset": c, "frequency": w, "phase": p},
                    bounds,
                    _value=lambda x: c + a * np.sin(w * np.asarray(x, float) + p),
-                   _d1=lambda x: a * w * np.cos(w * np.asarray(x, float) + p),
-                   _d2=lambda x: -a * w * w * np.sin(w * np.asarray(x, float) + p))
+                   _d1=lambda x: a * w * np.cos(w * np.asarray(x, float) + p))
 
     @classmethod
     def tanh(cls, amplitude: float = 1.0, scale: float = 1.0,
              declared_bounds: SupNormBounds | None = None) -> "Coefficient":
         """f(x) = amplitude * tanh(scale * x)."""
         a, s = float(amplitude), float(scale)
-        # sup |d/dx tanh| = 1, sup |d2/dx2 tanh| = 4 / (3 sqrt(3))
-        bounds = declared_bounds or SupNormBounds(
-            abs(a), abs(a * s), abs(a) * s * s * 4.0 / (3.0 * math.sqrt(3.0)))
+        # sup |d/dx tanh| = 1
+        bounds = declared_bounds or SupNormBounds(abs(a), abs(a * s))
 
         def _v(x):
             return a * np.tanh(s * np.asarray(x, float))
@@ -170,12 +164,8 @@ class Coefficient:
             t = np.tanh(s * np.asarray(x, float))
             return a * s * (1.0 - t * t)
 
-        def _d2(x):
-            t = np.tanh(s * np.asarray(x, float))
-            return -2.0 * a * s * s * t * (1.0 - t * t)
-
         return cls("tanh", {"amplitude": a, "scale": s}, bounds,
-                   _value=_v, _d1=_d1, _d2=_d2)
+                   _value=_v, _d1=_d1)
 
     @classmethod
     def ornstein_uhlenbeck(cls, rate: float = 1.0, mean: float = 0.0,
@@ -183,26 +173,23 @@ class Coefficient:
                            ) -> "Coefficient":
         """Mean-reverting drift f(x) = -rate * (x - mean)."""
         r, m = float(rate), float(mean)
-        bounds = declared_bounds or SupNormBounds(math.inf, abs(r), 0.0)
+        bounds = declared_bounds or SupNormBounds(math.inf, abs(r))
         return cls("ornstein_uhlenbeck", {"rate": r, "mean": m}, bounds,
-                   _value=lambda x: -r * (np.asarray(x, float) - m),
-                   _d1=lambda x: np.full_like(np.asarray(x, float), -r),
-                   _d2=lambda x: np.zeros_like(np.asarray(x, float)))
+                   _value=lambda x: -r * (np.asarray(x, float) - m), _d1=-r)
 
     @classmethod
     def from_callbacks(cls, value: Callable, d1: Callable | None = None,
-                       d2: Callable | None = None,
                        declared_bounds: SupNormBounds | None = None,
                        params: Mapping[str, Any] | None = None
                        ) -> "Coefficient":
         """Wrap user-supplied vectorized callables.
 
-        Derivative callables are optional; requesting a missing order raises
-        :class:`UnsupportedOrder`.  Callback coefficients cannot be
+        The derivative callable is optional; requesting it when missing
+        raises :class:`UnsupportedOrder`.  Callback coefficients cannot be
         serialized to JSON (configs carry no closures); tabulate them first.
         """
         return cls("custom-callback", dict(params or {}), declared_bounds,
-                   _value=value, _d1=d1, _d2=d2)
+                   _value=value, _d1=d1)
 
     @classmethod
     def tabulated(cls, nodes: np.ndarray, values: np.ndarray,
@@ -218,12 +205,6 @@ class Coefficient:
         densely enough for the validation tolerance), otherwise it
         differentiates the value spline, which is exactly consistent with
         finite differences of it because the spline is C2.
-
-        No second-derivative evaluator is supplied: a piecewise cubic's
-        second derivative has kinks at every node, so it can neither meet
-        the finite-difference consistency contract nor serve as a
-        trustworthy estimate.  Requesting order 2 raises
-        :class:`UnsupportedOrder`.
         """
         # copies: the evaluators keep these arrays
         nodes, values = np.array(nodes, float), np.array(values, float)
@@ -247,42 +228,50 @@ class Coefficient:
                             _not_a_knot_slopes(nodes, d1_values))
         return cls("custom-tabulated", tables, declared_bounds,
                    _value=partial(hermite, nodes, values, slopes),
-                   _d1=d1_fn, _d2=None)
+                   _d1=d1_fn)
 
     # -- evaluation -----------------------------------------------------------
 
-    def __call__(self, x, order: int = 0):
-        if order == 0:
-            fn = self._value
-        elif order == 1:
-            fn = self._d1
-        elif order == 2:
-            fn = self._d2
-        else:
+    def evaluator(self, order: int = 0
+                  ) -> Callable[[np.ndarray], np.ndarray | float]:
+        """The order-``order`` evaluator for arrays, for loops that call it
+        at every step.
+
+        In an order where the coefficient is constant by structure
+        (``const``, ``linear`` with zero slope, and order 1 of ``linear``
+        and ``ornstein_uhlenbeck``) it returns that constant as a float,
+        whatever its argument; numpy arithmetic broadcasts it bitwise like
+        the array of it.  Raises :class:`UnsupportedOrder` for an order
+        the coefficient has no evaluator for.
+        """
+        if order not in (0, 1):
             raise UnsupportedOrder(f"derivative order {order} not supported")
+        fn = (self._value, self._d1)[order]
         if fn is None:
             raise UnsupportedOrder(
                 f"coefficient {self.preset_id!r} has no evaluator for "
                 f"derivative order {order}")
-        out = np.asarray(fn(x), float)
+        if isinstance(fn, float):
+            return lambda x: fn
+        return fn
+
+    def __call__(self, x, order: int = 0):
+        out = np.asarray(self.evaluator(order)(x), float)
         if np.ndim(x) == 0:
             return float(out)
+        if out.shape != np.shape(x):
+            out = np.full(np.shape(x), out)
         return out
 
     def has_order(self, order: int) -> bool:
-        return (self._value, self._d1, self._d2)[order] is not None \
-            if order in (0, 1, 2) else False
+        return order in (0, 1) and (self._value, self._d1)[order] is not None
 
     @property
     def constant_value(self) -> float | None:
         """The value of a structurally constant coefficient (``const``, or
         ``linear`` with zero slope), else None.  Other presets are never
         reported constant, whatever their parameters."""
-        if self.preset_id == "const":
-            return float(self.params["value"])
-        if self.preset_id == "linear" and self.params["slope"] == 0.0:
-            return float(self.params["intercept"])
-        return None
+        return self._value if isinstance(self._value, float) else None
 
 
 def hermite(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray, x,
@@ -404,7 +393,6 @@ class EffectiveBounds:
 
     sup_f: float
     sup_d1: float
-    sup_d2: float
     source: str  # "declared" | "grid"
 
 
@@ -490,22 +478,19 @@ def _finite_values(c: Coefficient, grid: np.ndarray, name: str
 
 
 def _fd_check(c: Coefficient, grid: np.ndarray, name: str) -> None:
-    """Central-difference consistency of supplied derivative evaluators."""
+    """Central-difference consistency of a supplied first derivative."""
+    if not c.has_order(1):
+        return
     h = FD_STEP
-    for order in (1, 2):
-        if not c.has_order(order) or not c.has_order(order - 1):
-            continue
-        lower = c(grid, order - 1)
-        exact = c(grid, order)
-        fd = (np.asarray(c(grid + h, order - 1)) - np.asarray(
-            c(grid - h, order - 1))) / (2.0 * h)
-        scale = max(1.0, float(np.max(np.abs(exact))),
-                    float(np.max(np.abs(lower))))
-        err = float(np.max(np.abs(fd - exact)))
-        if not np.isfinite(err) or err > FD_TOL * scale:
-            raise InconsistentDerivatives(
-                f"{name}: order-{order} evaluator disagrees with central "
-                f"differences (max error {err:.3e}, tol {FD_TOL * scale:.3e})")
+    exact = c(grid, 1)
+    fd = (c(grid + h, 0) - c(grid - h, 0)) / (2.0 * h)
+    scale = max(1.0, float(np.max(np.abs(exact))),
+                float(np.max(np.abs(c(grid, 0)))))
+    err = float(np.max(np.abs(fd - exact)))
+    if not np.isfinite(err) or err > FD_TOL * scale:
+        raise InconsistentDerivatives(
+            f"{name}: order-1 evaluator disagrees with central "
+            f"differences (max error {err:.3e}, tol {FD_TOL * scale:.3e})")
 
 
 def _effective_bounds(c: Coefficient, grid: np.ndarray, name: str
@@ -513,7 +498,7 @@ def _effective_bounds(c: Coefficient, grid: np.ndarray, name: str
     declared = c.declared_bounds
     sups: list[float] = []
     complete = declared is not None
-    for order in (0, 1, 2):
+    for order in (0, 1):
         grid_sup = (float(np.max(np.abs(c(grid, order))))
                     if c.has_order(order) else math.inf)
         dec = declared.get(order) if declared else None
@@ -527,7 +512,7 @@ def _effective_bounds(c: Coefficient, grid: np.ndarray, name: str
         else:
             sups.append(grid_sup)
             complete = False
-    return EffectiveBounds(sups[0], sups[1], sups[2],
+    return EffectiveBounds(sups[0], sups[1],
                            "declared" if complete else "grid")
 
 

@@ -27,7 +27,6 @@ from perturbsde import (
     final_lower_bound,
     forward,
     generate_increments,
-    h_norm_sq,
     inner_product,
     inverse,
     lift_bound_check,
@@ -200,7 +199,7 @@ def test_criterion_08_strong_order_on_linear_benchmark():
         exact = np.ones(n_paths)
         for k in range(n):
             exact = a * exact + q * db[:, k] / sdt
-        euler = simulate_increments(spec, grid, db.T, record=False).x_final
+        euler = simulate_increments(spec, grid, db.T, record=False)
         errors.append(float(np.mean(np.abs(exact - euler))))
         dts.append(dt)
     slope = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])

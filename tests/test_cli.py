@@ -19,7 +19,8 @@ from perturbsde import (
     validate,
 )
 from perturbsde.cli import _chunks, _pool_size, main
-from perturbsde.io import TOOL_VERSION, problem_from_json, read_json
+from perturbsde.io import (TOOL_VERSION, check_config, problem_from_json,
+                           read_json)
 
 
 def base_problem(alpha=0.0, x0=1.0):
@@ -152,17 +153,22 @@ def test_wrong_type_rejected_by_schema(tmp_path, write_config):
     ("simulate", "out", 5, "out"),
     ("simulate", "format", "xml", "format"),
     ("simulate", "format", "json", "format"),
+    ("simulate", "problem",
+     dict(base_problem(), drift={"preset": "const", "params": {"value": 0.0},
+                                 "declared_bounds": {"sup_d2": 0.0}}),
+     "config: problem.drift.declared_bounds.sup_d2: unknown key"),
 ], ids=["n_paths-float", "n_paths-negative", "seed-negative", "seed-2**64",
         "seed-float", "t0-zero", "t0-overflows-float", "bandwidth-string",
         "n_grid-float", "bandwidth-mesh-too-fine", "transform.n_nodes-float",
         "transform.domain-length", "transform-unknown-key", "suites-item",
-        "out-type", "format-xml", "format-json"])
+        "out-type", "format-xml", "format-json", "declared_bounds-sup_d2"])
 def test_invalid_field_exits_2_and_names_it(tmp_path, write_config, capsys,
                                              command, field, value, name):
     cfg = write_config(simulate_config(**{field: value}))
     assert run(command, cfg, tmp_path / "o") == 2
     err = capsys.readouterr().err
     assert "config" in err and name in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("block,path", [
@@ -358,6 +364,20 @@ def test_regime_artifacts(tmp_path, write_config):
     assert len(data) == 101
 
 
+def test_first_order_declared_bounds_are_rigorous(tmp_path, write_config):
+    # sup |b| and sup |b'| are all a regime needs of the drift
+    problem = base_problem(alpha=0.1, x0=0.0)
+    problem["drift"] = {"preset": "sine", "params": {"amplitude": 0.1},
+                        "declared_bounds": {"sup_f": 0.1, "sup_d1": 0.1}}
+    cfg = write_config({"problem": problem, "t0": 1.0})
+    out = tmp_path / "run"
+    assert run("regime", cfg, out) == 0
+    doc = read_json(out / "regime.json")
+    assert doc["lb_source"] == "declared"
+    assert doc["rigorous"] is True
+    assert doc["lb"] == 0.1
+
+
 def test_derivative_with_bounds_block(tmp_path, write_config):
     problem = {"x0": 0.0, "alpha": 0.1,
                "drift": {"preset": "tanh",
@@ -493,6 +513,16 @@ def test_transformed_spec_artifact_is_the_simulated_problem(
         transformed_spec(problem, build_transform(problem)), grid, 16,
         seed=11)
     assert np.array_equal(read_back.x, direct.x)
+
+
+def test_transformed_spec_problem_is_a_valid_config(tmp_path, repo_configs):
+    out = tmp_path / "run"
+    assert run("transform", repo_configs / "transform.json", out) == 0
+    problem = read_json(out / "transformed_spec.json")["problem"]
+    assert problem["diffusion"]["declared_bounds"] == {"sup_f": 1.0,
+                                                       "sup_d1": 0.0}
+    check_config({"problem": problem})
+    validate(problem_from_json(problem))
 
 
 def test_regime_with_tabulated_diffusion(tmp_path, write_config):

@@ -230,9 +230,7 @@ def test_explicit_path_hand_case_positive_alpha():
     # discrete Brownian points B = (0, 1, 0.5)
     x = explicit_additive_path(0.0, 0.5, 1.0, np.array([1.0, -0.5]))
     np.testing.assert_allclose(x, [0.0, 2.0, 1.5], atol=1e-15)
-    running_max, _, argmax = max_bookkeeping(x)
-    np.testing.assert_allclose(running_max, [0.0, 2.0, 2.0], atol=1e-15)
-    np.testing.assert_array_equal(argmax, [0, 1, 1])
+    np.testing.assert_array_equal(max_bookkeeping(x), [False, True, False])
 
 
 def test_explicit_path_hand_case_negative_alpha():
@@ -277,8 +275,7 @@ def test_euler_matches_explicit_solution(alpha, driftless):
     direct = simulate_batch(spec, grid, 5, seed=17)
     closed = explicit_additive_path(0.5, alpha, 1.0, direct.db)
     assert float(np.max(np.abs(direct.x - closed))) <= 1e-12
-    np.testing.assert_array_equal(direct.argmax_idx(),
-                                  max_bookkeeping(closed)[2])
+    np.testing.assert_array_equal(direct.new_max, max_bookkeeping(closed))
 
 
 def test_monotone_coupling_in_alpha():
@@ -340,8 +337,8 @@ def test_batch_agrees_with_single_paths_bitwise(tanh_spec, grid_1000):
         np.testing.assert_array_equal(
             batch.db[:, i],
             generate_increments(101, i, grid_1000.n_steps, grid_1000.dt))
-        np.testing.assert_array_equal(batch.argmax_idx()[:, i],
-                                      alone.argmax_idx()[:, 0])
+        np.testing.assert_array_equal(batch.new_max[:, i],
+                                      alone.new_max[:, 0])
 
 
 @pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
@@ -349,18 +346,16 @@ def test_increment_block_columns_equal_single_paths_bitwise(case):
     spec, grid, db = mixed_case(case)
     batch = simulate_increments(spec, grid, db)
     term = simulate_increments(spec, grid, db, record=False)
-    assert batch.seed is None and term.seed is None
-    argmax = batch.argmax_idx()
+    assert batch.seed is None
+    assert term.shape == (db.shape[1],)
     for i in range(db.shape[1]):
         alone = simulate_increments(spec, grid, db[:, i:i + 1])
         np.testing.assert_array_equal(batch.x[:, i], alone.x[:, 0])
         np.testing.assert_array_equal(batch.running_max[:, i],
                                       alone.running_max[:, 0])
-        np.testing.assert_array_equal(argmax[:, i],
-                                      alone.argmax_idx()[:, 0])
-        assert term.x_final[i] == alone.x[-1, 0]
-        assert term.running_max_final[i] == alone.running_max[-1, 0]
-        assert term.argmax_idx_final[i] == alone.final_argmax_idx()[0]
+        np.testing.assert_array_equal(batch.new_max[:, i],
+                                      alone.new_max[:, 0])
+        assert term[i] == alone.x[-1, 0]
 
 
 def test_increment_block_shape_validation(tanh_spec, grid_1000):
@@ -371,23 +366,19 @@ def test_increment_block_shape_validation(tanh_spec, grid_1000):
 
 def test_max_bookkeeping_sources_agree():
     x = np.array([0.0, 1.0, 1.0, 0.5, 2.0, -1.0, 2.0, 3.0])
-    M, new, argmax = max_bookkeeping(x)
-    np.testing.assert_array_equal(M, [0, 1, 1, 1, 2, 2, 2, 3])
+    new = max_bookkeeping(x)
     np.testing.assert_array_equal(new, [0, 1, 0, 0, 1, 0, 0, 1])
-    np.testing.assert_array_equal(argmax, [0, 1, 1, 1, 4, 4, 4, 7])
-    assert max_bookkeeping(new=new)[0] is None
-    np.testing.assert_array_equal(max_bookkeeping(new=new)[2], argmax)
+    # the engine sets the same flags on the path it builds from these
+    # (exactly summable) increments
+    engine = simulate_increments(make_driftless(0.0), GridSpec(7, 1.0),
+                                 np.diff(x)[:, None])
+    np.testing.assert_array_equal(engine.x[:, 0], x)
+    np.testing.assert_array_equal(engine.new_max[:, 0], new)
     # time-major columns are handled independently
     xs = np.stack([x, -x, x[::-1]], axis=1)
-    _, new2, argmax2 = max_bookkeeping(xs)
+    new2 = max_bookkeeping(xs)
     for j in range(3):
-        _, nj, aj = max_bookkeeping(xs[:, j])
-        np.testing.assert_array_equal(new2[:, j], nj)
-        np.testing.assert_array_equal(argmax2[:, j], aj)
-    with pytest.raises(ConfigError):
-        max_bookkeeping(x, new=new)
-    with pytest.raises(ConfigError):
-        max_bookkeeping()
+        np.testing.assert_array_equal(new2[:, j], max_bookkeeping(xs[:, j]))
 
 
 def test_batch_offset_is_a_pure_relabeling(tanh_spec):
@@ -402,20 +393,14 @@ def test_terminal_sample_is_chunk_independent(tanh_spec, monkeypatch):
     b = simulate_terminal(tanh_spec, grid, 10, seed=13)
     monkeypatch.setattr(integrate, "_TERMINAL_CHUNK_PATHS", 3)
     a = simulate_terminal(tanh_spec, grid, 10, seed=13)
-    np.testing.assert_array_equal(a.x_final, b.x_final)
-    np.testing.assert_array_equal(a.running_max_final, b.running_max_final)
-    np.testing.assert_array_equal(a.argmax_idx_final, b.argmax_idx_final)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_terminal_sample_matches_batch(tanh_spec):
     grid = GridSpec(n_steps=64, horizon=1.0)
     term = simulate_terminal(tanh_spec, grid, 12, seed=19)
     batch = simulate_batch(tanh_spec, grid, 12, seed=19)
-    np.testing.assert_array_equal(term.x_final, batch.x[-1])
-    np.testing.assert_array_equal(term.running_max_final,
-                                  batch.running_max[-1])
-    np.testing.assert_array_equal(term.argmax_idx_final,
-                                  batch.final_argmax_idx())
+    np.testing.assert_array_equal(term, batch.x[-1])
 
 
 # -- stored arrays: the running maximum is derived ------------------------------
@@ -457,10 +442,8 @@ def test_running_max_is_derived_from_the_values(case, a, alpha, x0, n_steps,
     running_max = batch.running_max
     np.testing.assert_array_equal(running_max,
                                   np.maximum.accumulate(batch.x, axis=0))
-    np.testing.assert_array_equal(running_max[-1].view(np.uint64),
-                                  term.running_max_final.view(np.uint64))
-    np.testing.assert_array_equal(batch.final_argmax_idx(),
-                                  term.argmax_idx_final)
+    np.testing.assert_array_equal(batch.x[-1].view(np.uint64),
+                                  term.view(np.uint64))
     for i in range(n_paths):
         alone = simulate_increments(spec, grid, db[:, i:i + 1])
         np.testing.assert_array_equal(batch.x[:, i].view(np.uint64),
@@ -504,7 +487,9 @@ def test_final_argmax_reads_the_flags_without_an_index_array(tanh_spec):
     finally:
         tracemalloc.stop()
     assert peak < 8 * (n + 1) * P
-    np.testing.assert_array_equal(final, batch.argmax_idx()[-1])
+    steps = np.arange(n + 1)[:, None]
+    np.testing.assert_array_equal(final,
+                                  np.where(new_max, steps, 0).max(axis=0))
     np.testing.assert_array_equal(final == 0, ~new_max.any(axis=0))
     assert final.dtype == np.int64 and np.all(final[:3] == 0)
 
@@ -530,8 +515,8 @@ def test_ornstein_uhlenbeck_terminal_moments():
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     grid = GridSpec(n_steps=256, horizon=1.0)
     term = simulate_terminal(spec, grid, 4000, seed=37)
-    assert np.mean(term.x_final) == pytest.approx(math.exp(-1.0), abs=0.05)
-    assert np.var(term.x_final) == pytest.approx(
+    assert np.mean(term) == pytest.approx(math.exp(-1.0), abs=0.05)
+    assert np.var(term) == pytest.approx(
         (1.0 - math.exp(-2.0)) / 2.0, rel=0.1)
 
 

@@ -91,7 +91,7 @@ def test_preset_round_trip(coeff):
     rebuilt = coefficient_from_json(doc)
     assert rebuilt.preset_id == coeff.preset_id
     x = np.linspace(-3.0, 3.0, 41)
-    for order in (0, 1, 2):
+    for order in (0, 1):
         np.testing.assert_array_equal(rebuilt(x, order), coeff(x, order))
     assert coefficient_to_json(rebuilt) == doc
 

@@ -14,13 +14,27 @@ from perturbsde import (
     GridSpec,
     ProblemSpec,
     cameron_martin_fd,
-    h_norm_sq,
     inner_product,
     propagate_derivative_batch,
     simulate_batch,
     simulate_increments,
 )
 from conftest import COEFFICIENT_CASES, mixed_case
+
+
+def h_norm_sq(d_x: np.ndarray, dt: float, k: int | None = None):
+    """Squared Cameron-Martin norm from a slot array: ``dt * sum_{i < k}
+    d_x[i]^2`` with ``k`` defaulting to all slots; slot ``i`` carries the
+    left-endpoint weight of the increment interval.  Accepts a batch array
+    (slots on the last axis)."""
+    arr = np.asarray(d_x, float)
+    if k is None:
+        k = arr.shape[-1]
+    if not 0 <= k <= arr.shape[-1]:
+        raise GridMismatch(f"k={k} outside slot range {arr.shape[-1]}")
+    sub = arr[..., :k]
+    out = dt * np.einsum("...i,...i->...", sub, sub)
+    return float(out) if arr.ndim == 1 else out
 
 
 # -- closed forms in the driftless additive case ------------------------------
@@ -321,7 +335,7 @@ def test_batch_directional_derivative_equals_per_path_calls():
     cases += [mixed_case(name) for name in COEFFICIENT_CASES]
     for spec, grid, db in cases:
         h = np.cos(np.linspace(0.0, 3.0, grid.n_steps))
-        base = simulate_increments(spec, grid, db, record=False).x_final
+        base = simulate_increments(spec, grid, db, record=False)
         per_path = [cameron_martin_fd(spec, grid, db[:, i:i + 1], h)[0]
                     for i in range(db.shape[1])]
         together = cameron_martin_fd(spec, grid, db, h)

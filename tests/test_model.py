@@ -22,9 +22,6 @@ from perturbsde import (
 )
 from conftest import make_driftless
 
-# max |d2 tanh/dx2| = 4/(3 sqrt 3), attained at tanh(x) = 1/sqrt(3)
-TANH_SUP_D2 = 4.0 / (3.0 * math.sqrt(3.0))
-
 CATALOG_SAMPLES = [
     Coefficient.const(2.0),
     Coefficient.linear(slope=0.7, intercept=-0.3),
@@ -39,12 +36,10 @@ CATALOG_SAMPLES = [
 def test_catalog_derivatives_match_finite_differences(coefficient):
     xs = np.linspace(-3.0, 3.0, 401)
     h = 1e-4
-    for order in (1, 2):
-        exact = coefficient(xs, order)
-        fd = (coefficient(xs + h, order - 1)
-              - coefficient(xs - h, order - 1)) / (2.0 * h)
-        scale = max(1.0, float(np.max(np.abs(exact))))
-        assert float(np.max(np.abs(fd - exact))) <= 1e-6 * scale
+    exact = coefficient(xs, 1)
+    fd = (coefficient(xs + h, 0) - coefficient(xs - h, 0)) / (2.0 * h)
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    assert float(np.max(np.abs(fd - exact))) <= 1e-6 * scale
 
 
 def test_eval_coefficient_spot_values():
@@ -76,21 +71,29 @@ def test_constant_value(coefficient, expected):
     assert value == expected
     if expected is not None:
         assert type(value) is float
+    # the step loops' evaluator is that float, not an array of it
+    out = coefficient.evaluator(0)(np.linspace(0.0, 1.0, 3))
+    assert (type(out) is float) == (expected is not None)
 
 
-def test_tanh_second_derivative_against_finite_differences():
-    c = Coefficient.tanh()
-    h = 1e-4
-    fd = (c(0.5 + h, 1) - c(0.5 - h, 1)) / (2.0 * h)
-    assert abs(fd - c(0.5, 2)) <= 1e-6
-
-
-def test_tanh_declared_curvature_bound_is_the_grid_sup():
-    c = Coefficient.tanh(amplitude=1.0, scale=1.0)
-    assert c.declared_bounds.sup_d2 == pytest.approx(TANH_SUP_D2, abs=1e-15)
-    grid_sup = sup_norm_estimate(c, 2, (-5.0, 5.0), n_grid=200001)
-    assert grid_sup == pytest.approx(TANH_SUP_D2, abs=1e-8)
-    assert grid_sup <= c.declared_bounds.sup_d2
+@pytest.mark.parametrize("coefficient,slope", [
+    (Coefficient.const(2.5), 0.0),
+    (Coefficient.linear(slope=0.3, intercept=-1.5), 0.3),
+    (Coefficient.ornstein_uhlenbeck(rate=1.2), -1.2),
+    (Coefficient.sine(amplitude=0.0), None),
+    (Coefficient.tanh(), None),
+], ids=["const", "linear", "ornstein_uhlenbeck", "sine", "tanh"])
+def test_constant_slope_evaluates_to_a_float(coefficient, slope):
+    xs = np.linspace(-1.0, 1.0, 5)
+    out = coefficient.evaluator(1)(xs)
+    if slope is None:
+        assert out.shape == xs.shape
+    else:
+        assert type(out) is float and out == slope
+    np.testing.assert_array_equal(coefficient(xs, 1),
+                                  np.broadcast_to(out, xs.shape))
+    with pytest.raises(UnsupportedOrder):
+        coefficient.evaluator(2)
 
 
 def test_scalar_and_array_evaluation_agree():
@@ -108,8 +111,9 @@ def test_unsupported_orders():
     with pytest.raises(UnsupportedOrder):
         c(2.0, order=1)
     with pytest.raises(UnsupportedOrder):
-        Coefficient.const(1.0)(0.0, order=3)
-    assert Coefficient.const(1.0).has_order(2)
+        Coefficient.const(1.0)(0.0, order=2)
+    assert Coefficient.const(1.0).has_order(1)
+    assert not Coefficient.const(1.0).has_order(2)
     assert not c.has_order(1)
 
 
@@ -190,7 +194,7 @@ def test_validate_is_idempotent(tanh_spec):
 def test_validate_accepts_declared_bound_confirmed_by_grid():
     spec = ProblemSpec(
         x0=0.0, alpha=0.0,
-        drift=Coefficient.sine(declared_bounds=SupNormBounds(1.0, 1.0, 1.0)),
+        drift=Coefficient.sine(declared_bounds=SupNormBounds(1.0, 1.0)),
         diffusion=Coefficient.const(1.0), horizon=1.0)
     vspec = validate(spec)
     assert vspec.drift_bounds.sup_d1 == 1.0
@@ -199,7 +203,7 @@ def test_validate_accepts_declared_bound_confirmed_by_grid():
 
 def test_validate_rejects_violated_declared_bound():
     lying = Coefficient.sine(amplitude=2.0,
-                             declared_bounds=SupNormBounds(0.5, None, None))
+                             declared_bounds=SupNormBounds(0.5, None))
     spec = ProblemSpec(x0=0.0, alpha=0.0, drift=lying,
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     with pytest.raises(InconsistentDerivatives, match="declared"):
@@ -350,10 +354,13 @@ def test_path_state_invariants_on_simulated_paths(driftless):
     for alpha in (-0.5, 0.0, 0.5):
         batch = simulate_batch(driftless(alpha), grid, 1, seed=11)
         x, M = batch.x[:, 0], batch.running_max[:, 0]
-        idx = batch.argmax_idx()[:, 0]
+        new = batch.new_max[:, 0]
         assert M[0] == x[0]
         np.testing.assert_array_equal(M, np.maximum.accumulate(x))
         assert np.all(x <= M)
-        for k in range(x.shape[0]):
+        # a step sets a new maximum exactly when its value is the first
+        # attainment of the running maximum
+        assert not new[0]
+        for k in range(1, x.shape[0]):
             first = int(np.argmax(x[:k + 1] >= M[k]))
-            assert idx[k] == first
+            assert new[k] == (first == k)
