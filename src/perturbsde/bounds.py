@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDiffusion
+from .lamperti import DEFAULT_NODES, build_transform, transformed_drift_bound
 from .model import GridSpec, ProblemSpec, ValidatedSpec, validate
 
 __all__ = [
@@ -153,7 +154,7 @@ class RegimeReport:
 
 
 def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
-                  n_transform_nodes: int = 4097) -> RegimeReport:
+                  n_transform_nodes: int = DEFAULT_NODES) -> RegimeReport:
     """Evaluate the regime machinery for one problem at horizon ``t0``.
 
     Constant diffusion uses the drift's ``|b'|`` bound directly.  Otherwise
@@ -174,7 +175,6 @@ def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
         sigma_bar = abs(sigma_const)
         transformed = False
     else:
-        from .lamperti import build_transform, transformed_drift_bound
         if vspec.sigma_inf <= 0.0 or not vspec.sigma_sign_constant:
             raise DegenerateDiffusion(
                 "regime classification with non-constant diffusion needs "

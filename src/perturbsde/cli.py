@@ -80,12 +80,6 @@ def _moments(values: np.ndarray) -> dict[str, float]:
             "min": float(np.min(v)), "max": float(np.max(v))}
 
 
-def _write_table(stem: Path, columns: dict[str, np.ndarray],
-                 meta: dict) -> None:
-    csv_meta = {k: v for k, v in meta.items() if v is not None}
-    io.write_csv(stem.with_suffix(".csv"), columns, meta=csv_meta)
-
-
 # -- worker functions (top level so they survive pickling) --------------------
 
 
@@ -195,12 +189,12 @@ def cmd_simulate(config: dict, out_dir: Path, workers: int,
     running_max = np.maximum.accumulate(x, axis=0)
 
     n1 = grid.n_steps + 1
-    _write_table(out_dir / "paths",
+    io.write_csv(out_dir / "paths.csv",
                  {"path": np.repeat(np.arange(n_paths), n1),
                   "t": np.tile(grid.times, n_paths),
                   "x": x.T.reshape(-1),
                   "running_max": running_max.T.reshape(-1)},
-                 meta)
+                 meta=meta)
     io.write_json(out_dir / "summary.json", {
         "n_paths": n_paths,
         "n_steps": grid.n_steps,
@@ -229,12 +223,12 @@ def cmd_derivative(config: dict, out_dir: Path, workers: int,
     by_time = _assemble(results, 5, axis=1) if track else None
 
     n = grid.n_steps
-    _write_table(out_dir / "derivative",
+    io.write_csv(out_dir / "derivative.csv",
                  {"path": np.repeat(np.arange(n_paths), n),
                   "r": np.tile(grid.times[:n], n_paths),
                   "d_x": d_x.reshape(-1),
                   "d_m": d_m.reshape(-1)},
-                 meta)
+                 meta=meta)
 
     summary: dict[str, Any] = {
         "n_paths": n_paths,
@@ -254,10 +248,10 @@ def cmd_regime(config: dict, out_dir: Path, workers: int,
     _require(config, "regime", "problem", "t0")
     report = _regime(config, io.problem_from_json(config["problem"]))
     io.write_json(out_dir / "regime.json", _regime_block(report), meta=meta)
-    _write_table(out_dir / "lower_bound_curve",
+    io.write_csv(out_dir / "lower_bound_curve.csv",
                  {"t": report.lower_bound_curve[:, 0],
                   "bound": report.lower_bound_curve[:, 1]},
-                 meta)
+                 meta=meta)
 
 
 def cmd_density(config: dict, out_dir: Path, workers: int,
@@ -305,7 +299,7 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
         diagnostic["l1_to_oracle"] = l1_distance(estimate, p_oracle)
     if config.get("t0") is not None:
         diagnostic["regime"] = _regime_block(_regime(config, problem))
-    _write_table(out_dir / "density", columns, meta)
+    io.write_csv(out_dir / "density.csv", columns, meta=meta)
     io.write_json(out_dir / "diagnostic.json", diagnostic, meta=meta)
 
 
@@ -318,8 +312,8 @@ def cmd_transform(config: dict, out_dir: Path, workers: int,
     table = build_transform(problem,
                             n_nodes=block.get("n_nodes", DEFAULT_NODES),
                             domain=domain)
-    _write_table(out_dir / "transform_table",
-                 {"y": table.nodes, "F": table.F_values}, meta)
+    io.write_csv(out_dir / "transform_table.csv",
+                 {"y": table.nodes, "F": table.F_values}, meta=meta)
     io.write_json(out_dir / "transformed_spec.json", {
         "problem": io.problem_to_json(transformed_spec(problem, table)),
         "domain": [table.domain[0], table.domain[1]],

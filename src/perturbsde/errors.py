@@ -30,7 +30,8 @@ class UnsupportedOrder(PerturbSDEError):
 
 
 class InconsistentDerivatives(PerturbSDEError):
-    """Supplied derivative evaluators disagree with finite differences."""
+    """A coefficient exceeds one of its declared sup-norms on the
+    validation grid."""
 
 
 class DegenerateDiffusion(PerturbSDEError):

@@ -1,9 +1,9 @@
 """Serialization of specs, grids, and run artifacts.
 
 JSON is the configuration and report format; CSV carries numerical tables.
-Coefficients round-trip through their preset id and parameter dict, so a
-config file is a complete, hashable description of a run.  Callback
-coefficients carry closures and are deliberately not serializable.
+Every coefficient is a catalog preset and round-trips through its preset
+id and parameter dict, so a config file is a complete, hashable
+description of a run.
 
 Infinities appear in declared sup-norms and regime reports, but strict JSON
 has no literal for them, so floats are encoded with the string sentinels
@@ -161,11 +161,7 @@ def _check_coefficient(obj: Any, field: str) -> None:
     if not isinstance(preset, str) or preset not in PRESETS:
         raise UnknownPreset(
             f"config: {field}.preset: unknown coefficient preset "
-            f"{preset!r}; catalog: "
-            f"{', '.join(p for p, names in PRESETS.items() if names)}")
-    if PRESETS[preset] is None:
-        raise _invalid(f"{field}.preset",
-                       "callback coefficients cannot be built from JSON")
+            f"{preset!r}; catalog: {', '.join(PRESETS)}")
     required, optional = PRESETS[preset]
     params = obj.get("params", {})
     _check_keys(params, f"{field}.params", required | optional, required)
@@ -277,15 +273,7 @@ def check_config(config: Any) -> None:
 
 
 def coefficient_to_json(coefficient: Coefficient) -> dict[str, Any]:
-    """Serialize a coefficient to a plain dict.
-
-    Raises :class:`ConfigError` for callback coefficients: closures cannot
-    be written to a config file.  Tabulate them first.
-    """
-    if PRESETS[coefficient.preset_id] is None:
-        raise ConfigError(
-            "callback coefficients are not serializable; use "
-            "Coefficient.tabulated to sample them onto a grid first")
+    """Serialize a coefficient to a plain dict."""
     out: dict[str, Any] = {"preset": coefficient.preset_id,
                            "params": encode_floats(dict(coefficient.params))}
     bounds = coefficient.declared_bounds
@@ -306,7 +294,6 @@ def _build_coefficient(obj: Mapping[str, Any]) -> Coefficient:
     preset, params = obj["preset"], obj.get("params", {})
     if preset == "custom-tabulated":
         return Coefficient.tabulated(params["nodes"], params["values"],
-                                     params.get("d1_values"),
                                      declared_bounds=bounds)
     builder = getattr(Coefficient, preset)
     return builder(declared_bounds=bounds,
@@ -393,7 +380,8 @@ _CSV_SPECIAL = frozenset(',"\r\n')
 
 def write_csv(path: str | Path, columns: Mapping[str, np.ndarray], *,
               meta: Mapping[str, Any] | None = None) -> None:
-    """Write named columns with ``# key = value`` metadata comment lines.
+    """Write named columns with ``# key = value`` metadata comment lines;
+    a ``meta`` entry whose value is None is left out.
 
     All columns must share one length and have a bool, integer or float
     dtype.  Integer-typed columns are written as integers, everything else
@@ -426,7 +414,8 @@ def write_csv(path: str | Path, columns: Mapping[str, np.ndarray], *,
     n = arrays[0].shape[0]
     with open(path, "w", newline="", encoding="utf-8") as f:
         for key, value in (meta or {}).items():
-            f.write(f"# {key} = {value}\n")
+            if value is not None:
+                f.write(f"# {key} = {value}\n")
         f.write(",".join(names) + "\n")
         for lo in range(0, n, _CSV_BLOCK_ROWS):
             cells = zip(*[a[lo:lo + _CSV_BLOCK_ROWS].tolist()

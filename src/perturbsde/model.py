@@ -5,9 +5,10 @@ the ingredients of the dynamics
 
     X_t = x0 + int_0^t b(X_s) ds + int_0^t sigma(X_s) dB_s + alpha * sup_{s<=t} X_s
 
-with ``alpha < 1``.  Coefficients come from a small analytic catalog (plus a
-callback and a tabulated escape hatch) so that values, first derivatives
-and exact sup-norms are available without symbolic machinery; nothing
+with ``alpha < 1``.  Every coefficient comes from one catalog: a few
+analytic presets with exact sup-norms, and a tabulated preset that
+interpolates sampled values.  The package computes each coefficient's
+value and first derivative itself, without symbolic machinery; nothing
 downstream reads a higher derivative.  ``validate`` turns a ``ProblemSpec``
 into a :class:`ValidatedSpec` carrying effective coefficient bounds
 (``sup |f|`` and ``sup |f'|``); everything downstream consumes the
@@ -46,30 +47,22 @@ __all__ = [
     "sup_norm_estimate",
     "validation_grid",
     "VALIDATION_GRID_SIZE",
-    "FD_STEP",
-    "FD_TOL",
 ]
 
 # Defaults for the validation pass.  The grid is wide enough that desk-scale
 # paths essentially never leave it, and fine enough that grid sup-norms of
 # the catalog coefficients are accurate to ~1e-5.
 VALIDATION_GRID_SIZE = 4096
-FD_STEP = 1e-4
-FD_TOL = 1e-6
 
-# The coefficient catalog: preset id -> (required, optional) parameter
-# names.  Callback coefficients carry closures and free-form params, so they
-# have no parameter contract and no JSON form (None).
-PRESETS: dict[str, tuple[frozenset[str], frozenset[str]] | None] = {
+# The coefficient catalog: preset id -> (required, optional) parameter names.
+PRESETS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     "const": (frozenset({"value"}), frozenset()),
     "linear": (frozenset({"slope"}), frozenset({"intercept"})),
     "sine": (frozenset(),
              frozenset({"amplitude", "offset", "frequency", "phase"})),
     "tanh": (frozenset(), frozenset({"amplitude", "scale"})),
     "ornstein_uhlenbeck": (frozenset(), frozenset({"rate", "mean"})),
-    "custom-callback": None,
-    "custom-tabulated": (frozenset({"nodes", "values"}),
-                         frozenset({"d1_values"})),
+    "custom-tabulated": (frozenset({"nodes", "values"}), frozenset()),
 }
 
 
@@ -110,7 +103,7 @@ class Coefficient:
             raise UnknownPreset(
                 f"unknown coefficient preset {self.preset_id!r}; "
                 f"catalog: {', '.join(PRESETS)}")
-        if self._value is None:
+        if self._value is None or self._d1 is None:
             raise ConfigError(
                 "Coefficient must be built via its classmethod constructors")
 
@@ -178,43 +171,23 @@ class Coefficient:
                    _value=lambda x: -r * (np.asarray(x, float) - m), _d1=-r)
 
     @classmethod
-    def from_callbacks(cls, value: Callable, d1: Callable | None = None,
-                       declared_bounds: SupNormBounds | None = None,
-                       params: Mapping[str, Any] | None = None
-                       ) -> "Coefficient":
-        """Wrap user-supplied vectorized callables.
-
-        The derivative callable is optional; requesting it when missing
-        raises :class:`UnsupportedOrder`.  Callback coefficients cannot be
-        serialized to JSON (configs carry no closures); tabulate them first.
-        """
-        return cls("custom-callback", dict(params or {}), declared_bounds,
-                   _value=value, _d1=d1)
-
-    @classmethod
-    def tabulated(cls, nodes: np.ndarray, values: np.ndarray,
-                  d1_values: np.ndarray | None = None,
+    def tabulated(cls, nodes: np.ndarray, values: np.ndarray, *,
                   declared_bounds: SupNormBounds | None = None
                   ) -> "Coefficient":
         """Not-a-knot cubic-spline interpolation of sampled values.
 
-        Used to serialize transformed drifts: the table round-trips through
-        JSON.  :func:`hermite` evaluates the spline, NaN outside the nodes.
-        The first derivative is a spline of its own through ``d1_values``
-        when given (the caller then owns value/slope consistency; sample
-        densely enough for the validation tolerance), otherwise it
-        differentiates the value spline, which is exactly consistent with
-        finite differences of it because the spline is C2.
+        Used to serialize transformed drifts, and to bring any other
+        function into the catalog: the table round-trips through JSON.
+        :func:`hermite` evaluates the spline, NaN outside the nodes.  The
+        first derivative is the value spline's own, which is exactly
+        consistent with finite differences of it because the spline is C2.
         """
         # copies: the evaluators keep these arrays
         nodes, values = np.array(nodes, float), np.array(values, float)
         tables = {"nodes": nodes, "values": values}
-        if d1_values is not None:
-            tables["d1_values"] = d1_values = np.array(d1_values, float)
-        if nodes.ndim != 1 or nodes.size < 4 or any(
-                t.shape != nodes.shape for t in tables.values()):
+        if nodes.ndim != 1 or nodes.size < 4 or values.shape != nodes.shape:
             raise ConfigError("tabulated coefficient needs >= 4 nodes and "
-                              "value tables of the same shape")
+                              "a value table of the same shape")
         for name, t in tables.items():
             if not np.all(np.isfinite(t)):
                 raise ConfigError(f"tabulated coefficient {name} must be finite")
@@ -222,13 +195,9 @@ class Coefficient:
             raise ConfigError(
                 "tabulated coefficient nodes must increase strictly")
         slopes = _not_a_knot_slopes(nodes, values)
-        d1_fn = partial(hermite, nodes, values, slopes, order=1)
-        if d1_values is not None:
-            d1_fn = partial(hermite, nodes, d1_values,
-                            _not_a_knot_slopes(nodes, d1_values))
         return cls("custom-tabulated", tables, declared_bounds,
                    _value=partial(hermite, nodes, values, slopes),
-                   _d1=d1_fn)
+                   _d1=partial(hermite, nodes, values, slopes, order=1))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -242,15 +211,11 @@ class Coefficient:
         and ``ornstein_uhlenbeck``) it returns that constant as a float,
         whatever its argument; numpy arithmetic broadcasts it bitwise like
         the array of it.  Raises :class:`UnsupportedOrder` for an order
-        the coefficient has no evaluator for.
+        other than 0 and 1.
         """
         if order not in (0, 1):
             raise UnsupportedOrder(f"derivative order {order} not supported")
         fn = (self._value, self._d1)[order]
-        if fn is None:
-            raise UnsupportedOrder(
-                f"coefficient {self.preset_id!r} has no evaluator for "
-                f"derivative order {order}")
         if isinstance(fn, float):
             return lambda x: fn
         return fn
@@ -262,9 +227,6 @@ class Coefficient:
         if out.shape != np.shape(x):
             out = np.full(np.shape(x), out)
         return out
-
-    def has_order(self, order: int) -> bool:
-        return order in (0, 1) and (self._value, self._d1)[order] is not None
 
     @property
     def constant_value(self) -> float | None:
@@ -477,30 +439,13 @@ def _finite_values(c: Coefficient, grid: np.ndarray, name: str
     return values
 
 
-def _fd_check(c: Coefficient, grid: np.ndarray, name: str) -> None:
-    """Central-difference consistency of a supplied first derivative."""
-    if not c.has_order(1):
-        return
-    h = FD_STEP
-    exact = c(grid, 1)
-    fd = (c(grid + h, 0) - c(grid - h, 0)) / (2.0 * h)
-    scale = max(1.0, float(np.max(np.abs(exact))),
-                float(np.max(np.abs(c(grid, 0)))))
-    err = float(np.max(np.abs(fd - exact)))
-    if not np.isfinite(err) or err > FD_TOL * scale:
-        raise InconsistentDerivatives(
-            f"{name}: order-1 evaluator disagrees with central "
-            f"differences (max error {err:.3e}, tol {FD_TOL * scale:.3e})")
-
-
 def _effective_bounds(c: Coefficient, grid: np.ndarray, name: str
                       ) -> EffectiveBounds:
     declared = c.declared_bounds
     sups: list[float] = []
     complete = declared is not None
     for order in (0, 1):
-        grid_sup = (float(np.max(np.abs(c(grid, order))))
-                    if c.has_order(order) else math.inf)
+        grid_sup = float(np.max(np.abs(c(grid, order))))
         dec = declared.get(order) if declared else None
         if dec is not None:
             # A grid sample can never legitimately exceed a declared norm.
@@ -528,32 +473,23 @@ def validate(spec: ProblemSpec | ValidatedSpec, *,
     transform to unit diffusion is impossible and
     :class:`DegenerateDiffusion` is raised.
     """
-    if isinstance(spec, ValidatedSpec):
-        if require_transform and (spec.sigma_inf <= 0.0
-                                  or not spec.sigma_sign_constant):
-            raise DegenerateDiffusion(
-                "diffusion vanishes or changes sign on the validation grid")
-        return spec
-    if not isinstance(spec, ProblemSpec):
-        raise ConfigError("validate expects a ProblemSpec")
-
-    grid = validation_grid(spec, n_grid)
-    interval = (float(grid[0]), float(grid[-1]))
-    _finite_values(spec.drift, grid, "drift")
-    sigma_vals = _finite_values(spec.diffusion, grid, "diffusion")
-    _fd_check(spec.drift, grid, "drift")
-    _fd_check(spec.diffusion, grid, "diffusion")
-    drift_bounds = _effective_bounds(spec.drift, grid, "drift")
-    diff_bounds = _effective_bounds(spec.diffusion, grid, "diffusion")
-
-    sigma_inf = float(np.min(np.abs(sigma_vals)))
-    sign_constant = bool(np.all(sigma_vals > 0.0)
-                         or np.all(sigma_vals < 0.0))
-    if require_transform and (sigma_inf <= 0.0 or not sign_constant):
+    if not isinstance(spec, ValidatedSpec):
+        if not isinstance(spec, ProblemSpec):
+            raise ConfigError("validate expects a ProblemSpec")
+        grid = validation_grid(spec, n_grid)
+        _finite_values(spec.drift, grid, "drift")
+        sigma_vals = _finite_values(spec.diffusion, grid, "diffusion")
+        spec = ValidatedSpec(
+            spec, (float(grid[0]), float(grid[-1])),
+            _effective_bounds(spec.drift, grid, "drift"),
+            _effective_bounds(spec.diffusion, grid, "diffusion"),
+            float(np.min(np.abs(sigma_vals))),
+            bool(np.all(sigma_vals > 0.0) or np.all(sigma_vals < 0.0)))
+    if require_transform and (spec.sigma_inf <= 0.0
+                              or not spec.sigma_sign_constant):
         raise DegenerateDiffusion(
             "diffusion vanishes or changes sign on the validation grid")
-    return ValidatedSpec(spec, interval, drift_bounds, diff_bounds,
-                         sigma_inf, sign_constant)
+    return spec
 
 
 # -- time grid -----------------------------------------------------------------

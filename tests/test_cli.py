@@ -1,12 +1,15 @@
 """Command-line interface: artifacts, determinism, exit codes, and the
 metadata contract."""
 
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import perturbsde
 import perturbsde.cli as cli_mod
 import perturbsde.verify as verify_mod
 from perturbsde import (
@@ -225,14 +228,13 @@ _NODES = [-4.0, -2.0, 0.0, 2.0, 4.0]
      "finite number"),
     ({"nodes": _NODES, "values": [0.0, "inf", 0.0, 0.0, 0.0]}, "values[1]",
      "finite number"),
-    ({"nodes": _NODES, "values": [0.0] * 5,
-      "d1_values": [0.0, True, 0.0, 0.0, 0.0]}, "d1_values[1]",
-     "finite number"),
+    ({"nodes": _NODES, "values": [0.0] * 5, "d1_values": [0.0] * 5},
+     "d1_values", "unknown key"),
     ({"nodes": [0.0, 1.0, 2.0], "values": [0.0] * 3}, "nodes",
      "at least 4 numbers"),
     ({"nodes": _NODES, "values": [0.0] * 4}, "values", "list of 5 items"),
 ], ids=["nodes-string", "values-item-string", "values-item-inf",
-        "d1_values-item-bool", "nodes-short", "values-short"])
+        "d1_values-unknown-key", "nodes-short", "values-short"])
 def test_bad_tabulated_table_exits_2_and_names_the_field(
         tmp_path, write_config, capsys, params, name, reason):
     problem = base_problem()
@@ -240,7 +242,21 @@ def test_bad_tabulated_table_exits_2_and_names_the_field(
     cfg = write_config(simulate_config(problem=problem))
     assert run("simulate", cfg, tmp_path / "o") == 2
     err = capsys.readouterr().err
-    assert f"problem.drift.params.{name}:" in err and reason in err
+    assert f"config: problem.drift.params.{name}:" in err and reason in err
+    assert "Traceback" not in err
+
+
+def test_callback_preset_is_unknown_and_lists_the_catalog(
+        tmp_path, write_config, capsys):
+    problem = base_problem()
+    problem["drift"] = {"preset": "custom-callback", "params": {}}
+    cfg = write_config(simulate_config(problem=problem))
+    assert run("simulate", cfg, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert ("config: problem.drift.preset: unknown coefficient preset "
+            "'custom-callback'; catalog: const, linear, sine, tanh, "
+            "ornstein_uhlenbeck, custom-tabulated") in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("coefficient", ["drift", "diffusion"])
@@ -610,3 +626,15 @@ def test_verify_failure_exits_4(tmp_path, write_config, monkeypatch, capsys):
 ])
 def test_shipped_configs_run(tmp_path, name, command, repo_configs):
     assert run(command, repo_configs / name, tmp_path / "out") == 0
+
+
+# -- exports ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module", ["perturbsde"] + [
+    f"perturbsde.{m.name}" for m in pkgutil.iter_modules(perturbsde.__path__)])
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ())
+               if not hasattr(mod, name)]
+    assert not missing

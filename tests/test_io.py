@@ -106,8 +106,7 @@ def test_infinite_declared_bound_uses_sentinel():
 
 def test_tabulated_round_trip():
     nodes = np.linspace(-2.0, 2.0, 41)
-    coeff = Coefficient.tabulated(nodes, np.tanh(nodes),
-                                  1.0 - np.tanh(nodes) ** 2)
+    coeff = Coefficient.tabulated(nodes, np.tanh(nodes))
     doc = coefficient_to_json(coeff)
     assert doc["preset"] == "custom-tabulated"
     assert isinstance(doc["params"]["nodes"], list)
@@ -118,10 +117,9 @@ def test_tabulated_round_trip():
 
 
 def test_callback_coefficients_do_not_serialize():
-    coeff = Coefficient.from_callbacks(lambda x: np.sin(np.asarray(x)))
-    with pytest.raises(ConfigError, match="tabulated"):
-        coefficient_to_json(coeff)
-    with pytest.raises(ConfigError):
+    # every coefficient is a catalog preset; a callback is none of them
+    assert not hasattr(Coefficient, "from_callbacks")
+    with pytest.raises(UnknownPreset, match="catalog: const, linear"):
         coefficient_from_json({"preset": "custom-callback", "params": {}})
 
 

@@ -205,7 +205,8 @@ def test_unit_diffusion_transform_is_a_shift():
     zs = np.linspace(-2.0, 2.0, 17)
     np.testing.assert_allclose(yspec.drift(zs, 0),
                                0.5 * np.sin(zs + 1.2), atol=1e-10)
-    assert yspec.drift.has_order(1)
+    np.testing.assert_allclose(yspec.drift(zs, 1),
+                               0.5 * np.cos(zs + 1.2), atol=1e-8)
 
 
 def test_unit_diffusion_paths_coincide_after_shift():

@@ -1,6 +1,8 @@
 """Coefficient catalog, problem validation, and grid construction."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,14 @@ from perturbsde import (
     UnknownPreset,
     UnsupportedOrder,
     ValidatedSpec,
+    build_transform,
     simulate_batch,
     sup_norm_estimate,
+    transformed_spec,
     validate,
 )
+from perturbsde.io import problem_from_json
+from perturbsde.model import validation_grid
 from conftest import make_driftless
 
 CATALOG_SAMPLES = [
@@ -31,10 +37,36 @@ CATALOG_SAMPLES = [
 ]
 
 
-@pytest.mark.parametrize("coefficient", CATALOG_SAMPLES,
-                         ids=lambda c: c.preset_id)
-def test_catalog_derivatives_match_finite_differences(coefficient):
-    xs = np.linspace(-3.0, 3.0, 401)
+def _random_table() -> Coefficient:
+    """A tabulated coefficient through random values at uneven nodes
+    covering [-5.8, 3.8]."""
+    rng = np.random.default_rng(15)
+    nodes = np.cumsum(rng.uniform(0.1, 0.2, 64)) - 6.0
+    return Coefficient.tabulated(nodes, rng.standard_normal(64))
+
+
+def _transform_json_drift() -> tuple[Coefficient, np.ndarray]:
+    """The tabulated drift that ``transform`` writes for the shipped
+    ``configs/transform.json``, and the validation grid it is checked on."""
+    path = Path(__file__).resolve().parent.parent / "configs" / "transform.json"
+    config = json.loads(path.read_text())
+    problem = problem_from_json(config["problem"])
+    table = build_transform(problem, n_nodes=config["transform"]["n_nodes"])
+    yspec = transformed_spec(problem, table)
+    return yspec.drift, validation_grid(yspec)
+
+
+# Every kind of coefficient the package builds, each with the points its
+# first derivative is checked at.
+_FD_CASES = [(c, np.linspace(-3.0, 3.0, 401))
+             for c in CATALOG_SAMPLES + [_random_table()]]
+_FD_CASES.append(_transform_json_drift())
+
+
+@pytest.mark.parametrize("coefficient,xs", _FD_CASES,
+                         ids=[c.preset_id for c in CATALOG_SAMPLES]
+                         + ["random-table", "transform-json-drift"])
+def test_catalog_derivatives_match_finite_differences(coefficient, xs):
     h = 1e-4
     exact = coefficient(xs, 1)
     fd = (coefficient(xs + h, 0) - coefficient(xs - h, 0)) / (2.0 * h)
@@ -61,9 +93,8 @@ def test_eval_coefficient_spot_values():
     (Coefficient.tanh(amplitude=0.0), None),
     (Coefficient.ornstein_uhlenbeck(rate=0.0), None),
     (Coefficient.tabulated(np.linspace(0.0, 1.0, 5), np.full(5, 3.0)), None),
-    (Coefficient.from_callbacks(lambda x: np.full_like(x, 3.0)), None),
 ], ids=["const", "linear-flat", "linear-sloped", "sine", "tanh",
-        "ornstein_uhlenbeck", "tabulated", "callback"])
+        "ornstein_uhlenbeck", "tabulated"])
 def test_constant_value(coefficient, expected):
     # only const and zero-slope linear are constant by structure; presets
     # that happen to be constant for their parameters are not reported
@@ -106,15 +137,11 @@ def test_scalar_and_array_evaluation_agree():
 
 
 def test_unsupported_orders():
-    c = Coefficient.from_callbacks(value=lambda x: np.asarray(x, float) ** 3)
-    assert c(2.0) == 8.0
-    with pytest.raises(UnsupportedOrder):
-        c(2.0, order=1)
-    with pytest.raises(UnsupportedOrder):
-        Coefficient.const(1.0)(0.0, order=2)
-    assert Coefficient.const(1.0).has_order(1)
-    assert not Coefficient.const(1.0).has_order(2)
-    assert not c.has_order(1)
+    for c in CATALOG_SAMPLES + [_random_table()]:
+        assert np.isfinite(c(0.5, order=1))
+        for order in (-1, 2):
+            with pytest.raises(UnsupportedOrder):
+                c(0.5, order=order)
 
 
 def test_unknown_preset_rejected():
@@ -125,6 +152,9 @@ def test_unknown_preset_rejected():
 def test_direct_construction_without_evaluator_rejected():
     with pytest.raises(ConfigError):
         Coefficient("const", {"value": 1.0})
+    # a coefficient always carries its first derivative
+    with pytest.raises(ConfigError):
+        Coefficient("const", {"value": 1.0}, _value=1.0)
 
 
 def test_sup_norm_estimate_known_values():
@@ -210,20 +240,9 @@ def test_validate_rejects_violated_declared_bound():
         validate(spec)
 
 
-def test_validate_rejects_inconsistent_callback_derivative():
-    wrong = Coefficient.from_callbacks(
-        value=lambda x: np.sin(np.asarray(x, float)),
-        d1=lambda x: 1.1 * np.cos(np.asarray(x, float)))
-    spec = ProblemSpec(x0=0.0, alpha=0.0, drift=wrong,
-                       diffusion=Coefficient.const(1.0), horizon=1.0)
-    with pytest.raises(InconsistentDerivatives, match="central"):
-        validate(spec)
-
-
 def test_validate_grid_estimates_flagged_non_declared():
-    partial = Coefficient.from_callbacks(
-        value=lambda x: np.sin(np.asarray(x, float)),
-        d1=lambda x: np.cos(np.asarray(x, float)))
+    # declared bounds with neither norm leave both to the grid
+    partial = Coefficient.sine(declared_bounds=SupNormBounds())
     spec = ProblemSpec(x0=0.0, alpha=0.0, drift=partial,
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     vspec = validate(spec)
@@ -260,6 +279,14 @@ def test_tabulated_is_finite_difference_consistent():
     tab = Coefficient.tabulated(nodes, base(nodes, 0))
     spec = ProblemSpec(x0=0.0, alpha=0.1, drift=tab,
                        diffusion=Coefficient.const(1.0), horizon=1.0)
+    # central differences of the values on the validation grid, step 1e-4,
+    # to 1e-6 of the larger of the values' and the slope's scale
+    grid, h = validation_grid(spec), 1e-4
+    exact = tab(grid, 1)
+    fd = (tab(grid + h, 0) - tab(grid - h, 0)) / (2.0 * h)
+    scale = max(1.0, float(np.max(np.abs(exact))),
+                float(np.max(np.abs(tab(grid, 0)))))
+    assert float(np.max(np.abs(fd - exact))) <= 1e-6 * scale
     vspec = validate(spec)
     assert vspec.drift_bounds.source == "grid"
     assert vspec.drift_bounds.sup_d1 == pytest.approx(0.1, rel=1e-3)
@@ -272,10 +299,15 @@ def test_tabulated_has_no_second_derivative():
         tab(0.5, order=2)
 
 
-def test_tabulated_accepts_explicit_slope_table():
+def test_tabulated_refuses_a_positional_slope_table():
+    # the slope is always the value spline's own; a third positional
+    # table must not bind as declared bounds
     nodes = np.linspace(-2.0, 2.0, 101)
-    tab = Coefficient.tabulated(nodes, np.sin(nodes), np.cos(nodes))
-    assert tab(0.5, 1) == pytest.approx(math.cos(0.5), abs=1e-7)
+    with pytest.raises(TypeError):
+        Coefficient.tabulated(nodes, np.sin(nodes), np.cos(nodes))
+    bounds = SupNormBounds(1.0, 1.0)
+    tab = Coefficient.tabulated(nodes, np.sin(nodes), declared_bounds=bounds)
+    assert tab.declared_bounds == bounds
 
 
 def test_tabulated_matches_scipy_not_a_knot_spline():
@@ -285,17 +317,12 @@ def test_tabulated_matches_scipy_not_a_knot_spline():
     rng = np.random.default_rng(4097)
     nodes = np.sort(rng.uniform(-4.0, 4.0, 4097))
     values = np.tanh(nodes) + 0.3 * np.sin(3.0 * nodes)
-    slopes = np.cos(2.0 * nodes)
     xs = np.concatenate([nodes, rng.uniform(nodes[0], nodes[-1], 10_000)])
     tab = Coefficient.tabulated(nodes, values)
-    with_slopes = Coefficient.tabulated(nodes, values, slopes)
     ref = CubicSpline(nodes, values)
     # errors relative to the largest reference magnitude
     for got, want, rtol in [(tab(xs, 0), ref(xs), 1e-12),
-                            (with_slopes(xs, 0), ref(xs), 1e-12),
-                            (tab(xs, 1), ref(xs, 1), 1e-10),
-                            (with_slopes(xs, 1),
-                             CubicSpline(nodes, slopes)(xs), 1e-10)]:
+                            (tab(xs, 1), ref(xs, 1), 1e-10)]:
         assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
     assert np.isnan(tab(nodes[-1] + 1e-9))
     assert np.isnan(tab(nodes[0] - 1e-9, 1))
@@ -306,19 +333,16 @@ def test_tabulated_input_validation():
         Coefficient.tabulated(np.array([0.0, 1.0, 2.0]), np.zeros(3))
     with pytest.raises(ConfigError):
         Coefficient.tabulated(np.linspace(0, 1, 10), np.zeros(9))
-    with pytest.raises(ConfigError):
-        Coefficient.tabulated(np.linspace(0, 1, 10), np.zeros(10),
-                              d1_values=np.zeros(9))
     grid, zeros = np.arange(5.0), np.zeros(5)
     inf_at_2 = np.where(grid == 2.0, np.inf, 0.0)
-    for nodes, values, d1_values, match in [
-            ([0.0, 2.0, 1.0, 3.0, 4.0], zeros, None, "increase strictly"),
-            ([0.0, 1.0, 1.0, 3.0, 4.0], zeros, None, "increase strictly"),
-            (grid + inf_at_2, zeros, None, "nodes must be finite"),
-            (grid, inf_at_2, None, "values must be finite"),
-            (grid, zeros, -inf_at_2, "d1_values must be finite")]:
+    for nodes, values, match in [
+            ([0.0, 2.0, 1.0, 3.0, 4.0], zeros, "increase strictly"),
+            ([0.0, 1.0, 1.0, 3.0, 4.0], zeros, "increase strictly"),
+            (grid + inf_at_2, zeros, "nodes must be finite"),
+            (grid, inf_at_2, "values must be finite"),
+            (grid, -inf_at_2, "values must be finite")]:
         with pytest.raises(ConfigError, match=match):
-            Coefficient.tabulated(np.asarray(nodes), values, d1_values)
+            Coefficient.tabulated(np.asarray(nodes), values)
 
 
 # -- grids and path state -----------------------------------------------------
