@@ -16,6 +16,14 @@ effective config, and the seed, and is bitwise reproducible for a fixed
 config: worker processes only partition the path range, and
 each path's noise is keyed by (seed, path index), so the artifact content
 is independent of ``--workers``.
+
+``simulate`` and ``derivative`` stream: their paths run in contiguous
+chunks sized by a fixed byte budget (never by ``--workers``), each
+chunk's table rows are appended in path order as it finishes, and only
+the per-path summary values outlive a chunk.  The summaries are computed
+from those values joined in path order, exactly as from one whole run.
+``density`` keeps one chunk per worker; its chunks return one terminal
+value per path.
 """
 
 from __future__ import annotations
@@ -24,7 +32,10 @@ import argparse
 import math
 import os
 import sys
+from collections import deque
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -80,40 +91,77 @@ def _moments(values: np.ndarray) -> dict[str, float]:
             "min": float(np.min(v)), "max": float(np.max(v))}
 
 
-# -- worker functions (top level so they survive pickling) --------------------
+# -- chunk workers (top level so they survive pickling) ----------------------
+#
+# A worker runs the paths ``path_offset .. path_offset + n_paths - 1`` and
+# returns ``(part, blocks)``: the chunk's per-path results, and its table
+# rows as an iterable of text blocks.  In the parent process the blocks are
+# formatted lazily, while they are written; a pool process formats them
+# before returning (``_formatted``).
 
 
 def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
     spec = io.problem_from_json(problem_json)
     grid = io.grid_from_json(grid_json)
     batch = simulate_batch(spec, grid, n_paths, seed, path_offset)
-    return batch.x, batch.final_argmax_idx()
+    x, argmax = batch.x, batch.final_argmax_idx()
+    del batch          # frees the increments and flags before the maximum
+    running_max = np.maximum.accumulate(x, axis=0)
+    part = (x[-1].copy(), running_max[-1].copy(), argmax)
+    return part, io.path_major_blocks(path_offset, grid.times, x.T,
+                                      running_max.T)
 
 
 def _terminal_worker(problem_json, grid_json, seed, n_paths, path_offset):
     spec = io.problem_from_json(problem_json)
     grid = io.grid_from_json(grid_json)
-    return (simulate_terminal(spec, grid, n_paths, seed, path_offset),)
+    return simulate_terminal(spec, grid, n_paths, seed, path_offset), ()
 
 
-def _derivative_worker(problem_json, grid_json, seed, track, n_paths,
+def _derivative_worker(problem_json, grid_json, seed, report, n_paths,
                        path_offset):
     spec = io.problem_from_json(problem_json)
     grid = io.grid_from_json(grid_json)
     batch = simulate_batch(spec, grid, n_paths, seed, path_offset)
     fields = propagate_derivative_batch(batch, spec, grid,
-                                        track_all_times=track)
-    return (fields.d_x, fields.d_m, fields.h_norm_sq_final,
-            fields.sup_h_norm_sq, batch.final_argmax_idx(),
-            fields.h_norm_sq_by_time)
+                                        track_all_times=report is not None)
+    floors = None if report is None else floor_violations(
+        report, grid, fields.sup_h_norm_sq, fields.h_norm_sq_by_time)
+    part = (fields.h_norm_sq_final, fields.sup_h_norm_sq,
+            batch.final_argmax_idx(), floors)
+    return part, io.path_major_blocks(path_offset, grid.times[:-1],
+                                      fields.d_x, fields.d_m)
 
 
-def _chunks(n_paths: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous (offset, count) blocks; the partition never affects
-    results because every path's noise is keyed by its global index."""
-    size = max(1, math.ceil(n_paths / workers))
-    return [(lo, min(size, n_paths - lo))
-            for lo in range(0, n_paths, size)]
+def _formatted(worker, *args):
+    """``worker`` in a pool process: its rows come back as text."""
+    part, blocks = worker(*args)
+    return part, list(blocks)
+
+
+# -- path partition and chunk driver -----------------------------------------
+
+# Bytes of path arrays one chunk of ``simulate`` or ``derivative`` may hold.
+# About 200 paths at 1000 steps for ``derivative``: fewer, smaller chunks
+# cost per-step call overhead, more raise peak memory.
+_CHUNK_BYTES = 8 * 2**20
+# Bytes per path and grid time a chunk holds: the values and increments
+# (8 each) and the new-maximum flags (1), plus, for ``derivative``, the
+# by-time norm curve and the two slot arrays (8 each).
+_SIMULATE_BYTES = 17
+_DERIVATIVE_BYTES = 41
+
+
+def _chunk_paths(n_steps: int, bytes_per_step: int) -> int:
+    """Paths per chunk: as many as fit ``_CHUNK_BYTES``, at least one."""
+    return max(1, _CHUNK_BYTES // (bytes_per_step * (n_steps + 1)))
+
+
+def _chunks(n_paths: int, size: int) -> list[tuple[int, int]]:
+    """Contiguous (offset, count) blocks of ``size`` paths, the last one
+    shorter; the partition never affects results because every path's
+    noise is keyed by its global index."""
+    return [(lo, min(size, n_paths - lo)) for lo in range(0, n_paths, size)]
 
 
 def _pool_size(workers: int, n_chunks: int, n_cpus: int) -> int:
@@ -130,23 +178,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunked(worker, common: tuple, n_paths: int, workers: int) -> list:
-    chunks = _chunks(n_paths, workers)
+def _stream(worker, common: tuple, chunks: list[tuple[int, int]],
+            workers: int):
+    """Chunk results ``worker(*common, count, offset)``, in path order.
+
+    One process runs the chunks one after another, so nothing of a chunk
+    but what the caller keeps outlives it.  A pool of ``pool_size``
+    processes has at most ``pool_size + 1`` chunks submitted and not yet
+    consumed: the next chunk is submitted once the caller is done with a
+    result.
+    """
     pool_size = _pool_size(workers, len(chunks), _usable_cpus())
     if pool_size == 1:
-        return [worker(*common, count, offset) for offset, count in chunks]
+        for offset, count in chunks:
+            yield worker(*common, count, offset)
+        return
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        futures = [pool.submit(worker, *common, count, offset)
-                   for offset, count in chunks]
-        return [f.result() for f in futures]
+        def submit(offset, count):
+            return pool.submit(_formatted, worker, *common, count, offset)
+
+        todo = iter(chunks)
+        pending = deque(submit(*c) for c in islice(todo, pool_size + 1))
+        while pending:
+            yield pending.popleft().result()
+            pending.extend(submit(*c) for c in islice(todo, 1))
 
 
-def _assemble(results: list, part: int, axis: int) -> np.ndarray:
-    """Part ``part`` of every chunk result, joined along ``axis``; a single
-    chunk's array is returned as it is, not copied."""
-    if len(results) == 1:
-        return results[0][part]
-    return np.concatenate([r[part] for r in results], axis=axis)
+def _fold_counts(counts: Sequence[dict]) -> dict:
+    """Per-chunk ``floor_violations`` results as one: the integer counts
+    add up, every other entry is the same in every chunk."""
+    out = dict(counts[0])
+    for chunk in counts[1:]:
+        for key, value in chunk.items():
+            if isinstance(value, int):
+                out[key] += value
+    return out
 
 
 # -- shared config plumbing ---------------------------------------------------
@@ -181,27 +247,23 @@ def cmd_simulate(config: dict, out_dir: Path, workers: int,
     _require(config, "simulate", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
-    results = _run_chunked(_simulate_worker,
-                           (config["problem"], grid_json, seed),
-                           n_paths, workers)
-    x = _assemble(results, 0, axis=1)            # (n_steps+1, n_paths)
-    argmax_final = _assemble(results, 1, axis=0)
-    running_max = np.maximum.accumulate(x, axis=0)
-
-    n1 = grid.n_steps + 1
-    io.write_csv(out_dir / "paths.csv",
-                 {"path": np.repeat(np.arange(n_paths), n1),
-                  "t": np.tile(grid.times, n_paths),
-                  "x": x.T.reshape(-1),
-                  "running_max": running_max.T.reshape(-1)},
-                 meta=meta)
+    chunks = _chunks(n_paths, _chunk_paths(grid.n_steps, _SIMULATE_BYTES))
+    parts = []
+    with io.open_csv(out_dir / "paths.csv", ("path", "t", "x",
+                                             "running_max"), meta=meta) as f:
+        for part, blocks in _stream(_simulate_worker,
+                                    (config["problem"], grid_json, seed),
+                                    chunks, workers):
+            f.writelines(blocks)
+            parts.append(part)
+    terminal, running_max, argmax_final = map(np.concatenate, zip(*parts))
     io.write_json(out_dir / "summary.json", {
         "n_paths": n_paths,
         "n_steps": grid.n_steps,
         "dt": grid.dt,
         "horizon": grid.horizon,
-        "terminal": _moments(x[-1]),
-        "running_max": _moments(running_max[-1]),
+        "terminal": _moments(terminal),
+        "running_max": _moments(running_max),
         "argmax_time": _moments(grid.times[argmax_final]),
     }, meta=meta)
 
@@ -211,35 +273,30 @@ def cmd_derivative(config: dict, out_dir: Path, workers: int,
     _require(config, "derivative", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
-    track = config.get("t0") is not None
-    results = _run_chunked(_derivative_worker,
-                           (config["problem"], grid_json, seed, track),
-                           n_paths, workers)
-    d_x = _assemble(results, 0, axis=0)          # (n_paths, n_steps)
-    d_m = _assemble(results, 1, axis=0)
-    h_final = _assemble(results, 2, axis=0)
-    h_sup = _assemble(results, 3, axis=0)
-    argmax_final = _assemble(results, 4, axis=0)
-    by_time = _assemble(results, 5, axis=1) if track else None
-
-    n = grid.n_steps
-    io.write_csv(out_dir / "derivative.csv",
-                 {"path": np.repeat(np.arange(n_paths), n),
-                  "r": np.tile(grid.times[:n], n_paths),
-                  "d_x": d_x.reshape(-1),
-                  "d_m": d_m.reshape(-1)},
-                 meta=meta)
+    # the floors are checked chunk by chunk, so no chunk's by-time norm
+    # curve outlives it
+    report = _regime(config, problem) if config.get("t0") is not None \
+        else None
+    chunks = _chunks(n_paths, _chunk_paths(grid.n_steps, _DERIVATIVE_BYTES))
+    parts = []
+    with io.open_csv(out_dir / "derivative.csv", ("path", "r", "d_x", "d_m"),
+                     meta=meta) as f:
+        for part, blocks in _stream(_derivative_worker,
+                                    (config["problem"], grid_json, seed,
+                                     report),
+                                    chunks, workers):
+            f.writelines(blocks)
+            parts.append(part)
+    h_final, h_sup, argmax_final, floors = zip(*parts)
 
     summary: dict[str, Any] = {
         "n_paths": n_paths,
-        "h_norm_sq_final": h_final,
-        "sup_h_norm_sq": h_sup,
-        "argmax_time": grid.times[argmax_final],
+        "h_norm_sq_final": np.concatenate(h_final),
+        "sup_h_norm_sq": np.concatenate(h_sup),
+        "argmax_time": grid.times[np.concatenate(argmax_final)],
     }
-    if track:
-        report = _regime(config, problem)
-        summary["bounds"] = {**_regime_block(report),
-                             **floor_violations(report, grid, h_sup, by_time)}
+    if report is not None:
+        summary["bounds"] = {**_regime_block(report), **_fold_counts(floors)}
     io.write_json(out_dir / "derivative_summary.json", summary, meta=meta)
 
 
@@ -259,10 +316,10 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
     _require(config, "density", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
-    results = _run_chunked(_terminal_worker,
-                           (config["problem"], grid_json, seed),
-                           n_paths, workers)
-    sample = _assemble(results, 0, axis=0)
+    chunks = _chunks(n_paths, math.ceil(n_paths / workers))
+    sample = np.concatenate([part for part, _ in _stream(
+        _terminal_worker, (config["problem"], grid_json, seed), chunks,
+        workers)])
 
     estimate = kde(sample, bandwidth=config.get("bandwidth"),
                    n_grid=config.get("n_grid", 512), ladder=False)
@@ -344,6 +401,17 @@ def cmd_verify(config: dict, out_dir: Path, workers: int,
             f"{len(failed)} of {len(results)} suites failed: "
             f"{', '.join(failed)}")
 
+
+# What to reduce when a subcommand runs out of memory: the config fields
+# that size its arrays.
+_SIZED_BY = {
+    "simulate": "reduce n_paths or grid.n_steps",
+    "derivative": "reduce n_paths or grid.n_steps",
+    "regime": "reduce transform.n_nodes",
+    "density": "reduce n_paths, grid.n_steps or n_grid",
+    "transform": "reduce transform.n_nodes",
+    "verify": "run fewer suites",
+}
 
 _HANDLERS = {
     "simulate": cmd_simulate,
@@ -432,8 +500,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         # the config sizes the run; numpy's message names the array
         reason = str(exc) or "an allocation failed"
-        print(f"error: out of memory: {reason}; reduce n_paths, "
-              "grid.n_steps or n_grid", file=sys.stderr)
+        print(f"error: out of memory: {reason}; {_SIZED_BY[args.command]}",
+              file=sys.stderr)
         return 2
     return 0
 

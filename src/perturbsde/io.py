@@ -17,10 +17,11 @@ import hashlib
 import json
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from importlib import metadata as _importlib_metadata
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
     "grid_from_json",
     "read_json",
     "write_json",
+    "open_csv",
+    "path_major_blocks",
     "write_csv",
 ]
 
@@ -378,16 +381,88 @@ _CSV_BLOCK_ROWS = 4096
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
+def _cell_format(kind: str) -> str:
+    """``%``-format of one cell of numpy dtype kind ``kind``: integers as
+    integers, bool and float with 17 significant digits."""
+    return "%d" if kind in "iu" else "%.17g"
+
+
+def _format_rows(row: str, cells) -> str:
+    """Text of the rows ``row % cell``, one per tuple of ``cells``.  Every
+    CSV table is formatted here, a bounded block of rows at a time."""
+    return "".join([row % cell for cell in cells])
+
+
+@contextmanager
+def open_csv(path: str | Path, names, *,
+             meta: Mapping[str, Any] | None = None) -> Iterator[TextIO]:
+    """Open ``path`` for a table with columns ``names``: write the
+    ``# key = value`` metadata comment lines (a ``meta`` entry whose value
+    is None is left out) and the header, then yield the text file for the
+    caller to append row blocks to, in order.  If the caller raises, the
+    partly written file is removed.
+
+    Column names must be non-empty strings that need no CSV quoting (no
+    comma, double quote, carriage return or newline).
+    """
+    names = list(names)
+    if not names:
+        raise ConfigError("a CSV table needs at least one column")
+    for name in names:
+        if not isinstance(name, str) or not name or _CSV_SPECIAL & set(name):
+            raise ConfigError(f"CSV column name {name!r} must be a non-empty "
+                              f"string without , \" or line breaks")
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        try:
+            for key, value in (meta or {}).items():
+                if value is not None:
+                    f.write(f"# {key} = {value}\n")
+            f.write(",".join(names) + "\n")
+            yield f
+        except BaseException:
+            # a run that fails while streaming leaves no partial table
+            f.close()
+            Path(path).unlink(missing_ok=True)
+            raise
+
+
+def path_major_blocks(first_path: int, labels: np.ndarray,
+                      *fields: np.ndarray) -> Iterator[str]:
+    """Text of a path-major table, in blocks of at most
+    ``_CSV_BLOCK_ROWS`` rows.
+
+    Each ``field`` is a ``(P, m)`` array (or view) with one row per path
+    and ``labels`` holds the ``m`` values every path shares, such as grid
+    times.  Row ``(p, k)`` reads ``first_path + p, labels[k],
+    field[p, k]...``, formatted as :func:`write_csv` formats the same
+    columns.  The labels are formatted once and each path index once per
+    path, so only the field cells are formatted per row.
+    """
+    labels = np.asarray(labels)
+    label = _cell_format(labels.dtype.kind)
+    texts = [label % v for v in labels.tolist()]
+    tail = ",".join(_cell_format(f.dtype.kind) for f in fields) + "\n"
+    m, n_paths = len(texts), fields[0].shape[0]
+    per_block = max(1, _CSV_BLOCK_ROWS // max(m, 1))
+    for p0 in range(0, n_paths, per_block):
+        paths = range(p0, min(p0 + per_block, n_paths))
+        for lo in range(0, m, _CSV_BLOCK_ROWS):
+            hi = lo + _CSV_BLOCK_ROWS
+            yield "".join([
+                _format_rows(f"{first_path + p},%s,{tail}",
+                             zip(texts[lo:hi],
+                                 *[f[p, lo:hi].tolist() for f in fields]))
+                for p in paths])
+
+
 def write_csv(path: str | Path, columns: Mapping[str, np.ndarray], *,
               meta: Mapping[str, Any] | None = None) -> None:
-    """Write named columns with ``# key = value`` metadata comment lines;
-    a ``meta`` entry whose value is None is left out.
+    """Write named columns under the header and metadata of
+    :func:`open_csv`.
 
     All columns must share one length and have a bool, integer or float
     dtype.  Integer-typed columns are written as integers, everything else
     with 17 significant digits, which round-trip any IEEE double exactly.
-    Column names must be non-empty strings that need no CSV quoting (no
-    comma, double quote, carriage return or newline).
 
     Rows are formatted in blocks of ``_CSV_BLOCK_ROWS``: one ``%``-format
     per row over the block's ``.tolist()`` column slices and one write per
@@ -397,27 +472,15 @@ def write_csv(path: str | Path, columns: Mapping[str, np.ndarray], *,
     """
     names = list(columns)
     arrays = [np.asarray(columns[name]) for name in names]
-    if not arrays:
-        raise ConfigError("write_csv needs at least one column")
     if any(a.ndim != 1 for a in arrays) \
-            or len({a.shape[0] for a in arrays}) != 1:
+            or len({a.shape[0] for a in arrays}) > 1:
         raise ConfigError("write_csv columns must be 1-D with equal length")
     for name, a in zip(names, arrays):
-        if not isinstance(name, str) or not name or _CSV_SPECIAL & set(name):
-            raise ConfigError(f"write_csv column name {name!r} must be a "
-                              f"non-empty string without , \" or line breaks")
         if a.dtype.kind not in "biuf":
             raise ConfigError(f"write_csv column {name!r} has non-numeric "
                               f"dtype {a.dtype}")
-    row = ",".join("%d" if a.dtype.kind in "iu" else "%.17g"
-                   for a in arrays) + "\n"
-    n = arrays[0].shape[0]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        for key, value in (meta or {}).items():
-            if value is not None:
-                f.write(f"# {key} = {value}\n")
-        f.write(",".join(names) + "\n")
-        for lo in range(0, n, _CSV_BLOCK_ROWS):
-            cells = zip(*[a[lo:lo + _CSV_BLOCK_ROWS].tolist()
-                          for a in arrays])
-            f.write("".join([row % cell for cell in cells]))
+    row = ",".join(_cell_format(a.dtype.kind) for a in arrays) + "\n"
+    with open_csv(path, names, meta=meta) as f:
+        for lo in range(0, arrays[0].shape[0], _CSV_BLOCK_ROWS):
+            block = [a[lo:lo + _CSV_BLOCK_ROWS].tolist() for a in arrays]
+            f.write(_format_rows(row, zip(*block)))

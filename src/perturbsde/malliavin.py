@@ -122,35 +122,51 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
     n = n1 - 1
     alpha = vspec.alpha
     one_minus = 1.0 - alpha
-    b1, s0, s1 = (vspec.drift.evaluator(1), vspec.diffusion.evaluator(0),
-                  vspec.diffusion.evaluator(1))
+    s0, step_factor = vspec.diffusion.evaluator(0), _step_factor(vspec, dt)
 
-    # forward sweep: the norm curve from three per-path sums
+    # forward sweep: the norm curve from three per-path sums; only the
+    # paths that set a new maximum at a step change S, and reset Y and G
     G = np.ones(P)
     S = np.zeros(P)
     Y = np.zeros(P)
     h_sup = np.zeros(P)
     by_time = np.zeros((n1, P)) if track_all_times else None
+    h = np.empty(P)
     for k in range(n):
         xk = x_tm[k]
-        a = 1.0 + (b1(xk) * dt + s1(xk) * db_tm[k])
-        G = G * a
-        Y = Y * (a * a)
-        new = new_tm[k + 1]
+        a = step_factor(xk, db_tm[k])
+        G *= a
+        Y *= a * a
+        idx = np.flatnonzero(new_tm[k + 1])
+        Y_new = Y[idx]
         sk = s0(xk)
-        init2 = np.where(new, sk / one_minus, sk) ** 2
-        mu = (G - alpha) / one_minus
-        S = np.where(new, S * (mu * mu) + Y / one_minus**2 + init2, S)
-        Y = np.where(new, 0.0, Y + init2)
-        G = np.where(new, 1.0, G)
-        h = dt * (G * G * S + Y)
-        np.maximum(h_sup, h, out=h_sup)
+        Y += sk * sk
+        q = (sk[idx] if np.ndim(sk) else sk) / one_minus
+        mu = (G[idx] - alpha) / one_minus
+        S[idx] = S[idx] * (mu * mu) + Y_new / one_minus**2 + q * q
+        Y[idx] = 0.0
+        G[idx] = 1.0
         if track_all_times:
-            by_time[k + 1] = h
+            h = by_time[k + 1]
+        np.multiply(G, G, out=h)
+        h *= S
+        h += Y
+        h *= dt
+        np.maximum(h_sup, h, out=h_sup)
     return DerivativeFieldBatch(
-        h_norm_sq_final=h, sup_h_norm_sq=h_sup, dt=dt,
+        h_norm_sq_final=h.copy(), sup_h_norm_sq=h_sup, dt=dt,
         _slots=partial(_backward_sweep, batch, vspec, dt, G),
         h_norm_sq_by_time=by_time)
+
+
+def _step_factor(vspec, dt: float):
+    """``(x_k, db_k) -> a_k = 1 + b'(x_k) dt + sigma'(x_k) db_k``.  A
+    constant diffusion has ``sigma' = 0.0``, whose term adds a signed zero
+    and so leaves ``a_k`` bitwise unchanged: it is not formed."""
+    b1, s1 = vspec.drift.evaluator(1), vspec.diffusion.evaluator(1)
+    if vspec.diffusion.constant_value is not None:
+        return lambda xk, dbk: 1.0 + b1(xk) * dt
+    return lambda xk, dbk: 1.0 + (b1(xk) * dt + s1(xk) * dbk)
 
 
 def _backward_sweep(batch: PathBatch, vspec, dt: float,
@@ -167,8 +183,7 @@ def _backward_sweep(batch: PathBatch, vspec, dt: float,
     n = n1 - 1
     alpha = vspec.alpha
     one_minus = 1.0 - alpha
-    b1, s0, s1 = (vspec.drift.evaluator(1), vspec.diffusion.evaluator(0),
-                  vspec.diffusion.evaluator(1))
+    s0, step_factor = vspec.diffusion.evaluator(0), _step_factor(vspec, dt)
     d_x = np.empty((P, n))
     d_m = np.empty((P, n))
     R = np.ones(P)
@@ -182,7 +197,7 @@ def _backward_sweep(batch: PathBatch, vspec, dt: float,
         m = sk / one_minus * np.where(new, M, np.where(later, R * M, 0.0))
         d_m[:, k] = m
         d_x[:, k] = np.where(new | later, m * G, sk * R)
-        a = 1.0 + (b1(xk) * dt + s1(xk) * db_tm[k])
+        a = step_factor(xk, db_tm[k])
         R = np.where(new, a, R * a)
         later |= new
     return d_x, d_m

@@ -1,27 +1,36 @@
 """Command-line interface: artifacts, determinism, exit codes, and the
 metadata contract."""
 
+import hashlib
 import importlib
 import json
 import math
 import pkgutil
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perturbsde
 import perturbsde.cli as cli_mod
+import perturbsde.io as pio
 import perturbsde.verify as verify_mod
+from perturbsde.bounds import floor_violations
 from perturbsde import (
     GridSpec,
     SuiteResult,
     build_transform,
+    propagate_derivative_batch,
     regime_report,
     simulate_batch,
     transformed_spec,
     validate,
 )
-from perturbsde.cli import _chunks, _pool_size, main
+from perturbsde.cli import (_chunk_paths, _chunks, _fold_counts, _pool_size,
+                            _stream, main)
 from perturbsde.io import (TOOL_VERSION, check_config, problem_from_json,
                            read_json)
 
@@ -305,13 +314,19 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path, write_config,
     def exhausted(*args):
         raise exc
 
-    monkeypatch.setitem(cli_mod._HANDLERS, "simulate", exhausted)
     cfg = write_config(simulate_config())
-    assert run("simulate", cfg, tmp_path / "o") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: ")
-    assert str(exc) in err and err.count("\n") == 1
-    assert "Traceback" not in err
+    # the message names the config fields that size each subcommand
+    for command, fields in [
+            ("simulate", "reduce n_paths or grid.n_steps"),
+            ("transform", "reduce transform.n_nodes"),
+            ("density", "reduce n_paths, grid.n_steps or n_grid")]:
+        monkeypatch.setitem(cli_mod._HANDLERS, command, exhausted)
+        assert run(command, cfg, tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert str(exc) in err and err.count("\n") == 1
+        assert err.endswith(f"; {fields}\n")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "derivative", "density"])
@@ -337,8 +352,8 @@ def test_pool_size_is_clamped():
     # pure function of the request, the chunk count and the usable CPUs;
     # no process is started here
     assert _pool_size(4, 4, 8) == 4
-    assert _pool_size(10_000, len(_chunks(3, 10_000)), 64) == 3
-    assert _pool_size(10_000, len(_chunks(10_000, 10_000)), 2) == 2
+    assert _pool_size(10_000, len(_chunks(3, 1)), 64) == 3
+    assert _pool_size(10_000, len(_chunks(10_000, 1)), 2) == 2
     assert _pool_size(1, 5, 8) == 1
     assert _pool_size(4, 4, 0) == 1
 
@@ -350,6 +365,8 @@ def test_numeric_blowup_exits_3(tmp_path, write_config, capsys):
                         "n_paths": 1, "seed": 1})
     assert run("simulate", cfg, tmp_path / "o") == 3
     assert "non-finite" in capsys.readouterr().err
+    # the table is streamed, and a failed run leaves none behind
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_degenerate_transform_exits_3(tmp_path, write_config):
@@ -468,6 +485,227 @@ def test_derivative_deterministic_across_workers(tmp_path, repo_configs):
     assert names == ["derivative.csv", "derivative_summary.json"]
     for name in names:
         assert (one / name).read_bytes() == (two / name).read_bytes()
+
+
+# -- streamed simulate and derivative -----------------------------------------
+
+
+_TANH = {"x0": 0.0, "alpha": 0.1,
+         "drift": {"preset": "tanh", "params": {"amplitude": 0.1,
+                                                "scale": 1.0}},
+         "diffusion": {"preset": "const", "params": {"value": 1.0}},
+         "horizon": 1.0}
+_SINE = {"x0": 0.2, "alpha": 0.3,
+         "drift": {"preset": "tanh", "params": {"amplitude": 0.5,
+                                                "scale": 1.0}},
+         "diffusion": {"preset": "sine", "params": {"amplitude": 0.3,
+                                                    "offset": 1.0}},
+         "horizon": 1.0}
+# one path; a path count that five-path chunks do not divide; and a
+# derivative run with t0, whose floor counts are summed over the chunks
+_STREAM_CASES = {
+    "one_path": {"problem": _SINE, "grid": {"n_steps": 30}, "n_paths": 1,
+                 "seed": 3},
+    "ragged": {"problem": _TANH, "grid": {"n_steps": 40}, "n_paths": 23,
+               "seed": 5},
+    "t0": {"problem": _SINE, "grid": {"n_steps": 40}, "n_paths": 23,
+           "seed": 11, "t0": 0.5},
+}
+_ARTIFACTS = {"simulate": ("paths.csv", "summary.json"),
+              "derivative": ("derivative.csv", "derivative_summary.json")}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _five_path_chunks(monkeypatch, command, n_steps):
+    per_step = {"simulate": cli_mod._SIMULATE_BYTES,
+                "derivative": cli_mod._DERIVATIVE_BYTES}[command]
+    monkeypatch.setattr(cli_mod, "_CHUNK_BYTES", 5 * per_step * (n_steps + 1))
+
+
+@pytest.mark.parametrize("command,case", [
+    ("simulate", "one_path"), ("simulate", "ragged"),
+    ("derivative", "one_path"), ("derivative", "ragged"),
+    ("derivative", "t0")])
+def test_streamed_artifacts_match_the_one_chunk_run(tmp_path, write_config,
+                                                    monkeypatch, command,
+                                                    case):
+    config = _STREAM_CASES[case]
+    cfg = write_config(config)
+    monkeypatch.setattr(cli_mod, "_CHUNK_BYTES", 2**62)
+    assert run(command, cfg, tmp_path / "whole") == 0
+    _five_path_chunks(monkeypatch, command, config["grid"]["n_steps"])
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert run(command, cfg, out, "--workers", str(workers)) == 0
+        for name in _ARTIFACTS[command]:
+            assert _sha256(out / name) == _sha256(tmp_path / "whole" / name)
+
+
+def _table_body(path):
+    return [line for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+
+
+def test_streamed_tables_match_whole_batch_writes(tmp_path, write_config,
+                                                  monkeypatch):
+    # the artifacts of five-path chunks against io.write_csv of whole
+    # columns and the summaries of one whole batch
+    config = _STREAM_CASES["t0"]
+    cfg = write_config(config)
+    n_paths, n = config["n_paths"], config["grid"]["n_steps"]
+    spec = problem_from_json(config["problem"])
+    grid = GridSpec(n_steps=n, horizon=spec.horizon)
+    batch = simulate_batch(spec, grid, n_paths, config["seed"])
+    path = np.repeat(np.arange(n_paths), n + 1)
+
+    _five_path_chunks(monkeypatch, "simulate", n)
+    assert run("simulate", cfg, tmp_path / "sim") == 0
+    pio.write_csv(tmp_path / "paths.csv", {
+        "path": path, "t": np.tile(grid.times, n_paths),
+        "x": batch.x.T.reshape(-1),
+        "running_max": batch.running_max.T.reshape(-1)})
+    assert _table_body(tmp_path / "sim" / "paths.csv") \
+        == _table_body(tmp_path / "paths.csv")
+    summary = read_json(tmp_path / "sim" / "summary.json")
+    assert summary["terminal"]["mean"] == float(np.mean(batch.x[-1]))
+    assert summary["running_max"]["max"] == float(np.max(batch.x))
+
+    _five_path_chunks(monkeypatch, "derivative", n)
+    assert run("derivative", cfg, tmp_path / "der") == 0
+    fields = propagate_derivative_batch(batch, spec, grid,
+                                        track_all_times=True)
+    pio.write_csv(tmp_path / "derivative.csv", {
+        "path": np.repeat(np.arange(n_paths), n),
+        "r": np.tile(grid.times[:-1], n_paths),
+        "d_x": fields.d_x.reshape(-1), "d_m": fields.d_m.reshape(-1)})
+    assert _table_body(tmp_path / "der" / "derivative.csv") \
+        == _table_body(tmp_path / "derivative.csv")
+    doc = read_json(tmp_path / "der" / "derivative_summary.json")
+    assert doc["h_norm_sq_final"] == fields.h_norm_sq_final.tolist()
+    assert doc["sup_h_norm_sq"] == fields.sup_h_norm_sq.tolist()
+    report = regime_report(spec, config["t0"])
+    whole = floor_violations(report, grid, fields.sup_h_norm_sq,
+                             fields.h_norm_sq_by_time)
+    assert {k: doc["bounds"][k] for k in whole} == whole
+
+
+def test_derivative_memory_is_bounded_by_the_chunk(tmp_path, write_config,
+                                                   monkeypatch):
+    # 250-path chunks of 200 steps hold about 2 MB of arrays; holding the
+    # whole run's would add about 12 MB from 500 to 2000 paths
+    monkeypatch.setattr(cli_mod, "_CHUNK_BYTES",
+                        250 * cli_mod._DERIVATIVE_BYTES * 201)
+
+    def peak(n_paths):
+        cfg = write_config({"problem": _TANH, "grid": {"n_steps": 200},
+                            "n_paths": n_paths, "seed": 13, "t0": 1.0},
+                           name=f"{n_paths}.json")
+        tracemalloc.start()
+        try:
+            assert run("derivative", cfg, tmp_path / str(n_paths)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) < peak(500) + 1_000_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_paths=st.integers(1, 20_000), n_steps=st.integers(1, 10**7),
+       per_step=st.sampled_from([cli_mod._SIMULATE_BYTES,
+                                 cli_mod._DERIVATIVE_BYTES]))
+def test_budget_partition_covers_every_path_in_order(n_paths, n_steps,
+                                                     per_step):
+    size = _chunk_paths(n_steps, per_step)
+    chunks = _chunks(n_paths, size)
+    offsets = [offset for offset, _ in chunks]
+    counts = [count for _, count in chunks]
+    assert offsets == [0, *np.cumsum(counts)[:-1].tolist()]
+    assert sum(counts) == n_paths and min(counts) >= 1
+    assert all(count == size for count in counts[:-1])
+    assert size == 1 or size * per_step * (n_steps + 1) <= cli_mod._CHUNK_BYTES
+
+
+def test_chunks_are_sized_by_the_budget_not_the_workers(tmp_path,
+                                                        write_config,
+                                                        monkeypatch):
+    seen = {}
+    real_stream = cli_mod._stream
+
+    def recording(worker, common, chunks, workers):
+        seen.setdefault(worker.__name__, []).append(chunks)
+        return real_stream(worker, common, chunks, 1)   # starts no pool
+
+    monkeypatch.setattr(cli_mod, "_stream", recording)
+    # seven derivative paths, or sixteen simulate paths, of 40 steps a chunk
+    monkeypatch.setattr(cli_mod, "_CHUNK_BYTES",
+                        7 * cli_mod._DERIVATIVE_BYTES * 41)
+    cfg = write_config({"problem": _TANH, "grid": {"n_steps": 40},
+                        "n_paths": 50, "seed": 1})
+    for workers in (1, 3, 64):
+        for command in ("simulate", "derivative", "density"):
+            assert run(command, cfg, tmp_path / command,
+                       "--workers", str(workers)) == 0
+    assert seen["_simulate_worker"] == [_chunks(50, 16)] * 3
+    assert seen["_derivative_worker"] == [_chunks(50, 7)] * 3
+    # density keeps one chunk per worker: ceil(50 / workers) paths each
+    assert seen["_terminal_worker"] == [
+        [(0, 50)], [(0, 17), (17, 17), (34, 16)],
+        [(lo, 1) for lo in range(50)]]
+
+
+class _StubPool:
+    """Stands in for the process pool: runs each job as it is submitted
+    and counts the jobs submitted."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = 0
+        _StubPool.last = self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _echo_worker(tag, n_paths, path_offset):
+    return (tag, path_offset, n_paths), iter([f"{path_offset}\n"])
+
+
+def test_pool_results_in_flight_are_bounded(monkeypatch):
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _StubPool)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 3)
+    chunks = _chunks(20, 2)
+    results = []
+    for taken, result in enumerate(_stream(_echo_worker, ("c",), chunks,
+                                           workers=8)):
+        pool = _StubPool.last
+        assert pool.max_workers == 3
+        # results submitted and not yet consumed, this one included
+        assert pool.submitted - taken <= pool.max_workers + 1
+        results.append(result)
+    assert results == [(("c", off, n), [f"{off}\n"]) for off, n in chunks]
+
+
+def test_floor_counts_add_up_over_chunks():
+    chunks = [{"slack_factor": 0.98, "n_sup_violations": 2,
+               "final_bound_horizon": 0.5, "n_final_violations": 0},
+              {"slack_factor": 0.98, "n_sup_violations": 1,
+               "final_bound_horizon": 0.5, "n_final_violations": 4}]
+    assert _fold_counts(chunks) == {
+        "slack_factor": 0.98, "n_sup_violations": 3,
+        "final_bound_horizon": 0.5, "n_final_violations": 4}
 
 
 def test_regime_blocks_agree_across_subcommands(tmp_path, write_config):

@@ -309,6 +309,31 @@ def test_write_csv_default_blocks_match_reference_writer(tmp_path):
     assert new.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_path_major_blocks_match_the_reference_writer(tmp_path, monkeypatch,
+                                                      m):
+    # blocks of 5 rows: paths of 3 labels share a block, paths of 7 are
+    # split over two
+    monkeypatch.setattr(io, "_CSV_BLOCK_ROWS", 5)
+    n_paths, first = 4, 9
+    rng = np.random.default_rng(11)
+    labels = np.linspace(0.0, 1.0, m + 1)[:m] / 3.0
+    values = rng.standard_normal((m, n_paths))        # time-major
+    values.flat[:len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS[:values.size]
+    flags = rng.random((n_paths, m)) < 0.5
+    counts = rng.integers(-5, 5, (n_paths, m))
+    blocks = list(io.path_major_blocks(first, labels, values.T, flags,
+                                       counts))
+    assert all(0 < block.count("\n") <= 5 for block in blocks)
+    ref = tmp_path / "ref.csv"
+    reference_write_csv(ref, {
+        "path": np.repeat(np.arange(first, first + n_paths), m),
+        "t": np.tile(labels, n_paths), "x": values.T.reshape(-1),
+        "flag": flags.reshape(-1), "count": counts.reshape(-1)})
+    body = ref.read_text(encoding="utf-8").split("\n", 1)[1]
+    assert "".join(blocks) == body
+
+
 _NAME = st.text(st.sampled_from('ab_ ,"\r\n\t\'#=1é'), max_size=4)
 
 

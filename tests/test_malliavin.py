@@ -246,6 +246,49 @@ def test_sweeps_match_the_slot_recursion(name):
         assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
 
 
+def _dense_forward_sweep(batch, spec, grid):
+    """The forward sweep with full-width updates of ``S``, ``Y`` and ``G``
+    at every step and the ``sigma' db`` term always formed: final norm,
+    its running sup and the norm curve.  The event-sparse sweep must equal
+    it bit for bit."""
+    x, db, new_tm, dt = batch.x, batch.db, batch.new_max, grid.dt
+    alpha = spec.alpha
+    one_minus = 1.0 - alpha
+    b1, s0, s1 = (spec.drift.evaluator(1), spec.diffusion.evaluator(0),
+                  spec.diffusion.evaluator(1))
+    P = x.shape[1]
+    G, S, Y, h_sup = np.ones(P), np.zeros(P), np.zeros(P), np.zeros(P)
+    by_time = np.zeros(x.shape)
+    for k in range(db.shape[0]):
+        a = 1.0 + (b1(x[k]) * dt + s1(x[k]) * db[k])
+        G = G * a
+        Y = Y * (a * a)
+        new = new_tm[k + 1]
+        sk = s0(x[k])
+        init2 = np.where(new, sk / one_minus, sk) ** 2
+        mu = (G - alpha) / one_minus
+        S = np.where(new, S * (mu * mu) + Y / one_minus**2 + init2, S)
+        Y = np.where(new, 0.0, Y + init2)
+        G = np.where(new, 1.0, G)
+        h = dt * (G * G * S + Y)
+        np.maximum(h_sup, h, out=h_sup)
+        by_time[k + 1] = h
+    return h, h_sup, by_time
+
+
+@pytest.mark.parametrize("name", [*COEFFICIENT_CASES, *_RECURSION_CASES])
+def test_forward_sweep_equals_the_dense_sweep_bitwise(name):
+    spec, grid, batch = _recursion_case(name)
+    want = _dense_forward_sweep(batch, spec, grid)
+    tracked = propagate_derivative_batch(batch, spec, grid,
+                                         track_all_times=True)
+    plain = propagate_derivative_batch(batch, spec, grid)
+    for fields in (tracked, plain):
+        assert fields.h_norm_sq_final.tobytes() == want[0].tobytes()
+        assert fields.sup_h_norm_sq.tobytes() == want[1].tobytes()
+    assert tracked.h_norm_sq_by_time.tobytes() == want[2].tobytes()
+
+
 def test_norms_only_propagation_does_no_slot_work(tanh_spec):
     # the backward sweep's two (P, n) outputs are 8 MB each here; the
     # forward sweep holds a few (P,) vectors
