@@ -19,11 +19,11 @@ is independent of ``--workers``.
 
 ``simulate`` and ``derivative`` stream: their paths run in contiguous
 chunks sized by a fixed byte budget (never by ``--workers``), each
-chunk's table rows are appended in path order as it finishes, and only
-the per-path summary values outlive a chunk.  The summaries are computed
-from those values joined in path order, exactly as from one whole run.
-``density`` keeps one chunk per worker; its chunks return one terminal
-value per path.
+chunk's table rows are formatted in this process and appended in path
+order as the chunk finishes, and only the per-path summary values
+outlive a chunk.  The summaries are computed from those values joined
+in path order, exactly as from one whole run.  ``density`` keeps one
+chunk per worker; its chunks return one terminal value per path.
 """
 
 from __future__ import annotations
@@ -94,10 +94,9 @@ def _moments(values: np.ndarray) -> dict[str, float]:
 # -- chunk workers (top level so they survive pickling) ----------------------
 #
 # A worker runs the paths ``path_offset .. path_offset + n_paths - 1`` and
-# returns ``(part, blocks)``: the chunk's per-path results, and its table
-# rows as an iterable of text blocks.  In the parent process the blocks are
-# formatted lazily, while they are written; a pool process formats them
-# before returning (``_formatted``).
+# returns ``(part, fields)``: the chunk's per-path results, and the
+# ``(n_paths, m)`` arrays of its table (none for ``density``), which the
+# parent formats with ``io.path_major_blocks`` in both modes.
 
 
 def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
@@ -108,8 +107,7 @@ def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
     del batch          # frees the increments and flags before the maximum
     running_max = np.maximum.accumulate(x, axis=0)
     part = (x[-1].copy(), running_max[-1].copy(), argmax)
-    return part, io.path_major_blocks(path_offset, grid.times, x.T,
-                                      running_max.T)
+    return part, (x.T, running_max.T)
 
 
 def _terminal_worker(problem_json, grid_json, seed, n_paths, path_offset):
@@ -129,14 +127,7 @@ def _derivative_worker(problem_json, grid_json, seed, report, n_paths,
         report, grid, fields.sup_h_norm_sq, fields.h_norm_sq_by_time)
     part = (fields.h_norm_sq_final, fields.sup_h_norm_sq,
             batch.final_argmax_idx(), floors)
-    return part, io.path_major_blocks(path_offset, grid.times[:-1],
-                                      fields.d_x, fields.d_m)
-
-
-def _formatted(worker, *args):
-    """``worker`` in a pool process: its rows come back as text."""
-    part, blocks = worker(*args)
-    return part, list(blocks)
+    return part, (fields.d_x, fields.d_m)
 
 
 # -- path partition and chunk driver -----------------------------------------
@@ -145,6 +136,13 @@ def _formatted(worker, *args):
 # About 200 paths at 1000 steps for ``derivative``: fewer, smaller chunks
 # cost per-step call overhead, more raise peak memory.
 _CHUNK_BYTES = 8 * 2**20
+# Fewest paths a chunk runs, whatever the grid: each chunk pays the
+# per-step call overhead of the simulation and both sweeps again (about
+# 50 us a step), and at 200 paths that stays a small share of the chunk's
+# work.  Past the grid length where the budget gives fewer paths (about
+# 1000 steps for ``derivative``, 2500 for ``simulate``) a chunk holds more
+# than the budget, in proportion to ``n_steps`` but never to ``n_paths``.
+_MIN_CHUNK_PATHS = 200
 # Bytes per path and grid time a chunk holds: the values and increments
 # (8 each) and the new-maximum flags (1), plus, for ``derivative``, the
 # by-time norm curve and the two slot arrays (8 each).
@@ -153,8 +151,10 @@ _DERIVATIVE_BYTES = 41
 
 
 def _chunk_paths(n_steps: int, bytes_per_step: int) -> int:
-    """Paths per chunk: as many as fit ``_CHUNK_BYTES``, at least one."""
-    return max(1, _CHUNK_BYTES // (bytes_per_step * (n_steps + 1)))
+    """Paths per chunk: as many as fit ``_CHUNK_BYTES``, at least
+    ``_MIN_CHUNK_PATHS``."""
+    return max(_MIN_CHUNK_PATHS,
+               _CHUNK_BYTES // (bytes_per_step * (n_steps + 1)))
 
 
 def _chunks(n_paths: int, size: int) -> list[tuple[int, int]]:
@@ -180,7 +180,7 @@ def _usable_cpus() -> int:
 
 def _stream(worker, common: tuple, chunks: list[tuple[int, int]],
             workers: int):
-    """Chunk results ``worker(*common, count, offset)``, in path order.
+    """Pairs ``(offset, worker(*common, count, offset))``, in path order.
 
     One process runs the chunks one after another, so nothing of a chunk
     but what the caller keeps outlives it.  A pool of ``pool_size``
@@ -191,17 +191,34 @@ def _stream(worker, common: tuple, chunks: list[tuple[int, int]],
     pool_size = _pool_size(workers, len(chunks), _usable_cpus())
     if pool_size == 1:
         for offset, count in chunks:
-            yield worker(*common, count, offset)
+            yield offset, worker(*common, count, offset)
         return
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         def submit(offset, count):
-            return pool.submit(_formatted, worker, *common, count, offset)
+            return offset, pool.submit(worker, *common, count, offset)
 
         todo = iter(chunks)
         pending = deque(submit(*c) for c in islice(todo, pool_size + 1))
         while pending:
-            yield pending.popleft().result()
+            offset, future = pending.popleft()
+            yield offset, future.result()
             pending.extend(submit(*c) for c in islice(todo, 1))
+
+
+def _stream_table(path: Path, names: Sequence[str], labels: np.ndarray,
+                  meta: dict, worker, common: tuple,
+                  chunks: list[tuple[int, int]], workers: int) -> list:
+    """Stream ``worker`` over ``chunks`` into the path-major table
+    ``path``: each chunk's rows are appended as it finishes.  Returns the
+    chunks' per-path results in path order."""
+    parts = []
+    with io.open_csv(path, names, meta=meta) as f:
+        for offset, (part, fields) in _stream(worker, common, chunks,
+                                              workers):
+            f.writelines(io.path_major_blocks(offset, labels, *fields))
+            parts.append(part)
+            del fields     # not held while the next chunk runs
+    return parts
 
 
 def _fold_counts(counts: Sequence[dict]) -> dict:
@@ -248,14 +265,11 @@ def cmd_simulate(config: dict, out_dir: Path, workers: int,
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
     chunks = _chunks(n_paths, _chunk_paths(grid.n_steps, _SIMULATE_BYTES))
-    parts = []
-    with io.open_csv(out_dir / "paths.csv", ("path", "t", "x",
-                                             "running_max"), meta=meta) as f:
-        for part, blocks in _stream(_simulate_worker,
-                                    (config["problem"], grid_json, seed),
-                                    chunks, workers):
-            f.writelines(blocks)
-            parts.append(part)
+    parts = _stream_table(out_dir / "paths.csv",
+                          ("path", "t", "x", "running_max"), grid.times,
+                          meta, _simulate_worker,
+                          (config["problem"], grid_json, seed), chunks,
+                          workers)
     terminal, running_max, argmax_final = map(np.concatenate, zip(*parts))
     io.write_json(out_dir / "summary.json", {
         "n_paths": n_paths,
@@ -278,15 +292,11 @@ def cmd_derivative(config: dict, out_dir: Path, workers: int,
     report = _regime(config, problem) if config.get("t0") is not None \
         else None
     chunks = _chunks(n_paths, _chunk_paths(grid.n_steps, _DERIVATIVE_BYTES))
-    parts = []
-    with io.open_csv(out_dir / "derivative.csv", ("path", "r", "d_x", "d_m"),
-                     meta=meta) as f:
-        for part, blocks in _stream(_derivative_worker,
-                                    (config["problem"], grid_json, seed,
-                                     report),
-                                    chunks, workers):
-            f.writelines(blocks)
-            parts.append(part)
+    parts = _stream_table(out_dir / "derivative.csv",
+                          ("path", "r", "d_x", "d_m"), grid.times[:-1],
+                          meta, _derivative_worker,
+                          (config["problem"], grid_json, seed, report),
+                          chunks, workers)
     h_final, h_sup, argmax_final, floors = zip(*parts)
 
     summary: dict[str, Any] = {
@@ -317,7 +327,7 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
     chunks = _chunks(n_paths, math.ceil(n_paths / workers))
-    sample = np.concatenate([part for part, _ in _stream(
+    sample = np.concatenate([part for _, (part, _) in _stream(
         _terminal_worker, (config["problem"], grid_json, seed), chunks,
         workers)])
 
@@ -402,24 +412,15 @@ def cmd_verify(config: dict, out_dir: Path, workers: int,
             f"{', '.join(failed)}")
 
 
-# What to reduce when a subcommand runs out of memory: the config fields
-# that size its arrays.
-_SIZED_BY = {
-    "simulate": "reduce n_paths or grid.n_steps",
-    "derivative": "reduce n_paths or grid.n_steps",
-    "regime": "reduce transform.n_nodes",
-    "density": "reduce n_paths, grid.n_steps or n_grid",
-    "transform": "reduce transform.n_nodes",
-    "verify": "run fewer suites",
-}
-
+# Each subcommand's handler, and what to reduce when it runs out of
+# memory: the config fields that size its arrays.
 _HANDLERS = {
-    "simulate": cmd_simulate,
-    "derivative": cmd_derivative,
-    "regime": cmd_regime,
-    "density": cmd_density,
-    "transform": cmd_transform,
-    "verify": cmd_verify,
+    "simulate": (cmd_simulate, "reduce n_paths or grid.n_steps"),
+    "derivative": (cmd_derivative, "reduce n_paths or grid.n_steps"),
+    "regime": (cmd_regime, "reduce transform.n_nodes"),
+    "density": (cmd_density, "reduce n_paths, grid.n_steps or n_grid"),
+    "transform": (cmd_transform, "reduce transform.n_nodes"),
+    "verify": (cmd_verify, "run fewer suites"),
 }
 
 
@@ -468,6 +469,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, sized_by = _HANDLERS[args.command]
     try:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
@@ -485,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         meta = {"version": io.TOOL_VERSION,
                 "config_sha256": io.config_hash(hashed),
                 "seed": config.get("seed")}
-        _HANDLERS[args.command](config, out_dir, args.workers, meta)
+        handler(config, out_dir, args.workers, meta)
     except VerificationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -500,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         # the config sizes the run; numpy's message names the array
         reason = str(exc) or "an allocation failed"
-        print(f"error: out of memory: {reason}; {_SIZED_BY[args.command]}",
+        print(f"error: out of memory: {reason}; {sized_by}",
               file=sys.stderr)
         return 2
     return 0

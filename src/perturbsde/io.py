@@ -43,8 +43,6 @@ __all__ = [
     "grid_from_json",
     "read_json",
     "write_json",
-    "open_csv",
-    "path_major_blocks",
     "write_csv",
 ]
 

@@ -8,6 +8,7 @@ import math
 import pkgutil
 import tracemalloc
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -320,7 +321,8 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path, write_config,
             ("simulate", "reduce n_paths or grid.n_steps"),
             ("transform", "reduce transform.n_nodes"),
             ("density", "reduce n_paths, grid.n_steps or n_grid")]:
-        monkeypatch.setitem(cli_mod._HANDLERS, command, exhausted)
+        monkeypatch.setitem(cli_mod._HANDLERS, command,
+                            (exhausted, cli_mod._HANDLERS[command][1]))
         assert run(command, cfg, tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ")
@@ -523,6 +525,7 @@ def _five_path_chunks(monkeypatch, command, n_steps):
     per_step = {"simulate": cli_mod._SIMULATE_BYTES,
                 "derivative": cli_mod._DERIVATIVE_BYTES}[command]
     monkeypatch.setattr(cli_mod, "_CHUNK_BYTES", 5 * per_step * (n_steps + 1))
+    monkeypatch.setattr(cli_mod, "_MIN_CHUNK_PATHS", 1)
 
 
 @pytest.mark.parametrize("command,case", [
@@ -616,17 +619,31 @@ def test_derivative_memory_is_bounded_by_the_chunk(tmp_path, write_config,
 @settings(max_examples=200, deadline=None)
 @given(n_paths=st.integers(1, 20_000), n_steps=st.integers(1, 10**7),
        per_step=st.sampled_from([cli_mod._SIMULATE_BYTES,
-                                 cli_mod._DERIVATIVE_BYTES]))
+                                 cli_mod._DERIVATIVE_BYTES]),
+       min_paths=st.sampled_from([1, cli_mod._MIN_CHUNK_PATHS]))
 def test_budget_partition_covers_every_path_in_order(n_paths, n_steps,
-                                                     per_step):
-    size = _chunk_paths(n_steps, per_step)
+                                                     per_step, min_paths):
+    with mock.patch.object(cli_mod, "_MIN_CHUNK_PATHS", min_paths):
+        size = _chunk_paths(n_steps, per_step)
     chunks = _chunks(n_paths, size)
     offsets = [offset for offset, _ in chunks]
     counts = [count for _, count in chunks]
     assert offsets == [0, *np.cumsum(counts)[:-1].tolist()]
     assert sum(counts) == n_paths and min(counts) >= 1
     assert all(count == size for count in counts[:-1])
-    assert size == 1 or size * per_step * (n_steps + 1) <= cli_mod._CHUNK_BYTES
+    # the budget sets the size unless the minimum path count does
+    assert size >= min_paths
+    assert size == min_paths \
+        or size * per_step * (n_steps + 1) <= cli_mod._CHUNK_BYTES
+
+
+def test_chunks_keep_a_minimum_path_count_on_long_grids():
+    # at 1000 steps the budget sizes the chunks; at 4096 steps it would
+    # give 49 derivative paths, and the minimum holds them at 200
+    assert _chunk_paths(1000, cli_mod._DERIVATIVE_BYTES) == 204
+    assert _chunk_paths(1000, cli_mod._SIMULATE_BYTES) == 492
+    assert _chunk_paths(4096, cli_mod._DERIVATIVE_BYTES) == 200
+    assert _chunk_paths(10**4, cli_mod._SIMULATE_BYTES) == 200
 
 
 def test_chunks_are_sized_by_the_budget_not_the_workers(tmp_path,
@@ -643,6 +660,7 @@ def test_chunks_are_sized_by_the_budget_not_the_workers(tmp_path,
     # seven derivative paths, or sixteen simulate paths, of 40 steps a chunk
     monkeypatch.setattr(cli_mod, "_CHUNK_BYTES",
                         7 * cli_mod._DERIVATIVE_BYTES * 41)
+    monkeypatch.setattr(cli_mod, "_MIN_CHUNK_PATHS", 1)
     cfg = write_config({"problem": _TANH, "grid": {"n_steps": 40},
                         "n_paths": 50, "seed": 1})
     for workers in (1, 3, 64):
@@ -680,7 +698,7 @@ class _StubPool:
 
 
 def _echo_worker(tag, n_paths, path_offset):
-    return (tag, path_offset, n_paths), iter([f"{path_offset}\n"])
+    return tag, path_offset, n_paths
 
 
 def test_pool_results_in_flight_are_bounded(monkeypatch):
@@ -695,7 +713,7 @@ def test_pool_results_in_flight_are_bounded(monkeypatch):
         # results submitted and not yet consumed, this one included
         assert pool.submitted - taken <= pool.max_workers + 1
         results.append(result)
-    assert results == [(("c", off, n), [f"{off}\n"]) for off, n in chunks]
+    assert results == [(off, ("c", off, n)) for off, n in chunks]
 
 
 def test_floor_counts_add_up_over_chunks():
