@@ -68,7 +68,7 @@ from .lamperti import (
     transformed_spec,
 )
 from .malliavin import propagate_derivative_batch
-from .model import GridSpec, ProblemSpec
+from .model import GridSpec, ProblemSpec, validate
 from . import verify as verify_mod
 
 __all__ = ["main"]
@@ -118,7 +118,8 @@ def _terminal_worker(problem_json, grid_json, seed, n_paths, path_offset):
 
 def _derivative_worker(problem_json, grid_json, seed, report, n_paths,
                        path_offset):
-    spec = io.problem_from_json(problem_json)
+    # validated once: both calls below pass a ValidatedSpec straight on
+    spec = validate(io.problem_from_json(problem_json))
     grid = io.grid_from_json(grid_json)
     batch = simulate_batch(spec, grid, n_paths, seed, path_offset)
     fields = propagate_derivative_batch(batch, spec, grid,
@@ -418,7 +419,7 @@ _HANDLERS = {
     "simulate": (cmd_simulate, "reduce n_paths or grid.n_steps"),
     "derivative": (cmd_derivative, "reduce n_paths or grid.n_steps"),
     "regime": (cmd_regime, "reduce transform.n_nodes"),
-    "density": (cmd_density, "reduce n_paths, grid.n_steps or n_grid"),
+    "density": (cmd_density, "reduce n_paths or n_grid"),
     "transform": (cmd_transform, "reduce transform.n_nodes"),
     "verify": (cmd_verify, "run fewer suites"),
 }

@@ -26,8 +26,11 @@ holds ``9 (n+1) P`` bytes beyond its increment block (float values plus
 bool new-maximum flags).  The running maximum is derived from the values
 when asked for, and the step loop itself allocates only ``(P,)``
 vectors.  Without recording, a run returns the ``(P,)`` terminal values
-and nothing else; :func:`simulate_terminal` holds one increment block of
-``_TERMINAL_CHUNK_PATHS`` paths at a time.
+and nothing else.  :func:`simulate_terminal` holds one time window of
+increments, ``_TERMINAL_WINDOW_STEPS`` steps of ``_TERMINAL_CHUNK_PATHS``
+paths (16 MiB), whatever the step and path counts: each path's keyed
+stream pauses at the end of a window and resumes at the start of the
+next, and the step loop carries its state from one window to the next.
 """
 
 from __future__ import annotations
@@ -59,8 +62,13 @@ _MAX_U64 = 2**64
 _NOISE_PATHS = 512
 # paths per transposed write of a noise block into the time-major output
 _NOISE_TILE = 64
-# simulate_terminal draws and integrates this many paths per increment block
+# simulate_terminal integrates this many paths at a time, as wide vectors
+# keep the step loop's per-call overhead small ...
 _TERMINAL_CHUNK_PATHS = 4096
+# ... over time windows of this many steps.  Shorter windows hold less but
+# call each path's generator more often: on 100 000 x 2048 (2 shared
+# vCPUs) 256 steps took about 11 % longer than 512, for 9 MB less.
+_TERMINAL_WINDOW_STEPS = 512
 
 
 def _check_u64(name: str, value: int) -> int:
@@ -85,66 +93,117 @@ def generate_increments(seed: int, path_index: int, n_steps: int,
     return db
 
 
+def _check_paths(path_offset: int, n_paths: int) -> None:
+    _check_u64("path_index", path_offset)
+    _check_u64("path_index", path_offset + n_paths - 1)
+
+
+class _KeyedNoise:
+    """Keyed increments of ``n_steps`` steps, drawn one time window at a
+    time for up to ``width`` paths.
+
+    Path ``i`` draws from a Philox stream reset to the fresh state of key
+    ``(seed, i)``, with counter, buffer and spare word cleared, which is
+    exactly the state :func:`generate_increments` constructs.  When one
+    window spans the grid, no stream outlives it and one shared generator
+    serves every path, reset before each.  Otherwise each of the ``width``
+    paths owns a generator (about 800 bytes, and slower to build than to
+    reset), reset at the start of every chunk of paths: its stream pauses
+    at the end of a window and resumes at the start of the next, so a
+    path's windows join bitwise into its one stream.
+
+    Paths are drawn ``_NOISE_PATHS`` at a time into one reused path-major
+    buffer, scaled, and written into the time-major window in
+    ``_NOISE_TILE``-path tiles.
+    """
+
+    def __init__(self, seed: int, width: int, n_steps: int, dt: float,
+                 window: int):
+        key = np.array([_check_u64("seed", seed), 0], dtype=_U64)
+        self.n_steps, self.window = n_steps, min(window, n_steps)
+        self.shared = self.window == n_steps
+        self.gens = [np.random.Generator(np.random.Philox(key=key))
+                     for _ in range(1 if self.shared else width)]
+        self.fresh = self.gens[0].bit_generator.state
+        self.scale = math.sqrt(dt)
+        self.buf = np.empty(min(width, _NOISE_PATHS) * self.window)
+
+    def _reset(self, gen, path_index: int) -> None:
+        self.fresh["state"]["key"][1] = path_index
+        gen.bit_generator.state = self.fresh
+
+    def windows(self, path_offset: int, n_paths: int, out: np.ndarray):
+        """Yield the increments of paths ``path_offset ..
+        path_offset+n_paths-1`` as time-major ``(w, n_paths)`` windows in
+        time order, each a view of the flat buffer ``out`` (at least
+        ``window * n_paths`` long) that the next one overwrites."""
+        if not self.shared:
+            for i, gen in enumerate(self.gens[:n_paths], path_offset):
+                self._reset(gen, i)
+        for t0 in range(0, self.n_steps, self.window):
+            w = min(self.window, self.n_steps - t0)
+            tm = out[:w * n_paths].reshape(w, n_paths)
+            for lo in range(0, n_paths, _NOISE_PATHS):
+                m = min(_NOISE_PATHS, n_paths - lo)
+                block = self.buf[:m * w].reshape(m, w)
+                if self.shared:
+                    gen = self.gens[0]
+                    for i, row in enumerate(block, path_offset + lo):
+                        self._reset(gen, i)
+                        gen.standard_normal(out=row)
+                else:
+                    for gen, row in zip(self.gens[lo:], block):
+                        gen.standard_normal(out=row)
+                block *= self.scale
+                for t in range(0, m, _NOISE_TILE):
+                    tile = block[t:t + _NOISE_TILE]
+                    tm[:, lo + t:lo + t + tile.shape[0]] = tile.T
+            yield tm
+
+
 def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
                     dt: float) -> np.ndarray:
     """Increment block for paths ``path_offset .. path_offset+n_paths-1``,
-    returned time-major with shape ``(n_steps, n_paths)``.
-
-    One Philox bit generator serves the whole block: before each path its
-    state is reset to the fresh state of key ``(seed, path_index)``, with
-    counter, buffer and spare word cleared, which is exactly the state
-    :func:`generate_increments` constructs.  Paths are drawn
-    ``_NOISE_PATHS`` at a time into one reused path-major buffer, scaled,
-    and written into the output in ``_NOISE_TILE``-path tiles, so no second
-    full-size copy is held; column ``p`` is bitwise
+    returned time-major with shape ``(n_steps, n_paths)``: the one-window
+    case of :class:`_KeyedNoise`, so column ``p`` is bitwise
     :func:`generate_increments` for path ``path_offset + p``.
     """
-    seed = _check_u64("seed", seed)
-    path_offset = _check_u64("path_index", path_offset)
-    _check_u64("path_index", path_offset + n_paths - 1)
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=_U64))
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
-    out = np.empty((n_steps, n_paths))
-    buf = np.empty((min(n_paths, _NOISE_PATHS), n_steps))
-    scale = math.sqrt(dt)
-    for lo in range(0, n_paths, _NOISE_PATHS):
-        block = buf[:min(_NOISE_PATHS, n_paths - lo)]
-        for i, row in enumerate(block):
-            key[1] = path_offset + lo + i
-            bitgen.state = fresh
-            gen.standard_normal(out=row)
-        block *= scale
-        for t in range(0, block.shape[0], _NOISE_TILE):
-            tile = block[t:t + _NOISE_TILE]
-            out[:, lo + t:lo + t + tile.shape[0]] = tile.T
-    return out
+    # the block is allocated before the draw buffer, which is freed on
+    # return: the other order left the allocator holding about 1.4 MB more
+    # on the benchmark's 1000-step derivative chunks
+    out = np.empty(n_steps * n_paths)
+    noise = _KeyedNoise(seed, n_paths, n_steps, dt, n_steps)
+    _check_paths(path_offset, n_paths)
+    (block,) = noise.windows(path_offset, n_paths, out)
+    return block
 
 
 # -- batched Euler engine -----------------------------------------------------
 
 
-def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
+def _euler_core(vspec: ValidatedSpec, dt: float, tiles, n_paths: int,
                 record: bool, path_offset: int):
-    """Advance all columns of ``db_tm`` (time-major ``(n, P)``) through the
-    left-frozen scheme.  Returns the time-major path values and new-maximum
-    flags when ``record``, otherwise the terminal values.  A non-finite
-    state is reported for path ``path_offset + column``.
+    """Advance ``n_paths`` columns through the left-frozen scheme, driven
+    by ``tiles``: time-major ``(w, n_paths)`` increment arrays taken in
+    time order, the state carried from one to the next.  With ``record``
+    ``tiles`` holds one block of all steps, and the time-major path values
+    and new-maximum flags are returned; otherwise the terminal values.  A
+    non-finite state is reported for path ``path_offset + column``.
 
     Every step writes into buffers allocated before the loop: with
     ``record`` the state and flags go straight into their rows of the
     output, otherwise into one ``(P,)`` vector each.  The running maximum
     is ``max(M, x)``, so it equals ``maximum.accumulate`` of the recorded
     values by construction and is never stored."""
-    n, P = db_tm.shape
+    P = n_paths
     alpha = vspec.alpha
     one_minus = 1.0 - alpha
     b, s = vspec.drift.evaluator(0), vspec.diffusion.evaluator(0)
 
     if record:
-        x_tm = np.empty((n + 1, P))
-        new_tm = np.zeros((n + 1, P), dtype=bool)
+        (db_tm,) = tiles
+        x_tm = np.empty((db_tm.shape[0] + 1, P))
+        new_tm = np.zeros((db_tm.shape[0] + 1, P), dtype=bool)
         x = x_tm[0]
         x[:] = vspec.x0 / one_minus
     else:
@@ -154,30 +213,35 @@ def _euler_core(vspec: ValidatedSpec, dt: float, db_tm: np.ndarray,
     A = np.full(P, float(vspec.x0))      # compensated accumulator
     comp = np.zeros(P)
     incr, y, t = np.empty(P), np.empty(P), np.empty(P)
+    k = 0
 
     # Overflow is not a warning condition here: divergence is detected on
     # the finished state and reported as NonFinite.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            # incr = b(x) dt + s(x) db_k; the sum is formed in the other
-            # order, which IEEE addition leaves bitwise unchanged
-            np.multiply(s(x), db_tm[k], out=incr)
-            incr += b(x) * dt
-            # Kahan update of A; the combined increment is one addend so the
-            # accumulation order is part of the reproducibility contract.
-            np.subtract(incr, comp, out=y)
-            np.add(A, y, out=t)
-            np.subtract(t, A, out=comp)
-            comp -= y
-            A, t = t, A
-            if record:
-                x, new = x_tm[k + 1], new_tm[k + 1]
-            # keep = A + alpha M, then x = A / (1 - alpha) on a new maximum
-            np.multiply(M, alpha, out=x)
-            x += A
-            np.greater(x, M, out=new)
-            np.divide(A, one_minus, out=x, where=new)
-            np.maximum(M, x, out=M)
+        for tile in tiles:
+            for db_k in tile:
+                # incr = b(x) dt + s(x) db_k; the sum is formed in the
+                # other order, which IEEE addition leaves bitwise unchanged
+                np.multiply(s(x), db_k, out=incr)
+                incr += b(x) * dt
+                # Kahan update of A; the combined increment is one addend
+                # so the accumulation order is part of the reproducibility
+                # contract.
+                np.subtract(incr, comp, out=y)
+                np.add(A, y, out=t)
+                np.subtract(t, A, out=comp)
+                comp -= y
+                A, t = t, A
+                if record:
+                    k += 1
+                    x, new = x_tm[k], new_tm[k]
+                # keep = A + alpha M, then x = A / (1 - alpha) on a new
+                # maximum
+                np.multiply(M, alpha, out=x)
+                x += A
+                np.greater(x, M, out=new)
+                np.divide(A, one_minus, out=x, where=new)
+                np.maximum(M, x, out=M)
 
     if record:
         finite = np.isfinite(x_tm)
@@ -285,11 +349,13 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
         raise GridMismatch(
             f"increment block has shape {db_tm.shape}, grid expects "
             f"({grid.n_steps}, n_paths >= 1)")
+    P = db_tm.shape[1]
     if record:
-        x_tm, new_tm = _euler_core(vspec, grid.dt, db_tm, True, path_offset)
+        x_tm, new_tm = _euler_core(vspec, grid.dt, [db_tm], P, True,
+                                   path_offset)
         return PathBatch(x=x_tm, new_max=new_tm, db=db_tm, seed=seed,
                          path_offset=path_offset)
-    return _euler_core(vspec, grid.dt, db_tm, False, path_offset)
+    return _euler_core(vspec, grid.dt, [db_tm], P, False, path_offset)
 
 
 # No package code calls this: the benchmark's tracer wraps it by name
@@ -317,21 +383,27 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
     """Simulate keyed paths and return their ``(n_paths,)`` terminal
     values.
 
-    Memory stays bounded by one increment block of
-    ``_TERMINAL_CHUNK_PATHS`` paths, so this scales to ensemble sizes used
-    for density estimation.
+    Paths run ``_TERMINAL_CHUNK_PATHS`` at a time, and each chunk's noise
+    is drawn one window of ``_TERMINAL_WINDOW_STEPS`` steps at a time and
+    integrated before the next is drawn.  So the increments held are one
+    ``(window, chunk)`` array (16 MiB), plus one generator per path of a
+    chunk, however many paths and steps the run has; the result is
+    bitwise that of :func:`simulate_increments` on the whole block.
     """
     vspec = validate(spec)
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
+    width = min(n_paths, _TERMINAL_CHUNK_PATHS)
+    noise = _KeyedNoise(seed, width, grid.n_steps, grid.dt,
+                        _TERMINAL_WINDOW_STEPS)
+    _check_paths(path_offset, n_paths)
+    window = np.empty(noise.window * width)
     x_final = np.empty(n_paths)
-    for lo in range(0, n_paths, _TERMINAL_CHUNK_PATHS):
-        hi = min(lo + _TERMINAL_CHUNK_PATHS, n_paths)
-        db_tm = _generate_block(seed, path_offset + lo, hi - lo,
-                                grid.n_steps, grid.dt)
-        x_final[lo:hi] = simulate_increments(vspec, grid, db_tm, record=False,
-                                             path_offset=path_offset + lo)
-        del db_tm        # freed before the next block is drawn
+    for lo in range(0, n_paths, width):
+        count = min(width, n_paths - lo)
+        x_final[lo:lo + count] = _euler_core(
+            vspec, grid.dt, noise.windows(path_offset + lo, count, window),
+            count, False, path_offset + lo)
     return x_final
 
 

@@ -29,6 +29,7 @@ from perturbsde import (
     simulate_batch,
     transformed_spec,
     validate,
+    ValidatedSpec,
 )
 from perturbsde.cli import (_chunk_paths, _chunks, _fold_counts, _pool_size,
                             _stream, main)
@@ -320,7 +321,7 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path, write_config,
     for command, fields in [
             ("simulate", "reduce n_paths or grid.n_steps"),
             ("transform", "reduce transform.n_nodes"),
-            ("density", "reduce n_paths, grid.n_steps or n_grid")]:
+            ("density", "reduce n_paths or n_grid")]:
         monkeypatch.setitem(cli_mod._HANDLERS, command,
                             (exhausted, cli_mod._HANDLERS[command][1]))
         assert run(command, cfg, tmp_path / "o") == 2
@@ -834,6 +835,27 @@ def test_transform_validates_the_problem_once(tmp_path, repo_configs,
     assert run("transform", repo_configs / "transform.json",
                tmp_path / "o") == 0
     assert len(calls) == 1
+
+
+def test_derivative_validates_the_problem_once_per_chunk(tmp_path,
+                                                         write_config,
+                                                         monkeypatch):
+    import perturbsde.integrate as integrate
+    import perturbsde.malliavin as malliavin
+
+    checked = []
+
+    def counting(spec, *args, **kwargs):
+        if not isinstance(spec, ValidatedSpec):
+            checked.append(spec)
+        return validate(spec, *args, **kwargs)
+
+    for module in (cli_mod, integrate, malliavin):
+        monkeypatch.setattr(module, "validate", counting)
+    _five_path_chunks(monkeypatch, "derivative", 32)
+    cfg = write_config(simulate_config(n_paths=12))
+    assert run("derivative", cfg, tmp_path / "o") == 0
+    assert len(checked) == len(_chunks(12, 5))
 
 
 # -- verification subcommand --------------------------------------------------

@@ -403,6 +403,78 @@ def test_terminal_sample_matches_batch(tanh_spec):
     np.testing.assert_array_equal(term, batch.x[-1])
 
 
+# -- simulate_terminal's time windows ------------------------------------------
+
+
+def _small_windows(monkeypatch):
+    """3-step windows and 4-path chunks, neither dividing a run of 10
+    steps and 11 paths, drawn 3 paths at a time in tiles of 2."""
+    monkeypatch.setattr(integrate, "_TERMINAL_WINDOW_STEPS", 3)
+    monkeypatch.setattr(integrate, "_TERMINAL_CHUNK_PATHS", 4)
+    monkeypatch.setattr(integrate, "_NOISE_PATHS", 3)
+    monkeypatch.setattr(integrate, "_NOISE_TILE", 2)
+
+
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
+def test_terminal_windows_equal_the_whole_block_bitwise(case, monkeypatch):
+    drift, diffusion = COEFFICIENT_CASES[case]
+    spec = ProblemSpec(x0=0.2, alpha=0.3, drift=drift, diffusion=diffusion,
+                       horizon=1.0)
+    grid = GridSpec(n_steps=10, horizon=1.0)
+    whole = simulate_increments(
+        spec, grid, _generate_block(71, 1001, 11, 10, grid.dt),
+        record=False)
+    _small_windows(monkeypatch)
+    term = simulate_terminal(spec, grid, 11, seed=71, path_offset=1001)
+    np.testing.assert_array_equal(term.view(np.uint64),
+                                  whole.view(np.uint64))
+
+
+def test_terminal_memory_does_not_grow_with_the_step_count(tanh_spec,
+                                                           monkeypatch):
+    # 32-step windows of 1000 paths hold 256 kB of increments; a whole
+    # block would hold 512 kB at 64 steps and 8 MB at 1024
+    monkeypatch.setattr(integrate, "_TERMINAL_WINDOW_STEPS", 32)
+    simulate_terminal(tanh_spec, GridSpec(n_steps=64, horizon=1.0), 8,
+                      seed=3)
+    peaks = []
+    for n_steps in (64, 1024):
+        tracemalloc.start()
+        try:
+            simulate_terminal(tanh_spec, GridSpec(n_steps, 1.0), 1000,
+                              seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20
+
+
+def test_non_finite_in_a_later_window_names_the_path(monkeypatch):
+    # a linear drift table on [-10.5, 10.5] grows each path by 1.4 a step;
+    # a path that leaves the table evaluates NaN from then on
+    nodes = np.linspace(-10.5, 10.5, 8)
+    spec = ProblemSpec(x0=0.0, alpha=0.0,
+                       drift=Coefficient.tabulated(nodes, 4.0 * nodes),
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
+    grid = GridSpec(n_steps=10, horizon=1.0)
+    db = _generate_block(2, 1001, 11, 10, grid.dt)
+    failed = {}
+    for p in range(11):
+        try:
+            simulate_increments(spec, grid, db[:, p:p + 1])
+        except NonFinite as exc:
+            failed[p] = exc.step
+    first = min(failed)
+    # it runs in the second 4-path chunk, and its state turns non-finite
+    # in step 9, which only the last window holds
+    assert first >= 4 and failed[first] == 10
+    _small_windows(monkeypatch)
+    with pytest.raises(NonFinite) as exc_info:
+        simulate_terminal(spec, grid, 11, seed=2, path_offset=1001)
+    assert exc_info.value.path_index == 1001 + first
+    assert f"path {1001 + first}" in str(exc_info.value)
+
+
 # -- stored arrays: the running maximum is derived ------------------------------
 
 
