@@ -41,7 +41,6 @@ from .errors import (
     DomainTooSmall,
     EmptySample,
     GridMismatch,
-    InconsistentDerivatives,
     IntegrationFailure,
     NonFinite,
     OutOfDomain,
@@ -83,9 +82,7 @@ from .model import (
     EffectiveBounds,
     GridSpec,
     ProblemSpec,
-    SupNormBounds,
     ValidatedSpec,
-    sup_norm_estimate,
     validate,
 )
 from .verify import ALL_SUITES, SuiteResult, run_suites
@@ -95,8 +92,8 @@ __version__ = __version_source__
 __all__ = [
     "__version__",
     # model
-    "Coefficient", "SupNormBounds", "EffectiveBounds", "ProblemSpec",
-    "ValidatedSpec", "GridSpec", "validate", "sup_norm_estimate",
+    "Coefficient", "EffectiveBounds", "ProblemSpec", "ValidatedSpec",
+    "GridSpec", "validate",
     # integrate
     "PathBatch", "PicardResult", "generate_increments",
     "simulate_increments", "simulate_batch", "simulate_terminal",
@@ -119,7 +116,7 @@ __all__ = [
     "SuiteResult", "ALL_SUITES", "run_suites",
     # errors
     "PerturbSDEError", "ConfigError", "AlphaOutOfRange", "UnknownPreset",
-    "UnsupportedOrder", "InconsistentDerivatives", "DegenerateDiffusion",
+    "UnsupportedOrder", "DegenerateDiffusion",
     "GridMismatch", "NonFinite", "OutOfDomain", "DomainTooSmall",
     "IntegrationFailure", "EmptySample", "VerificationFailure",
 ]

@@ -132,9 +132,14 @@ class RegimeReport:
     ``lb``/``sigma_bar`` are the numbers actually used; for non-constant
     diffusion they describe the unit-diffusion transformed drift and the
     infimum of ``|sigma|`` (the lower bound then transfers to the original
-    process through the transform), and ``transformed`` is set.  ``rigorous``
-    is False whenever any input came from grid estimation, which only ever
-    underestimates a sup-norm.
+    process through the transform), and ``transformed`` is set.
+    ``lb_source`` is ``"declared"`` when ``lb`` is an analytic preset's
+    closed form, which holds on the whole line, and ``"table"`` when it is
+    a spline table's exact slope maximum: a tabulated drift's over the
+    validation interval, or a transformed problem's drift table's over the
+    transform's range.  A table's bound holds neither beyond its interval
+    nor, for a transformed problem, for the analytic ``tilde_b`` the table
+    interpolates, so ``rigorous`` is set for ``"declared"`` only.
     """
 
     t0: float
@@ -157,10 +162,11 @@ def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
                   n_transform_nodes: int = DEFAULT_NODES) -> RegimeReport:
     """Evaluate the regime machinery for one problem at horizon ``t0``.
 
-    Constant diffusion uses the drift's ``|b'|`` bound directly.  Otherwise
-    the problem is rewritten with unit diffusion (requiring ``|sigma|``
-    bounded away from zero), the transformed drift slope is estimated on
-    the transform's range, and the curve floor scales by ``inf |sigma|^2``.
+    Constant diffusion uses the drift's exact ``|b'|`` bound directly.
+    Otherwise the problem is rewritten with unit diffusion (requiring
+    ``|sigma|`` bounded away from zero), ``lb`` is the exact slope maximum
+    of the transformed drift table over the transform's range, and the
+    curve floor scales by ``inf |sigma|^2``.
     The curve is evaluated on ``[0, min(t0, t0_max)]``; when that interval
     is degenerate a single zero row is emitted.
     """
@@ -171,7 +177,8 @@ def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
     sigma_const = vspec.diffusion.constant_value
     if sigma_const is not None:
         lb = vspec.drift_bounds.sup_d1
-        lb_source = vspec.drift_bounds.source
+        lb_source = "table" if vspec.drift.preset_id == "custom-tabulated" \
+            else "declared"
         sigma_bar = abs(sigma_const)
         transformed = False
     else:
@@ -181,7 +188,7 @@ def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
                 "|sigma| bounded away from zero with a single sign")
         table = build_transform(vspec, n_nodes=n_transform_nodes)
         lb = transformed_drift_bound(table)
-        lb_source = "grid"
+        lb_source = "table"
         sigma_bar = vspec.sigma_inf
         transformed = True
     if not math.isfinite(lb):

@@ -457,10 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _effective_config(args: argparse.Namespace) -> dict:
     try:
-        raw = io.read_json(args.config)
+        config = io.read_json(args.config)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    config = io.decode_floats(raw)
     # the override is checked with the rest; a non-object config fails there
     if args.seed is not None and isinstance(config, dict):
         config["seed"] = args.seed

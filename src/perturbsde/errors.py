@@ -29,11 +29,6 @@ class UnsupportedOrder(PerturbSDEError):
     """A derivative order was requested that the coefficient cannot supply."""
 
 
-class InconsistentDerivatives(PerturbSDEError):
-    """A coefficient exceeds one of its declared sup-norms on the
-    validation grid."""
-
-
 class DegenerateDiffusion(PerturbSDEError):
     """The diffusion coefficient vanishes or changes sign on the working
     domain, so the unit-diffusion change of variables is unavailable."""

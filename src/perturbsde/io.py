@@ -5,10 +5,12 @@ Every coefficient is a catalog preset and round-trips through its preset
 id and parameter dict, so a config file is a complete, hashable
 description of a run.
 
-Infinities appear in declared sup-norms and regime reports, but strict JSON
-has no literal for them, so floats are encoded with the string sentinels
-``"inf"`` and ``"-inf"`` and decoded back on read.  NaN is rejected: a NaN
-in a config or report is always a bug upstream.
+Infinities appear in regime reports (``t0_max`` of a drift with no
+slope), but strict JSON has no literal for them, so floats are encoded
+with the string sentinels ``"inf"`` and ``"-inf"``;
+:func:`decode_floats` reads a report back.  No config field holds an
+infinity, so a config is read as parsed.  NaN is rejected: a NaN in a
+config or report is always a bug upstream.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from .errors import ConfigError, UnknownPreset
-from .model import PRESETS, Coefficient, GridSpec, ProblemSpec, SupNormBounds
+from .model import PRESETS, Coefficient, GridSpec, ProblemSpec
 
 __all__ = [
     "TOOL_VERSION",
@@ -152,12 +154,8 @@ def _check_int(value: Any, field: str, lo: int, hi: int | None = None) -> None:
         raise _invalid(field, f"must be {bound}, got {value}")
 
 
-_BOUND_KEYS = ("sup_f", "sup_d1")
-
-
 def _check_coefficient(obj: Any, field: str) -> None:
-    _check_keys(obj, field, ("preset", "params", "declared_bounds"),
-                required=("preset",))
+    _check_keys(obj, field, ("preset", "params"), required=("preset",))
     preset = obj["preset"]
     if not isinstance(preset, str) or preset not in PRESETS:
         raise UnknownPreset(
@@ -172,15 +170,6 @@ def _check_coefficient(obj: Any, field: str) -> None:
         for key, value in params.items():
             if not _is_number(value):
                 raise _invalid(f"{field}.params.{key}", "must be a number")
-    if "declared_bounds" in obj:
-        bounds, where = obj["declared_bounds"], f"{field}.declared_bounds"
-        _check_keys(bounds, where, _BOUND_KEYS)
-        for key, value in bounds.items():
-            v = decode_floats(value)
-            # NaN and -inf fail the comparison
-            if v is not None and not (_is_number(v) and v > -math.inf):
-                raise _invalid(f"{where}.{key}",
-                               "must be a number, null, or \"inf\"")
 
 
 def _check_table(params: Mapping[str, Any], field: str) -> None:
@@ -275,30 +264,17 @@ def check_config(config: Any) -> None:
 
 def coefficient_to_json(coefficient: Coefficient) -> dict[str, Any]:
     """Serialize a coefficient to a plain dict."""
-    out: dict[str, Any] = {"preset": coefficient.preset_id,
-                           "params": encode_floats(dict(coefficient.params))}
-    bounds = coefficient.declared_bounds
-    if bounds is not None:
-        out["declared_bounds"] = {key: encode_floats(getattr(bounds, key))
-                                  for key in _BOUND_KEYS}
-    return out
+    return {"preset": coefficient.preset_id,
+            "params": encode_floats(dict(coefficient.params))}
 
 
 def _build_coefficient(obj: Mapping[str, Any]) -> Coefficient:
     """Build a coefficient from a dict that passed ``_check_coefficient``."""
-    bounds = None
-    if "declared_bounds" in obj:
-        values = [decode_floats(obj["declared_bounds"].get(key))
-                  for key in _BOUND_KEYS]
-        bounds = SupNormBounds(*(None if v is None else float(v)
-                                 for v in values))
     preset, params = obj["preset"], obj.get("params", {})
     if preset == "custom-tabulated":
-        return Coefficient.tabulated(params["nodes"], params["values"],
-                                     declared_bounds=bounds)
+        return Coefficient.tabulated(params["nodes"], params["values"])
     builder = getattr(Coefficient, preset)
-    return builder(declared_bounds=bounds,
-                   **{key: float(value) for key, value in params.items()})
+    return builder(**{key: float(value) for key, value in params.items()})
 
 
 def coefficient_from_json(obj: Any) -> Coefficient:

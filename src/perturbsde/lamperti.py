@@ -17,18 +17,19 @@ computed for the unit-diffusion problem say something about the original.
 ``1/sigma`` on an equispaced grid gives fourth-order accurate cumulative
 values, and the exact slopes ``F' = 1/sigma`` at the nodes come with
 them.  The piecewise cubic Hermite interpolant through both
-(:func:`~perturbsde.model.hermite`) is the forward map; its derivative
-is accurate enough for the transformed drift to survive the
-finite-difference consistency check downstream.  The inverse starts from
-linear interpolation of the reversed table (``F`` increases), polishes
-with safeguarded Newton steps on the forward interpolant, and falls back
-to bisection for the rare points Newton leaves.
+(:func:`~perturbsde.model.hermite`) is the forward map.  The inverse
+starts from linear interpolation of the reversed table (``F``
+increases), polishes with safeguarded Newton steps on the forward
+interpolant, and falls back to bisection for the rare points Newton
+leaves.
 
 The transformed drift needs no inverse: its values at the image nodes
 ``F(y_j)`` are ``tilde_b`` evaluated at ``y_j`` directly, and one spline
 through them is the drift the transformed problem simulates, the one the
-``transform`` subcommand serializes, and, through its slope, the source
-of the regime bound ``sup |tilde_b'|``.
+``transform`` subcommand serializes, and, through the exact maximum of
+its slope, the regime bound ``sup |tilde_b'|``.  That bound is exact for
+the table over its range; the table's own interpolation error against
+the analytic ``tilde_b`` is not bounded.
 """
 
 from __future__ import annotations
@@ -48,15 +49,7 @@ from .errors import (
     OutOfDomain,
 )
 from .malliavin import DerivativeFieldBatch
-from .model import (
-    VALIDATION_GRID_SIZE,
-    Coefficient,
-    ProblemSpec,
-    ValidatedSpec,
-    hermite,
-    sup_norm_estimate,
-    validate,
-)
+from .model import Coefficient, ProblemSpec, ValidatedSpec, hermite, validate
 
 __all__ = [
     "TransformTable",
@@ -273,11 +266,12 @@ def transformed_spec(spec: ProblemSpec | ValidatedSpec,
     )
 
 
-def transformed_drift_bound(table: TransformTable,
-                            n_grid: int = VALIDATION_GRID_SIZE) -> float:
-    """Grid estimate of ``sup |tilde_b'|`` over the transform's range, from
-    the slope of the drift table :func:`transformed_spec` simulates."""
-    return sup_norm_estimate(_tabulated_drift(table), 1, table.range, n_grid)
+def transformed_drift_bound(table: TransformTable) -> float:
+    """``sup |tilde_b'|`` over the transform's range: the exact maximum
+    slope of the drift table :func:`transformed_spec` simulates, which
+    bounds the analytic ``tilde_b'`` only up to the table's interpolation
+    error."""
+    return _tabulated_drift(table).bounds(table.range).sup_d1
 
 
 def transformed_field(table: TransformTable, batch, field):

@@ -6,13 +6,13 @@ the ingredients of the dynamics
     X_t = x0 + int_0^t b(X_s) ds + int_0^t sigma(X_s) dB_s + alpha * sup_{s<=t} X_s
 
 with ``alpha < 1``.  Every coefficient comes from one catalog: a few
-analytic presets with exact sup-norms, and a tabulated preset that
-interpolates sampled values.  The package computes each coefficient's
-value and first derivative itself, without symbolic machinery; nothing
-downstream reads a higher derivative.  ``validate`` turns a ``ProblemSpec``
-into a :class:`ValidatedSpec` carrying effective coefficient bounds
-(``sup |f|`` and ``sup |f'|``); everything downstream consumes the
-validated form.
+analytic presets, and a tabulated preset that interpolates sampled values.
+The package computes each coefficient's value and first derivative itself,
+without symbolic machinery; nothing downstream reads a higher derivative.
+Each coefficient also states its exact ``sup |f|`` and ``sup |f'|``: the
+analytic presets in closed form, a table from its spline's extrema.
+``validate`` turns a ``ProblemSpec`` into a :class:`ValidatedSpec` carrying
+those bounds; everything downstream consumes the validated form.
 """
 
 from __future__ import annotations
@@ -29,29 +29,27 @@ from .errors import (
     AlphaOutOfRange,
     ConfigError,
     DegenerateDiffusion,
-    InconsistentDerivatives,
     UnknownPreset,
     UnsupportedOrder,
 )
 
 __all__ = [
     "Coefficient",
-    "SupNormBounds",
     "EffectiveBounds",
     "ProblemSpec",
     "ValidatedSpec",
     "GridSpec",
     "validate",
     "hermite",
+    "hermite_sup",
     "PRESETS",
-    "sup_norm_estimate",
     "validation_grid",
     "VALIDATION_GRID_SIZE",
 ]
 
-# Defaults for the validation pass.  The grid is wide enough that desk-scale
-# paths essentially never leave it, and fine enough that grid sup-norms of
-# the catalog coefficients are accurate to ~1e-5.
+# Points of the validation grid.  The grid is wide enough that desk-scale
+# paths essentially never leave it; it serves only the finiteness check
+# and the grid minimum ``sigma_inf`` of ``|sigma|``, never a sup-norm.
 VALIDATION_GRID_SIZE = 4096
 
 # The coefficient catalog: preset id -> (required, optional) parameter names.
@@ -67,15 +65,14 @@ PRESETS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
 
 
 @dataclass(frozen=True)
-class SupNormBounds:
-    """Sup-norm declarations for a coefficient: ``sup |f|`` and
-    ``sup |f'|``.  ``None`` means unknown; ``math.inf`` means unbounded."""
+class EffectiveBounds:
+    """Exact ``sup |f|`` and ``sup |f'|`` of a coefficient, the bounds
+    used downstream.  An analytic preset's hold on the whole line
+    (``math.inf`` where ``f`` is unbounded); a table's hold on the
+    interval they were taken over (see :meth:`Coefficient.bounds`)."""
 
-    sup_f: float | None = None
-    sup_d1: float | None = None
-
-    def get(self, order: int) -> float | None:
-        return (self.sup_f, self.sup_d1)[order]
+    sup_f: float
+    sup_d1: float
 
 
 @dataclass(frozen=True)
@@ -84,18 +81,20 @@ class Coefficient:
 
     Instances are built through the classmethod constructors (``const``,
     ``sine``, ...) rather than directly; the constructors attach vectorized
-    evaluators and, for the analytic presets, exact sup-norm declarations.
-    An order in which the coefficient is constant by structure is stored
-    as that float instead of an evaluator.  Calls accept floats or numpy
-    arrays and return matching shapes.
+    evaluators and the exact sup-norms (:meth:`bounds`).  An order in
+    which the coefficient is constant by structure is stored as that float
+    instead of an evaluator.  Calls accept floats or numpy arrays and
+    return matching shapes.
     """
 
     preset_id: str
     params: Mapping[str, Any]
-    declared_bounds: SupNormBounds | None = None
     _value: Callable[[np.ndarray], np.ndarray] | float | None = field(
         default=None, repr=False, compare=False)
     _d1: Callable[[np.ndarray], np.ndarray] | float | None = field(
+        default=None, repr=False, compare=False)
+    _bounds: EffectiveBounds | Callable[[tuple[float, float]],
+                                        EffectiveBounds] | None = field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -103,52 +102,44 @@ class Coefficient:
             raise UnknownPreset(
                 f"unknown coefficient preset {self.preset_id!r}; "
                 f"catalog: {', '.join(PRESETS)}")
-        if self._value is None or self._d1 is None:
+        if self._value is None or self._d1 is None or self._bounds is None:
             raise ConfigError(
                 "Coefficient must be built via its classmethod constructors")
 
     # -- catalog constructors -------------------------------------------------
 
     @classmethod
-    def const(cls, value: float,
-              declared_bounds: SupNormBounds | None = None) -> "Coefficient":
+    def const(cls, value: float) -> "Coefficient":
         """f(x) = value."""
         v = float(value)
-        bounds = declared_bounds or SupNormBounds(abs(v), 0.0)
-        return cls("const", {"value": v}, bounds, _value=v, _d1=0.0)
+        return cls("const", {"value": v}, _value=v, _d1=0.0,
+                   _bounds=EffectiveBounds(abs(v), 0.0))
 
     @classmethod
-    def linear(cls, slope: float, intercept: float = 0.0,
-               declared_bounds: SupNormBounds | None = None) -> "Coefficient":
+    def linear(cls, slope: float, intercept: float = 0.0) -> "Coefficient":
         """f(x) = slope * x + intercept."""
         a, c = float(slope), float(intercept)
         sup_f = abs(c) if a == 0.0 else math.inf
-        bounds = declared_bounds or SupNormBounds(sup_f, abs(a))
         value = c if a == 0.0 else (lambda x: a * np.asarray(x, float) + c)
-        return cls("linear", {"slope": a, "intercept": c}, bounds,
-                   _value=value, _d1=a)
+        return cls("linear", {"slope": a, "intercept": c}, _value=value,
+                   _d1=a, _bounds=EffectiveBounds(sup_f, abs(a)))
 
     @classmethod
     def sine(cls, amplitude: float = 1.0, offset: float = 0.0,
-             frequency: float = 1.0, phase: float = 0.0,
-             declared_bounds: SupNormBounds | None = None) -> "Coefficient":
+             frequency: float = 1.0, phase: float = 0.0) -> "Coefficient":
         """f(x) = offset + amplitude * sin(frequency * x + phase)."""
         a, c, w, p = (float(amplitude), float(offset), float(frequency),
                       float(phase))
-        bounds = declared_bounds or SupNormBounds(abs(c) + abs(a), abs(a * w))
         return cls("sine",
                    {"amplitude": a, "offset": c, "frequency": w, "phase": p},
-                   bounds,
                    _value=lambda x: c + a * np.sin(w * np.asarray(x, float) + p),
-                   _d1=lambda x: a * w * np.cos(w * np.asarray(x, float) + p))
+                   _d1=lambda x: a * w * np.cos(w * np.asarray(x, float) + p),
+                   _bounds=EffectiveBounds(abs(c) + abs(a), abs(a * w)))
 
     @classmethod
-    def tanh(cls, amplitude: float = 1.0, scale: float = 1.0,
-             declared_bounds: SupNormBounds | None = None) -> "Coefficient":
+    def tanh(cls, amplitude: float = 1.0, scale: float = 1.0) -> "Coefficient":
         """f(x) = amplitude * tanh(scale * x)."""
         a, s = float(amplitude), float(scale)
-        # sup |d/dx tanh| = 1
-        bounds = declared_bounds or SupNormBounds(abs(a), abs(a * s))
 
         def _v(x):
             return a * np.tanh(s * np.asarray(x, float))
@@ -157,23 +148,21 @@ class Coefficient:
             t = np.tanh(s * np.asarray(x, float))
             return a * s * (1.0 - t * t)
 
-        return cls("tanh", {"amplitude": a, "scale": s}, bounds,
-                   _value=_v, _d1=_d1)
+        # sup |d/dx tanh| = 1
+        return cls("tanh", {"amplitude": a, "scale": s}, _value=_v, _d1=_d1,
+                   _bounds=EffectiveBounds(abs(a), abs(a * s)))
 
     @classmethod
-    def ornstein_uhlenbeck(cls, rate: float = 1.0, mean: float = 0.0,
-                           declared_bounds: SupNormBounds | None = None
-                           ) -> "Coefficient":
+    def ornstein_uhlenbeck(cls, rate: float = 1.0,
+                           mean: float = 0.0) -> "Coefficient":
         """Mean-reverting drift f(x) = -rate * (x - mean)."""
         r, m = float(rate), float(mean)
-        bounds = declared_bounds or SupNormBounds(math.inf, abs(r))
-        return cls("ornstein_uhlenbeck", {"rate": r, "mean": m}, bounds,
-                   _value=lambda x: -r * (np.asarray(x, float) - m), _d1=-r)
+        return cls("ornstein_uhlenbeck", {"rate": r, "mean": m},
+                   _value=lambda x: -r * (np.asarray(x, float) - m), _d1=-r,
+                   _bounds=EffectiveBounds(math.inf, abs(r)))
 
     @classmethod
-    def tabulated(cls, nodes: np.ndarray, values: np.ndarray, *,
-                  declared_bounds: SupNormBounds | None = None
-                  ) -> "Coefficient":
+    def tabulated(cls, nodes: np.ndarray, values: np.ndarray) -> "Coefficient":
         """Not-a-knot cubic-spline interpolation of sampled values.
 
         Used to serialize transformed drifts, and to bring any other
@@ -181,6 +170,8 @@ class Coefficient:
         :func:`hermite` evaluates the spline, NaN outside the nodes.  The
         first derivative is the value spline's own, which is exactly
         consistent with finite differences of it because the spline is C2.
+        The sup-norms are the spline's exact extrema (:func:`hermite_sup`)
+        over the interval :meth:`bounds` is asked for.
         """
         # copies: the evaluators keep these arrays
         nodes, values = np.array(nodes, float), np.array(values, float)
@@ -194,10 +185,11 @@ class Coefficient:
         if not np.all(np.diff(nodes) > 0.0):
             raise ConfigError(
                 "tabulated coefficient nodes must increase strictly")
-        slopes = _not_a_knot_slopes(nodes, values)
-        return cls("custom-tabulated", tables, declared_bounds,
-                   _value=partial(hermite, nodes, values, slopes),
-                   _d1=partial(hermite, nodes, values, slopes, order=1))
+        spline = (nodes, values, _not_a_knot_slopes(nodes, values))
+        return cls("custom-tabulated", tables,
+                   _value=partial(hermite, *spline),
+                   _d1=partial(hermite, *spline, order=1),
+                   _bounds=partial(_spline_bounds, *spline))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -235,6 +227,29 @@ class Coefficient:
         reported constant, whatever their parameters."""
         return self._value if isinstance(self._value, float) else None
 
+    def bounds(self, interval: tuple[float, float]) -> EffectiveBounds:
+        """Exact ``sup |f|`` and ``sup |f'|``.
+
+        An analytic preset returns its closed forms, which hold on the
+        whole line, whatever ``interval``.  A table returns its spline's
+        extrema over ``interval``, which must lie inside its nodes (NaN
+        otherwise).
+        """
+        b = self._bounds
+        return b if isinstance(b, EffectiveBounds) else b(interval)
+
+
+def _cubic(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray,
+           i: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Coefficients ``(m0, c2, c3)`` of the Hermite pieces ``i``, each a
+    polynomial ``((c3 s + c2) s + m0) s + values[i]`` in the offset ``s``
+    from its left node."""
+    h = nodes[i + 1] - nodes[i]
+    m0 = slopes[i]
+    secant = (values[i + 1] - values[i]) / h
+    t = (m0 + slopes[i + 1] - 2.0 * secant) / h
+    return m0, (secant - m0) / h - t, t / h
+
 
 def hermite(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray, x,
             order: int = 0) -> np.ndarray:
@@ -249,18 +264,53 @@ def hermite(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray, x,
         raise UnsupportedOrder(f"hermite evaluates orders 0 and 1, not {order}")
     x = np.asarray(x, float)
     i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
-    h = nodes[i + 1] - nodes[i]
     s = x - nodes[i]
-    m0 = slopes[i]
-    secant = (values[i + 1] - values[i]) / h
-    t = (m0 + slopes[i + 1] - 2.0 * secant) / h
-    c3, c2 = t / h, (secant - m0) / h - t
+    m0, c2, c3 = _cubic(nodes, values, slopes, i)
     if order == 0:
         out = ((c3 * s + c2) * s + m0) * s + values[i]
     else:
         out = (3.0 * c3 * s + 2.0 * c2) * s + m0
     out = np.where(x == nodes[-1], (values, slopes)[order][-1], out)
     return np.where((x >= nodes[0]) & (x <= nodes[-1]), out, np.nan)
+
+
+def hermite_sup(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray,
+                interval: tuple[float, float],
+                order: int = 0) -> tuple[float, float]:
+    """``sup |f|`` (``order=0``) or ``sup |f'|`` (``order=1``) of the
+    :func:`hermite` spline over ``interval``, exactly, and a point where
+    it is attained; NaN when ``interval`` leaves the nodes.
+
+    Nothing is sampled.  On each piece the slope is a quadratic in the
+    offset, so ``|f'|`` peaks at a piece end or at the quadratic's vertex
+    ``-c2 / (3 c3)``, and ``|f|`` at a piece end or at a root of the
+    slope.  Those points inside ``interval``, the nodes inside it and its
+    two ends are evaluated by :func:`hermite` itself.
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    m0, c2, c3 = _cubic(nodes, values, slopes, np.arange(nodes.size - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if order == 0:
+            # roots of 3 c3 s^2 + 2 c2 s + m0, in the form that loses no
+            # digits to cancellation; a linear slope (c3 = 0) keeps the
+            # second, a slope with no real root neither
+            q = -(c2 + np.copysign(np.sqrt(c2 * c2 - 3.0 * c3 * m0), c2))
+            offsets = np.stack([q / (3.0 * c3), m0 / q])
+        else:
+            offsets = -c2 / (3.0 * c3)
+    # an offset outside its own piece is still a point of the spline
+    x = (nodes[:-1] + offsets).ravel()
+    xs = np.concatenate([[lo, hi], nodes[(nodes > lo) & (nodes < hi)],
+                         x[(x > lo) & (x < hi)]])
+    v = np.abs(hermite(nodes, values, slopes, xs, order))
+    k = int(np.argmax(v))
+    return float(v[k]), float(xs[k])
+
+
+def _spline_bounds(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray,
+                   interval: tuple[float, float]) -> EffectiveBounds:
+    return EffectiveBounds(*(hermite_sup(nodes, values, slopes, interval,
+                                         order)[0] for order in (0, 1)))
 
 
 def _not_a_knot_slopes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -295,24 +345,6 @@ def _not_a_knot_slopes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.array(r)
 
 
-def sup_norm_estimate(coefficient: Coefficient, order: int,
-                      interval: tuple[float, float],
-                      n_grid: int = VALIDATION_GRID_SIZE) -> float:
-    """Grid estimate of ``sup |f^(order)|`` over a closed interval.
-
-    A plain max over an equispaced grid: a lower bound on the true sup-norm,
-    monotone under nested grid refinement (a finer grid containing the old
-    nodes can only increase the estimate).
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ConfigError("sup_norm_estimate needs a nondegenerate interval")
-    if n_grid < 2:
-        raise ConfigError("sup_norm_estimate needs at least 2 grid points")
-    grid = np.linspace(lo, hi, n_grid)
-    return float(np.max(np.abs(coefficient(grid, order))))
-
-
 # -- problem spec -------------------------------------------------------------
 
 
@@ -341,21 +373,6 @@ class ProblemSpec:
                 f"alpha must be < 1, got {self.alpha}")
         if not self.horizon > 0.0:
             raise ConfigError("horizon must be positive")
-
-
-@dataclass(frozen=True)
-class EffectiveBounds:
-    """Bounds actually used downstream, with their provenance.
-
-    ``source`` is ``"declared"`` when the coefficient supplied the number
-    (catalog presets declare exact analytic norms) and ``"grid"`` when it
-    was estimated by sampling; grid estimates are lower bounds, so regime
-    classification based on them is reported as non-rigorous.
-    """
-
-    sup_f: float
-    sup_d1: float
-    source: str  # "declared" | "grid"
 
 
 @dataclass(frozen=True)
@@ -395,30 +412,28 @@ def validation_grid(problem: ProblemSpec,
                     n_grid: int = VALIDATION_GRID_SIZE) -> np.ndarray:
     """Spatial grid used for coefficient checks.
 
-    The half-width is ten diffusion standard deviations at the horizon.
-    The diffusion scale itself needs a grid, so a preliminary sweep over
-    ``x0 +- 10 sqrt(T)`` (or the declared ``sup |sigma|`` when available)
-    supplies the scale for the definitive interval.  A tabulated diffusion
-    has no values past its nodes, so the sweep is clipped to the table
-    where the two overlap.
+    The half-width is ten diffusion standard deviations at the horizon,
+    with ``sup |sigma|`` as the scale.  A table states that sup only over
+    an interval, and the affine presets (``linear``, ``ornstein_uhlenbeck``)
+    state it infinite, so for them the scale is the exact ``sup |sigma|``
+    over a preliminary sweep ``x0 +- 10 sqrt(T)``: the table's extrema on
+    the sweep clipped to its nodes where the two overlap, and an affine
+    ``|sigma|`` at the sweep's ends.
     """
     T = problem.horizon
     diffusion = problem.diffusion
-    declared = diffusion.declared_bounds
-    sigma_bar = declared.sup_f if declared and declared.sup_f is not None \
-        else None
-    if sigma_bar is None or not math.isfinite(sigma_bar):
-        pre = (problem.x0 - 10.0 * math.sqrt(T),
-               problem.x0 + 10.0 * math.sqrt(T))
-        if diffusion.preset_id == "custom-tabulated":
-            nodes = diffusion.params["nodes"]
-            lo, hi = max(pre[0], nodes[0]), min(pre[1], nodes[-1])
-            if lo < hi:
-                pre = (lo, hi)
-        sigma_bar = sup_norm_estimate(diffusion, 0, pre, n_grid)
-        if not math.isfinite(sigma_bar):
-            # no scale to be had: the sweep is the grid, and it fails
-            return np.linspace(pre[0], pre[1], n_grid)
+    pre = (problem.x0 - 10.0 * math.sqrt(T), problem.x0 + 10.0 * math.sqrt(T))
+    if diffusion.preset_id == "custom-tabulated":
+        nodes = diffusion.params["nodes"]
+        lo, hi = max(pre[0], nodes[0]), min(pre[1], nodes[-1])
+        if lo < hi:
+            pre = (lo, hi)
+    sigma_bar = diffusion.bounds(pre).sup_f
+    if sigma_bar == math.inf:
+        sigma_bar = float(np.max(np.abs(diffusion(np.array(pre)))))
+    if not math.isfinite(sigma_bar):
+        # no scale to be had: the sweep is the grid, and it fails
+        return np.linspace(pre[0], pre[1], n_grid)
     half = 10.0 * max(sigma_bar, 1e-12) * math.sqrt(T)
     return np.linspace(problem.x0 - half, problem.x0 + half, n_grid)
 
@@ -439,50 +454,31 @@ def _finite_values(c: Coefficient, grid: np.ndarray, name: str
     return values
 
 
-def _effective_bounds(c: Coefficient, grid: np.ndarray, name: str
-                      ) -> EffectiveBounds:
-    declared = c.declared_bounds
-    sups: list[float] = []
-    complete = declared is not None
-    for order in (0, 1):
-        grid_sup = float(np.max(np.abs(c(grid, order))))
-        dec = declared.get(order) if declared else None
-        if dec is not None:
-            # A grid sample can never legitimately exceed a declared norm.
-            if np.isfinite(grid_sup) and grid_sup > dec * (1.0 + 1e-12) + 1e-12:
-                raise InconsistentDerivatives(
-                    f"{name}: grid sup of order-{order} derivative "
-                    f"({grid_sup:.6g}) exceeds declared bound ({dec:.6g})")
-            sups.append(float(dec))
-        else:
-            sups.append(grid_sup)
-            complete = False
-    return EffectiveBounds(sups[0], sups[1],
-                           "declared" if complete else "grid")
-
-
 def validate(spec: ProblemSpec | ValidatedSpec, *,
              require_transform: bool = False,
              n_grid: int = VALIDATION_GRID_SIZE) -> ValidatedSpec:
-    """Check a problem spec and attach effective coefficient bounds.
+    """Check a problem spec and attach its coefficients' exact bounds.
 
     Both coefficients must be finite on the validation grid, else
-    :class:`ConfigError`.  Idempotent: a ``ValidatedSpec`` passes through
-    unchanged.  With ``require_transform`` the diffusion must be bounded
-    away from zero with a single sign on the validation grid, otherwise a
-    transform to unit diffusion is impossible and
-    :class:`DegenerateDiffusion` is raised.
+    :class:`ConfigError`.  The grid is evaluated for that check and for
+    ``sigma_inf`` only; the bounds are each coefficient's own
+    (:meth:`Coefficient.bounds`), a table's over the grid's interval.
+    Idempotent: a ``ValidatedSpec`` passes through unchanged.  With
+    ``require_transform`` the diffusion must be bounded away from zero
+    with a single sign on the validation grid, otherwise a transform to
+    unit diffusion is impossible and :class:`DegenerateDiffusion` is
+    raised.
     """
     if not isinstance(spec, ValidatedSpec):
         if not isinstance(spec, ProblemSpec):
             raise ConfigError("validate expects a ProblemSpec")
         grid = validation_grid(spec, n_grid)
+        interval = (float(grid[0]), float(grid[-1]))
         _finite_values(spec.drift, grid, "drift")
         sigma_vals = _finite_values(spec.diffusion, grid, "diffusion")
         spec = ValidatedSpec(
-            spec, (float(grid[0]), float(grid[-1])),
-            _effective_bounds(spec.drift, grid, "drift"),
-            _effective_bounds(spec.diffusion, grid, "diffusion"),
+            spec, interval, spec.drift.bounds(interval),
+            spec.diffusion.bounds(interval),
             float(np.min(np.abs(sigma_vals))),
             bool(np.all(sigma_vals > 0.0) or np.all(sigma_vals < 0.0)))
     if require_transform and (spec.sigma_inf <= 0.0

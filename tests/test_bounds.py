@@ -188,10 +188,25 @@ def test_regime_report_transformed_diffusion():
                        horizon=1.0)
     report = regime_report(spec, t0=0.1)
     assert report.transformed
-    assert report.lb_source == "grid"
+    assert report.lb_source == "table"
     assert not report.rigorous
     assert 1.0 <= report.sigma_bar <= 1.001
     assert math.isfinite(report.lb)
+
+
+def test_regime_report_tabulated_drift():
+    # the bound is the table's exact slope maximum on the validation
+    # interval, which says nothing past it
+    nodes = np.linspace(-20.0, 20.0, 401)
+    drift = Coefficient.tabulated(nodes, 0.1 * np.tanh(nodes))
+    spec = ProblemSpec(x0=0.0, alpha=0.1, drift=drift,
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
+    report = regime_report(spec, t0=0.1)
+    assert report.lb == drift.bounds((-10.0, 10.0)).sup_d1
+    assert report.lb == pytest.approx(0.1, rel=1e-3)
+    assert report.lb_source == "table"
+    assert not report.rigorous
+    assert not report.transformed
 
 
 def test_regime_report_rejects_vanishing_diffusion():

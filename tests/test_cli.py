@@ -134,6 +134,45 @@ def test_out_dir_precedence(tmp_path, write_config, monkeypatch):
     assert (flag_dir / "summary.json").exists()
 
 
+def test_config_out_is_read_as_a_string(tmp_path, write_config, monkeypatch):
+    # "inf" is a directory name like any other: configs hold no infinity
+    cfg = write_config({"problem": base_problem(), "t0": 1.0, "out": "inf"})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PERTURBSDE_OUT", raising=False)
+    assert main(["regime", "--config", str(cfg)]) == 0
+    assert (tmp_path / "inf" / "regime.json").exists()
+
+
+# config_sha256 of each shipped config, as the CLI hashes it
+_SHIPPED_SHA256 = {
+    "density":
+        "69b5dc4238648c099f04b6cc6caf7af6a30c741fcbd17ebe0e3d5b1cf98305f9",
+    "derivative":
+        "98f38c67a7eb0ba0c4a457add46d057d1f9714fd53a2bd65f24bc2fffe25f5ee",
+    "regime":
+        "7cd29ce6bfcbe0f742f473b015c7d49cc5d8975ca15f9aeffcac87bc73573dfd",
+    "simulate":
+        "3be0751a6bad994dab2d6f4a78a79891a775553805f7b5b4f25be6368d9c7844",
+    "transform":
+        "910d12151c20cdfabbd310879be4cc2cbe441d558b902ed5dad127e36b3c4ccd",
+    "verify":
+        "708f439b51347b8ebb323d9acab5b0268cd531d7d50f0a4538e05ee0e83b16e3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SHIPPED_SHA256))
+def test_shipped_config_hash_is_unchanged(tmp_path, repo_configs, monkeypatch,
+                                          command):
+    # the handler is stubbed: only the config reading and hashing run
+    seen = {}
+    sized_by = cli_mod._HANDLERS[command][1]
+    monkeypatch.setitem(cli_mod._HANDLERS, command,
+                        (lambda config, out, workers, meta: seen.update(meta),
+                         sized_by))
+    assert run(command, repo_configs / f"{command}.json", tmp_path) == 0
+    assert seen["config_sha256"] == _SHIPPED_SHA256[command]
+
+
 # -- config validation and exit codes -----------------------------------------
 
 
@@ -170,7 +209,7 @@ def test_wrong_type_rejected_by_schema(tmp_path, write_config):
     ("simulate", "problem",
      dict(base_problem(), drift={"preset": "const", "params": {"value": 0.0},
                                  "declared_bounds": {"sup_d2": 0.0}}),
-     "config: problem.drift.declared_bounds.sup_d2: unknown key"),
+     "config: problem.drift.declared_bounds: unknown key"),
 ], ids=["n_paths-float", "n_paths-negative", "seed-negative", "seed-2**64",
         "seed-float", "t0-zero", "t0-overflows-float", "bandwidth-string",
         "n_grid-float", "bandwidth-mesh-too-fine", "transform.n_nodes-float",
@@ -189,7 +228,7 @@ def test_invalid_field_exits_2_and_names_it(tmp_path, write_config, capsys,
     ("problem", ()),
     ("grid", ()),
     ("problem", ("drift",)),
-    ("problem", ("diffusion", "declared_bounds")),
+    ("problem", ("diffusion", "params")),
 ])
 def test_unknown_nested_key_exits_2_and_names_it(tmp_path, write_config,
                                                  capsys, block, path):
@@ -398,20 +437,6 @@ def test_regime_artifacts(tmp_path, write_config):
     data = [l for l in curve if not l.startswith("#")]
     assert data[0] == "t,bound"
     assert len(data) == 101
-
-
-def test_first_order_declared_bounds_are_rigorous(tmp_path, write_config):
-    # sup |b| and sup |b'| are all a regime needs of the drift
-    problem = base_problem(alpha=0.1, x0=0.0)
-    problem["drift"] = {"preset": "sine", "params": {"amplitude": 0.1},
-                        "declared_bounds": {"sup_f": 0.1, "sup_d1": 0.1}}
-    cfg = write_config({"problem": problem, "t0": 1.0})
-    out = tmp_path / "run"
-    assert run("regime", cfg, out) == 0
-    doc = read_json(out / "regime.json")
-    assert doc["lb_source"] == "declared"
-    assert doc["rigorous"] is True
-    assert doc["lb"] == 0.1
 
 
 def test_derivative_with_bounds_block(tmp_path, write_config):
@@ -792,8 +817,7 @@ def test_transformed_spec_problem_is_a_valid_config(tmp_path, repo_configs):
     out = tmp_path / "run"
     assert run("transform", repo_configs / "transform.json", out) == 0
     problem = read_json(out / "transformed_spec.json")["problem"]
-    assert problem["diffusion"]["declared_bounds"] == {"sup_f": 1.0,
-                                                       "sup_d1": 0.0}
+    assert "declared_bounds" not in problem["diffusion"]
     check_config({"problem": problem})
     validate(problem_from_json(problem))
 
@@ -819,6 +843,23 @@ def test_regime_with_tabulated_diffusion(tmp_path, write_config):
     assert doc["transformed"] is True
     analytic = regime_report(problem_from_json(sine), 0.5).lb
     assert doc["lb"] == pytest.approx(analytic, rel=1e-3)
+
+
+def test_regime_bound_of_the_transform_problem_is_the_table_sup(
+        tmp_path, write_config, repo_configs):
+    config = read_json(repo_configs / "transform.json")
+    cfg = write_config(dict(config, t0=0.1))
+    out = tmp_path / "run"
+    assert run("regime", cfg, out) == 0
+    doc = read_json(out / "regime.json")
+    problem = problem_from_json(config["problem"])
+    table = build_transform(problem, n_nodes=config["transform"]["n_nodes"])
+    drift = transformed_spec(problem, table).drift
+    zs = np.linspace(*table.range, 10**6)
+    assert doc["lb"] >= float(np.max(np.abs(drift(zs, 1))))
+    # exact for the table, not for the tilde_b it interpolates
+    assert doc["lb_source"] == "table"
+    assert doc["rigorous"] is False
 
 
 def test_transform_validates_the_problem_once(tmp_path, repo_configs,

@@ -15,7 +15,6 @@ from perturbsde import (
     ConfigError,
     GridSpec,
     ProblemSpec,
-    SupNormBounds,
     UnknownPreset,
 )
 from perturbsde.io import (
@@ -94,14 +93,6 @@ def test_preset_round_trip(coeff):
     for order in (0, 1):
         np.testing.assert_array_equal(rebuilt(x, order), coeff(x, order))
     assert coefficient_to_json(rebuilt) == doc
-
-
-def test_infinite_declared_bound_uses_sentinel():
-    doc = coefficient_to_json(Coefficient.linear(slope=2.0))
-    assert doc["declared_bounds"]["sup_f"] == "inf"
-    rebuilt = coefficient_from_json(doc)
-    assert rebuilt.declared_bounds.sup_f == math.inf
-    assert rebuilt.declared_bounds.sup_d1 == 2.0
 
 
 def test_tabulated_round_trip():

@@ -152,9 +152,10 @@ def test_transformed_drift_is_one_table():
     np.testing.assert_array_equal(
         drift.params["values"],
         spec.drift(y) / SINE_SIGMA(y) - 0.5 * SINE_SIGMA(y, 1))
+    bound = transformed_drift_bound(table)
+    assert bound == drift.bounds(table.range).sup_d1
     zs = np.linspace(*table.range, 4096)
-    slope_max = float(np.max(np.abs(drift(zs, 1))))
-    assert transformed_drift_bound(table) == slope_max
+    assert bound >= float(np.max(np.abs(drift(zs, 1))))
 
 
 def test_transformed_spec_serializes():
@@ -177,17 +178,31 @@ def test_too_narrow_table_is_a_config_error():
         validate(yspec)
 
 
+def _dense_slope_max(spec, table) -> float:
+    """The largest slope magnitude of the simulated drift table at 10^6
+    points of its range."""
+    zs = np.linspace(*table.range, 10**6)
+    return float(np.max(np.abs(transformed_spec(spec, table).drift(zs, 1))))
+
+
 def test_transformed_drift_bound_known_slope():
+    # b = sin, sigma = 2: tilde_b(z) = sin(2 z) / 2, whose slope cos(2 z)
+    # reaches 1 on the range
     spec = make_spec(Coefficient.sine(), Coefficient.const(2.0))
     table = build_transform(spec)
-    assert transformed_drift_bound(table, n_grid=200001) == pytest.approx(
-        1.0, abs=1e-6)
+    bound = transformed_drift_bound(table)
+    assert bound == pytest.approx(1.0, abs=1e-6)
+    assert bound >= _dense_slope_max(spec, table)
 
 
 def test_transformed_drift_bound_stable_under_refinement():
     spec = make_spec(Coefficient.tanh(amplitude=0.1), SINE_SIGMA, alpha=0.1)
-    coarse = transformed_drift_bound(build_transform(spec, n_nodes=4097))
-    fine = transformed_drift_bound(build_transform(spec, n_nodes=8193))
+    bounds = []
+    for n_nodes in (4097, 8193):
+        table = build_transform(spec, n_nodes=n_nodes)
+        bounds.append(transformed_drift_bound(table))
+        assert bounds[-1] >= _dense_slope_max(spec, table)
+    coarse, fine = bounds
     assert abs(coarse - fine) <= 1e-3 * max(abs(fine), 1e-300)
 
 

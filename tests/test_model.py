@@ -6,26 +6,32 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perturbsde import (
     AlphaOutOfRange,
     Coefficient,
     ConfigError,
+    EffectiveBounds,
     GridSpec,
-    InconsistentDerivatives,
     ProblemSpec,
-    SupNormBounds,
     UnknownPreset,
     UnsupportedOrder,
     ValidatedSpec,
     build_transform,
     simulate_batch,
-    sup_norm_estimate,
     transformed_spec,
     validate,
 )
 from perturbsde.io import problem_from_json
-from perturbsde.model import validation_grid
+from perturbsde.model import (
+    VALIDATION_GRID_SIZE,
+    _cubic,
+    _not_a_knot_slopes,
+    hermite,
+    hermite_sup,
+    validation_grid,
+)
 from conftest import make_driftless
 
 CATALOG_SAMPLES = [
@@ -146,7 +152,7 @@ def test_unsupported_orders():
 
 def test_unknown_preset_rejected():
     with pytest.raises(UnknownPreset):
-        Coefficient("gauss", {}, None, _value=lambda x: x)
+        Coefficient("gauss", {}, _value=lambda x: x)
 
 
 def test_direct_construction_without_evaluator_rejected():
@@ -155,31 +161,6 @@ def test_direct_construction_without_evaluator_rejected():
     # a coefficient always carries its first derivative
     with pytest.raises(ConfigError):
         Coefficient("const", {"value": 1.0}, _value=1.0)
-
-
-def test_sup_norm_estimate_known_values():
-    assert sup_norm_estimate(Coefficient.const(2.0), 1, (-1.0, 1.0)) == 0.0
-    sine = Coefficient.sine()
-    assert sup_norm_estimate(sine, 1, (-math.pi, math.pi),
-                             n_grid=10**4) == pytest.approx(1.0, abs=1e-6)
-    assert sup_norm_estimate(Coefficient.tanh(), 1, (-5.0, 5.0),
-                             n_grid=10**4 + 1) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_sup_norm_estimate_monotone_on_nested_grids():
-    c = Coefficient.sine(frequency=3.0)
-    coarse = sup_norm_estimate(c, 0, (-2.0, 2.0), n_grid=101)
-    # 201 points on the same interval contain all 101 coarse nodes
-    fine = sup_norm_estimate(c, 0, (-2.0, 2.0), n_grid=201)
-    assert fine >= coarse
-
-
-def test_sup_norm_estimate_input_validation():
-    c = Coefficient.const(1.0)
-    with pytest.raises(ConfigError):
-        sup_norm_estimate(c, 0, (1.0, 1.0))
-    with pytest.raises(ConfigError):
-        sup_norm_estimate(c, 0, (0.0, 1.0), n_grid=1)
 
 
 # -- problem validation -------------------------------------------------------
@@ -206,7 +187,6 @@ def test_spec_field_validation():
 def test_validate_trivial_problem(driftless):
     vspec = validate(driftless(0.0))
     assert vspec.drift_bounds.sup_d1 == 0.0
-    assert vspec.drift_bounds.source == "declared"
     assert vspec.diffusion_bounds.sup_f == 1.0
     assert vspec.sigma_inf == 1.0
     assert vspec.sigma_sign_constant
@@ -219,36 +199,6 @@ def test_validate_is_idempotent(tanh_spec):
     # delegate properties read through to the underlying problem
     assert vspec.alpha == tanh_spec.alpha
     assert vspec.horizon == tanh_spec.horizon
-
-
-def test_validate_accepts_declared_bound_confirmed_by_grid():
-    spec = ProblemSpec(
-        x0=0.0, alpha=0.0,
-        drift=Coefficient.sine(declared_bounds=SupNormBounds(1.0, 1.0)),
-        diffusion=Coefficient.const(1.0), horizon=1.0)
-    vspec = validate(spec)
-    assert vspec.drift_bounds.sup_d1 == 1.0
-    assert vspec.drift_bounds.source == "declared"
-
-
-def test_validate_rejects_violated_declared_bound():
-    lying = Coefficient.sine(amplitude=2.0,
-                             declared_bounds=SupNormBounds(0.5, None))
-    spec = ProblemSpec(x0=0.0, alpha=0.0, drift=lying,
-                       diffusion=Coefficient.const(1.0), horizon=1.0)
-    with pytest.raises(InconsistentDerivatives, match="declared"):
-        validate(spec)
-
-
-def test_validate_grid_estimates_flagged_non_declared():
-    # declared bounds with neither norm leave both to the grid
-    partial = Coefficient.sine(declared_bounds=SupNormBounds())
-    spec = ProblemSpec(x0=0.0, alpha=0.0, drift=partial,
-                       diffusion=Coefficient.const(1.0), horizon=1.0)
-    vspec = validate(spec)
-    assert vspec.drift_bounds.source == "grid"
-    assert vspec.drift_bounds.sup_d1 <= 1.0
-    assert vspec.drift_bounds.sup_d1 == pytest.approx(1.0, abs=1e-5)
 
 
 def test_validate_transform_requires_nonvanishing_sigma():
@@ -288,7 +238,6 @@ def test_tabulated_is_finite_difference_consistent():
                 float(np.max(np.abs(tab(grid, 0)))))
     assert float(np.max(np.abs(fd - exact))) <= 1e-6 * scale
     vspec = validate(spec)
-    assert vspec.drift_bounds.source == "grid"
     assert vspec.drift_bounds.sup_d1 == pytest.approx(0.1, rel=1e-3)
 
 
@@ -300,14 +249,10 @@ def test_tabulated_has_no_second_derivative():
 
 
 def test_tabulated_refuses_a_positional_slope_table():
-    # the slope is always the value spline's own; a third positional
-    # table must not bind as declared bounds
+    # the slope is always the value spline's own
     nodes = np.linspace(-2.0, 2.0, 101)
     with pytest.raises(TypeError):
         Coefficient.tabulated(nodes, np.sin(nodes), np.cos(nodes))
-    bounds = SupNormBounds(1.0, 1.0)
-    tab = Coefficient.tabulated(nodes, np.sin(nodes), declared_bounds=bounds)
-    assert tab.declared_bounds == bounds
 
 
 def test_tabulated_matches_scipy_not_a_knot_spline():
@@ -343,6 +288,126 @@ def test_tabulated_input_validation():
             (grid, -inf_at_2, "values must be finite")]:
         with pytest.raises(ConfigError, match=match):
             Coefficient.tabulated(np.asarray(nodes), values)
+
+
+# -- exact bounds -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("coefficient,sup_f,sup_d1", [
+    (Coefficient.const(-2.0), 2.0, 0.0),
+    (Coefficient.linear(slope=0.0, intercept=-1.5), 1.5, 0.0),
+    (Coefficient.linear(slope=-0.7, intercept=0.3), math.inf, 0.7),
+    (Coefficient.sine(amplitude=-1.5, offset=0.2, frequency=2.0),
+     0.2 + 1.5, 3.0),
+    (Coefficient.tanh(amplitude=0.8, scale=-1.3), 0.8, abs(0.8 * -1.3)),
+    (Coefficient.ornstein_uhlenbeck(rate=1.2, mean=0.5), math.inf, 1.2),
+], ids=["const", "linear-flat", "linear", "sine", "tanh",
+        "ornstein_uhlenbeck"])
+def test_analytic_bounds_are_closed_forms_on_the_whole_line(
+        coefficient, sup_f, sup_d1):
+    for interval in [(-1.0, 1.0), (5.0, 60.0)]:
+        assert coefficient.bounds(interval) == EffectiveBounds(sup_f, sup_d1)
+
+
+def _draw_table(data) -> tuple[np.ndarray, np.ndarray]:
+    """Random values at 4 to 12 uneven nodes, or an integer quadratic at 6
+    to 14 half-integer nodes, whose not-a-knot spline then has pieces with
+    an exactly linear slope (``c3 = 0``; with 4 or 5 nodes roundoff can
+    leave none)."""
+    n = data.draw(st.integers(4, 12), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    if data.draw(st.booleans(), label="quadratic"):
+        nodes = 0.5 * (np.arange(n + 2) - rng.integers(0, n))
+        a, b, c = rng.integers(-3, 4, 3)
+        return nodes, (a * nodes + b) * nodes + c
+    return np.cumsum(rng.uniform(0.1, 1.0, n)) - 2.0, rng.standard_normal(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hermite_sup_is_the_attained_supremum(data):
+    nodes, values = _draw_table(data)
+    slopes = _not_a_knot_slopes(nodes, values)
+    if np.all(np.isin(values, np.round(values))):   # the quadratic tables
+        assert np.any(_cubic(nodes, values, slopes,
+                             np.arange(nodes.size - 1))[2] == 0.0)
+    # whole pieces or cut in the middle, never past the nodes
+    fracs = [data.draw(st.sampled_from([0.0]) | st.floats(0.0, 0.45)),
+             data.draw(st.sampled_from([1.0]) | st.floats(0.55, 1.0))]
+    span = nodes[-1] - nodes[0]
+    lo, hi = np.clip(nodes[0] + np.array(fracs) * span, nodes[0], nodes[-1])
+    xs = np.linspace(lo, hi, 10**6)
+    sups = []
+    for order in (0, 1):
+        sup, at = hermite_sup(nodes, values, slopes, (lo, hi), order)
+        sampled = float(np.max(np.abs(hermite(nodes, values, slopes, xs,
+                                              order))))
+        assert sampled <= sup * (1.0 + 1e-12)
+        assert lo <= at <= hi
+        attained = abs(float(hermite(nodes, values, slopes, at, order)))
+        assert attained == pytest.approx(sup, rel=1e-12, abs=0.0)
+        sups.append(sup)
+    table = Coefficient.tabulated(nodes, values)
+    assert table.bounds((lo, hi)) == EffectiveBounds(*sups)
+
+
+def test_hermite_sup_past_the_nodes_is_nan():
+    nodes = np.linspace(0.0, 1.0, 5)
+    values = nodes ** 3
+    slopes = _not_a_knot_slopes(nodes, values)
+    assert math.isnan(hermite_sup(nodes, values, slopes, (0.5, 1.5))[0])
+
+
+def test_validate_takes_table_bounds_over_the_validation_interval():
+    nodes = np.linspace(-40.0, 40.0, 801)
+    table = Coefficient.tabulated(nodes, 0.01 * nodes)
+    spec = ProblemSpec(x0=0.0, alpha=0.1, drift=table,
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
+    vspec = validate(spec)
+    # 0.4 over the whole table, 0.1 over the grid's [-10, 10]
+    assert vspec.grid_interval == (-10.0, 10.0)
+    assert vspec.drift_bounds == table.bounds(vspec.grid_interval)
+    assert vspec.drift_bounds.sup_f == pytest.approx(0.1, rel=1e-12)
+    assert vspec.drift_bounds.sup_d1 == pytest.approx(0.01, rel=1e-12)
+
+
+def test_validate_evaluates_each_value_once_and_no_slope():
+    calls = []
+
+    def value(x):
+        calls.append(np.shape(x))
+        return np.tanh(np.asarray(x, float))
+
+    def slope(x):
+        raise AssertionError("validate evaluated a slope")
+
+    drift = Coefficient("tanh", {}, _value=value, _d1=slope,
+                        _bounds=EffectiveBounds(1.0, 1.0))
+    spec = ProblemSpec(x0=0.0, alpha=0.0, drift=drift,
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
+    assert validate(spec).drift_bounds == EffectiveBounds(1.0, 1.0)
+    assert calls == [(VALIDATION_GRID_SIZE,)]
+
+
+def test_validation_grid_scale_of_an_affine_diffusion():
+    # the sweep is [-10, 10]; |sigma| peaks at its end 10, where it is 2
+    spec = ProblemSpec(x0=0.0, alpha=0.0, drift=Coefficient.const(0.0),
+                       diffusion=Coefficient.linear(slope=0.1, intercept=1.0),
+                       horizon=1.0)
+    grid = validation_grid(spec)
+    assert (grid[0], grid[-1]) == (-20.0, 20.0)
+
+
+def test_validation_grid_scale_of_a_table_diffusion_is_its_exact_sup():
+    nodes = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
+    diffusion = Coefficient.tabulated(nodes, [1.0, 1.2, 1.0, 1.2, 1.0])
+    spec = ProblemSpec(x0=0.0, alpha=0.0, drift=Coefficient.const(0.0),
+                       diffusion=diffusion, horizon=1.0)
+    # the sweep [-10, 10] clipped to the table's nodes
+    sigma_bar = diffusion.bounds((-4.0, 4.0)).sup_f
+    assert sigma_bar > 1.2
+    assert validation_grid(spec)[-1] == 10.0 * sigma_bar
 
 
 # -- grids and path state -----------------------------------------------------
