@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDiffusion
+from .errors import ConfigError
 from .lamperti import DEFAULT_NODES, build_transform, transformed_drift_bound
 from .model import GridSpec, ProblemSpec, ValidatedSpec, validate
 
@@ -94,35 +94,27 @@ def final_lower_bound(t, t0: float, alpha: float, lb: float,
         t, alpha, lb, sigma_bar)
 
 
-def max_horizon(alpha: float, lb: float, rtol: float = 1e-12) -> float:
+def max_horizon(alpha: float, lb: float) -> float:
     """Largest ``t0`` with ``theta(t0, alpha, lb) <= 1/2``.
 
     Returns ``0.0`` when even ``t0 = 0`` is outside the regime
     (``2 sqrt(2) |alpha| + 4 alpha^2 >= 1/2``, i.e. beyond the feedback
     threshold ``(2 - sqrt(2))/4``), ``inf`` when the drift slope vanishes
-    and the threshold never binds, and otherwise bisects the strictly
-    increasing map ``t0 -> theta`` to the requested relative tolerance.
+    and the threshold never binds, and otherwise the closed form: with
+    ``s = sqrt(2 Lb^2 t0^2 + 8 alpha^2)``, ``theta = s + s^2/2`` equals
+    1/2 at ``s = sqrt(2) - 1``, so
+
+        Lb t0 = sqrt((3 - 2 sqrt(2) - 8 alpha^2) / 2).
     """
     lb = _check_nonneg("lb", lb)
     if theta(0.0, alpha, lb) >= ADMISSIBLE_THRESHOLD:
         return 0.0
     if lb == 0.0:
         return math.inf
-    lo, hi = 0.0, 1.0
-    while theta(hi, alpha, lb) < ADMISSIBLE_THRESHOLD:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:  # pragma: no cover - unreachable for lb > 0
-            return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if theta(mid, alpha, lb) < ADMISSIBLE_THRESHOLD:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rtol * hi:
-            break
-    return 0.5 * (lo + hi)
+    a2 = float(alpha) * float(alpha)
+    # the radicand can round below zero just inside the alpha threshold
+    return math.sqrt(max(0.0, 3.0 - 2.0 * math.sqrt(2.0) - 8.0 * a2)
+                     / 2.0) / lb
 
 
 @dataclass(frozen=True)
@@ -164,9 +156,10 @@ def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
 
     Constant diffusion uses the drift's exact ``|b'|`` bound directly.
     Otherwise the problem is rewritten with unit diffusion (requiring
-    ``|sigma|`` bounded away from zero), ``lb`` is the exact slope maximum
-    of the transformed drift table over the transform's range, and the
-    curve floor scales by ``inf |sigma|^2``.
+    ``|sigma|`` bounded away from zero with a single sign, else
+    :func:`build_transform` raises :class:`DegenerateDiffusion`), ``lb``
+    is the exact slope maximum of the transformed drift table over the
+    transform's range, and the curve floor scales by ``inf |sigma|^2``.
     The curve is evaluated on ``[0, min(t0, t0_max)]``; when that interval
     is degenerate a single zero row is emitted.
     """
@@ -182,10 +175,6 @@ def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
         sigma_bar = abs(sigma_const)
         transformed = False
     else:
-        if vspec.sigma_inf <= 0.0 or not vspec.sigma_sign_constant:
-            raise DegenerateDiffusion(
-                "regime classification with non-constant diffusion needs "
-                "|sigma| bounded away from zero with a single sign")
         table = build_transform(vspec, n_nodes=n_transform_nodes)
         lb = transformed_drift_bound(table)
         lb_source = "table"

@@ -44,7 +44,6 @@ import numpy as np
 from . import io
 from .bounds import floor_violations, regime_report
 from .density import (
-    derivative_bandwidth_rule,
     kde,
     l1_distance,
     oracle_driftless,
@@ -333,18 +332,14 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
         workers)])
 
     estimate = kde(sample, bandwidth=config.get("bandwidth"),
-                   n_grid=config.get("n_grid", 512), ladder=False)
-    # The curvature ladder needs the slower-shrinking derivative bandwidth;
-    # at the density-optimal rate the second-derivative rungs are noise.
-    deriv_est = kde(sample, bandwidth=derivative_bandwidth_rule(sample),
-                    eval_grid=estimate.grid)
-    smooth = smoothness_diagnostic(deriv_est)
+                   n_grid=config.get("n_grid", 512))
+    smooth = smoothness_diagnostic(sample, estimate.grid)
 
     columns = {"z": estimate.grid, "p_hat": estimate.pdf}
     diagnostic: dict[str, Any] = {
         "n_samples": int(sample.size),
         "bandwidth": estimate.bandwidth,
-        "derivative_bandwidth": deriv_est.bandwidth,
+        "derivative_bandwidth": smooth.bandwidth,
         "normalization": estimate.normalization(),
         "sample_mean": estimate.sample_mean,
         "sample_std": estimate.sample_std,

@@ -1,21 +1,22 @@
 """Monte Carlo estimation of the terminal law, with a closed-form check.
 
 The pipeline is terminal sample (``integrate.simulate_terminal``) -> kde
--> diagnostics.  Kernel estimates use the Gaussian kernel; the default
-bandwidth is the normal-reference rule ``1.06 s N^{-1/5}``.  Estimating
-density *derivatives* well needs more smoothing than estimating the
-density itself, so the bandwidth-ladder diagnostic is calibrated around
-the slower-shrinking rule ``1.06 s N^{-1/9}`` (at the density-optimal
-bandwidth the second derivative of the estimate is noise-dominated even
-for a clean Gaussian at sample sizes around 10^5, and no stability
-verdict is possible).
+and smoothness diagnostic, one estimator per question.  :func:`kde`
+estimates the density with the Gaussian kernel at the normal-reference
+bandwidth ``1.06 s N^{-1/5}``.  :func:`smoothness_diagnostic` estimates
+the first two derivatives at half, one and two times the slower-shrinking
+rule ``1.06 s N^{-1/9}``, since estimating density *derivatives* well
+needs more smoothing than estimating the density itself (at the
+density-optimal bandwidth the second derivative of the estimate is
+noise-dominated even for a clean Gaussian at sample sizes around 10^5,
+and no stability verdict is possible).
 
 Kernel sums are binned, not direct: the sample is linearly binned onto a
-uniform mesh and the counts are convolved with the kernels by FFT
+uniform mesh and the counts are convolved with each kernel by FFT
 (Silverman, AS 176, Appl. Statist. 31, 1982; Wand, J. Comput. Graph.
-Statist. 3, 1994), O(N + mesh log mesh) instead of O(N x grid).  See
-:func:`kde` for the error bound, the uniform-grid requirement and the mesh
-cap.
+Statist. 3, 1994), O(N + mesh log mesh) instead of O(N x grid), and each
+estimator convolves only the kernels it reports.  See :func:`kde` for
+the error bound, the uniform-grid requirement and the mesh cap.
 
 In the driftless constant-``sigma`` case the terminal law is known in
 closed form (:func:`oracle_driftless`), which turns the whole pipeline
@@ -34,7 +35,6 @@ from .errors import ConfigError, DegenerateDiffusion, EmptySample, GridMismatch
 
 __all__ = [
     "DensityEstimate",
-    "LadderRung",
     "SmoothnessReport",
     "oracle_driftless",
     "bandwidth_rule",
@@ -136,28 +136,8 @@ def derivative_bandwidth_rule(sample: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class LadderRung:
-    """Kernel estimate of the density and its first two derivatives at
-    one bandwidth."""
-
-    bandwidth: float
-    pdf: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-
-    def __post_init__(self) -> None:
-        for a in (self.pdf, self.d1, self.d2):
-            a.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class DensityEstimate:
-    """Kernel density estimate with its bandwidth ladder.
-
-    ``pdf`` is the estimate at ``bandwidth``; ``ladder`` holds rungs at
-    half, one and two times that bandwidth (empty when ladder evaluation
-    was disabled).
-    """
+    """Kernel density estimate ``pdf`` on ``grid`` at ``bandwidth``."""
 
     grid: np.ndarray
     pdf: np.ndarray
@@ -165,7 +145,6 @@ class DensityEstimate:
     n_samples: int
     sample_mean: float
     sample_std: float
-    ladder: tuple[LadderRung, ...]
 
     def __post_init__(self) -> None:
         self.grid.flags.writeable = False
@@ -216,8 +195,16 @@ def _mesh_plan(h: float, dz: float, n_grid: int, below: float,
     return r, n_lo, n_mesh, half, n_fft
 
 
-def _kernel_sums(sample: np.ndarray, zs: np.ndarray, h: float
-                 ) -> LadderRung:
+# Hermite polynomials He_k: the order-k derivative of a kernel estimate sums
+# (-1)^k He_k(u) phi(u) / h^(k+1) over the sample.
+_HERMITE = (lambda u: 1.0, lambda u: u, lambda u: u * u - 1.0)
+
+
+def _kernel_sums(sample: np.ndarray, zs: np.ndarray, h: float,
+                 orders: tuple[int, ...]) -> list[np.ndarray]:
+    """Binned kernel estimates at bandwidth ``h`` on the uniform grid
+    ``zs``: the density's derivative of each order in ``orders`` (0, 1
+    or 2), one convolution each, in that order."""
     n_grid = zs.size
     dz = float(zs[-1] - zs[0]) / (n_grid - 1)
     r, n_lo, n_mesh, half, n_fft = _mesh_plan(
@@ -239,54 +226,30 @@ def _kernel_sums(sample: np.ndarray, zs: np.ndarray, h: float
     u = k * (delta / h)
     phi = np.where(np.abs(k) <= half, np.exp(-0.5 * u * u), 0.0)
     at_grid = n_lo + r * np.arange(n_grid)
-
-    def convolve(kernel):
-        return np.fft.irfft(counts_f * np.fft.rfft(kernel), n_fft)[at_grid]
-
-    pdf = convolve(phi)
-    d1 = convolve(u * phi)                # sum of u phi(u)
-    d2 = convolve((u * u - 1.0) * phi)    # sum of (u^2 - 1) phi(u)
-    # roundoff of the transform can dip below zero where the sum underflows
-    np.maximum(pdf, 0.0, out=pdf)
     norm = sample.size * h * _SQRT_2PI
-    return LadderRung(bandwidth=h,
-                      pdf=pdf / norm,
-                      d1=-d1 / (norm * h),
-                      d2=d2 / (norm * h * h))
+    scale = (norm, -norm * h, norm * h * h)
+
+    sums = []
+    for order in orders:
+        kernel = _HERMITE[order](u) * phi
+        s = np.fft.irfft(counts_f * np.fft.rfft(kernel), n_fft)[at_grid]
+        if order == 0:
+            # roundoff of the transform can dip below zero where the sum
+            # underflows
+            np.maximum(s, 0.0, out=s)
+        sums.append(s / scale[order])
+    return sums
 
 
-def kde(sample, bandwidth: float | None = None,
-        eval_grid: np.ndarray | None = None,
-        ladder: bool = True,
-        n_grid: int = DEFAULT_GRID_POINTS) -> DensityEstimate:
-    """Gaussian-kernel density estimate.
-
-    ``bandwidth=None`` applies :func:`bandwidth_rule`.  The default grid
-    spans the sample mean plus or minus six sample standard deviations,
-    wide enough that the estimate integrates to 1 within a couple of
-    percent.  A given ``eval_grid`` must be strictly increasing and
-    uniformly spaced (a ``linspace``).  With ``ladder`` the first two
-    derivatives are also estimated at half, one and two times the
-    bandwidth, the input :func:`smoothness_diagnostic` consumes.
-
-    Each bandwidth is one binned estimate: the sample is linearly binned
-    onto a mesh of spacing ``h/64`` or finer that holds every grid point
-    (see :func:`_mesh_plan`), and the counts are convolved with the
-    sampled kernels ``phi(u)``, ``u phi(u)`` and ``(u^2 - 1) phi(u)`` by
-    FFT.  For every rung of the estimates the package builds (at
-    :func:`bandwidth_rule` and :func:`derivative_bandwidth_rule`) the
-    result agrees with the direct sums over the sample to within
-    ``1e-4`` of each channel's maximum absolute value, for the pdf and
-    both derivatives (tested on normal, perturbed and point-mass samples
-    of 10^5 draws).  Binning moves each sample's kernel by at most
-    ``(h_mesh/h)^2 max|K''| / 8``, at most ``9.2e-5`` of the kernel's
-    maximum for ``K = (u^2 - 1) phi``, and not at all for a sample on a
-    mesh node.  Samples more than ten bandwidths beyond the grid are left
-    out and kernels are cut at ten bandwidths; what that drops is below
-    ``1e-19`` of a kernel's maximum.  A bandwidth so small against the
-    grid that the mesh would exceed :data:`MAX_MESH_NODES` raises
-    :class:`ConfigError`.
-    """
+def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
+             rule) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """The input check :func:`kde` and :func:`smoothness_diagnostic`
+    share.  Returns the sample as a flat float array, the evaluation grid,
+    the bandwidth (``rule(sample)`` when ``bandwidth`` is None), and the
+    sample mean and standard deviation.  The default grid spans the mean
+    plus or minus :data:`GRID_HALFWIDTH_STDS` standard deviations in
+    ``n_grid`` points; a given grid must be strictly increasing and
+    uniformly spaced."""
     sample = np.ascontiguousarray(np.asarray(sample, float).ravel())
     if sample.size < 2:
         raise EmptySample(
@@ -296,11 +259,10 @@ def kde(sample, bandwidth: float | None = None,
     mean = float(np.mean(sample))
     std = float(np.std(sample, ddof=1))
     if bandwidth is None:
-        bandwidth = bandwidth_rule(sample)
+        bandwidth = rule(sample)
         if bandwidth <= 0.0:
             raise ConfigError(
-                "bandwidth rule degenerates on a zero-spread sample; "
-                "pass an explicit bandwidth")
+                "bandwidth rule degenerates on a zero-spread sample")
     bandwidth = float(bandwidth)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ConfigError(f"bandwidth must be positive, got {bandwidth!r}")
@@ -309,26 +271,55 @@ def kde(sample, bandwidth: float | None = None,
         eval_grid = np.linspace(mean - half, mean + half, n_grid)
     zs = np.ascontiguousarray(np.asarray(eval_grid, float))
     if zs.ndim != 1 or zs.size < 2:
-        raise ConfigError("eval_grid must be a 1-D array of >= 2 points")
+        raise ConfigError(
+            "evaluation grid must be a 1-D array of >= 2 points")
     # uniform to 1e-6 of the spacing, far looser than linspace roundoff
     gaps = np.diff(zs)
     spacing = (zs[-1] - zs[0]) / (zs.size - 1)
     if not (np.all(gaps > 0.0) and math.isfinite(spacing)
             and float(np.max(np.abs(gaps - spacing))) <= 1e-6 * spacing):
         raise ConfigError(
-            "eval_grid must be strictly increasing and uniformly spaced")
+            "evaluation grid must be strictly increasing and uniformly "
+            "spaced")
+    return sample, zs, bandwidth, mean, std
 
-    rungs: tuple[LadderRung, ...]
-    if ladder:
-        rungs = tuple(_kernel_sums(sample, zs, h)
-                      for h in (0.5 * bandwidth, bandwidth, 2.0 * bandwidth))
-        base = rungs[1]
-    else:
-        rungs = ()
-        base = _kernel_sums(sample, zs, bandwidth)
-    return DensityEstimate(grid=zs, pdf=base.pdf, bandwidth=bandwidth,
+
+def kde(sample, bandwidth: float | None = None,
+        eval_grid: np.ndarray | None = None,
+        n_grid: int = DEFAULT_GRID_POINTS) -> DensityEstimate:
+    """Gaussian-kernel density estimate.
+
+    ``bandwidth=None`` applies :func:`bandwidth_rule`.  The default grid
+    spans the sample mean plus or minus six sample standard deviations,
+    wide enough that the estimate integrates to 1 within a couple of
+    percent.  A given ``eval_grid`` must be strictly increasing and
+    uniformly spaced (a ``linspace``).
+
+    The estimate is binned: the sample is linearly binned onto a mesh of
+    spacing ``h/64`` or finer that holds every grid point (see
+    :func:`_mesh_plan`), and the counts are convolved with the sampled
+    kernel ``phi(u)`` by FFT; :func:`smoothness_diagnostic` convolves the
+    same counts with ``u phi(u)`` and ``(u^2 - 1) phi(u)`` for the first
+    two derivatives.  For the estimates the package builds (the pdf at
+    :func:`bandwidth_rule` and :func:`derivative_bandwidth_rule`, and the
+    derivatives at half, one and two times either) the result agrees with
+    the direct sums over the sample to within ``1e-4`` of each channel's
+    maximum absolute value (tested on normal, perturbed and point-mass
+    samples of 10^5 draws).  Binning moves each sample's kernel by at
+    most ``(h_mesh/h)^2 max|K''| / 8``, at most ``9.2e-5`` of the
+    kernel's maximum for ``K = (u^2 - 1) phi``, and not at all for a
+    sample on a mesh node.  Samples more than ten bandwidths beyond the
+    grid are left out and kernels are cut at ten bandwidths; what that
+    drops is below ``1e-19`` of a kernel's maximum.  A bandwidth so small
+    against the grid that the mesh would exceed :data:`MAX_MESH_NODES`
+    raises :class:`ConfigError`.
+    """
+    sample, zs, h, mean, std = _checked(sample, bandwidth, eval_grid,
+                                        n_grid, bandwidth_rule)
+    (pdf,) = _kernel_sums(sample, zs, h, (0,))
+    return DensityEstimate(grid=zs, pdf=pdf, bandwidth=h,
                            n_samples=int(sample.size), sample_mean=mean,
-                           sample_std=std, ladder=rungs)
+                           sample_std=std)
 
 
 @dataclass(frozen=True)
@@ -337,8 +328,10 @@ class SmoothnessReport:
 
     A stability heuristic, not a proof: it measures how much the
     derivative estimates move when the bandwidth halves or doubles,
-    normalized so that 1.0 sits at the configured threshold.  ``pairs``
-    holds rows ``(h_low, h_high, d1_discrepancy, d2_discrepancy)``.
+    normalized so that 1.0 sits at the configured threshold.
+    ``bandwidth`` is the middle rung ``h`` of the ladder ``h/2, h, 2h``,
+    and ``pairs`` holds rows ``(h_low, h_high, d1_discrepancy,
+    d2_discrepancy)`` for its two adjacent pairs.
     """
 
     verdict: str
@@ -347,6 +340,7 @@ class SmoothnessReport:
     d2_score: float
     d1_threshold: float
     d2_threshold: float
+    bandwidth: float
     window: tuple[float, float]
     pairs: tuple[tuple[float, float, float, float], ...]
     n_samples: int = 0
@@ -367,56 +361,59 @@ def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / denom
 
 
-def smoothness_diagnostic(estimate: DensityEstimate,
+def smoothness_diagnostic(sample, grid: np.ndarray | None = None,
                           d1_threshold: float = D1_THRESHOLD,
                           d2_threshold: float = D2_THRESHOLD
                           ) -> SmoothnessReport:
-    """Stability of derivative estimates across the bandwidth ladder.
+    """Stability of derivative estimates across a bandwidth ladder.
 
-    For each adjacent rung pair the relative L2 discrepancy of the first
-    and second derivative estimates is taken over the central window
-    (sample mean plus or minus two standard deviations, where there is
-    enough mass for the estimates to mean anything).  The verdict fails
-    when any pair exceeds its channel threshold.  Defaults are calibrated
-    for ladders built at :func:`derivative_bandwidth_rule`; at the
-    density-optimal bandwidth the second-derivative channel is noise even
-    for smooth targets and the verdict would be meaningless.
+    The first and second derivatives of the density are estimated on
+    ``grid`` (by default the grid :func:`kde` would choose) at half, one
+    and two times ``h = derivative_bandwidth_rule(sample)``: estimating
+    derivatives well needs more smoothing than the density itself, and at
+    the density-optimal bandwidth the second-derivative channel is noise
+    even for smooth targets.  For each adjacent pair of bandwidths the
+    relative L2 discrepancy of each derivative is taken over the central
+    window (sample mean plus or minus two standard deviations, where
+    there is enough mass for the estimates to mean anything).  The
+    verdict fails when any pair exceeds its channel threshold.
     """
-    if len(estimate.ladder) < 3:
-        raise ConfigError(
-            "smoothness diagnostic needs a ladder with >= 3 bandwidths "
-            "(build the estimate with ladder=True)")
-    lo = estimate.sample_mean - 2.0 * estimate.sample_std
-    hi = estimate.sample_mean + 2.0 * estimate.sample_std
-    win = (estimate.grid >= lo) & (estimate.grid <= hi)
+    sample, zs, h, mean, std = _checked(sample, None, grid,
+                                        DEFAULT_GRID_POINTS,
+                                        derivative_bandwidth_rule)
+    lo = mean - 2.0 * std
+    hi = mean + 2.0 * std
+    win = (zs >= lo) & (zs <= hi)
     if not np.any(win):
         raise ConfigError("evaluation grid misses the central window")
 
+    rungs = [(hk, *_kernel_sums(sample, zs, hk, (1, 2)))
+             for hk in (0.5 * h, h, 2.0 * h)]
     pairs = []
     d1_worst = 0.0
     d2_worst = 0.0
-    rungs = sorted(estimate.ladder, key=lambda r: r.bandwidth)
-    for a, b in zip(rungs[:-1], rungs[1:]):
-        disc1 = _rel_l2(a.d1[win], b.d1[win])
-        disc2 = _rel_l2(a.d2[win], b.d2[win])
-        pairs.append((a.bandwidth, b.bandwidth, disc1, disc2))
+    for (ha, a1, a2), (hb, b1, b2) in zip(rungs[:-1], rungs[1:]):
+        disc1 = _rel_l2(a1[win], b1[win])
+        disc2 = _rel_l2(a2[win], b2[win])
+        pairs.append((ha, hb, disc1, disc2))
         d1_worst = max(d1_worst, disc1)
         d2_worst = max(d2_worst, disc2)
 
     d1_score = d1_worst / d1_threshold
     d2_score = d2_worst / d2_threshold
     score = max(d1_score, d2_score)
+    n = int(sample.size)
     note = SmoothnessReport.note
-    if estimate.n_samples < CALIBRATED_MIN_SAMPLES:
+    if n < CALIBRATED_MIN_SAMPLES:
         note += (f"; below the calibrated sample size "
-                 f"({estimate.n_samples} < {CALIBRATED_MIN_SAMPLES}), "
+                 f"({n} < {CALIBRATED_MIN_SAMPLES}), "
                  f"ladder noise may dominate the verdict")
     return SmoothnessReport(
         verdict="pass" if score <= 1.0 else "fail",
         score=score, d1_score=d1_score, d2_score=d2_score,
         d1_threshold=d1_threshold, d2_threshold=d2_threshold,
-        window=(float(lo), float(hi)), pairs=tuple(pairs),
-        n_samples=estimate.n_samples, note=note)
+        bandwidth=h, window=(float(lo), float(hi)), pairs=tuple(pairs),
+        n_samples=n, note=note)
 
 
 def l1_distance(estimate: DensityEstimate, oracle_values) -> float:

@@ -7,10 +7,9 @@ description of a run.
 
 Infinities appear in regime reports (``t0_max`` of a drift with no
 slope), but strict JSON has no literal for them, so floats are encoded
-with the string sentinels ``"inf"`` and ``"-inf"``;
-:func:`decode_floats` reads a report back.  No config field holds an
-infinity, so a config is read as parsed.  NaN is rejected: a NaN in a
-config or report is always a bug upstream.
+with the string sentinels ``"inf"`` and ``"-inf"``.  No config field
+holds an infinity, so a config is read as parsed.  NaN is rejected: a NaN
+in a config or report is always a bug upstream.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .model import PRESETS, Coefficient, GridSpec, ProblemSpec
 __all__ = [
     "TOOL_VERSION",
     "encode_floats",
-    "decode_floats",
     "canonical_json",
     "config_hash",
     "check_config",
@@ -82,19 +80,6 @@ def encode_floats(obj: Any) -> Any:
         if v == -math.inf:
             return "-inf"
         return v
-    return obj
-
-
-def decode_floats(obj: Any) -> Any:
-    """Inverse of :func:`encode_floats` on parsed JSON."""
-    if isinstance(obj, Mapping):
-        return {k: decode_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [decode_floats(v) for v in obj]
-    if obj == "inf":
-        return math.inf
-    if obj == "-inf":
-        return -math.inf
     return obj
 
 

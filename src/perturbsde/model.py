@@ -106,6 +106,15 @@ class Coefficient:
             raise ConfigError(
                 "Coefficient must be built via its classmethod constructors")
 
+    def __eq__(self, other: object) -> bool:
+        # a table's params hold arrays, which == compares elementwise
+        if not isinstance(other, Coefficient):
+            return NotImplemented
+        return (self.preset_id == other.preset_id
+                and self.params.keys() == other.params.keys()
+                and all(np.array_equal(v, other.params[k])
+                        for k, v in self.params.items()))
+
     # -- catalog constructors -------------------------------------------------
 
     @classmethod

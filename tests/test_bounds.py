@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from perturbsde import (
     Coefficient,
@@ -62,6 +62,15 @@ def test_max_horizon_against_closed_form():
         got = max_horizon(alpha, lb)
         assert got == pytest.approx(t_star, rel=1e-10)
         assert abs(theta(got, alpha, lb) - ADMISSIBLE_THRESHOLD) <= 1e-10
+
+
+@given(alpha=st.floats(-0.2, 0.2), lb=st.floats(1e-6, 1e6))
+@settings(max_examples=200, deadline=None)
+# the former bisection returned a t0 with theta - 1/2 = +3.4e-14 here
+@example(alpha=0.1, lb=0.1)
+def test_max_horizon_stays_in_regime(alpha, lb):
+    assume(theta(0.0, alpha, lb) < ADMISSIBLE_THRESHOLD)
+    assert theta(max_horizon(alpha, lb), alpha, lb) <= ADMISSIBLE_THRESHOLD
 
 
 def test_max_horizon_unit_slope_value():

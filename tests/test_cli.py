@@ -418,6 +418,15 @@ def test_degenerate_transform_exits_3(tmp_path, write_config):
     assert run("transform", cfg, tmp_path / "o") == 3
 
 
+def test_degenerate_regime_exits_3(tmp_path, write_config, capsys):
+    # a sign-changing diffusion has no transform to unit diffusion
+    problem = base_problem(x0=0.0)
+    problem["diffusion"] = {"preset": "sine", "params": {"amplitude": 1.0}}
+    cfg = write_config({"problem": problem, "t0": 1.0})
+    assert run("regime", cfg, tmp_path / "o") == 3
+    assert "changes sign" in capsys.readouterr().err
+
+
 # -- analysis subcommands -----------------------------------------------------
 
 
@@ -468,7 +477,11 @@ def test_density_artifacts(tmp_path, write_config):
                         "grid": {"n_steps": 64}, "n_paths": 2000,
                         "seed": 3, "t0": 0.25})
     out = tmp_path / "run"
-    assert run("density", cfg, out) == 0
+    # one convolution for kde's pdf, and the diagnostic's two derivative
+    # channels at each of its three bandwidths
+    with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as irfft:
+        assert run("density", cfg, out) == 0
+    assert irfft.call_count == 7
     header_line = next(l for l in (out / "density.csv").read_text()
                        .splitlines() if not l.startswith("#"))
     assert header_line == "z,p_hat,p_oracle"

@@ -25,6 +25,7 @@ from perturbsde import (
 from perturbsde.density import (
     CALIBRATED_MIN_SAMPLES,
     MAX_MESH_NODES,
+    _kernel_sums,
     _mesh_plan,
 )
 
@@ -163,7 +164,7 @@ def test_ensemble_empty(driftless):
 def test_kde_recovers_gaussian():
     rng = np.random.default_rng(29)
     sample = rng.standard_normal(100_000)
-    est = kde(sample, ladder=False)
+    est = kde(sample)
     assert l1_distance(est, norm.pdf(est.grid)) <= 0.01
     assert est.n_samples == 100_000
     assert est.bandwidth == pytest.approx(bandwidth_rule(sample))
@@ -180,19 +181,10 @@ def test_kde_single_value_is_pure_kernel():
 def test_kde_normalization_and_moments():
     rng = np.random.default_rng(31)
     sample = 3.0 + 0.7 * rng.standard_normal(2000)
-    est = kde(sample, ladder=False)
+    est = kde(sample)
     assert 0.98 <= est.normalization() <= 1.02
     assert est.sample_mean == pytest.approx(float(np.mean(sample)))
     assert est.sample_std == pytest.approx(float(np.std(sample, ddof=1)))
-
-
-def test_kde_ladder_bandwidths():
-    rng = np.random.default_rng(37)
-    sample = rng.standard_normal(500)
-    est = kde(sample, bandwidth=0.4)
-    assert [r.bandwidth for r in est.ladder] == [0.2, 0.4, 0.8]
-    np.testing.assert_array_equal(est.ladder[1].pdf, est.pdf)
-    assert kde(sample, bandwidth=0.4, ladder=False).ladder == ()
 
 
 def test_kde_input_validation():
@@ -209,8 +201,14 @@ def test_kde_input_validation():
         kde(sample, eval_grid=np.array([0.0]))
     for grid in (np.array([0.0, 1.0, 3.0]), np.linspace(2.0, -2.0, 9),
                  np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.0, math.inf])):
-        with pytest.raises(ConfigError, match="eval_grid"):
+        with pytest.raises(ConfigError, match="evaluation grid"):
             kde(sample, bandwidth=0.5, eval_grid=grid)
+        with pytest.raises(ConfigError, match="evaluation grid"):
+            smoothness_diagnostic(sample, grid)
+    with pytest.raises(EmptySample):
+        smoothness_diagnostic(np.array([1.0]))
+    with pytest.raises(ConfigError, match="bandwidth"):
+        smoothness_diagnostic(np.full(100, 2.0))
     with pytest.raises(EmptySample):
         bandwidth_rule(np.array([3.0]))
     with pytest.raises(EmptySample):
@@ -235,13 +233,18 @@ def atom_sample(rng, n):
 ], ids=["normal", "perturbed-alpha-0.3", "atom"])
 @pytest.mark.parametrize("rule", [bandwidth_rule, derivative_bandwidth_rule])
 def test_binned_kde_matches_direct_sums(draw, rule):
+    # kde's pdf at h, and the diagnostic's d1/d2 channels at h/2, h and 2h
     sample = draw(np.random.default_rng(71), 100_000)
-    est = kde(sample, bandwidth=rule(sample))
-    for rung in est.ladder:
-        ref = direct_kernel_sums(sample, est.grid, rung.bandwidth)
-        for got, want in zip((rung.pdf, rung.d1, rung.d2), ref):
-            assert float(np.max(np.abs(got - want))) \
-                <= 1e-4 * float(np.max(np.abs(want)))
+    h = rule(sample)
+    est = kde(sample, bandwidth=h)
+    ref = {hk: direct_kernel_sums(sample, est.grid, hk)
+           for hk in (0.5 * h, h, 2.0 * h)}
+    checks = [(est.pdf, ref[h][0])]
+    for hk, (_, d1, d2) in ref.items():
+        checks += zip(_kernel_sums(sample, est.grid, hk, (1, 2)), (d1, d2))
+    for got, want in checks:
+        assert float(np.max(np.abs(got - want))) \
+            <= 1e-4 * float(np.max(np.abs(want)))
 
 
 def test_mesh_plan_size_rule():
@@ -282,14 +285,9 @@ def test_bandwidth_rules_scaling():
 # -- smoothness heuristic -----------------------------------------------------
 
 
-def smooth_report(sample):
-    est = kde(sample, bandwidth=derivative_bandwidth_rule(sample))
-    return smoothness_diagnostic(est)
-
-
 def test_smoothness_passes_on_gaussian():
     rng = np.random.default_rng(43)
-    report = smooth_report(rng.standard_normal(100_000))
+    report = smoothness_diagnostic(rng.standard_normal(100_000))
     assert report.passed and report.verdict == "pass"
     assert report.score <= 1.0
     assert len(report.pairs) == 2
@@ -301,7 +299,7 @@ def test_smoothness_flags_atoms():
     n = 50_000
     sample = rng.standard_normal(n)
     sample[: n // 10] = 0.0
-    report = smooth_report(sample)
+    report = smoothness_diagnostic(sample)
     assert not report.passed
     assert report.score > 1.0
 
@@ -310,23 +308,25 @@ def test_smoothness_passes_on_perturbed_law():
     # alpha = 0.3 terminal draw b + beta s with beta = 3/7
     rng = np.random.default_rng(53)
     b, s = brownian_with_sup(rng, 100_000)
-    report = smooth_report(b + (3.0 / 7.0) * s)
+    report = smoothness_diagnostic(b + (3.0 / 7.0) * s)
     assert report.passed
 
 
 def test_smoothness_small_sample_note():
     rng = np.random.default_rng(59)
-    report = smooth_report(rng.standard_normal(5000))
+    report = smoothness_diagnostic(rng.standard_normal(5000))
     assert report.n_samples == 5000
     assert "below the calibrated sample size" in report.note
     assert str(CALIBRATED_MIN_SAMPLES) in report.note
 
 
-def test_smoothness_needs_ladder():
-    rng = np.random.default_rng(61)
-    est = kde(rng.standard_normal(1000), ladder=False)
-    with pytest.raises(ConfigError, match="ladder"):
-        smoothness_diagnostic(est)
+def test_smoothness_ladder_bandwidths():
+    rng = np.random.default_rng(37)
+    sample = rng.standard_normal(500)
+    report = smoothness_diagnostic(sample)
+    h = derivative_bandwidth_rule(sample)
+    assert report.bandwidth == h
+    assert [row[:2] for row in report.pairs] == [(0.5 * h, h), (h, 2.0 * h)]
 
 
 # -- L1 comparison ------------------------------------------------------------
@@ -336,7 +336,7 @@ def test_l1_distance_identical_and_disjoint():
     rng = np.random.default_rng(67)
     sample = rng.standard_normal(20_000)
     grid = np.linspace(-8.0, 20.0, 2801)
-    est = kde(sample, eval_grid=grid, ladder=False)
+    est = kde(sample, eval_grid=grid)
     assert l1_distance(est, est.pdf) == 0.0
     assert l1_distance(est, norm.pdf(grid - 12.0)) == pytest.approx(
         2.0, abs=0.02)

@@ -23,7 +23,6 @@ from perturbsde.io import (
     coefficient_from_json,
     coefficient_to_json,
     config_hash,
-    decode_floats,
     encode_floats,
     grid_from_json,
     grid_to_json,
@@ -54,14 +53,6 @@ def test_encode_floats_rejects_nan():
         encode_floats({"x": math.nan})
     with pytest.raises(ConfigError):
         encode_floats([np.nan])
-
-
-def test_decode_floats_inverts_sentinels():
-    doc = {"a": "inf", "b": ["-inf", 2.0], "keep": "word"}
-    out = decode_floats(doc)
-    assert out["a"] == math.inf
-    assert out["b"] == [-math.inf, 2.0]
-    assert out["keep"] == "word"
 
 
 def test_canonical_json_is_order_independent():

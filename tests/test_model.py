@@ -290,6 +290,23 @@ def test_tabulated_input_validation():
             Coefficient.tabulated(np.asarray(nodes), values)
 
 
+def test_tabulated_equality():
+    nodes = np.linspace(0.0, 1.0, 6)
+    table = Coefficient.tabulated(nodes, nodes**2)
+    assert table == Coefficient.tabulated(nodes, nodes**2)
+    assert table != Coefficient.tabulated(nodes, nodes**2 + 1e-12)
+    assert table != Coefficient.tabulated(nodes[:5], nodes[:5] ** 2)
+    assert table != Coefficient.const(1.0)
+    assert Coefficient.const(1.0) == Coefficient.const(1.0)
+
+    def spec(drift):
+        return ProblemSpec(x0=0.5, alpha=0.1, drift=drift,
+                           diffusion=Coefficient.const(1.0), horizon=1.0)
+
+    assert spec(table) == spec(Coefficient.tabulated(nodes, nodes**2))
+    assert spec(table) != spec(Coefficient.tabulated(nodes, -nodes))
+
+
 # -- exact bounds -------------------------------------------------------------
 
 
