@@ -82,8 +82,6 @@ from .model import (
     EffectiveBounds,
     GridSpec,
     ProblemSpec,
-    ValidatedSpec,
-    validate,
 )
 from .verify import ALL_SUITES, SuiteResult, run_suites
 
@@ -92,8 +90,7 @@ __version__ = __version_source__
 __all__ = [
     "__version__",
     # model
-    "Coefficient", "EffectiveBounds", "ProblemSpec", "ValidatedSpec",
-    "GridSpec", "validate",
+    "Coefficient", "EffectiveBounds", "ProblemSpec", "GridSpec",
     # integrate
     "PathBatch", "PicardResult", "generate_increments",
     "simulate_increments", "simulate_batch", "simulate_terminal",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lamperti import DEFAULT_NODES, build_transform, transformed_drift_bound
-from .model import GridSpec, ProblemSpec, ValidatedSpec, validate
+from .model import GridSpec, ProblemSpec
 
 __all__ = [
     "theta",
@@ -150,7 +150,7 @@ class RegimeReport:
         self.lower_bound_curve.flags.writeable = False
 
 
-def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
+def regime_report(spec: ProblemSpec, t0: float,
                   n_transform_nodes: int = DEFAULT_NODES) -> RegimeReport:
     """Evaluate the regime machinery for one problem at horizon ``t0``.
 
@@ -164,21 +164,20 @@ def regime_report(spec: ProblemSpec | ValidatedSpec, t0: float,
     is degenerate a single zero row is emitted.
     """
     t0 = _check_nonneg("t0", t0)
-    vspec = validate(spec)
-    alpha = vspec.alpha
+    alpha = spec.alpha
 
-    sigma_const = vspec.diffusion.constant_value
+    sigma_const = spec.diffusion.constant_value
     if sigma_const is not None:
-        lb = vspec.drift_bounds.sup_d1
-        lb_source = "table" if vspec.drift.preset_id == "custom-tabulated" \
+        lb = spec.drift_bounds.sup_d1
+        lb_source = "table" if spec.drift.preset_id == "custom-tabulated" \
             else "declared"
         sigma_bar = abs(sigma_const)
         transformed = False
     else:
-        table = build_transform(vspec, n_nodes=n_transform_nodes)
+        table = build_transform(spec, n_nodes=n_transform_nodes)
         lb = transformed_drift_bound(table)
         lb_source = "table"
-        sigma_bar = vspec.sigma_inf
+        sigma_bar = spec.sigma_inf
         transformed = True
     if not math.isfinite(lb):
         raise ConfigError(

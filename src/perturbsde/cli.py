@@ -67,7 +67,7 @@ from .lamperti import (
     transformed_spec,
 )
 from .malliavin import propagate_derivative_batch
-from .model import GridSpec, ProblemSpec, validate
+from .model import GridSpec, ProblemSpec
 from . import verify as verify_mod
 
 __all__ = ["main"]
@@ -117,8 +117,7 @@ def _terminal_worker(problem_json, grid_json, seed, n_paths, path_offset):
 
 def _derivative_worker(problem_json, grid_json, seed, report, n_paths,
                        path_offset):
-    # validated once: both calls below pass a ValidatedSpec straight on
-    spec = validate(io.problem_from_json(problem_json))
+    spec = io.problem_from_json(problem_json)
     grid = io.grid_from_json(grid_json)
     batch = simulate_batch(spec, grid, n_paths, seed, path_offset)
     fields = propagate_derivative_batch(batch, spec, grid,
@@ -375,13 +374,16 @@ def cmd_transform(config: dict, out_dir: Path, workers: int,
     table = build_transform(problem,
                             n_nodes=block.get("n_nodes", DEFAULT_NODES),
                             domain=domain)
+    # built before anything is written: a table too narrow for its own
+    # validation grid is refused with no artifact left behind
+    yspec = transformed_spec(table)
     io.write_csv(out_dir / "transform_table.csv",
                  {"y": table.nodes, "F": table.F_values}, meta=meta)
     io.write_json(out_dir / "transformed_spec.json", {
-        "problem": io.problem_to_json(transformed_spec(problem, table)),
+        "problem": io.problem_to_json(yspec),
         "domain": [table.domain[0], table.domain[1]],
         "n_nodes": int(table.nodes.size),
-        "sigma_inf": table.sigma_inf,
+        "sigma_inf": table.problem.sigma_inf,
     }, meta=meta)
 
 

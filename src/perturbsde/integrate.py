@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatch, NonFinite
-from .model import GridSpec, ValidatedSpec, validate
+from .model import GridSpec, ProblemSpec
 
 __all__ = [
     "PathBatch",
@@ -181,7 +181,7 @@ def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
 # -- batched Euler engine -----------------------------------------------------
 
 
-def _euler_core(vspec: ValidatedSpec, dt: float, tiles, n_paths: int,
+def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
                 record: bool, path_offset: int):
     """Advance ``n_paths`` columns through the left-frozen scheme, driven
     by ``tiles``: time-major ``(w, n_paths)`` increment arrays taken in
@@ -196,21 +196,21 @@ def _euler_core(vspec: ValidatedSpec, dt: float, tiles, n_paths: int,
     is ``max(M, x)``, so it equals ``maximum.accumulate`` of the recorded
     values by construction and is never stored."""
     P = n_paths
-    alpha = vspec.alpha
+    alpha = spec.alpha
     one_minus = 1.0 - alpha
-    b, s = vspec.drift.evaluator(0), vspec.diffusion.evaluator(0)
+    b, s = spec.drift.evaluator(0), spec.diffusion.evaluator(0)
 
     if record:
         (db_tm,) = tiles
         x_tm = np.empty((db_tm.shape[0] + 1, P))
         new_tm = np.zeros((db_tm.shape[0] + 1, P), dtype=bool)
         x = x_tm[0]
-        x[:] = vspec.x0 / one_minus
+        x[:] = spec.x0 / one_minus
     else:
-        x = np.full(P, vspec.x0 / one_minus)
+        x = np.full(P, spec.x0 / one_minus)
         new = np.empty(P, dtype=bool)
     M = x.copy()
-    A = np.full(P, float(vspec.x0))      # compensated accumulator
+    A = np.full(P, float(spec.x0))       # compensated accumulator
     comp = np.zeros(P)
     incr, y, t = np.empty(P), np.empty(P), np.empty(P)
     k = 0
@@ -322,6 +322,19 @@ class PathBatch:
         return np.where(new.any(axis=0), last, 0)
 
 
+def _increment_block(db, grid: GridSpec) -> np.ndarray:
+    """``db`` as a contiguous float block, refused with
+    :class:`GridMismatch` unless time-major ``(grid.n_steps, n_paths >= 1)``.
+    """
+    block = np.ascontiguousarray(db, dtype=float)
+    if block.ndim != 2 or block.shape[0] != grid.n_steps \
+            or block.shape[1] < 1:
+        raise GridMismatch(
+            f"increment block has shape {block.shape}, grid expects "
+            f"({grid.n_steps}, n_paths >= 1)")
+    return block
+
+
 def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
                         record: bool = True, seed: int | None = None,
                         path_offset: int = 0):
@@ -342,20 +355,14 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
     With ``alpha = 0`` the scheme reduces bitwise to classical
     Euler-Maruyama with compensated increment accumulation.
     """
-    vspec = validate(spec)
-    db_tm = np.ascontiguousarray(db, dtype=float)
-    if db_tm.ndim != 2 or db_tm.shape[0] != grid.n_steps \
-            or db_tm.shape[1] < 1:
-        raise GridMismatch(
-            f"increment block has shape {db_tm.shape}, grid expects "
-            f"({grid.n_steps}, n_paths >= 1)")
+    db_tm = _increment_block(db, grid)
     P = db_tm.shape[1]
     if record:
-        x_tm, new_tm = _euler_core(vspec, grid.dt, [db_tm], P, True,
+        x_tm, new_tm = _euler_core(spec, grid.dt, [db_tm], P, True,
                                    path_offset)
         return PathBatch(x=x_tm, new_max=new_tm, db=db_tm, seed=seed,
                          path_offset=path_offset)
-    return _euler_core(vspec, grid.dt, [db_tm], P, False, path_offset)
+    return _euler_core(spec, grid.dt, [db_tm], P, False, path_offset)
 
 
 # No package code calls this: the benchmark's tracer wraps it by name
@@ -370,11 +377,10 @@ def euler_path(spec, grid: GridSpec, db: np.ndarray) -> PathBatch:
 def simulate_batch(spec, grid: GridSpec, n_paths: int, seed: int,
                    path_offset: int = 0) -> PathBatch:
     """Simulate ``n_paths`` keyed paths and keep full trajectories."""
-    vspec = validate(spec)
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
     db_tm = _generate_block(seed, path_offset, n_paths, grid.n_steps, grid.dt)
-    return simulate_increments(vspec, grid, db_tm, seed=seed,
+    return simulate_increments(spec, grid, db_tm, seed=seed,
                                path_offset=path_offset)
 
 
@@ -390,7 +396,6 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
     chunk, however many paths and steps the run has; the result is
     bitwise that of :func:`simulate_increments` on the whole block.
     """
-    vspec = validate(spec)
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
     width = min(n_paths, _TERMINAL_CHUNK_PATHS)
@@ -402,7 +407,7 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
     for lo in range(0, n_paths, width):
         count = min(width, n_paths - lo)
         x_final[lo:lo + count] = _euler_core(
-            vspec, grid.dt, noise.windows(path_offset + lo, count, window),
+            spec, grid.dt, noise.windows(path_offset + lo, count, window),
             count, False, path_offset + lo)
     return x_final
 
@@ -499,18 +504,13 @@ def picard_solve(spec, grid: GridSpec, db: np.ndarray,
     same block.  A column stops sweeping once its gap is within ``tol``,
     so each column's iterates are those of a one-column solve.
     """
-    vspec = validate(spec)
-    db = np.asarray(db, float)
-    if db.ndim != 2 or db.shape[0] != grid.n_steps or db.shape[1] < 1:
-        raise GridMismatch(
-            f"increment block has shape {db.shape}, grid expects "
-            f"({grid.n_steps}, n_paths >= 1)")
+    db = _increment_block(db, grid)
     if n_iter < 1:
         raise ConfigError("n_iter must be >= 1")
-    alpha, x0 = vspec.alpha, vspec.x0
+    alpha, x0 = spec.alpha, spec.x0
     beta = alpha / (1.0 - alpha)
     c0 = x0 / (1.0 - alpha)
-    b, s = vspec.drift.evaluator(0), vspec.diffusion.evaluator(0)
+    b, s = spec.drift.evaluator(0), spec.diffusion.evaluator(0)
     dt, P = grid.dt, db.shape[1]
 
     x = np.full((grid.n_steps + 1, P), float(x0))

@@ -49,7 +49,7 @@ from .errors import (
     OutOfDomain,
 )
 from .malliavin import DerivativeFieldBatch
-from .model import Coefficient, ProblemSpec, ValidatedSpec, hermite, validate
+from .model import Coefficient, ProblemSpec, hermite
 
 __all__ = [
     "TransformTable",
@@ -68,23 +68,19 @@ __all__ = [
 DEFAULT_NODES = 4097
 INVERSE_TOL = 1e-10
 # Working domain half-width in units of sigma_bar * sqrt(T).  Wider than the
-# validation grid (10) so transformed specs validate inside the table.
+# validation grid (10) so transformed problems validate inside the table.
 DOMAIN_HALFWIDTH_STDS = 12.0
 
 
 @dataclass(frozen=True)
 class TransformTable:
-    """Tabulated primitive ``F`` of ``1/sigma``, with exact node slopes."""
+    """Tabulated primitive ``F`` of ``1/sigma`` for ``problem``, with exact
+    node slopes."""
 
     nodes: np.ndarray
     F_values: np.ndarray
     F_slopes: np.ndarray
-    x0: float
-    alpha: float
-    drift: Coefficient
-    diffusion: Coefficient
-    horizon: float
-    sigma_inf: float
+    problem: ProblemSpec
 
     def __post_init__(self) -> None:
         self.nodes.flags.writeable = False
@@ -100,35 +96,37 @@ class TransformTable:
         return float(self.F_values[0]), float(self.F_values[-1])
 
 
-def build_transform(spec: ProblemSpec | ValidatedSpec,
-                    n_nodes: int = DEFAULT_NODES,
+def build_transform(problem: ProblemSpec, n_nodes: int = DEFAULT_NODES,
                     domain: tuple[float, float] | None = None
                     ) -> TransformTable:
     """Tabulate ``F`` for a problem with strictly positive diffusion.
 
-    The default domain is ``x0 +- 12 sigma_bar sqrt(T)``.  Negative or
-    vanishing ``sigma`` anywhere on the domain (nodes or Simpson midpoints)
-    raises :class:`DegenerateDiffusion`: a sign flip would break the
+    The default domain is ``x0 +- 12 sigma_bar sqrt(T)``.  A ``sigma``
+    that vanishes or changes sign on the validation grid, or is not
+    positive anywhere on the domain (nodes or Simpson midpoints), raises
+    :class:`DegenerateDiffusion`: a sign flip would break the
     max-commutation property the supremum term depends on.
     """
-    vspec = validate(spec, require_transform=True)
+    if problem.sigma_inf <= 0.0 or not problem.sigma_sign_constant:
+        raise DegenerateDiffusion(
+            "diffusion vanishes or changes sign on the validation grid")
     if n_nodes < 5:
         raise ConfigError("n_nodes must be >= 5")
     if domain is None:
-        sigma_bar = vspec.diffusion_bounds.sup_f
+        sigma_bar = problem.diffusion_bounds.sup_f
         if not math.isfinite(sigma_bar):
             raise ConfigError(
                 "diffusion has no finite sup bound; pass an explicit domain")
-        half = DOMAIN_HALFWIDTH_STDS * sigma_bar * math.sqrt(vspec.horizon)
-        domain = (vspec.x0 - half, vspec.x0 + half)
+        half = DOMAIN_HALFWIDTH_STDS * sigma_bar * math.sqrt(problem.horizon)
+        domain = (problem.x0 - half, problem.x0 + half)
     lo, hi = float(domain[0]), float(domain[1])
-    if not lo < vspec.x0 < hi:
+    if not lo < problem.x0 < hi:
         raise ConfigError("transform domain must contain x0 in its interior")
 
     nodes = np.linspace(lo, hi, n_nodes)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    s_nodes = np.asarray(vspec.diffusion(nodes, 0))
-    s_mids = np.asarray(vspec.diffusion(mids, 0))
+    s_nodes = np.asarray(problem.diffusion(nodes, 0))
+    s_mids = np.asarray(problem.diffusion(mids, 0))
     if np.min(s_nodes) <= 0.0 or np.min(s_mids) <= 0.0:
         raise DegenerateDiffusion(
             "transform requires sigma > 0 on the whole working domain")
@@ -140,11 +138,9 @@ def build_transform(spec: ProblemSpec | ValidatedSpec,
     G = np.empty(n_nodes)
     G[0] = 0.0
     np.cumsum(incr, out=G[1:])
-    anchor = float(hermite(nodes, G, g_nodes, vspec.x0))
-    return TransformTable(
-        nodes=nodes, F_values=G - anchor, F_slopes=g_nodes, x0=vspec.x0,
-        alpha=vspec.alpha, drift=vspec.drift, diffusion=vspec.diffusion,
-        horizon=vspec.horizon, sigma_inf=vspec.sigma_inf)
+    anchor = float(hermite(nodes, G, g_nodes, problem.x0))
+    return TransformTable(nodes=nodes, F_values=G - anchor,
+                          F_slopes=g_nodes, problem=problem)
 
 
 def _F(table: TransformTable, y, order: int = 0) -> np.ndarray:
@@ -231,15 +227,14 @@ def _tabulated_drift(table: TransformTable) -> Coefficient:
     enters; the slope is the value spline's own derivative, consistent
     with finite differences of it, so the table revalidates and
     round-trips through JSON."""
-    y = table.nodes
-    values = (table.drift(y, 0) / table.diffusion(y, 0)
-              - 0.5 * table.diffusion(y, 1))
+    y, b, s = table.nodes, table.problem.drift, table.problem.diffusion
+    values = b(y, 0) / s(y, 0) - 0.5 * s(y, 1)
     return Coefficient.tabulated(table.F_values, values)
 
 
-def transformed_spec(spec: ProblemSpec | ValidatedSpec,
-                     table: TransformTable | None = None) -> ProblemSpec:
-    """Unit-diffusion problem equivalent to ``spec`` through the transform.
+def transformed_spec(table: TransformTable) -> ProblemSpec:
+    """Unit-diffusion problem equivalent to ``table.problem`` through the
+    transform.
 
     The drift is ``tilde_b`` tabulated over the transform's range, the
     problem the ``transform`` subcommand serializes; the feedback weight
@@ -249,20 +244,18 @@ def transformed_spec(spec: ProblemSpec | ValidatedSpec,
     and for constant sigma the two discretized problems then coincide
     path by path on shared noise, to interpolation level.
 
-    A passed ``table`` must come from ``spec``: ``x0``, ``alpha`` and the
-    horizon are read from the table, which holds them validated, so only
-    :func:`build_transform` validates ``spec``.
+    A drift table narrower than the new problem's validation grid is a
+    :class:`ConfigError`, as for any problem.
     """
-    if table is None:
-        table = build_transform(spec)
-    alpha = table.alpha
-    y0_fixed = forward(table, table.x0 / (1.0 - alpha))
+    problem = table.problem
+    alpha = problem.alpha
+    y0_fixed = forward(table, problem.x0 / (1.0 - alpha))
     return ProblemSpec(
         x0=(1.0 - alpha) * y0_fixed,
         alpha=alpha,
         drift=_tabulated_drift(table),
         diffusion=Coefficient.const(1.0),
-        horizon=table.horizon,
+        horizon=problem.horizon,
     )
 
 
@@ -335,11 +328,11 @@ class LiftBoundReport:
 
 
 def lift_bound_check(x_field: DerivativeFieldBatch,
-                     y_field: DerivativeFieldBatch, inf_sigma: float,
-                     slack: float | None = None) -> LiftBoundReport:
+                     y_field: DerivativeFieldBatch,
+                     inf_sigma: float) -> LiftBoundReport:
     """Compare matched derivative batches of the original and transformed
-    problems, path by path.  ``slack`` defaults to ten time steps' worth of
-    the fields' grid spacing, the discretization error scale of the
+    problems, path by path.  The slack is ten time steps' worth of the
+    fields' grid spacing, the discretization error scale of the
     comparison.
     """
     if inf_sigma < 0.0:
@@ -348,8 +341,7 @@ def lift_bound_check(x_field: DerivativeFieldBatch,
     hy = np.asarray(y_field.h_norm_sq_final, float)
     if hx.shape != hy.shape:
         raise ConfigError("field batches must have matching path counts")
-    if slack is None:
-        slack = 10.0 * x_field.dt
+    slack = 10.0 * x_field.dt
     deficit = inf_sigma * np.sqrt(hy) - np.sqrt(hx)
     violations = deficit > slack
     return LiftBoundReport(

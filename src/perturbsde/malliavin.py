@@ -53,8 +53,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ConfigError, GridMismatch
-from .integrate import PathBatch, simulate_increments
-from .model import GridSpec, validate
+from .integrate import PathBatch, _increment_block, simulate_increments
+from .model import GridSpec
 
 __all__ = [
     "DerivativeFieldBatch",
@@ -114,15 +114,14 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
     Runs the forward sweep, which gives every norm; the slot arrays come
     from the backward sweep on the first read of ``d_x`` or ``d_m``.
     """
-    vspec = validate(spec)
     if batch.n_steps != grid.n_steps:
         raise GridMismatch("batch/grid step mismatch")
     x_tm, db_tm, new_tm, dt = batch.x, batch.db, batch.new_max, grid.dt
     n1, P = x_tm.shape
     n = n1 - 1
-    alpha = vspec.alpha
+    alpha = spec.alpha
     one_minus = 1.0 - alpha
-    s0, step_factor = vspec.diffusion.evaluator(0), _step_factor(vspec, dt)
+    s0, step_factor = spec.diffusion.evaluator(0), _step_factor(spec, dt)
 
     # forward sweep: the norm curve from three per-path sums; only the
     # paths that set a new maximum at a step change S, and reset Y and G
@@ -155,21 +154,21 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
         np.maximum(h_sup, h, out=h_sup)
     return DerivativeFieldBatch(
         h_norm_sq_final=h.copy(), sup_h_norm_sq=h_sup, dt=dt,
-        _slots=partial(_backward_sweep, batch, vspec, dt, G),
+        _slots=partial(_backward_sweep, batch, spec, dt, G),
         h_norm_sq_by_time=by_time)
 
 
-def _step_factor(vspec, dt: float):
+def _step_factor(spec, dt: float):
     """``(x_k, db_k) -> a_k = 1 + b'(x_k) dt + sigma'(x_k) db_k``.  A
     constant diffusion has ``sigma' = 0.0``, whose term adds a signed zero
     and so leaves ``a_k`` bitwise unchanged: it is not formed."""
-    b1, s1 = vspec.drift.evaluator(1), vspec.diffusion.evaluator(1)
-    if vspec.diffusion.constant_value is not None:
+    b1, s1 = spec.drift.evaluator(1), spec.diffusion.evaluator(1)
+    if spec.diffusion.constant_value is not None:
         return lambda xk, dbk: 1.0 + b1(xk) * dt
     return lambda xk, dbk: 1.0 + (b1(xk) * dt + s1(xk) * dbk)
 
 
-def _backward_sweep(batch: PathBatch, vspec, dt: float,
+def _backward_sweep(batch: PathBatch, spec, dt: float,
                     G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(d_x, d_m)`` of a batch, newest slot first.
 
@@ -181,9 +180,9 @@ def _backward_sweep(batch: PathBatch, vspec, dt: float,
     x_tm, db_tm, new_tm = batch.x, batch.db, batch.new_max
     n1, P = x_tm.shape
     n = n1 - 1
-    alpha = vspec.alpha
+    alpha = spec.alpha
     one_minus = 1.0 - alpha
-    s0, step_factor = vspec.diffusion.evaluator(0), _step_factor(vspec, dt)
+    s0, step_factor = spec.diffusion.evaluator(0), _step_factor(spec, dt)
     d_x = np.empty((P, n))
     d_m = np.empty((P, n))
     R = np.ones(P)
@@ -203,16 +202,16 @@ def _backward_sweep(batch: PathBatch, vspec, dt: float,
     return d_x, d_m
 
 
-def inner_product(fields: DerivativeFieldBatch, h: np.ndarray,
-                  dt: float) -> np.ndarray:
+def inner_product(fields: DerivativeFieldBatch, h: np.ndarray) -> np.ndarray:
     """Pairings ``dt * sum_i d_x[p, i] h[i]`` of every path's field with a
     direction ``h`` sampled at the increment left endpoints, shape
-    ``(n_paths,)``.  Each path is one ``np.dot``, so a pairing does not
-    depend on the other paths of the batch."""
+    ``(n_paths,)``, with the fields' own ``dt``.  Each path is one
+    ``np.dot``, so a pairing does not depend on the other paths of the
+    batch."""
     h_arr = np.asarray(h, float)
     if h_arr.shape != fields.d_x.shape[1:]:
         raise GridMismatch("direction h must have one entry per increment")
-    return np.array([dt * np.dot(row, h_arr) for row in fields.d_x])
+    return np.array([fields.dt * np.dot(row, h_arr) for row in fields.d_x])
 
 
 def cameron_martin_fd(spec, grid: GridSpec, db: np.ndarray,
@@ -238,10 +237,7 @@ def cameron_martin_fd(spec, grid: GridSpec, db: np.ndarray,
     h_arr = np.asarray(h, float)
     if h_arr.shape != (grid.n_steps,):
         raise GridMismatch("h must have one entry per increment")
-    db = np.asarray(db, float)
-    if db.ndim != 2 or db.shape[0] != grid.n_steps:
-        raise GridMismatch("db must be a time-major (n_steps, n_paths) "
-                           "block")
+    db = _increment_block(db, grid)
     shifted = db + (eps * h_arr * grid.dt)[:, None]
     if base is None:
         block = np.concatenate([db, shifted], axis=1)

@@ -11,8 +11,9 @@ The package computes each coefficient's value and first derivative itself,
 without symbolic machinery; nothing downstream reads a higher derivative.
 Each coefficient also states its exact ``sup |f|`` and ``sup |f'|``: the
 analytic presets in closed form, a table from its spline's extrema.
-``validate`` turns a ``ProblemSpec`` into a :class:`ValidatedSpec` carrying
-those bounds; everything downstream consumes the validated form.
+A :class:`ProblemSpec` is checked once, when it is built: it refuses
+coefficients that are not finite on its validation grid and stores those
+bounds, taken by :func:`validate`, as fields of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from .errors import (
     AlphaOutOfRange,
     ConfigError,
-    DegenerateDiffusion,
     UnknownPreset,
     UnsupportedOrder,
 )
@@ -37,7 +37,6 @@ __all__ = [
     "Coefficient",
     "EffectiveBounds",
     "ProblemSpec",
-    "ValidatedSpec",
     "GridSpec",
     "validate",
     "hermite",
@@ -114,6 +113,12 @@ class Coefficient:
                 and self.params.keys() == other.params.keys()
                 and all(np.array_equal(v, other.params[k])
                         for k, v in self.params.items()))
+
+    def __hash__(self) -> int:
+        # Python floats, so that -0.0 and 0.0, and equal tables, hash alike
+        return hash((self.preset_id, tuple(
+            (k, tuple(np.ravel(v).tolist()))
+            for k, v in sorted(self.params.items()))))
 
     # -- catalog constructors -------------------------------------------------
 
@@ -356,14 +361,19 @@ def _not_a_knot_slopes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 # -- problem spec -------------------------------------------------------------
 
+# a fact :func:`validate` establishes, set when the problem is built
+_fact = partial(field, init=False, compare=False, repr=False)
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Ingredients of one perturbed-diffusion problem.
+    """Ingredients of one perturbed-diffusion problem, checked when built.
 
     ``alpha`` weights the running-supremum feedback and must be < 1;
     well-posedness fails at alpha = 1 where the defining fixed point
-    degenerates.
+    degenerates.  Building the problem runs :func:`validate` and stores
+    the facts it establishes in the fields after ``horizon``; the five
+    inputs alone decide equality and the hash.
     """
 
     x0: float
@@ -371,6 +381,11 @@ class ProblemSpec:
     drift: Coefficient
     diffusion: Coefficient
     horizon: float
+    grid_interval: tuple[float, float] = _fact()   # validation grid ends
+    drift_bounds: EffectiveBounds = _fact()
+    diffusion_bounds: EffectiveBounds = _fact()
+    sigma_inf: float = _fact()                     # grid inf of |sigma|
+    sigma_sign_constant: bool = _fact()            # sigma has one sign there
 
     def __post_init__(self) -> None:
         for name in ("x0", "alpha", "horizon"):
@@ -382,43 +397,14 @@ class ProblemSpec:
                 f"alpha must be < 1, got {self.alpha}")
         if not self.horizon > 0.0:
             raise ConfigError("horizon must be positive")
+        # Called through the module global: the benchmark's tracer wraps
+        # it by name (``model.validate`` in bench/spans.py).
+        for name, value in validate(self).items():
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class ValidatedSpec:
-    """A ProblemSpec plus the facts established by :func:`validate`."""
-
-    problem: ProblemSpec
-    grid_interval: tuple[float, float]
-    drift_bounds: EffectiveBounds
-    diffusion_bounds: EffectiveBounds
-    sigma_inf: float          # grid inf of |sigma|
-    sigma_sign_constant: bool  # sigma has one sign on the validation grid
-
-    # Delegates so engines can read fields without unwrapping.
-    @property
-    def x0(self) -> float:
-        return self.problem.x0
-
-    @property
-    def alpha(self) -> float:
-        return self.problem.alpha
-
-    @property
-    def drift(self) -> Coefficient:
-        return self.problem.drift
-
-    @property
-    def diffusion(self) -> Coefficient:
-        return self.problem.diffusion
-
-    @property
-    def horizon(self) -> float:
-        return self.problem.horizon
-
-
-def validation_grid(problem: ProblemSpec,
-                    n_grid: int = VALIDATION_GRID_SIZE) -> np.ndarray:
+def validation_grid(x0: float, horizon: float,
+                    diffusion: Coefficient) -> np.ndarray:
     """Spatial grid used for coefficient checks.
 
     The half-width is ten diffusion standard deviations at the horizon,
@@ -429,9 +415,8 @@ def validation_grid(problem: ProblemSpec,
     the sweep clipped to its nodes where the two overlap, and an affine
     ``|sigma|`` at the sweep's ends.
     """
-    T = problem.horizon
-    diffusion = problem.diffusion
-    pre = (problem.x0 - 10.0 * math.sqrt(T), problem.x0 + 10.0 * math.sqrt(T))
+    T = horizon
+    pre = (x0 - 10.0 * math.sqrt(T), x0 + 10.0 * math.sqrt(T))
     if diffusion.preset_id == "custom-tabulated":
         nodes = diffusion.params["nodes"]
         lo, hi = max(pre[0], nodes[0]), min(pre[1], nodes[-1])
@@ -442,9 +427,9 @@ def validation_grid(problem: ProblemSpec,
         sigma_bar = float(np.max(np.abs(diffusion(np.array(pre)))))
     if not math.isfinite(sigma_bar):
         # no scale to be had: the sweep is the grid, and it fails
-        return np.linspace(pre[0], pre[1], n_grid)
+        return np.linspace(pre[0], pre[1], VALIDATION_GRID_SIZE)
     half = 10.0 * max(sigma_bar, 1e-12) * math.sqrt(T)
-    return np.linspace(problem.x0 - half, problem.x0 + half, n_grid)
+    return np.linspace(x0 - half, x0 + half, VALIDATION_GRID_SIZE)
 
 
 def _finite_values(c: Coefficient, grid: np.ndarray, name: str
@@ -463,38 +448,27 @@ def _finite_values(c: Coefficient, grid: np.ndarray, name: str
     return values
 
 
-def validate(spec: ProblemSpec | ValidatedSpec, *,
-             require_transform: bool = False,
-             n_grid: int = VALIDATION_GRID_SIZE) -> ValidatedSpec:
-    """Check a problem spec and attach its coefficients' exact bounds.
+def validate(problem: ProblemSpec) -> dict[str, Any]:
+    """The facts :class:`ProblemSpec` stores about ``problem``, by field
+    name; :class:`ConfigError` unless both coefficients are finite on the
+    validation grid.
 
-    Both coefficients must be finite on the validation grid, else
-    :class:`ConfigError`.  The grid is evaluated for that check and for
-    ``sigma_inf`` only; the bounds are each coefficient's own
+    Each coefficient is evaluated once on the grid, for that check and
+    for ``sigma_inf``; the bounds are each coefficient's own
     (:meth:`Coefficient.bounds`), a table's over the grid's interval.
-    Idempotent: a ``ValidatedSpec`` passes through unchanged.  With
-    ``require_transform`` the diffusion must be bounded away from zero
-    with a single sign on the validation grid, otherwise a transform to
-    unit diffusion is impossible and :class:`DegenerateDiffusion` is
-    raised.
     """
-    if not isinstance(spec, ValidatedSpec):
-        if not isinstance(spec, ProblemSpec):
-            raise ConfigError("validate expects a ProblemSpec")
-        grid = validation_grid(spec, n_grid)
-        interval = (float(grid[0]), float(grid[-1]))
-        _finite_values(spec.drift, grid, "drift")
-        sigma_vals = _finite_values(spec.diffusion, grid, "diffusion")
-        spec = ValidatedSpec(
-            spec, interval, spec.drift.bounds(interval),
-            spec.diffusion.bounds(interval),
-            float(np.min(np.abs(sigma_vals))),
-            bool(np.all(sigma_vals > 0.0) or np.all(sigma_vals < 0.0)))
-    if require_transform and (spec.sigma_inf <= 0.0
-                              or not spec.sigma_sign_constant):
-        raise DegenerateDiffusion(
-            "diffusion vanishes or changes sign on the validation grid")
-    return spec
+    grid = validation_grid(problem.x0, problem.horizon, problem.diffusion)
+    interval = (float(grid[0]), float(grid[-1]))
+    _finite_values(problem.drift, grid, "drift")
+    sigma_vals = _finite_values(problem.diffusion, grid, "diffusion")
+    return {
+        "grid_interval": interval,
+        "drift_bounds": problem.drift.bounds(interval),
+        "diffusion_bounds": problem.diffusion.bounds(interval),
+        "sigma_inf": float(np.min(np.abs(sigma_vals))),
+        "sigma_sign_constant": bool(np.all(sigma_vals > 0.0)
+                                    or np.all(sigma_vals < 0.0)),
+    }
 
 
 # -- time grid -----------------------------------------------------------------
@@ -506,8 +480,9 @@ class GridSpec:
 
     n_steps: int
     horizon: float
-    dt: float = field(init=False)
-    times: np.ndarray = field(init=False, repr=False)
+    # derived from n_steps and horizon, so left out of == and the hash
+    dt: float = field(init=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:

@@ -32,7 +32,7 @@ from .malliavin import (
     inner_product,
     propagate_derivative_batch,
 )
-from .model import Coefficient, GridSpec, ProblemSpec, validate
+from .model import Coefficient, GridSpec, ProblemSpec
 
 __all__ = [
     "SuiteResult",
@@ -130,7 +130,7 @@ def cameron_martin_suite(seed: int = 20240803, n_paths: int = 100,
     fields = propagate_derivative_batch(batch, spec, grid)
     fds = cameron_martin_fd(spec, grid, batch.db, h, eps=eps,
                             base=batch.x[-1])
-    ips = inner_product(fields, h, grid.dt)
+    ips = inner_product(fields, h)
     denom = np.maximum(np.maximum(np.abs(fds), np.abs(ips)), 1e-300)
     rel_errs = np.abs(fds - ips) / denom
     med = float(np.median(rel_errs))
@@ -241,12 +241,11 @@ def lamperti_suite(seed: int = 20240805, n_paths: int = 100,
         drift=Coefficient.tanh(amplitude=0.1, scale=1.0),
         diffusion=Coefficient.sine(amplitude=1.0, offset=2.0),
         horizon=1.0)
-    vspec = validate(spec, require_transform=True)
-    table = build_transform(vspec)
+    table = build_transform(spec)
     ys = np.linspace(table.domain[0] + 1e-9, table.domain[1] - 1e-9, 4001)
     rt = float(np.max(np.abs(inverse(table, forward(table, ys)) - ys)))
 
-    yspec = transformed_spec(vspec, table)
+    yspec = transformed_spec(table)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
     xb = simulate_batch(spec, grid, n_paths, seed)
     yb = simulate_batch(yspec, grid, n_paths, seed)
@@ -255,7 +254,7 @@ def lamperti_suite(seed: int = 20240805, n_paths: int = 100,
 
     fx = propagate_derivative_batch(xb, spec, grid, track_all_times=True)
     fy = transformed_field(table, xb, fx)
-    lift = lift_bound_check(fx, fy, vspec.sigma_inf)
+    lift = lift_bound_check(fx, fy, spec.sigma_inf)
 
     passed = (rt <= roundtrip_tol and path_err <= path_tol
               and lift.n_violations == 0)

@@ -98,7 +98,7 @@ def test_criterion_03_directional_derivative_consistency():
     h = np.ones(grid.n_steps)
     batch = simulate_batch(spec, grid, 100, seed=17)
     fields = propagate_derivative_batch(batch, spec, grid)
-    ips = inner_product(fields, h, grid.dt)
+    ips = inner_product(fields, h)
     rel = []
     for i, ip in enumerate(ips):
         # each path re-simulated from its own keyed stream, alone
@@ -231,7 +231,7 @@ def test_criterion_10_unit_diffusion_consistency():
     ys = np.linspace(lo + 0.05 * span, hi - 0.05 * span, 2000)
     assert float(np.max(np.abs(inverse(table, forward(table, ys)) - ys))) \
         <= 1e-8
-    yspec = transformed_spec(spec, table)
+    yspec = transformed_spec(table)
     xb = simulate_batch(spec, GRID, 1000, seed=20241010)
     yb = simulate_batch(yspec, GRID, 1000, seed=20241010)
     sup_diff = np.max(np.abs(forward(table, xb.x) - yb.x), axis=0)

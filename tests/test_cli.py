@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import perturbsde
 import perturbsde.cli as cli_mod
 import perturbsde.io as pio
+import perturbsde.model as model_mod
 import perturbsde.verify as verify_mod
 from perturbsde.bounds import floor_violations
 from perturbsde import (
@@ -28,8 +29,6 @@ from perturbsde import (
     regime_report,
     simulate_batch,
     transformed_spec,
-    validate,
-    ValidatedSpec,
 )
 from perturbsde.cli import (_chunk_paths, _chunks, _fold_counts, _pool_size,
                             _stream, main)
@@ -806,8 +805,7 @@ def test_transform_artifacts_revalidate(tmp_path, write_config):
     assert doc["problem"]["diffusion"]["preset"] == "const"
     assert doc["n_nodes"] == 4097
     assert 1.0 <= doc["sigma_inf"] <= 1.001
-    rebuilt = problem_from_json(doc["problem"])
-    validate(rebuilt)
+    problem_from_json(doc["problem"])  # building it validates it
 
 
 def test_transformed_spec_artifact_is_the_simulated_problem(
@@ -820,9 +818,8 @@ def test_transformed_spec_artifact_is_the_simulated_problem(
     grid = GridSpec(n_steps=200, horizon=problem.horizon)
     read_back = simulate_batch(problem_from_json(doc["problem"]), grid, 16,
                                seed=11)
-    direct = simulate_batch(
-        transformed_spec(problem, build_transform(problem)), grid, 16,
-        seed=11)
+    direct = simulate_batch(transformed_spec(build_transform(problem)), grid,
+                            16, seed=11)
     assert np.array_equal(read_back.x, direct.x)
 
 
@@ -832,7 +829,7 @@ def test_transformed_spec_problem_is_a_valid_config(tmp_path, repo_configs):
     problem = read_json(out / "transformed_spec.json")["problem"]
     assert "declared_bounds" not in problem["diffusion"]
     check_config({"problem": problem})
-    validate(problem_from_json(problem))
+    problem_from_json(problem)  # building it validates it
 
 
 def test_regime_with_tabulated_diffusion(tmp_path, write_config):
@@ -867,7 +864,7 @@ def test_regime_bound_of_the_transform_problem_is_the_table_sup(
     doc = read_json(out / "regime.json")
     problem = problem_from_json(config["problem"])
     table = build_transform(problem, n_nodes=config["transform"]["n_nodes"])
-    drift = transformed_spec(problem, table).drift
+    drift = transformed_spec(table).drift
     zs = np.linspace(*table.range, 10**6)
     assert doc["lb"] >= float(np.max(np.abs(drift(zs, 1))))
     # exact for the table, not for the tilde_b it interpolates
@@ -875,41 +872,48 @@ def test_regime_bound_of_the_transform_problem_is_the_table_sup(
     assert doc["rigorous"] is False
 
 
+def _count_validations(monkeypatch) -> list:
+    """Record every problem ``model.validate`` checks from now on."""
+    checked, validate = [], model_mod.validate
+
+    def counting(problem):
+        checked.append(problem)
+        return validate(problem)
+
+    monkeypatch.setattr(model_mod, "validate", counting)
+    return checked
+
+
 def test_transform_validates_the_problem_once(tmp_path, repo_configs,
                                             monkeypatch):
-    import perturbsde.lamperti as lamperti
-
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return validate(*args, **kwargs)
-
-    monkeypatch.setattr(lamperti, "validate", counting)
+    checked = _count_validations(monkeypatch)
     assert run("transform", repo_configs / "transform.json",
                tmp_path / "o") == 0
-    assert len(calls) == 1
+    # the config's problem, then the transformed one
+    assert len(checked) == 2
+    assert checked[1].drift.preset_id == "custom-tabulated"
+
+
+def test_transform_too_narrow_for_its_problem_writes_nothing(
+        tmp_path, write_config, repo_configs, capsys):
+    config = read_json(repo_configs / "transform.json")
+    cfg = write_config(dict(config, transform={"domain": [-3.0, 3.0]}))
+    out = tmp_path / "o"
+    assert run("transform", cfg, out) == 2
+    assert ("drift is not finite on the validation grid [-10, 10]; "
+            "its table covers [-2.34498, 1.14079]") in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_derivative_validates_the_problem_once_per_chunk(tmp_path,
                                                          write_config,
                                                          monkeypatch):
-    import perturbsde.integrate as integrate
-    import perturbsde.malliavin as malliavin
-
-    checked = []
-
-    def counting(spec, *args, **kwargs):
-        if not isinstance(spec, ValidatedSpec):
-            checked.append(spec)
-        return validate(spec, *args, **kwargs)
-
-    for module in (cli_mod, integrate, malliavin):
-        monkeypatch.setattr(module, "validate", counting)
+    checked = _count_validations(monkeypatch)
     _five_path_chunks(monkeypatch, "derivative", 32)
     cfg = write_config(simulate_config(n_paths=12))
     assert run("derivative", cfg, tmp_path / "o") == 0
-    assert len(checked) == len(_chunks(12, 5))
+    # once in the CLI process, once in each chunk's worker
+    assert len(checked) == 1 + len(_chunks(12, 5))
 
 
 # -- verification subcommand --------------------------------------------------

@@ -24,7 +24,6 @@ from perturbsde import (
     simulate_batch,
     simulate_increments,
     simulate_terminal,
-    validate,
 )
 from perturbsde import integrate
 from perturbsde.integrate import (_NOISE_PATHS, _NOISE_TILE, _generate_block,
@@ -723,10 +722,3 @@ def test_picard_input_validation(tanh_spec, grid_1000):
         picard_solve(tanh_spec, GridSpec(n_steps=10, horizon=1.0), db)
     with pytest.raises(GridMismatch):
         picard_solve(tanh_spec, grid_1000, db[:, 0])
-
-
-def test_validated_spec_passes_straight_through(tanh_spec, grid_1000):
-    vspec = validate(tanh_spec)
-    a = simulate_batch(vspec, grid_1000, 1, seed=3)
-    b = simulate_batch(tanh_spec, grid_1000, 1, seed=3)
-    np.testing.assert_array_equal(a.x, b.x)

@@ -32,7 +32,6 @@ from perturbsde import (
     transformed_drift_bound,
     transformed_field,
     transformed_spec,
-    validate,
 )
 from perturbsde.io import problem_from_json, problem_to_json
 
@@ -131,21 +130,21 @@ def test_transformed_drift_halves_the_angle():
     spec = make_spec(Coefficient.sine(), Coefficient.const(2.0))
     table = build_transform(spec)
     zs = np.linspace(-3.0, 3.0, 31)
-    drift = transformed_spec(spec, table).drift
+    drift = transformed_spec(table).drift
     np.testing.assert_allclose(drift(zs), np.sin(2.0 * zs) / 2.0, atol=1e-9)
 
 
 def test_driftless_problem_stays_driftless():
     spec = make_spec(Coefficient.const(0.0), Coefficient.const(3.0))
     table = build_transform(spec)
-    assert abs(transformed_spec(spec, table).drift(1.3)) <= 1e-14
+    assert abs(transformed_spec(table).drift(1.3)) <= 1e-14
 
 
 def test_transformed_drift_is_one_table():
     # the simulated drift, its slope and the regime bound share one table
     spec = make_spec(Coefficient.tanh(amplitude=0.1), SINE_SIGMA, alpha=0.1)
     table = build_transform(spec)
-    drift = transformed_spec(spec, table).drift
+    drift = transformed_spec(table).drift
     assert drift.preset_id == "custom-tabulated"
     np.testing.assert_array_equal(drift.params["nodes"], table.F_values)
     y = table.nodes
@@ -160,7 +159,7 @@ def test_transformed_drift_is_one_table():
 
 def test_transformed_spec_serializes():
     spec = make_spec(Coefficient.tanh(amplitude=0.1), SINE_SIGMA, alpha=0.1)
-    yspec = transformed_spec(spec)
+    yspec = transformed_spec(build_transform(spec))
     doc = problem_to_json(yspec)
     assert doc["drift"]["preset"] == "custom-tabulated"
     rebuilt = problem_from_json(doc)
@@ -172,17 +171,17 @@ def test_transformed_spec_serializes():
 def test_too_narrow_table_is_a_config_error():
     # the transformed problem's validation grid leaves the drift table
     spec = make_spec(Coefficient.tanh(amplitude=0.1), SINE_SIGMA)
-    yspec = transformed_spec(spec, build_transform(spec, domain=(-3.0, 3.0)))
+    table = build_transform(spec, domain=(-3.0, 3.0))
     with pytest.raises(ConfigError, match=r"drift is not finite on the "
                        r"validation grid \[-10, 10\]; its table covers"):
-        validate(yspec)
+        transformed_spec(table)
 
 
-def _dense_slope_max(spec, table) -> float:
+def _dense_slope_max(table) -> float:
     """The largest slope magnitude of the simulated drift table at 10^6
     points of its range."""
     zs = np.linspace(*table.range, 10**6)
-    return float(np.max(np.abs(transformed_spec(spec, table).drift(zs, 1))))
+    return float(np.max(np.abs(transformed_spec(table).drift(zs, 1))))
 
 
 def test_transformed_drift_bound_known_slope():
@@ -192,7 +191,7 @@ def test_transformed_drift_bound_known_slope():
     table = build_transform(spec)
     bound = transformed_drift_bound(table)
     assert bound == pytest.approx(1.0, abs=1e-6)
-    assert bound >= _dense_slope_max(spec, table)
+    assert bound >= _dense_slope_max(table)
 
 
 def test_transformed_drift_bound_stable_under_refinement():
@@ -201,7 +200,7 @@ def test_transformed_drift_bound_stable_under_refinement():
     for n_nodes in (4097, 8193):
         table = build_transform(spec, n_nodes=n_nodes)
         bounds.append(transformed_drift_bound(table))
-        assert bounds[-1] >= _dense_slope_max(spec, table)
+        assert bounds[-1] >= _dense_slope_max(table)
     coarse, fine = bounds
     assert abs(coarse - fine) <= 1e-3 * max(abs(fine), 1e-300)
 
@@ -211,7 +210,7 @@ def test_unit_diffusion_transform_is_a_shift():
     # drift b(. + x0)
     spec = make_spec(Coefficient.sine(amplitude=0.5), Coefficient.const(1.0),
                      x0=1.2, alpha=0.3)
-    yspec = transformed_spec(spec)
+    yspec = transformed_spec(build_transform(spec))
     assert yspec.x0 == pytest.approx(0.3 * 1.2, abs=1e-10)
     assert yspec.alpha == spec.alpha
     assert yspec.horizon == spec.horizon
@@ -227,7 +226,7 @@ def test_unit_diffusion_transform_is_a_shift():
 def test_unit_diffusion_paths_coincide_after_shift():
     spec = make_spec(Coefficient.sine(amplitude=0.5), Coefficient.const(1.0),
                      x0=1.2, alpha=0.3)
-    yspec = transformed_spec(spec)
+    yspec = transformed_spec(build_transform(spec))
     grid = GridSpec(n_steps=500, horizon=1.0)
     xb = simulate_batch(spec, grid, 4, seed=97)
     yb = simulate_batch(yspec, grid, 4, seed=97)
@@ -240,7 +239,7 @@ def test_unit_diffusion_paths_coincide_after_shift():
 def test_lift_is_tight_for_constant_diffusion():
     spec = make_spec(Coefficient.const(0.0), Coefficient.const(2.0),
                      alpha=0.3)
-    yspec = transformed_spec(spec)
+    yspec = transformed_spec(build_transform(spec))
     grid = GridSpec(n_steps=500, horizon=1.0)
     xb = simulate_batch(spec, grid, 50, seed=101)
     yb = simulate_batch(yspec, grid, 50, seed=101)
@@ -256,7 +255,7 @@ def test_lift_is_tight_for_constant_diffusion():
 
 def test_lift_holds_for_varying_diffusion():
     spec = make_spec(Coefficient.tanh(amplitude=0.1), SINE_SIGMA, alpha=0.1)
-    yspec = transformed_spec(spec)
+    yspec = transformed_spec(build_transform(spec))
     grid = GridSpec(n_steps=500, horizon=1.0)
     xb = simulate_batch(spec, grid, 30, seed=103)
     yb = simulate_batch(yspec, grid, 30, seed=103)
@@ -294,7 +293,7 @@ def test_transformed_field_matches_direct_propagation_when_exact():
     spec = make_spec(Coefficient.const(0.0), Coefficient.const(2.0),
                      alpha=0.3)
     table = build_transform(spec)
-    yspec = transformed_spec(spec, table)
+    yspec = transformed_spec(table)
     grid = GridSpec(n_steps=500, horizon=1.0)
     xb = simulate_batch(spec, grid, 20, seed=101)
     yb = simulate_batch(yspec, grid, 20, seed=101)
@@ -314,7 +313,7 @@ def test_lift_exact_along_mapped_trajectory():
     xb = simulate_batch(spec, grid, 200, seed=107)
     fx = propagate_derivative_batch(xb, spec, grid, track_all_times=True)
     fy = transformed_field(table, xb, fx)
-    report = lift_bound_check(fx, fy, inf_sigma=table.sigma_inf)
+    report = lift_bound_check(fx, fy, inf_sigma=table.problem.sigma_inf)
     assert report.n_violations == 0
     # deficit reduces to sigma_inf * F'(x_n) - 1, at worst the gap between
     # the tabulated infimum and a trough value, far below the slack

@@ -346,7 +346,7 @@ def test_directional_derivative_matches_field_pairing(driftless, grid_1000):
     fields = propagate_derivative_batch(batch, spec, grid_1000)
     tau = batch.final_argmax_idx() * grid_1000.dt
     fd = cameron_martin_fd(spec, grid_1000, batch.db, h, eps=1e-4)
-    ip = inner_product(fields, h, grid_1000.dt)
+    ip = inner_product(fields, h)
     np.testing.assert_allclose(ip, tau / 0.5 + (1.0 - tau), rtol=1e-10)
     assert float(np.median(np.abs(fd - ip))) <= 1e-9
 
@@ -360,7 +360,7 @@ def test_directional_derivative_with_smooth_drift():
     batch = simulate_batch(spec, grid, 20, seed=251)
     fields = propagate_derivative_batch(batch, spec, grid)
     fd = cameron_martin_fd(spec, grid, batch.db, h, eps=1e-4)
-    ip = inner_product(fields, h, grid.dt)
+    ip = inner_product(fields, h)
     rel = np.abs(fd - ip) / np.maximum(np.maximum(np.abs(fd), np.abs(ip)),
                                        1e-300)
     assert float(np.median(rel)) <= 1e-2
@@ -407,7 +407,7 @@ def test_directional_derivative_input_validation(tanh_spec, grid_1000):
         cameron_martin_fd(tanh_spec, grid_1000, batch.db, np.ones(5))
     fields = propagate_derivative_batch(batch, tanh_spec, grid_1000)
     with pytest.raises(GridMismatch):
-        inner_product(fields, np.ones(5), grid_1000.dt)
+        inner_product(fields, np.ones(5))
 
 
 def test_inner_product_rows_equal_one_path_batches(tanh_spec, grid_1000):
@@ -416,10 +416,10 @@ def test_inner_product_rows_equal_one_path_batches(tanh_spec, grid_1000):
     batch = simulate_batch(tanh_spec, grid_1000, 6, seed=263)
     fields = propagate_derivative_batch(batch, tanh_spec, grid_1000)
     h = np.sin(np.linspace(0.0, 5.0, grid_1000.n_steps))
-    ips = inner_product(fields, h, grid_1000.dt)
+    ips = inner_product(fields, h)
     assert ips.shape == (6,)
     for i in range(6):
         alone = propagate_derivative_batch(
             simulate_batch(tanh_spec, grid_1000, 1, seed=263, path_offset=i),
             tanh_spec, grid_1000)
-        assert inner_product(alone, h, grid_1000.dt)[0] == ips[i]
+        assert inner_product(alone, h)[0] == ips[i]

@@ -17,11 +17,9 @@ from perturbsde import (
     ProblemSpec,
     UnknownPreset,
     UnsupportedOrder,
-    ValidatedSpec,
     build_transform,
     simulate_batch,
     transformed_spec,
-    validate,
 )
 from perturbsde.io import problem_from_json
 from perturbsde.model import (
@@ -58,8 +56,9 @@ def _transform_json_drift() -> tuple[Coefficient, np.ndarray]:
     config = json.loads(path.read_text())
     problem = problem_from_json(config["problem"])
     table = build_transform(problem, n_nodes=config["transform"]["n_nodes"])
-    yspec = transformed_spec(problem, table)
-    return yspec.drift, validation_grid(yspec)
+    yspec = transformed_spec(table)
+    return yspec.drift, validation_grid(yspec.x0, yspec.horizon,
+                                        yspec.diffusion)
 
 
 # Every kind of coefficient the package builds, each with the points its
@@ -185,29 +184,31 @@ def test_spec_field_validation():
 
 
 def test_validate_trivial_problem(driftless):
-    vspec = validate(driftless(0.0))
-    assert vspec.drift_bounds.sup_d1 == 0.0
-    assert vspec.diffusion_bounds.sup_f == 1.0
-    assert vspec.sigma_inf == 1.0
-    assert vspec.sigma_sign_constant
-
-
-def test_validate_is_idempotent(tanh_spec):
-    vspec = validate(tanh_spec)
-    assert validate(vspec) is vspec
-    assert isinstance(vspec, ValidatedSpec)
-    # delegate properties read through to the underlying problem
-    assert vspec.alpha == tanh_spec.alpha
-    assert vspec.horizon == tanh_spec.horizon
+    spec = driftless(0.0)
+    assert spec.drift_bounds.sup_d1 == 0.0
+    assert spec.diffusion_bounds.sup_f == 1.0
+    assert spec.sigma_inf == 1.0
+    assert spec.sigma_sign_constant
 
 
 def test_validate_transform_requires_nonvanishing_sigma():
     from perturbsde import DegenerateDiffusion
+    # the problem itself is fine; only the transform needs sigma off zero
     spec = ProblemSpec(x0=0.0, alpha=0.0, drift=Coefficient.const(0.0),
                        diffusion=Coefficient.sine(), horizon=1.0)
-    validate(spec)  # fine without the transform requirement
-    with pytest.raises(DegenerateDiffusion):
-        validate(spec, require_transform=True)
+    assert not spec.sigma_sign_constant
+    with pytest.raises(DegenerateDiffusion, match="vanishes or changes sign"):
+        build_transform(spec)
+
+
+def test_table_narrower_than_the_validation_grid_is_refused():
+    nodes = np.linspace(-2.0, 3.0, 11)
+    drift = Coefficient.tabulated(nodes, np.sin(nodes))
+    with pytest.raises(ConfigError, match=r"drift is not finite on the "
+                       r"validation grid \[-10, 10\]; its table covers "
+                       r"\[-2, 3\]"):
+        ProblemSpec(x0=0.0, alpha=0.1, drift=drift,
+                    diffusion=Coefficient.const(1.0), horizon=1.0)
 
 
 # -- tabulated coefficients ---------------------------------------------------
@@ -231,14 +232,13 @@ def test_tabulated_is_finite_difference_consistent():
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     # central differences of the values on the validation grid, step 1e-4,
     # to 1e-6 of the larger of the values' and the slope's scale
-    grid, h = validation_grid(spec), 1e-4
+    grid, h = validation_grid(spec.x0, spec.horizon, spec.diffusion), 1e-4
     exact = tab(grid, 1)
     fd = (tab(grid + h, 0) - tab(grid - h, 0)) / (2.0 * h)
     scale = max(1.0, float(np.max(np.abs(exact))),
                 float(np.max(np.abs(tab(grid, 0)))))
     assert float(np.max(np.abs(fd - exact))) <= 1e-6 * scale
-    vspec = validate(spec)
-    assert vspec.drift_bounds.sup_d1 == pytest.approx(0.1, rel=1e-3)
+    assert spec.drift_bounds.sup_d1 == pytest.approx(0.1, rel=1e-3)
 
 
 def test_tabulated_has_no_second_derivative():
@@ -291,7 +291,8 @@ def test_tabulated_input_validation():
 
 
 def test_tabulated_equality():
-    nodes = np.linspace(0.0, 1.0, 6)
+    # the nodes cover the validation grid [-9.5, 10.5] of the specs below
+    nodes = np.linspace(-12.0, 12.0, 6)
     table = Coefficient.tabulated(nodes, nodes**2)
     assert table == Coefficient.tabulated(nodes, nodes**2)
     assert table != Coefficient.tabulated(nodes, nodes**2 + 1e-12)
@@ -305,6 +306,32 @@ def test_tabulated_equality():
 
     assert spec(table) == spec(Coefficient.tabulated(nodes, nodes**2))
     assert spec(table) != spec(Coefficient.tabulated(nodes, -nodes))
+
+
+def test_value_types_hash_with_equality():
+    nodes = np.linspace(-12.0, 12.0, 6)
+
+    def spec(drift, x0=0.5):
+        return ProblemSpec(x0=x0, alpha=0.1, drift=drift,
+                           diffusion=Coefficient.const(1.0), horizon=1.0)
+
+    cases = [
+        (Coefficient.tabulated(nodes, nodes**2),
+         Coefficient.tabulated(nodes, nodes**2),
+         Coefficient.tabulated(nodes, nodes**2 + 1e-12)),
+        (Coefficient.const(0.0), Coefficient.const(-0.0),
+         Coefficient.const(1.0)),
+        (spec(Coefficient.tabulated(nodes, nodes**2)),
+         spec(Coefficient.tabulated(nodes, nodes**2)),
+         spec(Coefficient.tabulated(nodes, nodes**2), x0=0.25)),
+        (GridSpec(10, 1.0), GridSpec(np.int64(10), 1), GridSpec(10, 2.0)),
+    ]
+    for value, equal, other in cases:
+        assert value == equal and hash(value) == hash(equal)
+        assert value != other
+        assert len({value, equal, other}) == 2
+        keyed = {value: "a", other: "b"}
+        assert keyed[equal] == "a" and keyed[other] == "b"
 
 
 # -- exact bounds -------------------------------------------------------------
@@ -381,12 +408,11 @@ def test_validate_takes_table_bounds_over_the_validation_interval():
     table = Coefficient.tabulated(nodes, 0.01 * nodes)
     spec = ProblemSpec(x0=0.0, alpha=0.1, drift=table,
                        diffusion=Coefficient.const(1.0), horizon=1.0)
-    vspec = validate(spec)
     # 0.4 over the whole table, 0.1 over the grid's [-10, 10]
-    assert vspec.grid_interval == (-10.0, 10.0)
-    assert vspec.drift_bounds == table.bounds(vspec.grid_interval)
-    assert vspec.drift_bounds.sup_f == pytest.approx(0.1, rel=1e-12)
-    assert vspec.drift_bounds.sup_d1 == pytest.approx(0.01, rel=1e-12)
+    assert spec.grid_interval == (-10.0, 10.0)
+    assert spec.drift_bounds == table.bounds(spec.grid_interval)
+    assert spec.drift_bounds.sup_f == pytest.approx(0.1, rel=1e-12)
+    assert spec.drift_bounds.sup_d1 == pytest.approx(0.01, rel=1e-12)
 
 
 def test_validate_evaluates_each_value_once_and_no_slope():
@@ -401,9 +427,10 @@ def test_validate_evaluates_each_value_once_and_no_slope():
 
     drift = Coefficient("tanh", {}, _value=value, _d1=slope,
                         _bounds=EffectiveBounds(1.0, 1.0))
+    # building the problem validates it
     spec = ProblemSpec(x0=0.0, alpha=0.0, drift=drift,
                        diffusion=Coefficient.const(1.0), horizon=1.0)
-    assert validate(spec).drift_bounds == EffectiveBounds(1.0, 1.0)
+    assert spec.drift_bounds == EffectiveBounds(1.0, 1.0)
     assert calls == [(VALIDATION_GRID_SIZE,)]
 
 
@@ -412,19 +439,16 @@ def test_validation_grid_scale_of_an_affine_diffusion():
     spec = ProblemSpec(x0=0.0, alpha=0.0, drift=Coefficient.const(0.0),
                        diffusion=Coefficient.linear(slope=0.1, intercept=1.0),
                        horizon=1.0)
-    grid = validation_grid(spec)
-    assert (grid[0], grid[-1]) == (-20.0, 20.0)
+    assert spec.grid_interval == (-20.0, 20.0)
 
 
 def test_validation_grid_scale_of_a_table_diffusion_is_its_exact_sup():
     nodes = np.array([-4.0, -2.0, 0.0, 2.0, 4.0])
     diffusion = Coefficient.tabulated(nodes, [1.0, 1.2, 1.0, 1.2, 1.0])
-    spec = ProblemSpec(x0=0.0, alpha=0.0, drift=Coefficient.const(0.0),
-                       diffusion=diffusion, horizon=1.0)
     # the sweep [-10, 10] clipped to the table's nodes
     sigma_bar = diffusion.bounds((-4.0, 4.0)).sup_f
     assert sigma_bar > 1.2
-    assert validation_grid(spec)[-1] == 10.0 * sigma_bar
+    assert validation_grid(0.0, 1.0, diffusion)[-1] == 10.0 * sigma_bar
 
 
 # -- grids and path state -----------------------------------------------------

@@ -92,6 +92,9 @@ def test_benchmark_tracer_names_resolve():
         json.dumps(tracer.counts)
         iterations = tracer.counts["integrate.picard_solve.iterations"]
         assert type(iterations) is int and iterations > 0, iterations
+        # the suite builds one problem, so model.validate.calls reads 1
+        validations = [s for s in tracer.spans if s[0] == "model.validate"]
+        assert len(validations) == 1, len(validations)
     """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
