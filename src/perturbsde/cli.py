@@ -34,7 +34,6 @@ import os
 import sys
 from collections import deque
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from itertools import islice
 from pathlib import Path
 from typing import Any
@@ -192,6 +191,9 @@ def _stream(worker, common: tuple, chunks: list[tuple[int, int]],
         for offset, count in chunks:
             yield offset, worker(*common, count, offset)
         return
+    # imported here: it loads multiprocessing, which one process never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         def submit(offset, count):
             return offset, pool.submit(worker, *common, count, offset)

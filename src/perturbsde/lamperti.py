@@ -72,10 +72,11 @@ INVERSE_TOL = 1e-10
 DOMAIN_HALFWIDTH_STDS = 12.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformTable:
     """Tabulated primitive ``F`` of ``1/sigma`` for ``problem``, with exact
-    node slopes."""
+    node slopes.  Tables compare and hash by identity, since the generated
+    field-wise ``==`` cannot compare arrays."""
 
     nodes: np.ndarray
     F_values: np.ndarray

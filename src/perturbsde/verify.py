@@ -7,6 +7,14 @@ derivative-norm floors, and the change-of-variables consistency.  Suites
 return a :class:`SuiteResult` rather than raising, so a runner can
 aggregate them into one report; the CLI turns any failure into a nonzero
 exit.
+
+A suite that simulates several problems on one seed, path range and grid
+draws the keyed block once: the ``alpha`` sweeps of
+:func:`additive_identity_suite` and :func:`malliavin_closed_form_suite`,
+and the original and transformed problems of :func:`lamperti_suite`.  The
+first problem is simulated by ``simulate_batch``; the others rerun its
+increments through ``simulate_increments``, which gives them bitwise the
+batches a fresh draw would.
 """
 
 from __future__ import annotations
@@ -18,7 +26,12 @@ import numpy as np
 
 from .bounds import floor_violations, regime_report, theta
 from .density import oracle_driftless
-from .integrate import explicit_additive_path, picard_solve, simulate_batch
+from .integrate import (
+    explicit_additive_path,
+    picard_solve,
+    simulate_batch,
+    simulate_increments,
+)
 from .lamperti import (
     build_transform,
     forward,
@@ -70,6 +83,23 @@ def _tanh_spec(alpha: float = 0.1) -> ProblemSpec:
                        diffusion=Coefficient.const(1.0), horizon=1.0)
 
 
+def _lamperti_spec() -> ProblemSpec:
+    return ProblemSpec(x0=0.0, alpha=0.1,
+                       drift=Coefficient.tanh(amplitude=0.1, scale=1.0),
+                       diffusion=Coefficient.sine(amplitude=1.0, offset=2.0),
+                       horizon=1.0)
+
+
+def _keyed_batch(spec: ProblemSpec, grid: GridSpec, n_paths: int,
+                 seed: int, db: np.ndarray | None):
+    """``simulate_batch(spec, grid, n_paths, seed)``.  A ``db`` holding
+    that keyed block, already drawn, is rerun through
+    ``simulate_increments`` instead, with bitwise the same batch."""
+    if db is None:
+        return simulate_batch(spec, grid, n_paths, seed)
+    return simulate_increments(spec, grid, db, seed=seed)
+
+
 def additive_identity_suite(seed: int = 20240801, n_paths: int = 100,
                             n_steps: int = 1000,
                             alphas=(-1.0, 0.0, 0.3, 0.9),
@@ -79,10 +109,12 @@ def additive_identity_suite(seed: int = 20240801, n_paths: int = 100,
     noise."""
     worst = 0.0
     per_alpha: dict[str, float] = {}
+    db = None
     for alpha in alphas:
         spec = _driftless_spec(alpha)
         grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
-        direct = simulate_batch(spec, grid, n_paths, seed)
+        direct = _keyed_batch(spec, grid, n_paths, seed, db)
+        db = direct.db
         closed = explicit_additive_path(spec.x0, alpha, 1.0, direct.db)
         err = float(np.max(np.abs(direct.x - closed)))
         per_alpha[str(alpha)] = err
@@ -100,14 +132,17 @@ def malliavin_closed_form_suite(seed: int = 20240802, n_paths: int = 1000,
     ``||DX_T||^2 = tau/(1-a)^2 + (T - tau)`` with ``tau`` the argmax time."""
     worst = 0.0
     per_alpha: dict[str, float] = {}
+    db = None
     for alpha in alphas:
         spec = _driftless_spec(alpha)
         grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
-        batch = simulate_batch(spec, grid, n_paths, seed)
+        batch = _keyed_batch(spec, grid, n_paths, seed, db)
+        db = batch.db
         fields = propagate_derivative_batch(batch, spec, grid)
         tau = batch.final_argmax_idx() * grid.dt
         expected = tau / (1.0 - alpha) ** 2 + (spec.horizon - tau)
         err = float(np.max(np.abs(fields.h_norm_sq_final - expected)))
+        del batch, fields   # one batch at a time: free it before the next
         per_alpha[str(alpha)] = err
         worst = max(worst, err)
     return SuiteResult("malliavin_closed_form", worst <= tol, worst, tol,
@@ -185,9 +220,10 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
     sup_viol = floors["n_sup_violations"]
     final_viol = floors.get("n_final_violations", 0)
 
+    # the int64 draws are kept as int32: the same values in half the bytes
     rng = np.random.default_rng(seed)
-    i1 = rng.integers(1, n_steps + 1, size=(n_paths, n_pairs))
-    i2 = rng.integers(1, n_steps + 1, size=(n_paths, n_pairs))
+    i1 = rng.integers(1, n_steps + 1, size=(n_paths, n_pairs)).astype(np.int32)
+    i2 = rng.integers(1, n_steps + 1, size=(n_paths, n_pairs)).astype(np.int32)
     gap_theta = theta(np.arange(n_steps + 1) * dt, alpha, lb)
     # Blocks of paths keep the float temporaries at (block, n_pairs).
     diff_viol = plain_viol = 0
@@ -236,11 +272,7 @@ def lamperti_suite(seed: int = 20240805, n_paths: int = 100,
     here because its derivative slots differ by the same O(sqrt(dt))
     scheme gap, which would overwhelm the O(dt) slack.
     """
-    spec = ProblemSpec(
-        x0=0.0, alpha=0.1,
-        drift=Coefficient.tanh(amplitude=0.1, scale=1.0),
-        diffusion=Coefficient.sine(amplitude=1.0, offset=2.0),
-        horizon=1.0)
+    spec = _lamperti_spec()
     table = build_transform(spec)
     ys = np.linspace(table.domain[0] + 1e-9, table.domain[1] - 1e-9, 4001)
     rt = float(np.max(np.abs(inverse(table, forward(table, ys)) - ys)))
@@ -248,7 +280,7 @@ def lamperti_suite(seed: int = 20240805, n_paths: int = 100,
     yspec = transformed_spec(table)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
     xb = simulate_batch(spec, grid, n_paths, seed)
-    yb = simulate_batch(yspec, grid, n_paths, seed)
+    yb = simulate_increments(yspec, grid, xb.db, seed=seed)
     sups = np.max(np.abs(forward(table, xb.x) - yb.x), axis=0)
     path_err = float(np.median(sups))
 

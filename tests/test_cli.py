@@ -1,13 +1,16 @@
 """Command-line interface: artifacts, determinism, exit codes, and the
 metadata contract."""
 
+import concurrent.futures
 import hashlib
 import importlib
 import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
-from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -730,7 +733,7 @@ class _StubPool:
 
     def submit(self, fn, *args):
         self.submitted += 1
-        future = Future()
+        future = concurrent.futures.Future()
         future.set_result(fn(*args))
         return future
 
@@ -740,7 +743,7 @@ def _echo_worker(tag, n_paths, path_offset):
 
 
 def test_pool_results_in_flight_are_bounded(monkeypatch):
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _StubPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StubPool)
     monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 3)
     chunks = _chunks(20, 2)
     results = []
@@ -752,6 +755,23 @@ def test_pool_results_in_flight_are_bounded(monkeypatch):
         assert pool.submitted - taken <= pool.max_workers + 1
         results.append(result)
     assert results == [(off, ("c", off, n)) for off, n in chunks]
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported where it is started, so one-process runs never
+    # load concurrent.futures or multiprocessing
+    code = ("import sys, perturbsde.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', "
+            "'multiprocessing')))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(perturbsde.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_floor_counts_add_up_over_chunks():

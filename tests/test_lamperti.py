@@ -67,6 +67,14 @@ def test_forward_reproduces_the_table_at_the_nodes():
     assert np.array_equal(lamperti._F(table, table.nodes, 1), one_over_sigma)
 
 
+def test_tables_compare_and_hash_by_identity():
+    spec = make_spec(Coefficient.const(0.0), SINE_SIGMA)
+    a, b = build_transform(spec), build_transform(spec)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert {a: 1, b: 2}[b] == 2
+
+
 def test_quadrature_matches_adaptive_reference():
     spec = make_spec(Coefficient.const(0.0), SINE_SIGMA)
     table = build_transform(spec, n_nodes=8193, domain=(-6.0, 6.0))

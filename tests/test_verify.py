@@ -1,15 +1,26 @@
 """The shipped self-check suites must all pass on their default seeds."""
 
+import inspect
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from perturbsde import ALL_SUITES, run_suites
-from perturbsde.verify import density_oracle_suite
+from perturbsde import ALL_SUITES, GridSpec, run_suites, simulate_batch
+from perturbsde import integrate, verify
+from perturbsde.integrate import simulate_increments
+from perturbsde.lamperti import build_transform, transformed_spec
+from perturbsde.verify import (
+    additive_identity_suite,
+    density_oracle_suite,
+    lamperti_suite,
+    malliavin_closed_form_suite,
+)
 
 
 EXPECTED = ["additive_identity", "malliavin_closed_form", "cameron_martin",
@@ -71,6 +82,70 @@ def test_density_oracle_passes_at_defaults_on_former_failing_seeds(seed):
     result = density_oracle_suite(seed=seed)
     assert result.passed, f"worst={result.worst} details={result.details}"
     assert result.tolerance == 5e-3
+
+
+def _assert_same_batch(a, b):
+    for name in ("x", "new_max", "db"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_shared_block_gives_the_fresh_draws_batches():
+    # every problem a suite reruns on its first keyed block is bitwise the
+    # batch simulate_batch draws for it afresh
+    n_paths, n_steps = 30, 200
+    grid = GridSpec(n_steps=n_steps, horizon=1.0)
+    for suite in (additive_identity_suite, malliavin_closed_form_suite):
+        params = inspect.signature(suite).parameters
+        seed, alphas = params["seed"].default, params["alphas"].default
+        first = simulate_batch(verify._driftless_spec(alphas[0]), grid,
+                               n_paths, seed)
+        for alpha in alphas:
+            spec = verify._driftless_spec(alpha)
+            _assert_same_batch(
+                verify._keyed_batch(spec, grid, n_paths, seed, first.db),
+                simulate_batch(spec, grid, n_paths, seed))
+
+    seed = inspect.signature(lamperti_suite).parameters["seed"].default
+    spec = verify._lamperti_spec()
+    yspec = transformed_spec(build_transform(spec))
+    xb = simulate_batch(spec, grid, n_paths, seed)
+    _assert_same_batch(simulate_increments(yspec, grid, xb.db, seed=seed),
+                       simulate_batch(yspec, grid, n_paths, seed))
+
+
+def test_suites_draw_their_keyed_block_once(monkeypatch):
+    draws = []
+    generate = integrate._generate_block
+
+    def counting(*args):
+        draws.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(integrate, "_generate_block", counting)
+    for suite in (additive_identity_suite, malliavin_closed_form_suite,
+                  lamperti_suite):
+        draws.clear()
+        suite(n_paths=5, n_steps=50)
+        assert len(draws) == 1, (suite.__name__, len(draws))
+
+
+def test_closed_form_suite_holds_one_batch_at_a_time():
+    # one block of increments plus one batch's values and flags, with half
+    # a batch of room for temporaries (about 0.13 of it is used); the loop
+    # that held two batches at once peaked at one block plus three batches
+    n_paths, n_steps = 400, 500
+    db_bytes = 8 * n_steps * n_paths
+    batch_bytes = 9 * (n_steps + 1) * n_paths
+    malliavin_closed_form_suite(n_paths=5, n_steps=10)   # warm imports
+    tracemalloc.start()
+    try:
+        result = malliavin_closed_form_suite(n_paths=n_paths,
+                                             n_steps=n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < db_bytes + 1.5 * batch_bytes, peak
 
 
 _ROOT = Path(__file__).resolve().parent.parent
