@@ -102,7 +102,7 @@ def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
     grid = io.grid_from_json(grid_json)
     batch = simulate_batch(spec, grid, n_paths, seed, path_offset)
     x, argmax = batch.x, batch.final_argmax_idx()
-    del batch          # frees the increments and flags before the maximum
+    del batch          # frees the flags before the maximum
     running_max = np.maximum.accumulate(x, axis=0)
     part = (x[-1].copy(), running_max[-1].copy(), argmax)
     return part, (x.T, running_max.T)
@@ -141,9 +141,13 @@ _CHUNK_BYTES = 8 * 2**20
 # 1000 steps for ``derivative``, 2500 for ``simulate``) a chunk holds more
 # than the budget, in proportion to ``n_steps`` but never to ``n_paths``.
 _MIN_CHUNK_PATHS = 200
-# Bytes per path and grid time a chunk holds: the values and increments
-# (8 each) and the new-maximum flags (1), plus, for ``derivative``, the
-# by-time norm curve and the two slot arrays (8 each).
+# Bytes per path and grid time a chunk is budgeted: the values (8), the
+# new-maximum flags (1) and an increment block (8), plus, for
+# ``derivative``, the by-time norm curve and the two slot arrays (8 each).
+# A keyed batch draws its increments into its values and stores none, so
+# a ``simulate`` chunk holds at most 16 of its 17 (the values, then the
+# running maximum) and a ``derivative`` chunk 33 of its 41; the budgets
+# keep the sizes, and so the chunk counts, they were set for.
 _SIMULATE_BYTES = 17
 _DERIVATIVE_BYTES = 41
 

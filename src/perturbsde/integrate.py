@@ -22,21 +22,27 @@ possible at the command line.  Coefficients enter through
 constant one is a float the step multiplies by, not an array it builds.
 
 Memory: a recorded :class:`PathBatch` of ``P`` paths over ``n`` steps
-holds ``9 (n+1) P`` bytes beyond its increment block (float values plus
-bool new-maximum flags).  The running maximum is derived from the values
-when asked for, and the step loop itself allocates only ``(P,)``
-vectors.  Without recording, a run returns the ``(P,)`` terminal values
-and nothing else.  :func:`simulate_terminal` holds one time window of
-increments, ``_TERMINAL_WINDOW_STEPS`` steps of ``_TERMINAL_CHUNK_PATHS``
-paths (16 MiB), whatever the step and path counts: each path's keyed
-stream pauses at the end of a window and resumes at the start of the
-next, and the step loop carries its state from one window to the next.
+holds ``9 (n+1) P`` bytes (float values plus bool new-maximum flags); one
+of :func:`simulate_increments` also keeps the caller's increment block.
+:func:`simulate_batch` draws its keyed block into rows ``1..n`` of the
+value array and integrates it in place, so a keyed batch stores no
+increments: a counter-based stream is a pure function of its key, and
+``PathBatch.db`` redraws the block bitwise on first read.  The running
+maximum is derived from the values when asked for, and the step loop
+itself allocates only ``(P,)`` vectors.  Without recording, a run returns
+the ``(P,)`` terminal values and nothing else.  :func:`simulate_terminal`
+holds one time window of increments, ``_TERMINAL_WINDOW_STEPS`` steps of
+``_TERMINAL_CHUNK_PATHS`` paths (16 MiB), whatever the step and path
+counts: each path's keyed stream pauses at the end of a window and
+resumes at the start of the next, and the step loop carries its state
+from one window to the next.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -172,6 +178,14 @@ def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
     # return: the other order left the allocator holding about 1.4 MB more
     # on the benchmark's 1000-step derivative chunks
     out = np.empty(n_steps * n_paths)
+    return _draw_block(seed, path_offset, n_paths, n_steps, dt, out)
+
+
+def _draw_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
+                dt: float, out: np.ndarray) -> np.ndarray:
+    """Draw the keyed block of :func:`_generate_block` into the flat
+    buffer ``out``, ``n_steps * n_paths`` long, and return its time-major
+    ``(n_steps, n_paths)`` view."""
     noise = _KeyedNoise(seed, n_paths, n_steps, dt, n_steps)
     _check_paths(path_offset, n_paths)
     (block,) = noise.windows(path_offset, n_paths, out)
@@ -182,13 +196,17 @@ def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
 
 
 def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
-                record: bool, path_offset: int):
+                path_offset: int, record=None):
     """Advance ``n_paths`` columns through the left-frozen scheme, driven
     by ``tiles``: time-major ``(w, n_paths)`` increment arrays taken in
-    time order, the state carried from one to the next.  With ``record``
-    ``tiles`` holds one block of all steps, and the time-major path values
-    and new-maximum flags are returned; otherwise the terminal values.  A
-    non-finite state is reported for path ``path_offset + column``.
+    time order, the state carried from one to the next.  Without
+    ``record`` the terminal values are returned.  With it, a pair of
+    time-major ``(n+1, n_paths)`` arrays of :func:`_recorded_arrays`, the
+    path values and new-maximum flags are written into them, and ``tiles``
+    may be the one view ``record[0][1:]`` holding the increments: step
+    ``k`` reads ``db_k`` from row ``k+1`` before it writes ``x_{k+1}``
+    there.  A non-finite state is reported for path ``path_offset +
+    column``.
 
     Every step writes into buffers allocated before the loop: with
     ``record`` the state and flags go straight into their rows of the
@@ -201,9 +219,7 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
     b, s = spec.drift.evaluator(0), spec.diffusion.evaluator(0)
 
     if record:
-        (db_tm,) = tiles
-        x_tm = np.empty((db_tm.shape[0] + 1, P))
-        new_tm = np.zeros((db_tm.shape[0] + 1, P), dtype=bool)
+        x_tm, new_tm = record
         x = x_tm[0]
         x[:] = spec.x0 / one_minus
     else:
@@ -247,11 +263,11 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
         finite = np.isfinite(x_tm)
         if not finite.all():
             kk, pp = np.argwhere(~finite)[0]
-            pp += path_offset
+            pp = path_offset + int(pp)    # a Python int: offsets reach 2**64
             raise NonFinite(
                 f"non-finite state at step {kk} of path {pp}",
-                step=int(kk), path_index=int(pp))
-        return x_tm, new_tm
+                step=int(kk), path_index=pp)
+        return None
     bad = ~(np.isfinite(x) & np.isfinite(M))
     if bad.any():
         pp = path_offset + int(np.argwhere(bad)[0][0])
@@ -277,7 +293,7 @@ def max_bookkeeping(x: np.ndarray) -> np.ndarray:
     return new
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PathBatch:
     """A block of simulated paths stored time-major.
 
@@ -286,20 +302,44 @@ class PathBatch:
     contiguous memory.  Column ``i`` is path ``path_offset + i``; a single
     path is a batch of one column.
 
-    A batch holds three arrays: the values ``x`` (float, ``(n+1, P)``), the
-    new-maximum flags ``new_max`` (bool, ``(n+1, P)``) and the increments
-    ``db`` (float, ``(n, P)``).  The running maximum is derived from them
-    on request as a fresh ``(n+1, P)`` array, the terminal argmax index as
-    a ``(P,)`` one.  The flags are kept because a tie
-    ``x[k] == max(x[:k])`` may set a new maximum in the engine, so they do
-    not follow from ``x``.
+    A batch holds two arrays: the values ``x`` (float, ``(n+1, P)``) and
+    the new-maximum flags ``new_max`` (bool, ``(n+1, P)``).  The running
+    maximum is derived from them on request as a fresh ``(n+1, P)`` array,
+    the terminal argmax index as a ``(P,)`` one.  The flags are kept
+    because a tie ``x[k] == max(x[:k])`` may set a new maximum in the
+    engine, so they do not follow from ``x``.
+
+    The increments ``db`` (float, ``(n, P)``) are the block passed in, if
+    any.  A keyed batch, built with its ``seed``, ``path_offset`` and grid
+    step ``dt`` and no block, stores none: the first read of ``db`` redraws
+    the block of :func:`_generate_block`, bitwise the one it was simulated
+    on, and keeps it.  ``n_steps`` comes from ``x`` and never redraws.
+    Batches compare and hash by identity.
     """
 
     x: np.ndarray          # (n_steps+1, n_paths)
     new_max: np.ndarray    # bool, new_max[k] = path set a new maximum at k
-    db: np.ndarray         # (n_steps, n_paths)
-    seed: int | None = None
-    path_offset: int = 0
+    seed: int | None
+    path_offset: int
+    dt: float | None
+
+    def __init__(self, x: np.ndarray, new_max: np.ndarray,
+                 db: np.ndarray | None = None, seed: int | None = None,
+                 path_offset: int = 0, dt: float | None = None):
+        if db is None and (seed is None or dt is None):
+            raise TypeError("PathBatch needs db, or the seed and dt that "
+                            "redraw it")
+        for name, value in (("x", x), ("new_max", new_max), ("seed", seed),
+                            ("path_offset", path_offset), ("dt", dt)):
+            object.__setattr__(self, name, value)
+        if db is not None:
+            object.__setattr__(self, "db", db)   # what the property returns
+
+    @cached_property
+    def db(self) -> np.ndarray:
+        """Time-major ``(n_steps, n_paths)`` increments."""
+        return _generate_block(self.seed, self.path_offset, self.n_paths,
+                               self.n_steps, self.dt)
 
     @property
     def n_paths(self) -> int:
@@ -307,7 +347,7 @@ class PathBatch:
 
     @property
     def n_steps(self) -> int:
-        return self.db.shape[0]
+        return self.x.shape[0] - 1
 
     @property
     def running_max(self) -> np.ndarray:
@@ -357,12 +397,18 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
     """
     db_tm = _increment_block(db, grid)
     P = db_tm.shape[1]
-    if record:
-        x_tm, new_tm = _euler_core(spec, grid.dt, [db_tm], P, True,
-                                   path_offset)
-        return PathBatch(x=x_tm, new_max=new_tm, db=db_tm, seed=seed,
-                         path_offset=path_offset)
-    return _euler_core(spec, grid.dt, [db_tm], P, False, path_offset)
+    if not record:
+        return _euler_core(spec, grid.dt, [db_tm], P, path_offset)
+    x_tm, new_tm = _recorded_arrays(grid, P)
+    _euler_core(spec, grid.dt, [db_tm], P, path_offset, (x_tm, new_tm))
+    return PathBatch(x=x_tm, new_max=new_tm, db=db_tm, seed=seed,
+                     path_offset=path_offset, dt=grid.dt)
+
+
+def _recorded_arrays(grid: GridSpec, n_paths: int):
+    """Empty time-major values and cleared flags of a recorded batch."""
+    shape = (grid.n_steps + 1, n_paths)
+    return np.empty(shape), np.zeros(shape, dtype=bool)
 
 
 # No package code calls this: the benchmark's tracer wraps it by name
@@ -376,12 +422,23 @@ def euler_path(spec, grid: GridSpec, db: np.ndarray) -> PathBatch:
 
 def simulate_batch(spec, grid: GridSpec, n_paths: int, seed: int,
                    path_offset: int = 0) -> PathBatch:
-    """Simulate ``n_paths`` keyed paths and keep full trajectories."""
+    """Simulate ``n_paths`` keyed paths and keep full trajectories.
+
+    The keyed block is drawn into rows ``1..n`` of the value array and
+    integrated in place, each step overwriting the increments it consumed,
+    so the result is bitwise :func:`simulate_increments` on
+    ``_generate_block(seed, path_offset, n_paths, n_steps, dt)`` but holds
+    no block: its ``db`` redraws one on first read.
+    """
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
-    db_tm = _generate_block(seed, path_offset, n_paths, grid.n_steps, grid.dt)
-    return simulate_increments(spec, grid, db_tm, seed=seed,
-                               path_offset=path_offset)
+    x_tm, new_tm = _recorded_arrays(grid, n_paths)
+    _draw_block(seed, path_offset, n_paths, grid.n_steps, grid.dt,
+                x_tm[1:].reshape(-1))
+    _euler_core(spec, grid.dt, [x_tm[1:]], n_paths, path_offset,
+                (x_tm, new_tm))
+    return PathBatch(x=x_tm, new_max=new_tm, seed=seed,
+                     path_offset=path_offset, dt=grid.dt)
 
 
 def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
@@ -408,7 +465,7 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
         count = min(width, n_paths - lo)
         x_final[lo:lo + count] = _euler_core(
             spec, grid.dt, noise.windows(path_offset + lo, count, window),
-            count, False, path_offset + lo)
+            count, path_offset + lo)
     return x_final
 
 
@@ -464,7 +521,7 @@ def explicit_additive_path(x0: float, alpha: float, sigma_const: float,
 # -- Picard iteration ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PicardResult:
     """Outcome of :func:`picard_solve` for a block of ``P`` paths.
 
@@ -475,7 +532,8 @@ class PicardResult:
     sweep count.  A column that misses the tolerance within the iteration
     budget still returns its best iterate, with ``converged[p] = False``
     rather than an error; callers that need a hard failure can check the
-    flags.
+    flags.  Results compare and hash by identity, since the generated
+    field-wise ``==`` cannot compare arrays.
     """
 
     paths: PathBatch

@@ -63,7 +63,7 @@ __all__ = [
     "inner_product",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivativeFieldBatch:
     """Noise derivatives of a batch of paths at their final time.
 
@@ -79,7 +79,9 @@ class DerivativeFieldBatch:
     The slot arrays are computed on the first read of ``d_x`` or ``d_m``
     by ``_slots``, which returns both; later reads return the same
     arrays.  The field holds the batch it was propagated along, whose
-    arrays must not be modified before that first read.
+    arrays must not be modified before that first read.  Fields compare
+    and hash by identity, since the generated field-wise ``==`` cannot
+    compare arrays.
     """
 
     h_norm_sq_final: np.ndarray
@@ -116,12 +118,13 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
     """
     if batch.n_steps != grid.n_steps:
         raise GridMismatch("batch/grid step mismatch")
-    x_tm, db_tm, new_tm, dt = batch.x, batch.db, batch.new_max, grid.dt
+    x_tm, new_tm, dt = batch.x, batch.new_max, grid.dt
     n1, P = x_tm.shape
     n = n1 - 1
     alpha = spec.alpha
     one_minus = 1.0 - alpha
-    s0, step_factor = spec.diffusion.evaluator(0), _step_factor(spec, dt)
+    s0 = spec.diffusion.evaluator(0)
+    step_factor = _step_factor(spec, batch, dt)
 
     # forward sweep: the norm curve from three per-path sums; only the
     # paths that set a new maximum at a step change S, and reset Y and G
@@ -133,7 +136,7 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
     h = np.empty(P)
     for k in range(n):
         xk = x_tm[k]
-        a = step_factor(xk, db_tm[k])
+        a = step_factor(xk, k)
         G *= a
         Y *= a * a
         idx = np.flatnonzero(new_tm[k + 1])
@@ -158,14 +161,17 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
         h_norm_sq_by_time=by_time)
 
 
-def _step_factor(spec, dt: float):
-    """``(x_k, db_k) -> a_k = 1 + b'(x_k) dt + sigma'(x_k) db_k``.  A
-    constant diffusion has ``sigma' = 0.0``, whose term adds a signed zero
-    and so leaves ``a_k`` bitwise unchanged: it is not formed."""
+def _step_factor(spec, batch: PathBatch, dt: float):
+    """``(x_k, k) -> a_k = 1 + b'(x_k) dt + sigma'(x_k) db_k`` along
+    ``batch``.  A constant diffusion has ``sigma' = 0.0``, whose term adds
+    a signed zero and so leaves ``a_k`` bitwise unchanged: it is not
+    formed, and the batch's increments are not read, so a keyed batch
+    never redraws them."""
     b1, s1 = spec.drift.evaluator(1), spec.diffusion.evaluator(1)
     if spec.diffusion.constant_value is not None:
-        return lambda xk, dbk: 1.0 + b1(xk) * dt
-    return lambda xk, dbk: 1.0 + (b1(xk) * dt + s1(xk) * dbk)
+        return lambda xk, k: 1.0 + b1(xk) * dt
+    db_tm = batch.db
+    return lambda xk, k: 1.0 + (b1(xk) * dt + s1(xk) * db_tm[k])
 
 
 def _backward_sweep(batch: PathBatch, spec, dt: float,
@@ -177,12 +183,13 @@ def _backward_sweep(batch: PathBatch, spec, dt: float,
     (or the end) and M the product of mu over the maxima after j.  At a
     maximum k, R is the forward G at j, so mu_j needs no storage.
     """
-    x_tm, db_tm, new_tm = batch.x, batch.db, batch.new_max
+    x_tm, new_tm = batch.x, batch.new_max
     n1, P = x_tm.shape
     n = n1 - 1
     alpha = spec.alpha
     one_minus = 1.0 - alpha
-    s0, step_factor = spec.diffusion.evaluator(0), _step_factor(spec, dt)
+    s0 = spec.diffusion.evaluator(0)
+    step_factor = _step_factor(spec, batch, dt)
     d_x = np.empty((P, n))
     d_m = np.empty((P, n))
     R = np.ones(P)
@@ -196,7 +203,7 @@ def _backward_sweep(batch: PathBatch, spec, dt: float,
         m = sk / one_minus * np.where(new, M, np.where(later, R * M, 0.0))
         d_m[:, k] = m
         d_x[:, k] = np.where(new | later, m * G, sk * R)
-        a = step_factor(xk, db_tm[k])
+        a = step_factor(xk, k)
         R = np.where(new, a, R * a)
         later |= new
     return d_x, d_m

@@ -8,13 +8,16 @@ return a :class:`SuiteResult` rather than raising, so a runner can
 aggregate them into one report; the CLI turns any failure into a nonzero
 exit.
 
-A suite that simulates several problems on one seed, path range and grid
-draws the keyed block once: the ``alpha`` sweeps of
+A suite that reads its increments draws its keyed block once, with
+``integrate._generate_block``, and runs each of its problems through
+``simulate_increments`` on that block, which gives it bitwise the batch
+``simulate_batch`` would: the ``alpha`` sweeps of
 :func:`additive_identity_suite` and :func:`malliavin_closed_form_suite`,
-and the original and transformed problems of :func:`lamperti_suite`.  The
-first problem is simulated by ``simulate_batch``; the others rerun its
-increments through ``simulate_increments``, which gives them bitwise the
-batches a fresh draw would.
+the original and transformed problems of :func:`lamperti_suite`, and the
+finite differences and Picard iteration of :func:`cameron_martin_suite`
+and :func:`picard_suite`.  A keyed batch stores no block and would redraw
+it on a read of its ``db``, so no suite reads one; :func:`lower_bound_suite`
+needs no increments and calls ``simulate_batch``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from . import integrate
 from .bounds import floor_violations, regime_report, theta
 from .density import oracle_driftless
 from .integrate import (
@@ -90,16 +94,6 @@ def _lamperti_spec() -> ProblemSpec:
                        horizon=1.0)
 
 
-def _keyed_batch(spec: ProblemSpec, grid: GridSpec, n_paths: int,
-                 seed: int, db: np.ndarray | None):
-    """``simulate_batch(spec, grid, n_paths, seed)``.  A ``db`` holding
-    that keyed block, already drawn, is rerun through
-    ``simulate_increments`` instead, with bitwise the same batch."""
-    if db is None:
-        return simulate_batch(spec, grid, n_paths, seed)
-    return simulate_increments(spec, grid, db, seed=seed)
-
-
 def additive_identity_suite(seed: int = 20240801, n_paths: int = 100,
                             n_steps: int = 1000,
                             alphas=(-1.0, 0.0, 0.3, 0.9),
@@ -109,13 +103,12 @@ def additive_identity_suite(seed: int = 20240801, n_paths: int = 100,
     noise."""
     worst = 0.0
     per_alpha: dict[str, float] = {}
-    db = None
+    grid = GridSpec(n_steps=n_steps, horizon=1.0)   # every alpha's horizon
+    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
     for alpha in alphas:
         spec = _driftless_spec(alpha)
-        grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
-        direct = _keyed_batch(spec, grid, n_paths, seed, db)
-        db = direct.db
-        closed = explicit_additive_path(spec.x0, alpha, 1.0, direct.db)
+        direct = simulate_increments(spec, grid, db, seed=seed)
+        closed = explicit_additive_path(spec.x0, alpha, 1.0, db)
         err = float(np.max(np.abs(direct.x - closed)))
         per_alpha[str(alpha)] = err
         worst = max(worst, err)
@@ -132,12 +125,11 @@ def malliavin_closed_form_suite(seed: int = 20240802, n_paths: int = 1000,
     ``||DX_T||^2 = tau/(1-a)^2 + (T - tau)`` with ``tau`` the argmax time."""
     worst = 0.0
     per_alpha: dict[str, float] = {}
-    db = None
+    grid = GridSpec(n_steps=n_steps, horizon=1.0)   # every alpha's horizon
+    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
     for alpha in alphas:
         spec = _driftless_spec(alpha)
-        grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
-        batch = _keyed_batch(spec, grid, n_paths, seed, db)
-        db = batch.db
+        batch = simulate_increments(spec, grid, db, seed=seed)
         fields = propagate_derivative_batch(batch, spec, grid)
         tau = batch.final_argmax_idx() * grid.dt
         expected = tau / (1.0 - alpha) ** 2 + (spec.horizon - tau)
@@ -161,10 +153,10 @@ def cameron_martin_suite(seed: int = 20240803, n_paths: int = 100,
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
     h = np.ones(n_steps)
-    batch = simulate_batch(spec, grid, n_paths, seed)
+    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+    batch = simulate_increments(spec, grid, db, seed=seed)
     fields = propagate_derivative_batch(batch, spec, grid)
-    fds = cameron_martin_fd(spec, grid, batch.db, h, eps=eps,
-                            base=batch.x[-1])
+    fds = cameron_martin_fd(spec, grid, db, h, eps=eps, base=batch.x[-1])
     ips = inner_product(fields, h)
     denom = np.maximum(np.maximum(np.abs(fds), np.abs(ips)), 1e-300)
     rel_errs = np.abs(fds - ips) / denom
@@ -220,10 +212,16 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
     sup_viol = floors["n_sup_violations"]
     final_viol = floors.get("n_final_violations", 0)
 
-    # the int64 draws are kept as int32: the same values in half the bytes
+    # the int64 draws are kept as int32, the same values in half the
+    # bytes, and made 100 rows at a time, so no whole int64 array is ever
+    # held; the generator's stream runs on from call to call, so the
+    # values are those of one draw per array
     rng = np.random.default_rng(seed)
-    i1 = rng.integers(1, n_steps + 1, size=(n_paths, n_pairs)).astype(np.int32)
-    i2 = rng.integers(1, n_steps + 1, size=(n_paths, n_pairs)).astype(np.int32)
+    i1, i2 = (np.empty((n_paths, n_pairs), np.int32) for _ in range(2))
+    for pairs in (i1, i2):
+        for lo in range(0, n_paths, 100):
+            rows = pairs[lo:lo + 100]
+            rows[:] = rng.integers(1, n_steps + 1, size=rows.shape)
     gap_theta = theta(np.arange(n_steps + 1) * dt, alpha, lb)
     # Blocks of paths keep the float temporaries at (block, n_pairs).
     diff_viol = plain_viol = 0
@@ -279,8 +277,9 @@ def lamperti_suite(seed: int = 20240805, n_paths: int = 100,
 
     yspec = transformed_spec(table)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
-    xb = simulate_batch(spec, grid, n_paths, seed)
-    yb = simulate_increments(yspec, grid, xb.db, seed=seed)
+    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+    xb = simulate_increments(spec, grid, db, seed=seed)
+    yb = simulate_increments(yspec, grid, db, seed=seed)
     sups = np.max(np.abs(forward(table, xb.x) - yb.x), axis=0)
     path_err = float(np.median(sups))
 
@@ -311,8 +310,9 @@ def picard_suite(seed: int = 20240806, n_paths: int = 50,
     (non-increasing iterate gaps after the second iterate)."""
     spec = _tanh_spec(alpha=0.1)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
-    direct = simulate_batch(spec, grid, n_paths, seed)
-    result = picard_solve(spec, grid, direct.db, n_iter=n_iter, tol=tol)
+    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+    direct = simulate_increments(spec, grid, db, seed=seed)
+    result = picard_solve(spec, grid, db, n_iter=n_iter, tol=tol)
     worst = float(np.max(np.abs(result.paths.x - direct.x)))
     # the NaN rows past a path's last sweep compare False
     all_monotone = not np.any(np.diff(result.sup_diffs[1:], axis=0) > 1e-14)

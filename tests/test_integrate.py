@@ -21,6 +21,7 @@ from perturbsde import (
     generate_increments,
     kahan_cumsum,
     picard_solve,
+    propagate_derivative_batch,
     simulate_batch,
     simulate_increments,
     simulate_terminal,
@@ -218,6 +219,9 @@ def test_noise_block_validation_and_identity(tanh_spec):
                                                         horizon=1.0),
                                     np.ones((4, 1)))
     assert synthetic.seed is None
+    # a batch without increments must be keyed, to redraw them
+    with pytest.raises(TypeError, match="seed and dt"):
+        integrate.PathBatch(x=batch.x, new_max=batch.new_max, seed=5)
     with pytest.raises(GridMismatch):
         simulate_increments(tanh_spec, grid, np.zeros((2, 2, 2)))
 
@@ -563,6 +567,84 @@ def test_final_argmax_reads_the_flags_without_an_index_array(tanh_spec):
                                   np.where(new_max, steps, 0).max(axis=0))
     np.testing.assert_array_equal(final == 0, ~new_max.any(axis=0))
     assert final.dtype == np.int64 and np.all(final[:3] == 0)
+
+
+def test_keyed_batch_holds_its_values_and_flags_only(tanh_spec):
+    # the keyed block is drawn into the value array and integrated there:
+    # the batch holds no increment block, and the run allocates none
+    # beyond the draw buffer of _NOISE_PATHS paths
+    n, P = 500, 2000
+    grid = GridSpec(n_steps=n, horizon=1.0)
+    simulate_batch(tanh_spec, grid, 4, seed=281)
+    tracemalloc.start()
+    try:
+        batch = simulate_batch(tanh_spec, grid, P, seed=281)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.x.nbytes + batch.new_max.nbytes == 9 * (n + 1) * P
+    assert 9 * (n + 1) * P <= held < 9 * (n + 1) * P + 2**12
+    assert peak < 9 * (n + 1) * P + 8 * n * _NOISE_PATHS + 2**14
+
+
+def _keyed_property_spec(n_steps: int, overflow: bool) -> ProblemSpec:
+    """A sine-diffusion problem.  With ``overflow`` its drift overflows
+    the state of most paths in step 3 and of the rest in step 4, so the
+    first non-finite state need not be on the first path."""
+    drift = (Coefficient.linear(slope=2.4e154 * n_steps) if overflow
+             else Coefficient.tanh(amplitude=0.5, scale=1.0))
+    return ProblemSpec(x0=0.0, alpha=0.3, drift=drift,
+                       diffusion=Coefficient.sine(amplitude=0.2, offset=1.0),
+                       horizon=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_paths=st.one_of(st.integers(1, 2 * _NOISE_TILE + 1),
+                         st.integers(_NOISE_PATHS - 2, _NOISE_PATHS + 2)),
+       n_steps=st.integers(4, 8), seed=st.integers(0, 2**64 - 1),
+       below_top=st.integers(0, 3), overflow=st.booleans())
+def test_keyed_batch_is_its_block_integrated(n_paths, n_steps, seed,
+                                             below_top, overflow):
+    # simulate_batch integrates its block in place, bitwise as
+    # simulate_increments runs the stored block, and its db redraws that
+    # block; path counts straddle the tile and draw-block widths, and the
+    # last path is at most 3 below the top of the key range
+    grid = GridSpec(n_steps=n_steps, horizon=1.0)
+    offset = 2**64 - n_paths - below_top
+    block = _generate_block(seed, offset, n_paths, n_steps, grid.dt)
+    spec = _keyed_property_spec(n_steps, overflow)
+    if overflow:
+        with pytest.raises(NonFinite) as want:
+            simulate_increments(spec, grid, block, path_offset=offset)
+        with pytest.raises(NonFinite) as got:
+            simulate_batch(spec, grid, n_paths, seed, offset)
+        assert (got.value.step, got.value.path_index, str(got.value)) \
+            == (want.value.step, want.value.path_index, str(want.value))
+        return
+    want = simulate_increments(spec, grid, block)
+    batch = simulate_batch(spec, grid, n_paths, seed, offset)
+    np.testing.assert_array_equal(batch.x.view(np.uint64),
+                                  want.x.view(np.uint64))
+    np.testing.assert_array_equal(batch.new_max, want.new_max)
+    x = batch.x.copy()
+    db = batch.db
+    np.testing.assert_array_equal(db.view(np.uint64), block.view(np.uint64))
+    assert batch.db is db
+    np.testing.assert_array_equal(batch.x.view(np.uint64), x.view(np.uint64))
+
+
+def test_batches_and_picard_results_compare_and_hash_by_identity(tanh_spec):
+    grid = GridSpec(n_steps=20, horizon=1.0)
+
+    def build():
+        batch = simulate_batch(tanh_spec, grid, 3, seed=7)
+        return (batch, propagate_derivative_batch(batch, tanh_spec, grid),
+                picard_solve(tanh_spec, grid, batch.db))
+
+    for a, b in zip(build(), build()):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert {a: 1, b: 2}[b] == 2
 
 
 def test_batch_path_count_validation(tanh_spec, grid_1000):

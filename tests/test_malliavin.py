@@ -19,6 +19,7 @@ from perturbsde import (
     simulate_batch,
     simulate_increments,
 )
+from perturbsde import integrate
 from conftest import COEFFICIENT_CASES, mixed_case
 
 
@@ -315,6 +316,37 @@ def test_slots_read_after_the_batch_is_dropped(tanh_spec, grid_1000):
                                   d_x.view(np.uint64))
     np.testing.assert_array_equal(fields.d_m.view(np.uint64),
                                   d_m.view(np.uint64))
+
+
+def test_keyed_block_is_redrawn_only_for_a_varying_diffusion(monkeypatch,
+                                                             tanh_spec):
+    # a keyed batch stores no increments: a constant diffusion never reads
+    # them, and a varying one redraws the block once, on its first read
+    draws = []
+    generate = integrate._generate_block
+
+    def counting(*args):
+        draws.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(integrate, "_generate_block", counting)
+    grid = GridSpec(n_steps=50, horizon=1.0)
+    batch = simulate_batch(tanh_spec, grid, 7, seed=3)
+    fields = propagate_derivative_batch(batch, tanh_spec, grid,
+                                        track_all_times=True)
+    fields.d_x
+    assert draws == []
+
+    drift, diffusion = COEFFICIENT_CASES["sine"]
+    spec = ProblemSpec(x0=0.2, alpha=0.3, drift=drift, diffusion=diffusion,
+                       horizon=1.0)
+    batch = simulate_batch(spec, grid, 7, seed=3, path_offset=5)
+    assert draws == []
+    db = batch.db
+    assert draws == [(3, 5, 7, 50, grid.dt)]
+    fields = propagate_derivative_batch(batch, spec, grid)
+    fields.d_x
+    assert batch.db is db and len(draws) == 1
 
 
 def test_grid_mismatch_rejected(tanh_spec, grid_1000):

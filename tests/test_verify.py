@@ -20,6 +20,7 @@ from perturbsde.verify import (
     density_oracle_suite,
     lamperti_suite,
     malliavin_closed_form_suite,
+    picard_suite,
 )
 
 
@@ -90,27 +91,23 @@ def _assert_same_batch(a, b):
 
 
 def test_shared_block_gives_the_fresh_draws_batches():
-    # every problem a suite reruns on its first keyed block is bitwise the
-    # batch simulate_batch draws for it afresh
+    # every problem a suite runs on its one keyed block, drawn with
+    # _generate_block, is bitwise the batch simulate_batch draws for it
     n_paths, n_steps = 30, 200
     grid = GridSpec(n_steps=n_steps, horizon=1.0)
+    cases = []
     for suite in (additive_identity_suite, malliavin_closed_form_suite):
-        params = inspect.signature(suite).parameters
-        seed, alphas = params["seed"].default, params["alphas"].default
-        first = simulate_batch(verify._driftless_spec(alphas[0]), grid,
-                               n_paths, seed)
-        for alpha in alphas:
-            spec = verify._driftless_spec(alpha)
-            _assert_same_batch(
-                verify._keyed_batch(spec, grid, n_paths, seed, first.db),
-                simulate_batch(spec, grid, n_paths, seed))
-
-    seed = inspect.signature(lamperti_suite).parameters["seed"].default
+        alphas = inspect.signature(suite).parameters["alphas"].default
+        cases += [(suite, verify._driftless_spec(a)) for a in alphas]
     spec = verify._lamperti_spec()
-    yspec = transformed_spec(build_transform(spec))
-    xb = simulate_batch(spec, grid, n_paths, seed)
-    _assert_same_batch(simulate_increments(yspec, grid, xb.db, seed=seed),
-                       simulate_batch(yspec, grid, n_paths, seed))
+    cases += [(lamperti_suite, spec),
+              (lamperti_suite, transformed_spec(build_transform(spec))),
+              (picard_suite, verify._tanh_spec(alpha=0.1))]
+    for suite, spec in cases:
+        seed = inspect.signature(suite).parameters["seed"].default
+        db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+        _assert_same_batch(simulate_increments(spec, grid, db, seed=seed),
+                           simulate_batch(spec, grid, n_paths, seed))
 
 
 def test_suites_draw_their_keyed_block_once(monkeypatch):
