@@ -97,9 +97,13 @@ def oracle_driftless(x0: float, sigma_const: float, alpha: float, t: float,
     Total mass is 1 because the two half-line Gaussian integrals sum to
     ``1 + 1/(1-alpha) = 2 + beta``.  At ``alpha = 0`` this collapses to the
     ``N(x0, sigma^2 t)`` density.  The two branches meet with equal value
-    and slope at ``z = c`` but different curvature, so the density is C^1
-    and not C^2 there; the ladder diagnostic can resolve that for large
-    ``alpha``.
+    and slope at ``z = c`` but different curvature, so for ``alpha != 0``
+    the density is C^1 and not C^2 there: its one-sided second
+    derivatives are ``-p(c) / (sigma^2 t)`` below ``c`` and
+    ``-(1-alpha)^2 p(c) / (sigma^2 t)`` above, at every ``t > 0``, also
+    where ``bounds.max_horizon`` is infinite.  The bandwidth-ladder
+    diagnostic does not resolve that jump: it reads "pass" on
+    ``configs/density.json`` (``alpha = 0.5``).
     """
     if not (alpha < 1.0):
         raise ConfigError(f"alpha must be < 1, got {alpha!r}")

@@ -32,10 +32,13 @@ maximum is derived from the values when asked for, and the step loop
 itself allocates only ``(P,)`` vectors.  Without recording, a run returns
 the ``(P,)`` terminal values and nothing else.  :func:`simulate_terminal`
 holds one time window of increments, ``_TERMINAL_WINDOW_STEPS`` steps of
-``_TERMINAL_CHUNK_PATHS`` paths (16 MiB), whatever the step and path
-counts: each path's keyed stream pauses at the end of a window and
-resumes at the start of the next, and the step loop carries its state
-from one window to the next.
+``_TERMINAL_CHUNK_PATHS`` paths (512 x 2048, 8 MiB), whatever the step
+and path counts: each path's keyed stream pauses at the end of a window
+and resumes at the start of the next, and the step loop carries its
+state from one window to the next.  Keyed noise is drawn
+``_NOISE_TILE`` paths at a time into a path-major staging tile, one
+window long, and scaled into the time-major window by the transposing
+write.
 """
 
 from __future__ import annotations
@@ -65,12 +68,14 @@ __all__ = [
 
 _U64 = np.uint64
 _MAX_U64 = 2**64
-_NOISE_PATHS = 512
-# paths per transposed write of a noise block into the time-major output
+# paths drawn into the staging tile, then scaled into the time-major output
+# by one transposed write
 _NOISE_TILE = 64
 # simulate_terminal integrates this many paths at a time, as wide vectors
-# keep the step loop's per-call overhead small ...
-_TERMINAL_CHUNK_PATHS = 4096
+# keep the step loop's per-call overhead small; 2048 holds half the window
+# of 4096, and on density's input ran from 5 % faster to 7 % slower than it,
+# by host phase (2 shared vCPUs) ...
+_TERMINAL_CHUNK_PATHS = 2048
 # ... over time windows of this many steps.  Shorter windows hold less but
 # call each path's generator more often: on 100 000 x 2048 (2 shared
 # vCPUs) 256 steps took about 11 % longer than 512, for 9 MB less.
@@ -118,9 +123,9 @@ class _KeyedNoise:
     at the end of a window and resumes at the start of the next, so a
     path's windows join bitwise into its one stream.
 
-    Paths are drawn ``_NOISE_PATHS`` at a time into one reused path-major
-    buffer, scaled, and written into the time-major window in
-    ``_NOISE_TILE``-path tiles.
+    Paths are drawn ``_NOISE_TILE`` at a time into one reused path-major
+    staging tile, which one transposed multiply by ``sqrt(dt)`` writes
+    into the time-major window.
     """
 
     def __init__(self, seed: int, width: int, n_steps: int, dt: float,
@@ -130,9 +135,13 @@ class _KeyedNoise:
         self.shared = self.window == n_steps
         self.gens = [np.random.Generator(np.random.Philox(key=key))
                      for _ in range(1 if self.shared else width)]
-        self.fresh = self.gens[0].bit_generator.state
+        # the state setter takes lists faster than the arrays it returns
+        fresh = self.gens[0].bit_generator.state
+        fresh["state"] = {k: v.tolist() for k, v in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        self.fresh = fresh
         self.scale = math.sqrt(dt)
-        self.buf = np.empty(min(width, _NOISE_PATHS) * self.window)
+        self.tile = np.empty(min(width, _NOISE_TILE) * self.window)
 
     def _reset(self, gen, path_index: int) -> None:
         self.fresh["state"]["key"][1] = path_index
@@ -149,21 +158,18 @@ class _KeyedNoise:
         for t0 in range(0, self.n_steps, self.window):
             w = min(self.window, self.n_steps - t0)
             tm = out[:w * n_paths].reshape(w, n_paths)
-            for lo in range(0, n_paths, _NOISE_PATHS):
-                m = min(_NOISE_PATHS, n_paths - lo)
-                block = self.buf[:m * w].reshape(m, w)
+            for lo in range(0, n_paths, _NOISE_TILE):
+                m = min(_NOISE_TILE, n_paths - lo)
+                tile = self.tile[:m * w].reshape(m, w)
                 if self.shared:
                     gen = self.gens[0]
-                    for i, row in enumerate(block, path_offset + lo):
+                    for i, row in enumerate(tile, path_offset + lo):
                         self._reset(gen, i)
                         gen.standard_normal(out=row)
                 else:
-                    for gen, row in zip(self.gens[lo:], block):
+                    for gen, row in zip(self.gens[lo:], tile):
                         gen.standard_normal(out=row)
-                block *= self.scale
-                for t in range(0, m, _NOISE_TILE):
-                    tile = block[t:t + _NOISE_TILE]
-                    tm[:, lo + t:lo + t + tile.shape[0]] = tile.T
+                np.multiply(tile.T, self.scale, out=tm[:, lo:lo + m])
             yield tm
 
 
@@ -174,9 +180,10 @@ def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
     case of :class:`_KeyedNoise`, so column ``p`` is bitwise
     :func:`generate_increments` for path ``path_offset + p``.
     """
-    # the block is allocated before the draw buffer, which is freed on
+    # the block is allocated before the staging tile, which is freed on
     # return: the other order left the allocator holding about 1.4 MB more
-    # on the benchmark's 1000-step derivative chunks
+    # on the benchmark's 1000-step derivative chunks, measured when the
+    # tile held 512 paths
     out = np.empty(n_steps * n_paths)
     return _draw_block(seed, path_offset, n_paths, n_steps, dt, out)
 
@@ -212,11 +219,21 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
     ``record`` the state and flags go straight into their rows of the
     output, otherwise into one ``(P,)`` vector each.  The running maximum
     is ``max(M, x)``, so it equals ``maximum.accumulate`` of the recorded
-    values by construction and is never stored."""
+    values by construction and is never stored.  A structurally constant
+    diffusion of 1.0 skips its multiply, and one of drift ``+-0.0`` its
+    add, where either pass would change no bit."""
     P = n_paths
     alpha = spec.alpha
     one_minus = 1.0 - alpha
     b, s = spec.drift.evaluator(0), spec.diffusion.evaluator(0)
+    unit_sigma = spec.diffusion.constant_value == 1.0
+    # Adding b dt = -0.0 changes nothing, and adding +0.0 only turns a -0.0
+    # increment into +0.0.  That sign reaches the state only through an
+    # accumulator at -0.0 (x + y is -0.0 only for x = y = -0.0), and the
+    # accumulator starts at x0, so +0.0 is skipped unless x0 is -0.0.
+    b_const = spec.drift.constant_value
+    zero_drift = b_const == 0.0 and (math.copysign(1.0, b_const) < 0.0
+                                     or math.copysign(1.0, spec.x0) > 0.0)
 
     if record:
         x_tm, new_tm = record
@@ -235,15 +252,17 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
     # the finished state and reported as NonFinite.
     with np.errstate(over="ignore", invalid="ignore"):
         for tile in tiles:
-            for db_k in tile:
-                # incr = b(x) dt + s(x) db_k; the sum is formed in the
+            for inc in tile:
+                # inc = b(x) dt + s(x) db_k; the sum is formed in the
                 # other order, which IEEE addition leaves bitwise unchanged
-                np.multiply(s(x), db_k, out=incr)
-                incr += b(x) * dt
+                if not unit_sigma:
+                    inc = np.multiply(s(x), inc, out=incr)
+                if not zero_drift:
+                    inc = np.add(inc, b(x) * dt, out=incr)
                 # Kahan update of A; the combined increment is one addend
                 # so the accumulation order is part of the reproducibility
                 # contract.
-                np.subtract(incr, comp, out=y)
+                np.subtract(inc, comp, out=y)
                 np.add(A, y, out=t)
                 np.subtract(t, A, out=comp)
                 comp -= y
@@ -260,9 +279,15 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
                 np.maximum(M, x, out=M)
 
     if record:
-        finite = np.isfinite(x_tm)
-        if not finite.all():
-            kk, pp = np.argwhere(~finite)[0]
+        # An infinite or NaN A or M carries to the last row: the Kahan
+        # update turns an infinite A into NaN, and np.maximum carries an
+        # infinite or NaN M.  Only alpha M + A can overflow to -inf with
+        # both finite, and it can come back, so the least value is checked
+        # too (np.min propagates NaN).  Neither check allocates an
+        # (n+1, P) temporary; the scan that names the first step and path
+        # runs only when one fails.
+        if not (np.isfinite(x_tm[-1]).all() and np.isfinite(x_tm.min())):
+            kk, pp = np.argwhere(~np.isfinite(x_tm))[0]
             pp = path_offset + int(pp)    # a Python int: offsets reach 2**64
             raise NonFinite(
                 f"non-finite state at step {kk} of path {pp}",
@@ -449,9 +474,10 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
     Paths run ``_TERMINAL_CHUNK_PATHS`` at a time, and each chunk's noise
     is drawn one window of ``_TERMINAL_WINDOW_STEPS`` steps at a time and
     integrated before the next is drawn.  So the increments held are one
-    ``(window, chunk)`` array (16 MiB), plus one generator per path of a
-    chunk, however many paths and steps the run has; the result is
-    bitwise that of :func:`simulate_increments` on the whole block.
+    ``(window, chunk)`` array (8 MiB) and one staging tile of
+    ``_NOISE_TILE`` paths, plus one generator per path of a chunk, however
+    many paths and steps the run has; the result is bitwise that of
+    :func:`simulate_increments` on the whole block.
     """
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")

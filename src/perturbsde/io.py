@@ -17,10 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
-from importlib import metadata as _importlib_metadata
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -46,10 +46,48 @@ __all__ = [
     "write_csv",
 ]
 
-try:
-    TOOL_VERSION = _importlib_metadata.version("perturbsde")
-except _importlib_metadata.PackageNotFoundError:  # running from a checkout
-    TOOL_VERSION = "0.0.0+uninstalled"
+_UNINSTALLED = "0.0.0+uninstalled"
+
+
+def _names_the_package(name: str) -> bool:
+    low = name.lower()
+    return low.startswith("perturbsde") and low.endswith(
+        (".dist-info", ".egg-info", ".egg"))
+
+
+def _tool_version() -> str:
+    """The installed distribution's version, or ``"0.0.0+uninstalled"``
+    when running from a checkout.
+
+    ``importlib.metadata`` (with the ``email`` package it pulls in) costs
+    25-35 ms and about 2 MB in every process, so it is asked only where it
+    could find the package's metadata: a ``sys.path`` directory holding a
+    ``perturbsde*`` ``.dist-info``, ``.egg-info`` or ``.egg`` entry, a
+    ``perturbsde*.egg`` on the path itself, or a path entry that is not a
+    directory name it can list (a zip archive, say).  A missing entry
+    holds nothing.
+    """
+    for entry in sys.path:
+        if not isinstance(entry, str):
+            break
+        try:
+            names = os.listdir(entry or ".")
+        except FileNotFoundError:
+            continue
+        except OSError:
+            break
+        if any(map(_names_the_package, [os.path.basename(entry), *names])):
+            break
+    else:
+        return _UNINSTALLED
+    from importlib import metadata
+    try:
+        return metadata.version("perturbsde")
+    except metadata.PackageNotFoundError:
+        return _UNINSTALLED
+
+
+TOOL_VERSION = _tool_version()
 
 
 # -- float sentinels ----------------------------------------------------------

@@ -18,6 +18,7 @@ from perturbsde import (
     derivative_bandwidth_rule,
     kde,
     l1_distance,
+    max_horizon,
     oracle_driftless,
     simulate_terminal,
     smoothness_diagnostic,
@@ -128,6 +129,26 @@ def test_oracle_scalar_and_input_validation():
         oracle_driftless(0.0, 1.0, 0.0, math.inf, 0.0)
     with pytest.raises(DegenerateDiffusion):
         oracle_driftless(0.0, 0.0, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("alpha, left, right", [(0.05, -0.3887, -0.3508),
+                                                (0.10, -0.3779, -0.3061),
+                                                (0.14, -0.3689, -0.2728)])
+def test_admissible_law_is_not_twice_differentiable(alpha, left, right):
+    # driftless, sigma = 1: max_horizon is inf, so every horizon is inside
+    # the regime, yet at c = x0/(1-alpha) the law's one-sided curvatures
+    # are -p(c)/t and -(1-alpha)^2 p(c)/t, so it is C^1 and not C^2 there
+    x0, t, h = 0.0, 1.0, 1e-4
+    assert max_horizon(alpha, 0.0) == math.inf
+    c = x0 / (1.0 - alpha)
+    p = oracle_driftless(x0, 1.0, alpha, t, c + h * np.arange(-2.0, 3.0))
+    below = (p[2] - 2.0 * p[1] + p[0]) / h**2
+    above = (p[4] - 2.0 * p[3] + p[2]) / h**2
+    assert below == pytest.approx(-p[2] / t, abs=5e-5)
+    assert above == pytest.approx(-(1.0 - alpha)**2 * p[2] / t, abs=5e-5)
+    assert (round(below, 4), round(above, 4)) == (left, right)
+    assert above - below == pytest.approx(
+        (1.0 - (1.0 - alpha)**2) * p[2] / t, abs=1e-4)
 
 
 # -- simulated terminal samples -----------------------------------------------

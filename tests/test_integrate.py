@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perturbsde import (
@@ -27,8 +27,7 @@ from perturbsde import (
     simulate_terminal,
 )
 from perturbsde import integrate
-from perturbsde.integrate import (_NOISE_PATHS, _NOISE_TILE, _generate_block,
-                                  max_bookkeeping)
+from perturbsde.integrate import _NOISE_TILE, _generate_block, max_bookkeeping
 from conftest import (COEFFICIENT_CASES, make_driftless, make_tanh,
                       mixed_case)
 
@@ -127,9 +126,9 @@ def test_increment_variance_scales_with_dt():
 
 
 def test_increment_block_columns_are_the_keyed_streams():
-    # a path count that is not a multiple of the generator's path block,
+    # a path count that is not a multiple of the generator's staging tile,
     # at a nonzero offset
-    n_paths, offset = 2 * _NOISE_PATHS + 37, 1001
+    n_paths, offset = 8 * _NOISE_TILE + 37, 1001
     block = _generate_block(5, offset, n_paths, 24, 0.125)
     assert block.shape == (24, n_paths) and block.flags.c_contiguous
     for p in range(n_paths):
@@ -146,7 +145,7 @@ def _assert_keyed_columns(block, seed, offset, dt):
 
 
 @pytest.mark.parametrize("n_paths", [1, _NOISE_TILE - 1, _NOISE_TILE + 1,
-                                     _NOISE_PATHS + 1])
+                                     8 * _NOISE_TILE + 1])
 def test_increment_block_partial_tiles_and_blocks(n_paths):
     block = _generate_block(11, 300, n_paths, 9, 0.5)
     assert block.shape == (9, n_paths)
@@ -411,11 +410,11 @@ def test_terminal_sample_matches_batch(tanh_spec):
 
 def _small_windows(monkeypatch):
     """3-step windows and 4-path chunks, neither dividing a run of 10
-    steps and 11 paths, drawn 3 paths at a time in tiles of 2."""
+    steps and 11 paths, drawn in staging tiles of 3 paths, which do not
+    divide a chunk."""
     monkeypatch.setattr(integrate, "_TERMINAL_WINDOW_STEPS", 3)
     monkeypatch.setattr(integrate, "_TERMINAL_CHUNK_PATHS", 4)
-    monkeypatch.setattr(integrate, "_NOISE_PATHS", 3)
-    monkeypatch.setattr(integrate, "_NOISE_TILE", 2)
+    monkeypatch.setattr(integrate, "_NOISE_TILE", 3)
 
 
 @pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
@@ -572,7 +571,10 @@ def test_final_argmax_reads_the_flags_without_an_index_array(tanh_spec):
 def test_keyed_batch_holds_its_values_and_flags_only(tanh_spec):
     # the keyed block is drawn into the value array and integrated there:
     # the batch holds no increment block, and the run allocates none
-    # beyond the draw buffer of _NOISE_PATHS paths
+    # beyond the staging tile of _NOISE_TILE paths and the step loop's
+    # (P,) vectors: M, A, the compensation, the increment and two Kahan
+    # temporaries, plus b(x) and b(x) dt of the tanh drift, and the bool
+    # finiteness of the last row
     n, P = 500, 2000
     grid = GridSpec(n_steps=n, horizon=1.0)
     simulate_batch(tanh_spec, grid, 4, seed=281)
@@ -584,7 +586,84 @@ def test_keyed_batch_holds_its_values_and_flags_only(tanh_spec):
         tracemalloc.stop()
     assert batch.x.nbytes + batch.new_max.nbytes == 9 * (n + 1) * P
     assert 9 * (n + 1) * P <= held < 9 * (n + 1) * P + 2**12
-    assert peak < 9 * (n + 1) * P + 8 * n * _NOISE_PATHS + 2**14
+    step_vectors = 8 * 8 * P + P
+    assert peak < (9 * (n + 1) * P + 8 * n * _NOISE_TILE + step_vectors
+                   + 2**14)
+
+
+def test_terminal_run_holds_one_window_of_a_2048_path_chunk(tanh_spec):
+    # 4096 paths x 1024 steps run as two 2048-path chunks over two
+    # 512-step windows.  Held at once: the window, 512 x 2048 x 8 B = 8 MiB;
+    # the staging tile, 64 x 512 x 8 B = 256 KiB; one Philox generator per
+    # path of a chunk, under 800 B each (1600 KiB); at most ten (P,) float
+    # vectors of the step loop (160 KiB); the 4096 terminal values
+    # (32 KiB).  That is 10 MiB.
+    grid = GridSpec(n_steps=1024, horizon=1.0)
+    simulate_terminal(tanh_spec, GridSpec(n_steps=8, horizon=1.0), 8,
+                      seed=3)
+    tracemalloc.start()
+    try:
+        simulate_terminal(tanh_spec, grid, 4096, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.5 * 2**20
+
+
+# Structurally constant coefficients next to array ones that evaluate to
+# the same value exactly: 0.0 * sin(.) is +-0.0, which c + leaves at c for
+# c = 0.5, 1.0 and 0.0, and with frequency 0 the sine's argument is +0.0,
+# so -0.0 + -0.0 * sin(+0.0) is -0.0 everywhere.
+_CONSTANT_PAIRS = {
+    "1.0": (Coefficient.const(1.0), Coefficient.sine(amplitude=0.0,
+                                                     offset=1.0)),
+    "0.5": (Coefficient.const(0.5), Coefficient.sine(amplitude=0.0,
+                                                     offset=0.5)),
+    "0.0": (Coefficient.const(0.0), Coefficient.sine(amplitude=0.0,
+                                                     offset=0.0)),
+    "-0.0": (Coefficient.const(-0.0), Coefficient.sine(
+        amplitude=-0.0, offset=-0.0, frequency=0.0)),
+}
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)
+
+
+# time-major blocks of 1-6 steps and 1-4 paths, full of signed zeros
+_SIGNED_ZERO_BLOCKS = st.integers(1, 4).flatmap(lambda n_paths: st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0]),
+             min_size=n_paths, max_size=n_paths), min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(diffusion=st.sampled_from(["1.0", "0.5"]),
+       drift=st.sampled_from(["0.0", "-0.0", "0.5"]),
+       x0=st.sampled_from([0.0, -0.0, 0.2]),
+       alpha=st.sampled_from([0.0, 0.3, -0.5]), block=_SIGNED_ZERO_BLOCKS)
+@example(diffusion="1.0", drift="0.0", x0=-0.0, alpha=0.3, block=[[-0.0]])
+def test_skipped_identity_passes_change_no_bit(diffusion, drift, x0, alpha,
+                                               block):
+    # a unit diffusion skips its multiply and a zero drift its add; the
+    # same problem with array coefficients runs both passes, bitwise alike,
+    # also from x0 = -0.0, where adding +0.0 is not an identity
+    db = np.array(block)
+    n_steps, n_paths = db.shape
+    (s, s_ref), (b, b_ref) = _CONSTANT_PAIRS[diffusion], _CONSTANT_PAIRS[drift]
+    spec, ref = (ProblemSpec(x0=x0, alpha=alpha, drift=d, diffusion=sg,
+                             horizon=1.0) for d, sg in ((b, s), (b_ref, s_ref)))
+    assert ref.drift.constant_value is None
+    assert ref.diffusion.constant_value is None
+    grid = GridSpec(n_steps=n_steps, horizon=1.0)
+    got, want = (simulate_increments(p, grid, db) for p in (spec, ref))
+    np.testing.assert_array_equal(_bits(got.x), _bits(want.x))
+    np.testing.assert_array_equal(got.new_max, want.new_max)
+    got, want = (simulate_increments(p, grid, db, record=False)
+                 for p in (spec, ref))
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    got, want = (simulate_terminal(p, grid, n_paths, seed=n_steps)
+                 for p in (spec, ref))
+    np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def _keyed_property_spec(n_steps: int, overflow: bool) -> ProblemSpec:
@@ -600,14 +679,14 @@ def _keyed_property_spec(n_steps: int, overflow: bool) -> ProblemSpec:
 
 @settings(max_examples=40, deadline=None)
 @given(n_paths=st.one_of(st.integers(1, 2 * _NOISE_TILE + 1),
-                         st.integers(_NOISE_PATHS - 2, _NOISE_PATHS + 2)),
+                         st.integers(8 * _NOISE_TILE - 2, 8 * _NOISE_TILE + 2)),
        n_steps=st.integers(4, 8), seed=st.integers(0, 2**64 - 1),
        below_top=st.integers(0, 3), overflow=st.booleans())
 def test_keyed_batch_is_its_block_integrated(n_paths, n_steps, seed,
                                              below_top, overflow):
     # simulate_batch integrates its block in place, bitwise as
     # simulate_increments runs the stored block, and its db redraws that
-    # block; path counts straddle the tile and draw-block widths, and the
+    # block; path counts straddle one and eight staging tiles, and the
     # last path is at most 3 below the top of the key range
     grid = GridSpec(n_steps=n_steps, horizon=1.0)
     offset = 2**64 - n_paths - below_top
@@ -699,6 +778,21 @@ def test_non_finite_report_names_the_offset_path(simulate):
         simulate(spec, grid, 3, seed=0, path_offset=10)
     assert exc_info.value.path_index == 10
     assert "path 10" in str(exc_info.value)
+
+
+def test_recorded_run_names_a_state_that_overflows_and_comes_back():
+    # alpha = -1 puts -M into every state: in step 3, -M + A overflows to
+    # -inf with M and A finite, and step 4's increment brings it back, so
+    # the terminal value is finite but the recorded run still fails there
+    spec = ProblemSpec(x0=0.0, alpha=-1.0, drift=Coefficient.const(0.0),
+                       diffusion=Coefficient.const(1.0), horizon=1.0)
+    grid = GridSpec(n_steps=4, horizon=1.0)
+    db = np.array([[1.2], [-1.0], [-1.5], [0.5]]) * 1e308
+    term = simulate_increments(spec, grid, db, record=False)
+    assert np.isfinite(term).all()
+    with pytest.raises(NonFinite) as exc_info:
+        simulate_increments(spec, grid, db)
+    assert (exc_info.value.step, exc_info.value.path_index) == (3, 0)
 
 
 # -- compensated summation ----------------------------------------------------

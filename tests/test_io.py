@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from importlib import metadata
 
 import numpy as np
 import pytest
@@ -382,3 +386,55 @@ def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
     peak_8 = _write_peak_bytes(tmp_path / "eight.csv", 8 * block)
     assert peak_8 < budget
     assert peak_8 < peak_2 + 200_000
+
+
+# -- the tool version ---------------------------------------------------------
+
+
+def _fresh_interpreter(code: str, *path_entries) -> str:
+    """Standard output of ``code`` in a new interpreter that imports the
+    package from this checkout, with ``path_entries`` ahead of it."""
+    src = os.path.dirname(os.path.dirname(io.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [*map(str, path_entries), src]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
+def _metadata_version() -> str | None:
+    try:
+        return metadata.version("perturbsde")
+    except metadata.PackageNotFoundError:
+        return None
+
+
+def test_cli_import_loads_no_metadata_machinery():
+    # run from a checkout, no path entry holds the package's metadata, so
+    # the version lookup imports neither importlib.metadata nor email; an
+    # installed copy's metadata is read through importlib.metadata
+    code = ("import sys, perturbsde.cli\n"
+            "print(sorted(m for m in ('importlib.metadata', 'email',\n"
+            "                         'concurrent.futures')\n"
+            "             if m in sys.modules))")
+    loaded = _fresh_interpreter(code)
+    if _metadata_version() is None:
+        assert loaded == "[]"
+    else:
+        assert "concurrent.futures" not in loaded
+
+
+def test_tool_version_is_the_metadata_answer():
+    assert TOOL_VERSION == (_metadata_version() or "0.0.0+uninstalled")
+
+
+def test_tool_version_reads_a_dist_info_on_the_path(tmp_path):
+    info = tmp_path / "perturbsde-9.9.9.dist-info"
+    info.mkdir()
+    (info / "METADATA").write_text(
+        "Metadata-Version: 2.1\nName: perturbsde\nVersion: 9.9.9\n")
+    code = "from perturbsde.io import TOOL_VERSION; print(TOOL_VERSION)"
+    assert _fresh_interpreter(code, tmp_path) == "9.9.9"
