@@ -29,6 +29,7 @@ chunk per worker; its chunks return one terminal value per path.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -123,6 +124,8 @@ def _derivative_worker(problem_json, grid_json, seed, report, n_paths,
                                         track_all_times=report is not None)
     floors = None if report is None else floor_violations(
         report, grid, fields.sup_h_norm_sq, fields.h_norm_sq_by_time)
+    # the floors are counted: free the curve before the slots are built
+    fields = dataclasses.replace(fields, h_norm_sq_by_time=None)
     part = (fields.h_norm_sq_final, fields.sup_h_norm_sq,
             batch.final_argmax_idx(), floors)
     return part, (fields.d_x, fields.d_m)
@@ -144,10 +147,10 @@ _MIN_CHUNK_PATHS = 200
 # Bytes per path and grid time a chunk is budgeted: the values (8), the
 # new-maximum flags (1) and an increment block (8), plus, for
 # ``derivative``, the by-time norm curve and the two slot arrays (8 each).
-# A keyed batch draws its increments into its values and stores none, so
-# a ``simulate`` chunk holds at most 16 of its 17 (the values, then the
-# running maximum) and a ``derivative`` chunk 33 of its 41; the budgets
-# keep the sizes, and so the chunk counts, they were set for.
+# A keyed batch stores no increments, so a ``simulate`` chunk holds at
+# most 16 of its 17 (the values, then the running maximum) and a
+# ``derivative`` chunk 25 of its 41 (the curve, then the slots); the
+# budgets keep the sizes, and so the chunk counts, they were set for.
 _SIMULATE_BYTES = 17
 _DERIVATIVE_BYTES = 41
 

@@ -212,8 +212,11 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
     path values and new-maximum flags are written into them, and ``tiles``
     may be the one view ``record[0][1:]`` holding the increments: step
     ``k`` reads ``db_k`` from row ``k+1`` before it writes ``x_{k+1}``
-    there.  A non-finite state is reported for path ``path_offset +
-    column``.
+    there.  Each path's running maximum ``M`` and minimum ``lo`` bound its
+    states and carry NaN, so one test after the loop raises
+    :class:`NonFinite` for any non-finite state, recorded or not, naming
+    path ``path_offset + column``: the lowest failing column, with
+    ``record`` the lowest at the first step that holds one.
 
     Every step writes into buffers allocated before the loop: with
     ``record`` the state and flags go straight into their rows of the
@@ -242,14 +245,14 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
     else:
         x = np.full(P, spec.x0 / one_minus)
         new = np.empty(P, dtype=bool)
-    M = x.copy()
+    M, lo = x.copy(), x.copy()
     A = np.full(P, float(spec.x0))       # compensated accumulator
     comp = np.zeros(P)
     incr, y, t = np.empty(P), np.empty(P), np.empty(P)
     k = 0
 
-    # Overflow is not a warning condition here: divergence is detected on
-    # the finished state and reported as NonFinite.
+    # Overflow is not a warning condition here: divergence is detected from
+    # lo and M after the loop and reported as NonFinite.
     with np.errstate(over="ignore", invalid="ignore"):
         for tile in tiles:
             for inc in tile:
@@ -277,28 +280,18 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
                 np.greater(x, M, out=new)
                 np.divide(A, one_minus, out=x, where=new)
                 np.maximum(M, x, out=M)
+                np.minimum(lo, x, out=lo)
 
-    if record:
-        # An infinite or NaN A or M carries to the last row: the Kahan
-        # update turns an infinite A into NaN, and np.maximum carries an
-        # infinite or NaN M.  Only alpha M + A can overflow to -inf with
-        # both finite, and it can come back, so the least value is checked
-        # too (np.min propagates NaN).  Neither check allocates an
-        # (n+1, P) temporary; the scan that names the first step and path
-        # runs only when one fails.
-        if not (np.isfinite(x_tm[-1]).all() and np.isfinite(x_tm.min())):
+    bad = ~(np.isfinite(lo) & np.isfinite(M))
+    if bad.any():
+        if record:
             kk, pp = np.argwhere(~np.isfinite(x_tm))[0]
             pp = path_offset + int(pp)    # a Python int: offsets reach 2**64
-            raise NonFinite(
-                f"non-finite state at step {kk} of path {pp}",
-                step=int(kk), path_index=pp)
-        return None
-    bad = ~(np.isfinite(x) & np.isfinite(M))
-    if bad.any():
+            raise NonFinite(f"non-finite state at step {kk} of path {pp}",
+                            step=int(kk), path_index=pp)
         pp = path_offset + int(np.argwhere(bad)[0][0])
-        raise NonFinite(f"non-finite terminal state on path {pp}",
-                        path_index=pp)
-    return x
+        raise NonFinite(f"non-finite state on path {pp}", path_index=pp)
+    return None if record else x
 
 
 def max_bookkeeping(x: np.ndarray) -> np.ndarray:
@@ -477,7 +470,8 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
     ``(window, chunk)`` array (8 MiB) and one staging tile of
     ``_NOISE_TILE`` paths, plus one generator per path of a chunk, however
     many paths and steps the run has; the result is bitwise that of
-    :func:`simulate_increments` on the whole block.
+    :func:`simulate_increments` on the whole block.  A non-finite state
+    at any step raises :class:`NonFinite` naming the lowest such path.
     """
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")

@@ -657,6 +657,26 @@ def test_derivative_memory_is_bounded_by_the_chunk(tmp_path, write_config,
     assert peak(2000) < peak(500) + 1_000_000
 
 
+def test_derivative_chunk_frees_the_norm_curve_before_its_slots():
+    # the by-time norm curve is one (n+1, P) float array; once the floors
+    # are counted a chunk holds its values, flags and two slot arrays,
+    # with less than half that curve to spare
+    n_paths, n_steps = 256, 200
+    grid_json = {"n_steps": n_steps, "horizon": 1.0}
+    report = regime_report(problem_from_json(_TANH), 1.0)
+    worker = cli_mod._derivative_worker
+    worker(_TANH, grid_json, 13, report, 1, 0)   # one-time allocations
+    tracemalloc.start()
+    try:
+        worker(_TANH, grid_json, 13, report, n_paths, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    curve = 8 * (n_steps + 1) * n_paths
+    held = 9 * (n_steps + 1) * n_paths + 2 * 8 * n_steps * n_paths
+    assert peak < held + curve // 2
+
+
 @settings(max_examples=200, deadline=None)
 @given(n_paths=st.integers(1, 20_000), n_steps=st.integers(1, 10**7),
        per_step=st.sampled_from([cli_mod._SIMULATE_BYTES,

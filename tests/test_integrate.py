@@ -780,19 +780,69 @@ def test_non_finite_report_names_the_offset_path(simulate):
     assert "path 10" in str(exc_info.value)
 
 
-def test_recorded_run_names_a_state_that_overflows_and_comes_back():
+def test_overflow_that_comes_back_fails_recorded_and_terminal_runs():
     # alpha = -1 puts -M into every state: in step 3, -M + A overflows to
     # -inf with M and A finite, and step 4's increment brings it back, so
-    # the terminal value is finite but the recorded run still fails there
+    # the terminal value would be finite, yet both runs fail on it
     spec = ProblemSpec(x0=0.0, alpha=-1.0, drift=Coefficient.const(0.0),
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     grid = GridSpec(n_steps=4, horizon=1.0)
     db = np.array([[1.2], [-1.0], [-1.5], [0.5]]) * 1e308
-    term = simulate_increments(spec, grid, db, record=False)
-    assert np.isfinite(term).all()
+    with pytest.raises(NonFinite) as exc_info:
+        simulate_increments(spec, grid, db, record=False)
+    assert exc_info.value.path_index == 0
     with pytest.raises(NonFinite) as exc_info:
         simulate_increments(spec, grid, db)
     assert (exc_info.value.step, exc_info.value.path_index) == (3, 0)
+
+
+@st.composite
+def _overflow_blocks(draw):
+    """Time-major blocks of 2-8 steps and 1-6 columns of small increments,
+    with +-1e308-scale ones injected at random cells."""
+    n_steps, n_paths = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    cells = n_steps * n_paths
+    block = draw(st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                          min_size=cells, max_size=cells))
+    for i, scale in draw(st.lists(st.tuples(st.integers(0, cells - 1),
+                                            st.floats(-1.7, 1.7)),
+                                  max_size=cells)):
+        block[i] = scale * 1e308
+    return np.reshape(block, (n_steps, n_paths)).tolist()
+
+
+def _raises_non_finite(run):
+    """The :class:`NonFinite` error ``run()`` raises, or None."""
+    try:
+        run()
+    except NonFinite as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 0.9]),
+       drift=st.sampled_from([0.0, 0.5]),
+       diffusion=st.sampled_from([1.0, 2.0]), block=_overflow_blocks())
+@example(alpha=-1.0, drift=0.0, diffusion=1.0,
+         block=[[1.2e308], [-1.0e308], [-1.5e308], [0.5e308]])
+def test_terminal_runs_fail_exactly_when_recorded_runs_do(alpha, drift,
+                                                          diffusion, block):
+    # a terminal run keeps no states, yet it fails on the same blocks as a
+    # recorded one, naming the lowest column that fails on its own
+    spec = ProblemSpec(x0=0.0, alpha=alpha, drift=Coefficient.const(drift),
+                       diffusion=Coefficient.const(diffusion), horizon=1.0)
+    db = np.array(block)
+    grid = GridSpec(n_steps=db.shape[0], horizon=1.0)
+    failing = [p for p in range(db.shape[1]) if _raises_non_finite(
+        lambda: simulate_increments(spec, grid, db[:, p:p + 1]))]
+    recorded = _raises_non_finite(lambda: simulate_increments(spec, grid, db))
+    terminal = _raises_non_finite(
+        lambda: simulate_increments(spec, grid, db, record=False))
+    assert (recorded is None) == (terminal is None) == (not failing)
+    if failing:
+        assert terminal.path_index == failing[0]
+        assert recorded.path_index in failing
 
 
 # -- compensated summation ----------------------------------------------------
