@@ -60,7 +60,7 @@ from .integrate import (
     simulate_increments,
     simulate_terminal,
 )
-from .io import TOOL_VERSION as __version_source__
+from .io import TOOL_VERSION as __version__
 from .lamperti import (
     TransformTable,
     build_transform,
@@ -84,8 +84,6 @@ from .model import (
     ProblemSpec,
 )
 from .verify import ALL_SUITES, SuiteResult, run_suites
-
-__version__ = __version_source__
 
 __all__ = [
     "__version__",

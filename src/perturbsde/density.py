@@ -61,6 +61,10 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MESH_PER_BANDWIDTH = 64
 _MESH_TAIL = 10.0
 MAX_MESH_NODES = 2**22
+# The mesh bound counts at least two nodes per grid step plus 9 (see
+# _mesh_plan), so a larger default grid would pass the cap at any
+# bandwidth; it is refused before it is built.
+_MAX_GRID_POINTS = (MAX_MESH_NODES - 9) // 2 + 1
 
 # Ladder verdict thresholds for the relative L2 discrepancy of derivative
 # estimates between adjacent rungs on the central window, calibrated on
@@ -271,6 +275,11 @@ def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ConfigError(f"bandwidth must be positive, got {bandwidth!r}")
     if eval_grid is None:
+        if not n_grid <= _MAX_GRID_POINTS:
+            raise ConfigError(
+                f"config: n_grid: must be at most {_MAX_GRID_POINTS}, the "
+                f"most a {MAX_MESH_NODES}-node kernel mesh can hold, "
+                f"got {n_grid}")
         half = GRID_HALFWIDTH_STDS * (std if std > 0.0 else bandwidth)
         eval_grid = np.linspace(mean - half, mean + half, n_grid)
     zs = np.ascontiguousarray(np.asarray(eval_grid, float))
@@ -316,7 +325,8 @@ def kde(sample, bandwidth: float | None = None,
     grid are left out and kernels are cut at ten bandwidths; what that
     drops is below ``1e-19`` of a kernel's maximum.  A bandwidth so small
     against the grid that the mesh would exceed :data:`MAX_MESH_NODES`
-    raises :class:`ConfigError`.
+    raises :class:`ConfigError`, and so does an ``n_grid`` too large for
+    any bandwidth, before the grid is built.
     """
     sample, zs, h, mean, std = _checked(sample, bandwidth, eval_grid,
                                         n_grid, bandwidth_rule)

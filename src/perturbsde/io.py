@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import sys
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
@@ -46,48 +45,9 @@ __all__ = [
     "write_csv",
 ]
 
-_UNINSTALLED = "0.0.0+uninstalled"
-
-
-def _names_the_package(name: str) -> bool:
-    low = name.lower()
-    return low.startswith("perturbsde") and low.endswith(
-        (".dist-info", ".egg-info", ".egg"))
-
-
-def _tool_version() -> str:
-    """The installed distribution's version, or ``"0.0.0+uninstalled"``
-    when running from a checkout.
-
-    ``importlib.metadata`` (with the ``email`` package it pulls in) costs
-    25-35 ms and about 2 MB in every process, so it is asked only where it
-    could find the package's metadata: a ``sys.path`` directory holding a
-    ``perturbsde*`` ``.dist-info``, ``.egg-info`` or ``.egg`` entry, a
-    ``perturbsde*.egg`` on the path itself, or a path entry that is not a
-    directory name it can list (a zip archive, say).  A missing entry
-    holds nothing.
-    """
-    for entry in sys.path:
-        if not isinstance(entry, str):
-            break
-        try:
-            names = os.listdir(entry or ".")
-        except FileNotFoundError:
-            continue
-        except OSError:
-            break
-        if any(map(_names_the_package, [os.path.basename(entry), *names])):
-            break
-    else:
-        return _UNINSTALLED
-    from importlib import metadata
-    try:
-        return metadata.version("perturbsde")
-    except metadata.PackageNotFoundError:
-        return _UNINSTALLED
-
-
-TOOL_VERSION = _tool_version()
+# The package's version, written into every artifact's ``meta`` block and
+# read by ``pyproject.toml``, so a checkout and an install state the same one.
+TOOL_VERSION = "0.1.0"
 
 
 # -- float sentinels ----------------------------------------------------------
@@ -360,14 +320,18 @@ def read_json(path: str | Path) -> Any:
 
 def write_json(path: str | Path, payload: Mapping[str, Any], *,
                meta: Mapping[str, Any] | None = None) -> None:
-    """Write a JSON report; ``meta`` becomes a leading ``meta`` block."""
+    """Write a JSON report; ``meta`` becomes a leading ``meta`` block.
+
+    The report is serialized before the file is opened, so a payload that
+    cannot be written (a NaN, say) leaves ``path`` as it was.
+    """
     doc: dict[str, Any] = {}
     if meta is not None:
         doc["meta"] = dict(meta)
     doc.update(payload)
+    text = json.dumps(encode_floats(doc), indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(encode_floats(doc), f, indent=2, allow_nan=False)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 # Rows formatted per block.  A block's cells live as Python objects and its

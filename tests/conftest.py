@@ -84,3 +84,17 @@ def write_config(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def package_metadata(tmp_path) -> Path:
+    """A directory holding a ``perturbsde-9.9.9.dist-info`` and a
+    ``perturbsde.egg-info``, both for version 9.9.9, as an install or an
+    editable build leaves them on ``sys.path``."""
+    site = tmp_path / "site"
+    for name, info in [("perturbsde-9.9.9.dist-info", "METADATA"),
+                       ("perturbsde.egg-info", "PKG-INFO")]:
+        (site / name).mkdir(parents=True)
+        (site / name / info).write_text(
+            "Metadata-Version: 2.1\nName: perturbsde\nVersion: 9.9.9\n")
+    return site

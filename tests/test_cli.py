@@ -373,6 +373,15 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path, write_config,
         assert "Traceback" not in err
 
 
+def test_oversized_n_grid_exits_2_before_the_grid(tmp_path, write_config,
+                                                 capsys):
+    cfg = write_config(simulate_config(n_paths=64, n_grid=10**15))
+    assert run("density", cfg, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: n_grid: ")
+    assert "out of memory" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "derivative", "density"])
 def test_rejects_zero_paths(command, tmp_path, write_config, capsys):
     cfg = write_config(simulate_config(n_paths=0))
@@ -777,6 +786,17 @@ def test_pool_results_in_flight_are_bounded(monkeypatch):
     assert results == [(off, ("c", off, n)) for off, n in chunks]
 
 
+def _fresh_env(*path_entries) -> dict:
+    """Environment of a new interpreter that imports the package from this
+    checkout, with ``path_entries`` ahead of it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [*map(str, path_entries),
+         os.path.dirname(os.path.dirname(perturbsde.__file__))]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def test_cli_import_loads_no_process_pool():
     # the pool is imported where it is started, so one-process runs never
     # load concurrent.futures or multiprocessing
@@ -784,14 +804,30 @@ def test_cli_import_loads_no_process_pool():
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('concurrent', "
             "'multiprocessing')))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(os.path.dirname(perturbsde.__file__))]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    res = subprocess.run([sys.executable, "-c", code], env=env,
+    res = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_artifacts_ignore_package_metadata_on_the_path(tmp_path, repo_configs,
+                                                      package_metadata):
+    # every artifact states the package's own version, so the metadata an
+    # install or an editable build leaves on sys.path changes no byte
+    runs = {}
+    for name, entries in [("plain", []), ("metadata", [package_metadata])]:
+        out = tmp_path / name
+        res = subprocess.run(
+            [sys.executable, "-m", "perturbsde.cli", "regime", "--config",
+             str(repo_configs / "regime.json"), "--out", str(out)],
+            env=_fresh_env(*entries), capture_output=True, text=True,
+            timeout=120)
+        assert res.returncode == 0, res.stderr
+        runs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(runs["plain"]) == ["lower_bound_curve.csv", "regime.json"]
+    assert runs["metadata"] == runs["plain"]
+    assert json.loads(runs["plain"]["regime.json"])["meta"]["version"] \
+        == TOOL_VERSION
 
 
 def test_floor_counts_add_up_over_chunks():

@@ -292,6 +292,15 @@ def test_mesh_plan_size_rule():
         kde(sample, bandwidth=1e-9)
 
 
+@pytest.mark.parametrize("n_grid", [2_097_149, 10**15])
+def test_oversized_n_grid_is_refused_before_the_grid(n_grid):
+    # a mesh of at least two nodes per grid step would pass MAX_MESH_NODES
+    # at any bandwidth, so the grid is refused by its own field
+    sample = np.random.default_rng(73).standard_normal(1000)
+    with pytest.raises(ConfigError, match=f"config: n_grid: .*got {n_grid}$"):
+        kde(sample, n_grid=n_grid)
+
+
 def test_bandwidth_rules_scaling():
     rng = np.random.default_rng(41)
     sample = 2.0 * rng.standard_normal(10_000)

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from importlib import metadata
 
 import numpy as np
 import pytest
@@ -194,6 +193,18 @@ def test_write_json_places_meta_first(tmp_path):
     assert doc["value"] == "inf"
     assert doc["curve"] == [1.0, 2.0]
     assert read_json(path) == doc
+
+
+def test_write_json_refusal_leaves_the_path_as_it_was(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ConfigError, match="NaN"):
+        write_json(path, {"a": math.nan})
+    assert not path.exists()
+    write_json(path, {"a": 1.0}, meta={"seed": 7})
+    before = path.read_bytes()
+    with pytest.raises(ConfigError, match="NaN"):
+        write_json(path, {"a": np.array([1.0, math.nan])}, meta={"seed": 7})
+    assert path.read_bytes() == before
 
 
 def test_write_csv_layout_and_round_trip(tmp_path):
@@ -405,36 +416,19 @@ def _fresh_interpreter(code: str, *path_entries) -> str:
     return res.stdout.strip()
 
 
-def _metadata_version() -> str | None:
-    try:
-        return metadata.version("perturbsde")
-    except metadata.PackageNotFoundError:
-        return None
-
-
 def test_cli_import_loads_no_metadata_machinery():
-    # run from a checkout, no path entry holds the package's metadata, so
-    # the version lookup imports neither importlib.metadata nor email; an
-    # installed copy's metadata is read through importlib.metadata
+    # the version is a literal, so no import reads package metadata or
+    # loads the email package it needs
     code = ("import sys, perturbsde.cli\n"
             "print(sorted(m for m in ('importlib.metadata', 'email',\n"
             "                         'concurrent.futures')\n"
             "             if m in sys.modules))")
-    loaded = _fresh_interpreter(code)
-    if _metadata_version() is None:
-        assert loaded == "[]"
-    else:
-        assert "concurrent.futures" not in loaded
+    assert _fresh_interpreter(code) == "[]"
 
 
-def test_tool_version_is_the_metadata_answer():
-    assert TOOL_VERSION == (_metadata_version() or "0.0.0+uninstalled")
-
-
-def test_tool_version_reads_a_dist_info_on_the_path(tmp_path):
-    info = tmp_path / "perturbsde-9.9.9.dist-info"
-    info.mkdir()
-    (info / "METADATA").write_text(
-        "Metadata-Version: 2.1\nName: perturbsde\nVersion: 9.9.9\n")
-    code = "from perturbsde.io import TOOL_VERSION; print(TOOL_VERSION)"
-    assert _fresh_interpreter(code, tmp_path) == "9.9.9"
+def test_tool_version_ignores_package_metadata_on_the_path(package_metadata):
+    code = ("import perturbsde\nfrom perturbsde.io import TOOL_VERSION\n"
+            "print(TOOL_VERSION, perturbsde.__version__)")
+    plain = _fresh_interpreter(code)
+    assert plain == f"{TOOL_VERSION} {TOOL_VERSION}"
+    assert _fresh_interpreter(code, package_metadata) == plain
