@@ -44,6 +44,7 @@ import numpy as np
 from . import io
 from .bounds import floor_violations, regime_report
 from .density import (
+    _check_n_grid,
     kde,
     l1_distance,
     oracle_driftless,
@@ -334,13 +335,14 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
     _require(config, "density", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
+    n_grid = config.get("n_grid", 512)
+    _check_n_grid(n_grid)          # before the sample is simulated
     chunks = _chunks(n_paths, math.ceil(n_paths / workers))
     sample = np.concatenate([part for _, (part, _) in _stream(
         _terminal_worker, (config["problem"], grid_json, seed), chunks,
         workers)])
 
-    estimate = kde(sample, bandwidth=config.get("bandwidth"),
-                   n_grid=config.get("n_grid", 512))
+    estimate = kde(sample, bandwidth=config.get("bandwidth"), n_grid=n_grid)
     smooth = smoothness_diagnostic(sample, estimate.grid)
 
     columns = {"z": estimate.grid, "p_hat": estimate.pdf}

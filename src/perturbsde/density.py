@@ -249,6 +249,17 @@ def _kernel_sums(sample: np.ndarray, zs: np.ndarray, h: float,
     return sums
 
 
+def _check_n_grid(n_grid: int) -> None:
+    """Refuse a default grid of more points than a kernel mesh holds;
+    :func:`_checked` runs it before the grid is allocated, the
+    ``density`` command before it simulates."""
+    if not n_grid <= _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"config: n_grid: must be at most {_MAX_GRID_POINTS}, the "
+            f"most a {MAX_MESH_NODES}-node kernel mesh can hold, "
+            f"got {n_grid}")
+
+
 def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
              rule) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """The input check :func:`kde` and :func:`smoothness_diagnostic`
@@ -275,11 +286,7 @@ def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ConfigError(f"bandwidth must be positive, got {bandwidth!r}")
     if eval_grid is None:
-        if not n_grid <= _MAX_GRID_POINTS:
-            raise ConfigError(
-                f"config: n_grid: must be at most {_MAX_GRID_POINTS}, the "
-                f"most a {MAX_MESH_NODES}-node kernel mesh can hold, "
-                f"got {n_grid}")
+        _check_n_grid(n_grid)
         half = GRID_HALFWIDTH_STDS * (std if std > 0.0 else bandwidth)
         eval_grid = np.linspace(mean - half, mean + half, n_grid)
     zs = np.ascontiguousarray(np.asarray(eval_grid, float))

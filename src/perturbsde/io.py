@@ -14,12 +14,14 @@ in a config or report is always a bug upstream.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import sys
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
+from itertools import chain, product
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -334,24 +336,197 @@ def write_json(path: str | Path, payload: Mapping[str, Any], *,
         f.write(text + "\n")
 
 
-# Rows formatted per block.  A block's cells live as Python objects and its
-# text as one string until the block is written: about 0.3 MB per 1000 rows
-# of four columns.  Larger blocks barely save time and raise peak memory.
+# Rows formatted per block.  A block's text is built in one reused row
+# buffer of zero-padded cell slots (under 100 bytes a row for the four
+# columns of ``derivative.csv``), so with the formatter's arrays and the
+# block's text a block of 4096 rows holds about 1.5 MB.  Larger blocks
+# barely save time and raise peak memory.
 _CSV_BLOCK_ROWS = 4096
 # Characters that would make a header cell need CSV quoting.
 _CSV_SPECIAL = frozenset(',"\r\n')
+# Bytes of the longest ``%.17g`` text of a double, "-2.2250738585072014e-308".
+_CELL = 24
+# 2**27 + 1: Veltkamp's constant, which splits a double into two halves of
+# at most 26 significant bits each.
+_SPLIT = 134217729.0
 
 
-def _cell_format(kind: str) -> str:
-    """``%``-format of one cell of numpy dtype kind ``kind``: integers as
-    integers, bool and float with 17 significant digits."""
-    return "%d" if kind in "iu" else "%.17g"
+@functools.cache
+def _float_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of :func:`_float_cells`, built on first use.
+
+    * the ASCII digits of every 4-digit group 0000..9999, one uint32 each;
+    * the trailing zero digits of every group (4 for 0000);
+    * ``10**k`` for ``k`` in 0..22, all exact doubles, and its two
+      Veltkamp halves;
+    * the cell layouts, one row of ``_CELL`` bytes per code
+      ``((E + 4) * 17 + n_sig - 1) * 2 + negative`` of a value
+      ``d_0.d_1d_2... * 10**E`` with ``n_sig`` significant digits.  A
+      cell holds the sign at byte 0, the ``0.`` and zeros of a value
+      below 1 at bytes 1..5, integer digit ``d_j`` (``j <= E``) at byte
+      ``6 + j``, the decimal point at ``7 + E`` and fraction digit
+      ``d_j`` at ``7 + j``: ``chars`` holds the fixed characters,
+      ``whole`` and ``frac`` mask the integer and the fraction digits.
+    """
+    text = bytes(chain.from_iterable(product(b"0123456789", repeat=4)))
+    digits = np.frombuffer(text, np.uint32)
+    zeros = np.frombuffer(bytes(4 - len(text[i:i + 4].rstrip(b"0"))
+                                for i in range(0, len(text), 4)), np.uint8)
+    pow10 = np.array([float(10**k) for k in range(23)])
+    big = pow10 * _SPLIT
+    pow_hi = big - (big - pow10)
+    chars, whole, frac = bytearray(), bytearray(), bytearray()
+    for exp10 in range(-4, 17):
+        for n_sig in range(1, 18):
+            for sign in b"\0-":
+                row = bytearray(_CELL)
+                row[0] = sign
+                if exp10 < 0:
+                    row[1:2 - exp10] = b"0.000"[:1 - exp10]
+                elif n_sig > exp10 + 1:
+                    row[7 + exp10] = ord(".")
+                chars += row
+                row = bytearray(_CELL)
+                row[6:7 + exp10] = b"\xff" * (exp10 + 1)
+                whole += row
+                row = bytearray(_CELL)
+                first = max(exp10 + 1, 0)
+                row[7 + first:7 + n_sig] = b"\xff" * (n_sig - first)
+                frac += row
+    return (digits, zeros, pow10, pow_hi, pow10 - pow_hi,
+            *(np.frombuffer(t, np.uint8).reshape(-1, _CELL)
+              for t in (chars, whole, frac)))
 
 
-def _format_rows(row: str, cells) -> str:
-    """Text of the rows ``row % cell``, one per tuple of ``cells``.  Every
-    CSV table is formatted here, a bounded block of rows at a time."""
-    return "".join([row % cell for cell in cells])
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """``(p, e, step)``: ``a * 10**k == p + e`` exactly, by Dekker's
+    product of the Veltkamp halves of both factors, and ``step`` the move
+    of ``k`` (+1, -1 or 0) towards ``1e16 <= p + e < 1e17``."""
+    _, _, pow10, pow_hi, pow_lo = _float_tables()[:5]
+    p = a * np.take(pow10, k)
+    big = a * _SPLIT
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = np.take(pow_hi, k), np.take(pow_lo, k)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # p + e < 1e16 exactly when (p - 1e16) + e < 0: |e| is at most half
+    # an ulp of p, which is smaller than any nonzero p - 1e16; so too at
+    # 1e17
+    low = (p - 1e16) + e < 0.0
+    high = (p - 1e17) + e >= 0.0
+    return p, e, low.view(np.int8) - high.view(np.int8)
+
+
+def _split(v: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
+    """``divmod(v, unit)`` of a non-negative integer array."""
+    q = v // unit
+    return q, v - q * unit
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of every double ``v`` of the 1-D array ``x``, as
+    an ``(x.size, _CELL)`` uint8 array of ASCII text padded with zero
+    bytes, which may sit anywhere in a cell.
+
+    The fast path covers zeros and finite ``1e-4 <= |v| < 1e17``, where
+    ``%.17g`` writes fixed notation.  With ``E = floor(log10|v|)`` and
+    ``k = 16 - E``, ``k`` lies in 0..20, so ``10**k`` is an exact double
+    and Dekker's product gives ``|v| * 10**k = p + e`` exactly.
+    ``log10`` can miss ``E`` by one next to a power of ten; an exact test
+    on ``(p, e)`` then moves ``k`` by one, and a cell that still lies
+    outside ``[1e16, 1e17)`` takes the fallback.  Inside it ``p`` is an
+    even integer (doubles from 2**53 up are), so ``D = p + rint(e)``,
+    with ``rint`` rounding half to even, is ``|v| * 10**k`` correctly
+    rounded to 17 digits, exactly as ``%.17g`` rounds.  Then the cell is
+    a fixed layout of the digits of ``D``, chosen by ``E``, the number
+    of digits left once trailing zeros are dropped, and the sign bit (so
+    ``-0.0`` reads ``-0``).  Every other cell (NaN, infinities,
+    subnormals, ``|v| < 1e-4``, ``|v| >= 1e17`` and a ``D`` that carries
+    to ``10**17``) is ``'%.17g' % v`` itself.
+    """
+    digits, zeros, _, _, _, chars, whole, frac = _float_tables()
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)     # the other cells are filled in last
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    np.maximum(k, 0, out=k)
+    p, e, step = _scaled(a, k)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        k[moved] += step[moved]
+        p[moved], e[moved], step[moved] = _scaled(a[moved], k[moved])
+        fast[moved[step[moved] != 0]] = False
+    sig = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    fast &= sig < 10**17
+    exp10 = 16 - k
+    exp10[~fast] = 0               # zeros, and a valid layout for the rest
+    sig[zero] = 0
+    # D as five 4-digit groups, the first one digit, and their text at
+    # bytes 7..23 of each 24-byte row: digit j of D at byte 7 + j
+    groups = np.zeros((x.size, 6), np.intp)
+    groups[:, 1], rest = _split(sig, 10**16)
+    high, low = _split(rest, 10**8)
+    groups[:, 2], groups[:, 3] = _split(high, 10**4)
+    groups[:, 4], groups[:, 5] = _split(low, 10**4)
+    text = np.take(digits, groups).view(np.uint8).ravel()
+    n_zeros = np.take(zeros, groups[:, 5])
+    all_zero = n_zeros == 4
+    for g in (4, 3, 2):
+        n_zeros += all_zero * np.take(zeros, groups[:, g])
+        all_zero &= groups[:, g] == 0
+    # the layout code, with n_sig = 17 - n_zeros
+    code = 34 * exp10 + 168 - 2 * n_zeros + np.signbit(x)
+    out = np.take(chars, code, axis=0)
+    flat = out.ravel()
+    # text has digit j at byte 7 + j: where fraction digits sit, and one
+    # byte to the right of where integer digits sit
+    mask = np.take(frac, code, axis=0).ravel()
+    mask &= text
+    flat |= mask
+    mask = np.take(whole, code, axis=0).ravel()
+    mask[:-1] &= text[1:]
+    flat |= mask
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        cells = np.array(["%.17g" % v for v in x[slow].tolist()],
+                         f"S{_CELL}")
+        out[slow] = cells.view(np.uint8).reshape(-1, _CELL)
+    return out
+
+
+def _width(dtype: np.dtype) -> int:
+    """Bytes of the longest cell of a column of ``dtype``."""
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        return max(len(str(info.min)), len(str(info.max)))
+    return _CELL
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """Text of the cells of ``values``, in C order, as a zero-padded
+    ``(values.size, _width(values.dtype))`` uint8 array: integers as
+    ``%d``, bool and float as ``%.17g`` of their double value."""
+    width = _width(values.dtype)
+    if values.dtype.kind in "iu":
+        return values.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+    return _float_cells(np.ascontiguousarray(values, np.float64).ravel())
+
+
+def _row_buffer(n_rows: int, widths) -> tuple[np.ndarray, list[slice]]:
+    """A zeroed ``(n_rows, width)`` uint8 buffer of rows with one slot per
+    cell width, each followed by a comma or, for the last, the newline;
+    returns the buffer and the slots' column slices."""
+    ends = np.cumsum([w + 1 for w in widths])
+    buf = np.zeros((n_rows, ends[-1]), np.uint8)
+    buf[:, ends - 1] = ord(",")
+    buf[:, -1] = ord("\n")
+    return buf, [slice(end - w - 1, end - 1) for end, w in zip(ends, widths)]
+
+
+def _text(rows: np.ndarray) -> str:
+    """The text of a block of row-buffer rows: its bytes less the padding."""
+    return rows[rows != 0].tobytes().decode("ascii")
 
 
 @contextmanager
@@ -396,24 +571,28 @@ def path_major_blocks(first_path: int, labels: np.ndarray,
     and ``labels`` holds the ``m`` values every path shares, such as grid
     times.  Row ``(p, k)`` reads ``first_path + p, labels[k],
     field[p, k]...``, formatted as :func:`write_csv` formats the same
-    columns.  The labels are formatted once and each path index once per
-    path, so only the field cells are formatted per row.
+    columns.  The labels are formatted once and each path index once, so
+    only the field cells are formatted per row.
     """
     labels = np.asarray(labels)
-    label = _cell_format(labels.dtype.kind)
-    texts = [label % v for v in labels.tolist()]
-    tail = ",".join(_cell_format(f.dtype.kind) for f in fields) + "\n"
-    m, n_paths = len(texts), fields[0].shape[0]
+    m, n_paths = labels.shape[0], fields[0].shape[0]
+    paths = _cells(np.arange(first_path, first_path + n_paths))
+    texts = _cells(labels)
     per_block = max(1, _CSV_BLOCK_ROWS // max(m, 1))
+    buf, (path_slot, label_slot, *slots) = _row_buffer(
+        min(per_block, n_paths) * min(m, _CSV_BLOCK_ROWS),
+        [paths.shape[1], texts.shape[1], *(_width(f.dtype) for f in fields)])
     for p0 in range(0, n_paths, per_block):
-        paths = range(p0, min(p0 + per_block, n_paths))
+        p1 = min(p0 + per_block, n_paths)
         for lo in range(0, m, _CSV_BLOCK_ROWS):
-            hi = lo + _CSV_BLOCK_ROWS
-            yield "".join([
-                _format_rows(f"{first_path + p},%s,{tail}",
-                             zip(texts[lo:hi],
-                                 *[f[p, lo:hi].tolist() for f in fields]))
-                for p in paths])
+            hi = min(lo + _CSV_BLOCK_ROWS, m)
+            rows = buf[:(p1 - p0) * (hi - lo)]
+            grid = rows.reshape(p1 - p0, hi - lo, -1)
+            grid[:, :, path_slot] = paths[p0:p1, None]
+            grid[:, :, label_slot] = texts[None, lo:hi]
+            for f, slot in zip(fields, slots):
+                rows[:, slot] = _cells(f[p0:p1, lo:hi])
+            yield _text(rows)
 
 
 def write_csv(path: str | Path, columns: Mapping[str, np.ndarray], *,
@@ -422,13 +601,13 @@ def write_csv(path: str | Path, columns: Mapping[str, np.ndarray], *,
     :func:`open_csv`.
 
     All columns must share one length and have a bool, integer or float
-    dtype.  Integer-typed columns are written as integers, everything else
-    with 17 significant digits, which round-trip any IEEE double exactly.
+    dtype.  Integer-typed columns are written as ``%d``, everything else
+    as ``%.17g`` of its double value (by :func:`_float_cells`), which
+    round-trips any IEEE double exactly.
 
-    Rows are formatted in blocks of ``_CSV_BLOCK_ROWS``: one ``%``-format
-    per row over the block's ``.tolist()`` column slices and one write per
-    block, so the memory the writer adds is bounded by the block size
-    (about 1.2 MB for four columns) and does not grow with the number of
+    Rows are formatted in blocks of ``_CSV_BLOCK_ROWS`` into one reused
+    row buffer, with one write per block, so the memory the writer adds
+    is bounded by the block size and does not grow with the number of
     rows.
     """
     names = list(columns)
@@ -440,8 +619,12 @@ def write_csv(path: str | Path, columns: Mapping[str, np.ndarray], *,
         if a.dtype.kind not in "biuf":
             raise ConfigError(f"write_csv column {name!r} has non-numeric "
                               f"dtype {a.dtype}")
-    row = ",".join(_cell_format(a.dtype.kind) for a in arrays) + "\n"
     with open_csv(path, names, meta=meta) as f:
-        for lo in range(0, arrays[0].shape[0], _CSV_BLOCK_ROWS):
-            block = [a[lo:lo + _CSV_BLOCK_ROWS].tolist() for a in arrays]
-            f.write(_format_rows(row, zip(*block)))
+        n = arrays[0].shape[0]
+        buf, slots = _row_buffer(min(n, _CSV_BLOCK_ROWS),
+                                 [_width(a.dtype) for a in arrays])
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            rows = buf[:min(n - lo, _CSV_BLOCK_ROWS)]
+            for a, slot in zip(arrays, slots):
+                rows[:, slot] = _cells(a[lo:lo + len(rows)])
+            f.write(_text(rows))

@@ -181,7 +181,9 @@ def _backward_sweep(batch: PathBatch, spec, dt: float,
     ``G`` is the forward sweep's final product of ``a`` since the last new
     maximum.  R is the product of a from slot k+1 to the next maximum j
     (or the end) and M the product of mu over the maxima after j.  At a
-    maximum k, R is the forward G at j, so mu_j needs no storage.
+    maximum k, R is the forward G at j, so mu_j needs no storage.  Only
+    the paths that set a new maximum at step k+1 change M or reset R,
+    so those are updated by index.
     """
     x_tm, new_tm = batch.x, batch.new_max
     n1, P = x_tm.shape
@@ -198,14 +200,17 @@ def _backward_sweep(batch: PathBatch, spec, dt: float,
     for k in range(n - 1, -1, -1):
         xk = x_tm[k]
         new = new_tm[k + 1]
-        M = np.where(new & later, (R - alpha) / one_minus * M, M)
+        idx = np.flatnonzero(new)
+        again = idx[later[idx]]
+        M[again] = (R[again] - alpha) / one_minus * M[again]
         sk = s0(xk)
         m = sk / one_minus * np.where(new, M, np.where(later, R * M, 0.0))
         d_m[:, k] = m
         d_x[:, k] = np.where(new | later, m * G, sk * R)
         a = step_factor(xk, k)
-        R = np.where(new, a, R * a)
-        later |= new
+        R *= a
+        R[idx] = a[idx] if np.ndim(a) else a
+        later[idx] = True
     return d_x, d_m
 
 

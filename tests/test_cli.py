@@ -382,6 +382,20 @@ def test_oversized_n_grid_exits_2_before_the_grid(tmp_path, write_config,
     assert "out of memory" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n_grid", [2_097_149, 10**15])
+def test_oversized_n_grid_exits_2_before_the_simulation(
+        n_grid, tmp_path, write_config, capsys, monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("density simulated before it checked n_grid")
+
+    monkeypatch.setattr(cli_mod, "_terminal_worker", no_simulation)
+    cfg = write_config(simulate_config(n_grid=n_grid))
+    assert run("density", cfg, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: n_grid: must be at most 2097148")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "derivative", "density"])
 def test_rejects_zero_paths(command, tmp_path, write_config, capsys):
     cfg = write_config(simulate_config(n_paths=0))

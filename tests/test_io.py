@@ -331,6 +331,60 @@ def test_path_major_blocks_match_the_reference_writer(tmp_path, monkeypatch,
     assert "".join(blocks) == body
 
 
+# -- the float kernel against '%.17g' -----------------------------------------
+
+
+def _kernel_texts(values) -> list[str]:
+    cells = io._float_cells(np.asarray(values, np.float64))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii")
+            for row in cells]
+
+
+def _assert_kernel_matches(values) -> None:
+    values = np.asarray(values, np.float64)
+    assert _kernel_texts(values) == ["%.17g" % v for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_float_kernel_matches_percent_17g_on_floats(values):
+    _assert_kernel_matches(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_kernel_matches_percent_17g_on_bit_patterns(bits):
+    _assert_kernel_matches(np.array(bits, np.uint64).view(np.float64))
+
+
+def _boundary_floats() -> list[float]:
+    values = []
+    for j in range(-5, 19):
+        power = float(f"1e{j}")
+        values += [power, np.nextafter(power, 0.0),
+                   np.nextafter(power, math.inf)]
+    values += [
+        9.9999999999999999e-5,       # parses to 1e-4: '0.0001'
+        99999999999999992.0,         # parses to 1e17: '1e+17'
+        99999999999999984.0,         # the largest double below 1e17
+        1234567890123456.25,         # exact halves at the 17th digit,
+        1234567890123456.75,         # which round to even
+        0.5, 2.5e-4, 0.0, -0.0,
+        2.0**53 - 1.0, 2.0**53, 2.0**53 + 2.0, 2.0**53 + 1.0,
+    ]
+    return values + [-v for v in values]
+
+
+def test_float_kernel_matches_percent_17g_on_boundaries():
+    _assert_kernel_matches(_boundary_floats())
+
+
+def test_float_kernel_texts():
+    assert _kernel_texts([-0.0, 0.0, 1e-3, 0.1, -2.5, 1e16, 1e17]) == \
+        ["-0", "0", "0.001", "0.10000000000000001", "-2.5",
+         "10000000000000000", "1e+17"]
+
+
 _NAME = st.text(st.sampled_from('ab_ ,"\r\n\t\'#=1é'), max_size=4)
 
 

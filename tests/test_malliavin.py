@@ -19,7 +19,7 @@ from perturbsde import (
     simulate_batch,
     simulate_increments,
 )
-from perturbsde import integrate
+from perturbsde import integrate, malliavin
 from conftest import COEFFICIENT_CASES, mixed_case
 
 
@@ -288,6 +288,68 @@ def test_forward_sweep_equals_the_dense_sweep_bitwise(name):
         assert fields.h_norm_sq_final.tobytes() == want[0].tobytes()
         assert fields.sup_h_norm_sq.tobytes() == want[1].tobytes()
     assert tracked.h_norm_sq_by_time.tobytes() == want[2].tobytes()
+
+
+def _dense_backward_sweep(batch, spec, dt, G):
+    """The backward sweep with full-width ``np.where`` updates of ``M`` and
+    ``R`` at every step: ``(d_x, d_m)``.  The index-sparse sweep must
+    equal it bit for bit."""
+    x_tm, new_tm = batch.x, batch.new_max
+    n, P = x_tm.shape[0] - 1, x_tm.shape[1]
+    alpha = spec.alpha
+    one_minus = 1.0 - alpha
+    b1, s0, s1 = (spec.drift.evaluator(1), spec.diffusion.evaluator(0),
+                  spec.diffusion.evaluator(1))
+    d_x, d_m = np.empty((P, n)), np.empty((P, n))
+    R, M, later = np.ones(P), np.ones(P), np.zeros(P, bool)
+    for k in range(n - 1, -1, -1):
+        xk, new = x_tm[k], new_tm[k + 1]
+        M = np.where(new & later, (R - alpha) / one_minus * M, M)
+        sk = s0(xk)
+        m = sk / one_minus * np.where(new, M, np.where(later, R * M, 0.0))
+        d_m[:, k] = m
+        d_x[:, k] = np.where(new | later, m * G, sk * R)
+        a = 1.0 + (b1(xk) * dt + s1(xk) * batch.db[k])
+        R = np.where(new, a, R * a)
+        later |= new
+    return d_x, d_m
+
+
+def _random_batch(alpha, seed):
+    """A 40-step, 24-path batch of random states, increments and
+    new-maximum flags (flags need not follow from the states, as at a
+    tie), with ``a_k = 0`` exactly on every third path at step 20, and
+    a random final ``G``."""
+    rng = np.random.default_rng(seed)
+    n, P = 40, 24
+    spec = ProblemSpec(x0=0.0, alpha=alpha, drift=Coefficient.const(0.3),
+                       diffusion=Coefficient.linear(slope=0.5, intercept=1.0),
+                       horizon=1.0)
+    db = 0.2 * rng.standard_normal((n, P))
+    db[20, ::3] = -2.0               # a_k = 1 + 0.5 * db_k = 0
+    batch = integrate.PathBatch(rng.standard_normal((n + 1, P)),
+                                rng.random((n + 1, P)) < 0.3, db=db)
+    return spec, GridSpec(n_steps=n, horizon=1.0), batch, \
+        rng.uniform(0.5, 2.0, P)
+
+
+@pytest.mark.parametrize("case", [
+    *[("random", alpha, seed) for alpha in (0.0, 0.4, -1.0)
+      for seed in (0, 1)],
+    *[(name, None, None) for name in [*COEFFICIENT_CASES,
+                                      *_RECURSION_CASES]]],
+    ids=lambda c: c[0] if c[1] is None else f"random-{c[1]}-{c[2]}")
+def test_backward_sweep_equals_the_dense_sweep_bitwise(case):
+    name, alpha, seed = case
+    if name == "random":
+        spec, grid, batch, G = _random_batch(alpha, seed)
+    else:
+        spec, grid, batch = _recursion_case(name)
+        G = np.random.default_rng(7).uniform(0.5, 2.0, batch.x.shape[1])
+    got = malliavin._backward_sweep(batch, spec, grid.dt, G)
+    want = _dense_backward_sweep(batch, spec, grid.dt, G)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_norms_only_propagation_does_no_slot_work(tanh_spec):
