@@ -43,6 +43,7 @@ from .errors import (
     GridMismatch,
     IntegrationFailure,
     NonFinite,
+    NumericalFailure,
     OutOfDomain,
     PerturbSDEError,
     UnknownPreset,
@@ -111,7 +112,7 @@ __all__ = [
     "SuiteResult", "ALL_SUITES", "run_suites",
     # errors
     "PerturbSDEError", "ConfigError", "AlphaOutOfRange", "UnknownPreset",
-    "UnsupportedOrder", "DegenerateDiffusion",
+    "UnsupportedOrder", "NumericalFailure", "DegenerateDiffusion",
     "GridMismatch", "NonFinite", "OutOfDomain", "DomainTooSmall",
     "IntegrationFailure", "EmptySample", "VerificationFailure",
 ]

@@ -9,8 +9,9 @@ One JSON config describes one run; subcommands bind it to the pipeline:
 * ``transform``  unit-diffusion change-of-variables table + transformed spec
 * ``verify``     invariant suites with a pass/fail report
 
-Exit codes: 0 success, 2 configuration error (a run too large for the
-memory at hand included), 3 numerical failure, 4 verification failure.
+Exit codes: 0 success, 2 configuration error (an unwritable artifact and
+a run too large for the memory at hand included), 3 numerical failure, 4
+verification failure; a package error's class carries its code.
 Everything a run produces carries the tool version, a hash of the
 effective config, and the seed, and is bitwise reproducible for a fixed
 config: worker processes only partition the path range, and
@@ -50,17 +51,7 @@ from .density import (
     oracle_driftless,
     smoothness_diagnostic,
 )
-from .errors import (
-    ConfigError,
-    DegenerateDiffusion,
-    DomainTooSmall,
-    EmptySample,
-    IntegrationFailure,
-    NonFinite,
-    OutOfDomain,
-    PerturbSDEError,
-    VerificationFailure,
-)
+from .errors import ConfigError, PerturbSDEError, VerificationFailure
 from .integrate import simulate_batch, simulate_terminal
 from .lamperti import (
     DEFAULT_NODES,
@@ -72,9 +63,6 @@ from .model import GridSpec, ProblemSpec
 from . import verify as verify_mod
 
 __all__ = ["main"]
-
-_NUMERIC_ERRORS = (NonFinite, IntegrationFailure, OutOfDomain,
-                   DomainTooSmall, EmptySample, DegenerateDiffusion)
 
 
 def _require(config: dict, command: str, *fields: str) -> None:
@@ -466,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _effective_config(args: argparse.Namespace) -> dict:
     try:
         config = io.read_json(args.config)
-    except OSError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an integer past the digit limit
         raise ConfigError(f"cannot read config: {exc}") from None
     # the override is checked with the rest; a non-object config fails there
     if args.seed is not None and isinstance(config, dict):
@@ -486,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
                        or config.get("out") or ".")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:     # ValueError: a NUL byte
             raise ConfigError(f"cannot create output directory: {exc}") \
                 from None
         # The hash covers everything that determines artifact content; the
@@ -495,18 +484,15 @@ def main(argv: list[str] | None = None) -> int:
         meta = {"version": io.TOOL_VERSION,
                 "config_sha256": io.config_hash(hashed),
                 "seed": config.get("seed")}
-        handler(config, out_dir, args.workers, meta)
-    except VerificationFailure as exc:
+        try:
+            handler(config, out_dir, args.workers, meta)
+        except OSError as exc:
+            # an artifact that cannot be written; open's message names it
+            raise ConfigError(f"cannot write artifacts to {out_dir}: {exc}") \
+                from None
+    except PerturbSDEError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (PerturbSDEError, ValueError) as exc:
-        # Remaining package errors are configuration problems; ValueError
-        # covers malformed JSON text.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except MemoryError as exc:
         # the config sizes the run; numpy's message names the array
         reason = str(exc) or "an allocation failed"

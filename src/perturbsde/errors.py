@@ -1,16 +1,14 @@
 """Exception hierarchy for the perturbsde package.
 
 Every error raised by this package derives from :class:`PerturbSDEError`, so
-callers can catch one type at the boundary.  Configuration problems,
-numerical failures, and contract violations get distinct subclasses because
-the command line maps them to different exit codes.
+callers can catch one type at the boundary.  A class's ``exit_code`` is the
+command line's exit code for it: 2 (a configuration problem) unless it is a
+:class:`NumericalFailure` (3) or a :class:`VerificationFailure` (4).
 """
-
-from __future__ import annotations
-
 
 class PerturbSDEError(Exception):
     """Base class for all errors raised by perturbsde."""
+    exit_code = 2
 
 
 class ConfigError(PerturbSDEError):
@@ -29,16 +27,21 @@ class UnsupportedOrder(PerturbSDEError):
     """A derivative order was requested that the coefficient cannot supply."""
 
 
-class DegenerateDiffusion(PerturbSDEError):
-    """The diffusion coefficient vanishes or changes sign on the working
-    domain, so the unit-diffusion change of variables is unavailable."""
-
-
 class GridMismatch(PerturbSDEError):
     """Array lengths are inconsistent with the time grid."""
 
 
-class NonFinite(PerturbSDEError):
+class NumericalFailure(PerturbSDEError):
+    """A well-formed run met a quantity it cannot compute."""
+    exit_code = 3
+
+
+class DegenerateDiffusion(NumericalFailure):
+    """The diffusion coefficient vanishes or changes sign on the working
+    domain, so the unit-diffusion change of variables is unavailable."""
+
+
+class NonFinite(NumericalFailure):
     """A simulated quantity left the finite range.
 
     Attributes
@@ -56,21 +59,22 @@ class NonFinite(PerturbSDEError):
         self.path_index = path_index
 
 
-class OutOfDomain(PerturbSDEError):
+class OutOfDomain(NumericalFailure):
     """A path left the working domain of a tabulated transform."""
 
 
-class DomainTooSmall(PerturbSDEError):
+class DomainTooSmall(NumericalFailure):
     """A transform table does not cover the values it is asked to map."""
 
 
-class IntegrationFailure(PerturbSDEError):
+class IntegrationFailure(NumericalFailure):
     """A quadrature or root-finding routine failed to converge."""
 
 
-class EmptySample(PerturbSDEError):
+class EmptySample(NumericalFailure):
     """A statistical routine received an empty or degenerate sample."""
 
 
 class VerificationFailure(PerturbSDEError):
     """A verification suite reported at least one failing check."""
+    exit_code = 4

@@ -163,20 +163,22 @@ def forward(table: TransformTable, y):
 
 def brentq(f, a: float, b: float, xtol: float = 2e-12) -> float:
     """Root of ``f`` in ``[a, b]`` by bisection, to ``xtol`` or to float
-    resolution, so any ``xtol`` terminates.  Raises ``ValueError`` when
-    ``f(a)`` and ``f(b)`` do not bracket a root or ``f`` is NaN.  The name
-    stays for callers that rebind it to count fallbacks."""
+    resolution, so any ``xtol`` terminates.  Raises
+    :class:`IntegrationFailure` when ``f(a)`` and ``f(b)`` do not bracket a
+    root or ``f`` is NaN.  The name stays for callers that rebind it to
+    count fallbacks."""
     fa, fb = f(a), f(b)
     sign = 1.0 if fa <= fb else -1.0   # then sign f(a) <= 0 <= sign f(b)
     if not sign * fa <= 0.0 <= sign * fb:
-        raise ValueError(f"no sign change: f(a) = {fa!r}, f(b) = {fb!r}")
+        raise IntegrationFailure(f"bisection has no bracket: f(a) = {fa!r}, "
+                                 f"f(b) = {fb!r}")
     while b - a > xtol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
             break
         fm = sign * f(mid)
         if math.isnan(fm):
-            raise ValueError(f"f is NaN at {mid!r}")
+            raise IntegrationFailure(f"bisection met f = NaN at {mid!r}")
         if fm < 0.0:
             a = mid
         else:
@@ -212,12 +214,8 @@ def inverse(table: TransformTable, z, tol: float = INVERSE_TOL):
     if np.any(bad):
         for idx in np.argwhere(bad):
             i = tuple(idx)
-            try:
-                y[i] = brentq(lambda v: float(_F(table, v)) - zf[i],
-                              lo, hi, xtol=tol)
-            except ValueError as exc:
-                raise IntegrationFailure(
-                    f"inverse transform failed to bracket: {exc}") from None
+            y[i] = brentq(lambda v: float(_F(table, v)) - zf[i],
+                          lo, hi, xtol=tol)
     return float(y[0]) if z_arr.ndim == 0 else y.reshape(z_arr.shape)
 
 

@@ -123,6 +123,8 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
     n = n1 - 1
     alpha = spec.alpha
     one_minus = 1.0 - alpha
+    with np.errstate(over="ignore"):    # inf where a float's ** raises
+        one_minus_sq = np.float64(one_minus) ** 2
     s0 = spec.diffusion.evaluator(0)
     step_factor = _step_factor(spec, batch, dt)
 
@@ -145,7 +147,7 @@ def propagate_derivative_batch(batch: PathBatch, spec, grid: GridSpec,
         Y += sk * sk
         q = (sk[idx] if np.ndim(sk) else sk) / one_minus
         mu = (G[idx] - alpha) / one_minus
-        S[idx] = S[idx] * (mu * mu) + Y_new / one_minus**2 + q * q
+        S[idx] = S[idx] * (mu * mu) + Y_new / one_minus_sq + q * q
         Y[idx] = 0.0
         G[idx] = 1.0
         if track_all_times:

@@ -200,6 +200,8 @@ class Coefficient:
             raise ConfigError(
                 "tabulated coefficient nodes must increase strictly")
         spline = (nodes, values, _not_a_knot_slopes(nodes, values))
+        if not np.all(np.isfinite(spline[2])):
+            raise ConfigError("tabulated coefficient has no finite spline")
         return cls("custom-tabulated", tables,
                    _value=partial(hermite, *spline),
                    _d1=partial(hermite, *spline, order=1),
@@ -331,7 +333,8 @@ def _not_a_knot_slopes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Node slopes of the not-a-knot cubic spline through ``(nodes, values)``:
     a continuous second derivative at interior nodes, a continuous third
     one at the second and second-to-last.  Thomas elimination needs no
-    pivoting because every pivot of this tridiagonal system is positive."""
+    pivoting because every pivot of this tridiagonal system is positive;
+    one that rounding leaves otherwise makes every slope NaN."""
     dx = np.diff(nodes)
     secant = np.diff(values) / dx
     n = nodes.size
@@ -353,6 +356,8 @@ def _not_a_knot_slopes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
         w = lo[k] / di[k - 1]
         di[k] -= w * up[k - 1]
         r[k] -= w * r[k - 1]
+        if not di[k] > 0.0:
+            return np.full(n, np.nan)
     r[-1] /= di[-1]
     for k in range(n - 2, -1, -1):
         r[k] = (r[k] - up[k] * r[k + 1]) / di[k]
@@ -488,8 +493,9 @@ class GridSpec:
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
             raise ConfigError("n_steps must be a positive integer")
         if not (isinstance(self.horizon, (int, float))
-                and math.isfinite(self.horizon) and self.horizon > 0):
-            raise ConfigError("horizon must be a positive finite number")
+                and math.isfinite(self.horizon)
+                and self.horizon / self.n_steps > 0):
+            raise ConfigError("horizon must be finite, horizon / n_steps > 0")
         object.__setattr__(self, "n_steps", int(self.n_steps))
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "dt", self.horizon / self.n_steps)

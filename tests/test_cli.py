@@ -2,20 +2,25 @@
 metadata contract."""
 
 import concurrent.futures
+import contextlib
+import errno
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import perturbsde
@@ -410,6 +415,45 @@ def test_missing_and_malformed_config(tmp_path, capsys):
     assert run("simulate", bad, tmp_path / "o") == 2
 
 
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # too deep for the JSON parser's recursion
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run("simulate", deep, tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unwritable_artifact_exits_2_naming_it(tmp_path, write_config,
+                                               capsys):
+    out = tmp_path / "o"
+    (out / "regime.json").mkdir(parents=True)
+    cfg = write_config({"problem": base_problem(alpha=0.1), "t0": 1.0})
+    assert run("regime", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write artifacts to {out}: ")
+    assert str(out / "regime.json") in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_failed_table_write_exits_2_and_leaves_no_table(tmp_path,
+                                                        write_config,
+                                                        capsys, monkeypatch):
+    def full_disk(*args):
+        yield "0,0,0,0\n"
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(pio, "path_major_blocks", full_disk)
+    cfg = write_config(simulate_config(n_paths=8))
+    out = tmp_path / "o"
+    assert run("simulate", cfg, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write artifacts to {out}: ")
+    assert "No space left on device" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_workers_must_be_positive(tmp_path, write_config):
     cfg = write_config(simulate_config())
     assert run("simulate", cfg, tmp_path / "o", "--workers", "0") == 2
@@ -436,6 +480,19 @@ def test_numeric_blowup_exits_3(tmp_path, write_config, capsys):
     assert list((tmp_path / "o").iterdir()) == []
 
 
+@pytest.mark.parametrize("alpha", [-1e154, -1e155])
+def test_derivative_runs_where_one_minus_alpha_squared_overflows(
+        alpha, tmp_path, write_config, capsys):
+    # (1 - alpha)**2 is past the largest double from alpha = -1.35e154 on
+    cfg = write_config(simulate_config(problem=base_problem(alpha=alpha),
+                                       n_paths=8, t0=0.5))
+    out = tmp_path / "o"
+    assert run("derivative", cfg, out) == 0
+    assert capsys.readouterr().err == ""
+    summary = read_json(out / "derivative_summary.json")
+    assert all(math.isfinite(v) for v in summary["sup_h_norm_sq"])
+
+
 def test_degenerate_transform_exits_3(tmp_path, write_config):
     problem = base_problem(x0=0.0)
     problem["diffusion"] = {"preset": "sine", "params": {"amplitude": 1.0}}
@@ -450,6 +507,74 @@ def test_degenerate_regime_exits_3(tmp_path, write_config, capsys):
     cfg = write_config({"problem": problem, "t0": 1.0})
     assert run("regime", cfg, tmp_path / "o") == 3
     assert "changes sign" in capsys.readouterr().err
+
+
+# Menus for generated configs: signed zeros, the smallest subnormal, values
+# near both ends of the double range, and the alpha endpoints.
+_VALUES = [0.0, -0.0, 5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300]
+_POSITIVE = [5e-324, 1e-300, 0.5, 1.0, 1e300]
+_ALPHAS = [-1e300, -1.0, 0.0, 0.5, 0.999]
+_TABLE_NODES = [[-1.0, -0.5, 0.5, 1.0], [-1e300, -1.0, 1.0, 1e300],
+                [-4.0 + k for k in range(9)]]
+
+
+@st.composite
+def _coefficients(draw):
+    preset = draw(st.sampled_from(sorted(model_mod.PRESETS)))
+    if preset == "custom-tabulated":
+        nodes = draw(st.sampled_from(_TABLE_NODES))
+        values = draw(st.lists(st.sampled_from(_VALUES), min_size=len(nodes),
+                               max_size=len(nodes)))
+        return {"preset": preset, "params": {"nodes": nodes,
+                                             "values": values}}
+    required, optional = model_mod.PRESETS[preset]
+    names = sorted(required) + [name for name in sorted(optional)
+                                if draw(st.booleans())]
+    return {"preset": preset,
+            "params": {name: draw(st.sampled_from(_VALUES))
+                       for name in names}}
+
+
+@st.composite
+def _configs(draw):
+    # sizes are bounded, and no bandwidth is drawn: the mesh cap admits a
+    # 2**22-node mesh
+    config = {
+        "problem": {"x0": draw(st.sampled_from(_VALUES)),
+                    "alpha": draw(st.sampled_from(_ALPHAS)),
+                    "drift": draw(_coefficients()),
+                    "diffusion": draw(_coefficients()),
+                    "horizon": draw(st.sampled_from(_POSITIVE))},
+        "grid": {"n_steps": draw(st.integers(1, 16))},
+        "n_paths": draw(st.integers(1, 30)),
+        "seed": draw(st.sampled_from([0, 7, 2**64 - 1])),
+    }
+    if draw(st.booleans()):
+        config["grid"]["horizon"] = draw(st.sampled_from(_POSITIVE))
+    for key, menu in [("t0", _POSITIVE), ("n_grid", [8, 64]),
+                      ("transform", [{"n_nodes": n} for n in (5, 9, 65)])]:
+        if draw(st.booleans()):
+            config[key] = draw(st.sampled_from(menu))
+    return config
+
+
+# About 5 s on a 2-vCPU host.
+@settings(max_examples=1000, deadline=None)
+@given(command=st.sampled_from(["simulate", "derivative", "regime",
+                                "density", "transform"]),
+       config=_configs())
+@example(command="derivative",
+         config=simulate_config(problem=base_problem(alpha=-1e155),
+                                n_paths=8, t0=0.5))
+def test_generated_configs_exit_with_a_documented_code(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(command, path, Path(tmp) / "out", "--workers", "1")
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 # -- analysis subcommands -----------------------------------------------------

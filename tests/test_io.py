@@ -440,11 +440,12 @@ def _write_peak_bytes(path, n: int) -> int:
 
 
 def test_write_csv_memory_is_bounded_by_the_block(tmp_path):
-    # One block of four columns holds its cells and text at about 0.3 MB
-    # per 1000 rows, about 1.2 MB at 4096 rows.  The budget leaves room
-    # for that and nothing that grows with the row count: formatting the
-    # whole table at once takes about 9 MB here, and 65536-row blocks
-    # (with the row count scaled to eight of them) about 18 MB.
+    # Each block of 4096 rows is formatted in one reused row buffer of
+    # zero-padded cells, beside the float kernel's arrays: eight blocks
+    # peak at about 1.34 MB under tracemalloc.  The budget leaves room for
+    # that and nothing that grows with the row count: the whole table as
+    # one block takes about 10.7 MB here, and 65536-row blocks (with the
+    # row count scaled to eight of them) about 21 MB.
     budget = 3_000_000
     block = io._CSV_BLOCK_ROWS
     peak_2 = _write_peak_bytes(tmp_path / "two.csv", 2 * block)

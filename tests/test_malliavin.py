@@ -20,7 +20,7 @@ from perturbsde import (
     simulate_increments,
 )
 from perturbsde import integrate, malliavin
-from conftest import COEFFICIENT_CASES, mixed_case
+from conftest import COEFFICIENT_CASES, make_tanh, mixed_case
 
 
 def h_norm_sq(d_x: np.ndarray, dt: float, k: int | None = None):
@@ -136,6 +136,25 @@ def test_field_norms_are_consistent(tanh_spec, grid_1000):
     np.testing.assert_allclose(by_time.max(axis=0), fields.sup_h_norm_sq,
                                rtol=1e-12)
     assert np.all(fields.sup_h_norm_sq >= fields.h_norm_sq_final - 1e-15)
+
+
+@pytest.mark.parametrize("alpha", [-1e154, -1e155, -1e300])
+def test_norms_stay_finite_past_the_square_of_one_minus_alpha(alpha):
+    # (1 - alpha)**2 passes the largest double from alpha = -1.35e154 on,
+    # where a Python float's ** raises OverflowError; the forward sweep
+    # divides by it, and the quotient is zero there
+    spec = make_tanh(alpha=alpha)
+    grid = GridSpec(n_steps=64, horizon=1.0)
+    batch = simulate_batch(spec, grid, 20, seed=239)
+    fields = propagate_derivative_batch(batch, spec, grid,
+                                        track_all_times=True)
+    assert np.all(np.isfinite(fields.h_norm_sq_by_time))
+    assert np.all(np.isfinite(fields.d_x)) and np.all(np.isfinite(fields.d_m))
+    # a path with a new maximum at the last step has every slot of order
+    # 1 / (1 - alpha), and so a subnormal norm
+    np.testing.assert_allclose(h_norm_sq(fields.d_x, grid.dt),
+                               fields.h_norm_sq_final, rtol=1e-12,
+                               atol=1e-300)
 
 
 def test_first_step_norm_reflects_the_initial_branch(driftless):

@@ -290,6 +290,17 @@ def test_tabulated_input_validation():
             Coefficient.tabulated(np.asarray(nodes), values)
 
 
+@pytest.mark.parametrize("nodes, values", [
+    # rounding leaves a zero pivot in the elimination
+    ([-1e300, -1.0, 1.0, 1e300], [0.0] * 4),
+    # the spacings overflow, and the slopes are NaN
+    ([-1.7e308, -1.0, 1.0, 1.7e308], [0.0] * 4),
+    ([0.0, 1e-300, 1.0, 2.0], [0.0, 1e300, -1e300, 0.0])])
+def test_tabulated_refuses_a_table_with_no_finite_spline(nodes, values):
+    with pytest.raises(ConfigError, match="no finite spline"):
+        Coefficient.tabulated(np.array(nodes), np.array(values))
+
+
 def test_tabulated_equality():
     # the nodes cover the validation grid [-9.5, 10.5] of the specs below
     nodes = np.linspace(-12.0, 12.0, 6)
@@ -477,6 +488,13 @@ def test_grid_spec_validation():
         GridSpec(n_steps=10, horizon=0.0)
     with pytest.raises(ConfigError):
         GridSpec(n_steps=10, horizon=math.nan)
+
+
+def test_grid_spec_refuses_a_zero_time_step():
+    # the smallest subnormal horizon still takes one step
+    assert GridSpec(n_steps=1, horizon=5e-324).dt == 5e-324
+    with pytest.raises(ConfigError, match="horizon / n_steps"):
+        GridSpec(n_steps=2, horizon=5e-324)
 
 
 def test_path_state_invariants_on_simulated_paths(driftless):
