@@ -268,7 +268,12 @@ def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
     sample mean and standard deviation.  The default grid spans the mean
     plus or minus :data:`GRID_HALFWIDTH_STDS` standard deviations in
     ``n_grid`` points; a given grid must be strictly increasing and
-    uniformly spaced."""
+    uniformly spaced.
+
+    A given bandwidth, grid or ``n_grid`` that fails raises
+    :class:`ConfigError`.  Where what fails comes from the sample itself,
+    a rule bandwidth that is zero or not finite or a default grid that is
+    not finite and uniform, it raises :class:`EmptySample`."""
     sample = np.ascontiguousarray(np.asarray(sample, float).ravel())
     if sample.size < 2:
         raise EmptySample(
@@ -279,13 +284,15 @@ def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
     std = float(np.std(sample, ddof=1))
     if bandwidth is None:
         bandwidth = rule(sample)
-        if bandwidth <= 0.0:
-            raise ConfigError(
-                "bandwidth rule degenerates on a zero-spread sample")
+        if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
+            raise EmptySample(
+                f"bandwidth rule gives {bandwidth!r} on a sample of "
+                f"standard deviation {std!r}")
     bandwidth = float(bandwidth)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ConfigError(f"bandwidth must be positive, got {bandwidth!r}")
-    if eval_grid is None:
+    default_grid = eval_grid is None
+    if default_grid:
         _check_n_grid(n_grid)
         half = GRID_HALFWIDTH_STDS * (std if std > 0.0 else bandwidth)
         eval_grid = np.linspace(mean - half, mean + half, n_grid)
@@ -298,6 +305,10 @@ def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
     spacing = (zs[-1] - zs[0]) / (zs.size - 1)
     if not (np.all(gaps > 0.0) and math.isfinite(spacing)
             and float(np.max(np.abs(gaps - spacing))) <= 1e-6 * spacing):
+        if default_grid:
+            raise EmptySample(
+                f"no uniform evaluation grid about a sample of mean "
+                f"{mean!r} and standard deviation {std!r}")
         raise ConfigError(
             "evaluation grid must be strictly increasing and uniformly "
             "spaced")
@@ -382,9 +393,7 @@ def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / denom
 
 
-def smoothness_diagnostic(sample, grid: np.ndarray | None = None,
-                          d1_threshold: float = D1_THRESHOLD,
-                          d2_threshold: float = D2_THRESHOLD
+def smoothness_diagnostic(sample, grid: np.ndarray | None = None
                           ) -> SmoothnessReport:
     """Stability of derivative estimates across a bandwidth ladder.
 
@@ -420,8 +429,8 @@ def smoothness_diagnostic(sample, grid: np.ndarray | None = None,
         d1_worst = max(d1_worst, disc1)
         d2_worst = max(d2_worst, disc2)
 
-    d1_score = d1_worst / d1_threshold
-    d2_score = d2_worst / d2_threshold
+    d1_score = d1_worst / D1_THRESHOLD
+    d2_score = d2_worst / D2_THRESHOLD
     score = max(d1_score, d2_score)
     n = int(sample.size)
     note = SmoothnessReport.note
@@ -432,7 +441,7 @@ def smoothness_diagnostic(sample, grid: np.ndarray | None = None,
     return SmoothnessReport(
         verdict="pass" if score <= 1.0 else "fail",
         score=score, d1_score=d1_score, d2_score=d2_score,
-        d1_threshold=d1_threshold, d2_threshold=d2_threshold,
+        d1_threshold=D1_THRESHOLD, d2_threshold=D2_THRESHOLD,
         bandwidth=h, window=(float(lo), float(hi)), pairs=tuple(pairs),
         n_samples=n, note=note)
 

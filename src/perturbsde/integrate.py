@@ -328,10 +328,11 @@ class PathBatch:
     engine, so they do not follow from ``x``.
 
     The increments ``db`` (float, ``(n, P)``) are the block passed in, if
-    any.  A keyed batch, built with its ``seed``, ``path_offset`` and grid
-    step ``dt`` and no block, stores none: the first read of ``db`` redraws
-    the block of :func:`_generate_block`, bitwise the one it was simulated
-    on, and keeps it.  ``n_steps`` comes from ``x`` and never redraws.
+    any (with no ``seed`` from :func:`simulate_increments`).  A keyed
+    batch, built with its ``seed``, ``path_offset`` and grid step ``dt``
+    and no block, stores none: the first read of ``db`` redraws the block
+    of :func:`_generate_block`, bitwise the one it was simulated on, and
+    keeps it.  ``n_steps`` comes from ``x`` and never redraws.
     Batches compare and hash by identity.
     """
 
@@ -394,8 +395,7 @@ def _increment_block(db, grid: GridSpec) -> np.ndarray:
 
 
 def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
-                        record: bool = True, seed: int | None = None,
-                        path_offset: int = 0):
+                        record: bool = True, path_offset: int = 0):
     """Advance a caller-supplied increment block through the scheme.
 
     ``db`` is time-major with shape ``(n_steps, n_paths)``: row ``k`` holds
@@ -403,9 +403,9 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
     bitwise equal to the same column simulated alone, whatever the other
     columns hold.  With ``record`` the result is a :class:`PathBatch`
     holding whole trajectories (and ``db`` itself, not a copy); otherwise
-    the ``(n_paths,)`` array of terminal values.  ``seed`` and
-    ``path_offset`` only label a :class:`PathBatch`: they record which
-    keyed stream the columns came from, ``None`` for synthetic blocks.  A
+    the ``(n_paths,)`` array of terminal values.  The batch carries
+    ``db``, so it never redraws it and its ``seed`` is ``None``, whatever
+    stream the block came from.  ``path_offset`` labels the columns: a
     :class:`NonFinite` error names path ``path_offset + i`` for column
     ``i``.
 
@@ -419,7 +419,7 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
         return _euler_core(spec, grid.dt, [db_tm], P, path_offset)
     x_tm, new_tm = _recorded_arrays(grid, P)
     _euler_core(spec, grid.dt, [db_tm], P, path_offset, (x_tm, new_tm))
-    return PathBatch(x=x_tm, new_max=new_tm, db=db_tm, seed=seed,
+    return PathBatch(x=x_tm, new_max=new_tm, db=db_tm,
                      path_offset=path_offset, dt=grid.dt)
 
 

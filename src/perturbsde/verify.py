@@ -8,6 +8,9 @@ return a :class:`SuiteResult` rather than raising, so a runner can
 aggregate them into one report; the CLI turns any failure into a nonzero
 exit.
 
+The suites are the spec: their tolerances and fixed sizes are constants
+here, and a suite takes only ``seed`` and its path and step counts.
+
 A suite that reads its increments draws its keyed block once, with
 ``integrate._generate_block``, and runs each of its problems through
 ``simulate_increments`` on that block, which gives it bitwise the batch
@@ -22,6 +25,7 @@ needs no increments and calls ``simulate_batch``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -30,6 +34,7 @@ import numpy as np
 from . import integrate
 from .bounds import floor_violations, regime_report, theta
 from .density import oracle_driftless
+from .errors import ConfigError
 from .integrate import (
     explicit_additive_path,
     picard_solve,
@@ -76,6 +81,16 @@ class SuiteResult:
     details: dict[str, Any]
 
 
+# Each suite's tolerances and fixed sizes, which its report writes.
+DRIFTLESS_ALPHAS = (-1.0, 0.0, 0.3, 0.9)   # both driftless sweeps
+ADDITIVE_TOL, NORM_TOL = 1e-12, 1e-10     # additive, malliavin_closed_form
+FD_EPS, FD_TOL = 1e-4, 1e-2               # cameron_martin
+N_PAIRS = 1000                            # lower_bounds' time pairs a path
+PATH_TOL, ROUNDTRIP_TOL = 5e-2, 1e-8      # lamperti_consistency
+PICARD_TOL, PICARD_ITER, MATCH_TOL = 1e-6, 30, 1e-5
+ORACLE_SAMPLES, ORACLE_TOL = 2_500_000, 5e-3
+
+
 def _driftless_spec(alpha: float) -> ProblemSpec:
     return ProblemSpec(x0=0.0, alpha=alpha, drift=Coefficient.const(0.0),
                        diffusion=Coefficient.const(1.0), horizon=1.0)
@@ -95,9 +110,7 @@ def _lamperti_spec() -> ProblemSpec:
 
 
 def additive_identity_suite(seed: int = 20240801, n_paths: int = 100,
-                            n_steps: int = 1000,
-                            alphas=(-1.0, 0.0, 0.3, 0.9),
-                            tol: float = 1e-12) -> SuiteResult:
+                            n_steps: int = 1000) -> SuiteResult:
     """Step-by-step equality of the implicit per-step scheme and the
     explicit driftless solution ``x0/(1-a) + z + a/(1-a) max z`` on shared
     noise."""
@@ -105,31 +118,29 @@ def additive_identity_suite(seed: int = 20240801, n_paths: int = 100,
     per_alpha: dict[str, float] = {}
     grid = GridSpec(n_steps=n_steps, horizon=1.0)   # every alpha's horizon
     db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
-    for alpha in alphas:
+    for alpha in DRIFTLESS_ALPHAS:
         spec = _driftless_spec(alpha)
-        direct = simulate_increments(spec, grid, db, seed=seed)
+        direct = simulate_increments(spec, grid, db)
         closed = explicit_additive_path(spec.x0, alpha, 1.0, db)
         err = float(np.max(np.abs(direct.x - closed)))
         per_alpha[str(alpha)] = err
         worst = max(worst, err)
-    return SuiteResult("additive_identity", worst <= tol, worst, tol,
-                       {"per_alpha_max_abs_err": per_alpha,
-                        "n_paths": n_paths, "n_steps": n_steps})
+    return SuiteResult("additive_identity", worst <= ADDITIVE_TOL, worst,
+                       ADDITIVE_TOL, {"per_alpha_max_abs_err": per_alpha,
+                                      "n_paths": n_paths, "n_steps": n_steps})
 
 
 def malliavin_closed_form_suite(seed: int = 20240802, n_paths: int = 1000,
-                                n_steps: int = 1000,
-                                alphas=(-1.0, 0.0, 0.3, 0.9),
-                                tol: float = 1e-10) -> SuiteResult:
+                                n_steps: int = 1000) -> SuiteResult:
     """Driftless unit-diffusion paths satisfy
     ``||DX_T||^2 = tau/(1-a)^2 + (T - tau)`` with ``tau`` the argmax time."""
     worst = 0.0
     per_alpha: dict[str, float] = {}
     grid = GridSpec(n_steps=n_steps, horizon=1.0)   # every alpha's horizon
     db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
-    for alpha in alphas:
+    for alpha in DRIFTLESS_ALPHAS:
         spec = _driftless_spec(alpha)
-        batch = simulate_increments(spec, grid, db, seed=seed)
+        batch = simulate_increments(spec, grid, db)
         fields = propagate_derivative_batch(batch, spec, grid)
         tau = batch.final_argmax_idx() * grid.dt
         expected = tau / (1.0 - alpha) ** 2 + (spec.horizon - tau)
@@ -137,39 +148,37 @@ def malliavin_closed_form_suite(seed: int = 20240802, n_paths: int = 1000,
         del batch, fields   # one batch at a time: free it before the next
         per_alpha[str(alpha)] = err
         worst = max(worst, err)
-    return SuiteResult("malliavin_closed_form", worst <= tol, worst, tol,
-                       {"per_alpha_max_abs_err": per_alpha,
-                        "n_paths": n_paths, "n_steps": n_steps})
+    return SuiteResult("malliavin_closed_form", worst <= NORM_TOL, worst,
+                       NORM_TOL, {"per_alpha_max_abs_err": per_alpha,
+                                  "n_paths": n_paths, "n_steps": n_steps})
 
 
 def cameron_martin_suite(seed: int = 20240803, n_paths: int = 100,
-                         n_steps: int = 2000, eps: float = 1e-4,
-                         tol: float = 1e-2) -> SuiteResult:
+                         n_steps: int = 2000) -> SuiteResult:
     """Finite-difference directional derivative along the constant shift
     ``h = 1`` against the inner product with the propagated field; the
-    median relative error over paths must stay under ``tol``."""
+    median relative error over paths must stay under :data:`FD_TOL`."""
     spec = ProblemSpec(x0=0.0, alpha=0.2,
                        drift=Coefficient.sine(amplitude=0.5),
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
     h = np.ones(n_steps)
     db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
-    batch = simulate_increments(spec, grid, db, seed=seed)
+    batch = simulate_increments(spec, grid, db)
     fields = propagate_derivative_batch(batch, spec, grid)
-    fds = cameron_martin_fd(spec, grid, db, h, eps=eps, base=batch.x[-1])
+    fds = cameron_martin_fd(spec, grid, db, h, eps=FD_EPS, base=batch.x[-1])
     ips = inner_product(fields, h)
     denom = np.maximum(np.maximum(np.abs(fds), np.abs(ips)), 1e-300)
     rel_errs = np.abs(fds - ips) / denom
     med = float(np.median(rel_errs))
-    return SuiteResult("cameron_martin", med <= tol, med, tol,
+    return SuiteResult("cameron_martin", med <= FD_TOL, med, FD_TOL,
                        {"median_rel_err": med,
-                        "max_rel_err": float(np.max(rel_errs)),
-                        "eps": eps, "n_paths": n_paths, "n_steps": n_steps})
+                        "max_rel_err": float(np.max(rel_errs)), "eps": FD_EPS,
+                        "n_paths": n_paths, "n_steps": n_steps})
 
 
 def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
-                      n_steps: int = 1000, n_pairs: int = 1000
-                      ) -> SuiteResult:
+                      n_steps: int = 1000) -> SuiteResult:
     """Monte Carlo sweep of the three derivative-norm inequalities.
 
     Problem: ``alpha=0.1``, ``b = 0.1 tanh``, unit diffusion, ``T=1``, for
@@ -182,8 +191,8 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
       ``||DX_t||^2`` beats ``final_lower_bound(t, t0)`` at every grid
       time ``0 < t <= t0``, both counted by ``floor_violations``;
     - the oscillation ``| ||DX_t2||^2 - ||DX_t1||^2 |`` stays within the
-      repaired difference bound over ``n_pairs`` random time pairs per
-      path.
+      repaired difference bound over :data:`N_PAIRS` random time pairs
+      per path.
 
     The repaired bound is the plain ``2 theta(gap) sup`` bound plus
     ``2 sigma_bar^2 gap + 2 Lb^2 gap^2 sup``: increments arriving inside
@@ -217,7 +226,7 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
     # held; the generator's stream runs on from call to call, so the
     # values are those of one draw per array
     rng = np.random.default_rng(seed)
-    i1, i2 = (np.empty((n_paths, n_pairs), np.int32) for _ in range(2))
+    i1, i2 = (np.empty((n_paths, N_PAIRS), np.int32) for _ in range(2))
     for pairs in (i1, i2):
         for lo in range(0, n_paths, 100):
             rows = pairs[lo:lo + 100]
@@ -247,13 +256,11 @@ def lower_bound_suite(seed: int = 20240804, n_paths: int = 1000,
          "diff_bound_violations": diff_viol,
          "plain_diff_bound_violation_rate": plain_viol_rate,
          "t0": t0, "theta_at_t0": theta(t0, alpha, lb), "lb": lb,
-         "n_paths": n_paths, "n_steps": n_steps, "n_pairs": n_pairs})
+         "n_paths": n_paths, "n_steps": n_steps, "n_pairs": N_PAIRS})
 
 
 def lamperti_suite(seed: int = 20240805, n_paths: int = 100,
-                   n_steps: int = 1000,
-                   path_tol: float = 5e-2,
-                   roundtrip_tol: float = 1e-8) -> SuiteResult:
+                   n_steps: int = 1000) -> SuiteResult:
     """Consistency of the unit-diffusion change of variables.
 
     Problem: ``sigma = 2 + sin``, ``b = 0.1 tanh``, ``alpha = 0.1``.
@@ -278,8 +285,8 @@ def lamperti_suite(seed: int = 20240805, n_paths: int = 100,
     yspec = transformed_spec(table)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
     db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
-    xb = simulate_increments(spec, grid, db, seed=seed)
-    yb = simulate_increments(yspec, grid, db, seed=seed)
+    xb = simulate_increments(spec, grid, db)
+    yb = simulate_increments(yspec, grid, db)
     sups = np.max(np.abs(forward(table, xb.x) - yb.x), axis=0)
     path_err = float(np.median(sups))
 
@@ -287,56 +294,53 @@ def lamperti_suite(seed: int = 20240805, n_paths: int = 100,
     fy = transformed_field(table, xb, fx)
     lift = lift_bound_check(fx, fy, spec.sigma_inf)
 
-    passed = (rt <= roundtrip_tol and path_err <= path_tol
+    passed = (rt <= ROUNDTRIP_TOL and path_err <= PATH_TOL
               and lift.n_violations == 0)
-    worst = max(rt / roundtrip_tol, path_err / path_tol,
+    worst = max(rt / ROUNDTRIP_TOL, path_err / PATH_TOL,
                 float(lift.n_violations))
     return SuiteResult(
         "lamperti_consistency", passed, worst, 1.0,
-        {"roundtrip_max_err": rt, "roundtrip_tol": roundtrip_tol,
+        {"roundtrip_max_err": rt, "roundtrip_tol": ROUNDTRIP_TOL,
          "path_sup_diff_median": path_err,
-         "path_sup_diff_max": float(np.max(sups)), "path_tol": path_tol,
+         "path_sup_diff_max": float(np.max(sups)), "path_tol": PATH_TOL,
          "lift_violations": lift.n_violations,
          "lift_max_deficit": lift.max_deficit,
          "n_paths": n_paths, "n_steps": n_steps})
 
 
 def picard_suite(seed: int = 20240806, n_paths: int = 50,
-                 n_steps: int = 1000, tol: float = 1e-6,
-                 n_iter: int = 30,
-                 match_tol: float = 1e-5) -> SuiteResult:
+                 n_steps: int = 1000) -> SuiteResult:
     """Picard iteration of the integral equation lands on the per-step
-    scheme's path: sup difference within ``match_tol`` and contraction
+    scheme's path: sup difference within :data:`MATCH_TOL` and contraction
     (non-increasing iterate gaps after the second iterate)."""
     spec = _tanh_spec(alpha=0.1)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
     db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
-    direct = simulate_increments(spec, grid, db, seed=seed)
-    result = picard_solve(spec, grid, db, n_iter=n_iter, tol=tol)
+    direct = simulate_increments(spec, grid, db)
+    result = picard_solve(spec, grid, db, n_iter=PICARD_ITER, tol=PICARD_TOL)
     worst = float(np.max(np.abs(result.paths.x - direct.x)))
     # the NaN rows past a path's last sweep compare False
     all_monotone = not np.any(np.diff(result.sup_diffs[1:], axis=0) > 1e-14)
     n_converged = int(np.count_nonzero(result.converged))
-    passed = worst <= match_tol and all_monotone and n_converged == n_paths
+    passed = worst <= MATCH_TOL and all_monotone and n_converged == n_paths
     return SuiteResult(
-        "picard_consistency", passed, worst, match_tol,
+        "picard_consistency", passed, worst, MATCH_TOL,
         {"max_sup_diff_vs_direct": worst, "monotone": all_monotone,
          "n_converged": n_converged, "n_paths": n_paths,
-         "tol": tol, "n_iter": n_iter})
+         "tol": PICARD_TOL, "n_iter": PICARD_ITER})
 
 
-def density_oracle_suite(seed: int = 20240807, n_samples: int = 2_500_000,
-                         tol: float = 5e-3) -> SuiteResult:
+def density_oracle_suite(seed: int = 20240807) -> SuiteResult:
     """Sanity of the closed-form driftless density against an exact
     sampler of ``(B_t, sup B_t)`` built from the reflection principle:
     given ``B_t = b``, the conditional law of the supremum inverts to
     ``s = (b + sqrt(b^2 - 2 t log u)) / 2`` for uniform ``u``.  Compares
     the sample mean of ``X = B + S`` (``alpha = 1/2``) with the oracle
     mean by quadrature.  ``X`` has a standard deviation near 1.54, so the
-    default sample puts ``tol`` about five standard errors out."""
+    sample puts :data:`ORACLE_TOL` about five standard errors out."""
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal(n_samples)
-    u = rng.random(n_samples)
+    b = rng.standard_normal(ORACLE_SAMPLES)
+    u = rng.random(ORACLE_SAMPLES)
     s = 0.5 * (b + np.sqrt(b * b - 2.0 * np.log(u)))
     x = b + s
     zs = np.linspace(-8.0, 10.0, 4001)
@@ -344,11 +348,11 @@ def density_oracle_suite(seed: int = 20240807, n_samples: int = 2_500_000,
     mass = float(np.trapezoid(pdf, zs))
     mean_q = float(np.trapezoid(zs * pdf, zs))
     err = abs(float(np.mean(x)) - mean_q)
-    passed = err <= tol and abs(mass - 1.0) <= 1e-4
+    passed = err <= ORACLE_TOL and abs(mass - 1.0) <= 1e-4
     return SuiteResult(
-        "density_oracle", passed, err, tol,
+        "density_oracle", passed, err, ORACLE_TOL,
         {"sampler_mean": float(np.mean(x)), "oracle_mean": mean_q,
-         "oracle_mass": mass, "n_samples": n_samples})
+         "oracle_mass": mass, "n_samples": ORACLE_SAMPLES})
 
 
 ALL_SUITES: dict[str, Callable[..., SuiteResult]] = {
@@ -365,11 +369,21 @@ ALL_SUITES: dict[str, Callable[..., SuiteResult]] = {
 def run_suites(names=None, seed: int | None = None) -> list[SuiteResult]:
     """Run the named suites (all by default) and collect their results.
 
-    ``seed`` overrides each suite's default stream; unknown names raise
-    ``KeyError`` upstream as a config error.
+    ``seed`` overrides each suite's default stream.  Before any suite
+    runs, an empty list or an unknown or repeated name raises
+    :class:`ConfigError`.
     """
-    results = []
-    for name in (names if names is not None else ALL_SUITES):
-        fn = ALL_SUITES[name]
-        results.append(fn() if seed is None else fn(seed=seed))
-    return results
+    names = list(ALL_SUITES if names is None else names)
+    unknown = set(names) - set(ALL_SUITES)
+    if unknown:
+        raise ConfigError(
+            f"unknown verification suites: {sorted(unknown)}; "
+            f"available: {', '.join(ALL_SUITES)}")
+    if not names:
+        raise ConfigError("no verification suites listed")
+    repeated = sorted(n for n, k in Counter(names).items() if k > 1)
+    if repeated:
+        raise ConfigError(
+            f"verification suites listed more than once: {repeated}")
+    return [ALL_SUITES[name]() if seed is None
+            else ALL_SUITES[name](seed=seed) for name in names]

@@ -401,6 +401,17 @@ def test_oversized_n_grid_exits_2_before_the_simulation(
     assert "Traceback" not in err
 
 
+def test_zero_diffusion_density_exits_3(tmp_path, write_config, capsys):
+    # every path lands on x0: the sample has no spread to estimate from
+    problem = base_problem()
+    problem["diffusion"]["params"]["value"] = 0.0
+    cfg = write_config(simulate_config(problem=problem, n_paths=64))
+    assert run("density", cfg, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bandwidth rule gives 0.0 on a sample")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "derivative", "density"])
 def test_rejects_zero_paths(command, tmp_path, write_config, capsys):
     cfg = write_config(simulate_config(n_paths=0))
@@ -1150,6 +1161,20 @@ def test_verify_unknown_suite(tmp_path, write_config, capsys):
     cfg = write_config({"suites": ["no_such_suite"]})
     assert run("verify", cfg, tmp_path / "o") == 2
     assert "available" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suites,message", [
+    ([], "error: no verification suites listed"),
+    (["picard_consistency", "picard_consistency"],
+     "error: verification suites listed more than once: "
+     "['picard_consistency']"),
+])
+def test_verify_refuses_empty_and_repeated_suite_lists(
+        suites, message, tmp_path, write_config, capsys):
+    cfg = write_config({"suites": suites})
+    assert run("verify", cfg, tmp_path / "o") == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "o" / "verify_report.json").exists()
 
 
 def test_verify_failure_exits_4(tmp_path, write_config, monkeypatch, capsys):

@@ -195,7 +195,7 @@ def test_kde_single_value_is_pure_kernel():
     est = kde(np.full(100, 2.0), bandwidth=0.5)
     np.testing.assert_allclose(est.pdf, norm.pdf(est.grid, 2.0, 0.5),
                                atol=1e-12)
-    with pytest.raises(ConfigError, match="bandwidth"):
+    with pytest.raises(EmptySample, match="bandwidth"):
         kde(np.full(100, 2.0))
 
 
@@ -228,12 +228,37 @@ def test_kde_input_validation():
             smoothness_diagnostic(sample, grid)
     with pytest.raises(EmptySample):
         smoothness_diagnostic(np.array([1.0]))
-    with pytest.raises(ConfigError, match="bandwidth"):
+    with pytest.raises(EmptySample, match="bandwidth"):
         smoothness_diagnostic(np.full(100, 2.0))
     with pytest.raises(EmptySample):
         bandwidth_rule(np.array([3.0]))
     with pytest.raises(EmptySample):
         derivative_bandwidth_rule(np.array([3.0]))
+
+
+def test_failures_of_the_sample_are_numerical_not_config():
+    # a rule bandwidth of zero or inf, or a default grid that cannot be
+    # uniform about the sample, comes from the draws: EmptySample (exit 3)
+    spread_overflows = np.array([-1e308, 1e308, 0.0])
+    far_and_narrow = 1e17 + np.array([0.0, 16.0, 32.0])   # 16 is one ulp
+    cases = [(np.full(100, 2.0), {}, "bandwidth rule gives 0.0"),
+             (spread_overflows, {}, "bandwidth rule gives inf"),
+             (far_and_narrow, {}, "no uniform evaluation grid"),
+             (far_and_narrow, {"bandwidth": 1.0}, "no uniform evaluation")]
+    with np.errstate(over="ignore"):
+        for sample, kwargs, message in cases:
+            with pytest.raises(EmptySample, match=message):
+                kde(sample, **kwargs)
+        with pytest.raises(EmptySample, match="no uniform evaluation"):
+            smoothness_diagnostic(far_and_narrow)
+    # what the caller gives stays a configuration error on the same sample
+    with pytest.raises(ConfigError, match="bandwidth must be positive"):
+        kde(np.full(100, 2.0), bandwidth=math.inf)
+    with pytest.raises(ConfigError, match="evaluation grid must be"):
+        kde(far_and_narrow, bandwidth=1.0,
+            eval_grid=np.linspace(1e17 - 6.0, 1e17 + 6.0, 64))
+    with pytest.raises(ConfigError, match="evaluation grid must be"):
+        kde(np.full(100, 2.0), bandwidth=1.0, n_grid=1)
 
 
 def perturbed_sample(rng, n):

@@ -13,6 +13,8 @@ import pytest
 
 from perturbsde import ALL_SUITES, GridSpec, run_suites, simulate_batch
 from perturbsde import integrate, verify
+from perturbsde.density import smoothness_diagnostic
+from perturbsde.errors import ConfigError
 from perturbsde.integrate import simulate_increments
 from perturbsde.lamperti import build_transform, transformed_spec
 from perturbsde.verify import (
@@ -73,8 +75,70 @@ def test_seed_override():
 
 
 def test_unknown_suite_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         run_suites(["no_such_suite"])
+
+
+@pytest.mark.parametrize("names,message", [
+    ([], "no verification suites"),
+    (["picard_consistency", "picard_consistency"], "more than once"),
+    (["picard_consistency", "no_such_suite"], "unknown"),
+])
+def test_bad_suite_list_is_refused_before_any_suite_runs(names, message,
+                                                         monkeypatch):
+    ran = []
+    for name, fn in ALL_SUITES.items():
+        monkeypatch.setitem(ALL_SUITES, name,
+                            lambda seed=None, _name=name: ran.append(_name))
+    with pytest.raises(ConfigError, match=message):
+        run_suites(names)
+    assert ran == []
+
+
+def test_suites_take_only_a_seed_and_their_sizes():
+    # the tolerances and fixed sizes are the spec: no caller can move them
+    for name, suite in ALL_SUITES.items():
+        params = set(inspect.signature(suite).parameters)
+        expected = ({"seed"} if name == "density_oracle"
+                    else {"seed", "n_paths", "n_steps"})
+        assert params == expected, name
+
+
+def test_reports_carry_the_spec_constants():
+    small = {"n_paths": 5, "n_steps": 50}
+    runs = {"additive_identity": additive_identity_suite(**small),
+            "malliavin_closed_form": malliavin_closed_form_suite(**small),
+            "cameron_martin": verify.cameron_martin_suite(**small),
+            "lower_bounds": verify.lower_bound_suite(**small),
+            "lamperti_consistency": lamperti_suite(**small),
+            "picard_consistency": picard_suite(**small)}
+    tolerances = {"additive_identity": verify.ADDITIVE_TOL,
+                  "malliavin_closed_form": verify.NORM_TOL,
+                  "cameron_martin": verify.FD_TOL,
+                  "lower_bounds": 0.0,
+                  "lamperti_consistency": 1.0,
+                  "picard_consistency": verify.MATCH_TOL}
+    for name, result in runs.items():
+        assert result.tolerance == tolerances[name], name
+    assert runs["cameron_martin"].details["eps"] == verify.FD_EPS
+    assert runs["lower_bounds"].details["n_pairs"] == verify.N_PAIRS
+    lam = runs["lamperti_consistency"].details
+    assert (lam["path_tol"], lam["roundtrip_tol"]) == (verify.PATH_TOL,
+                                                       verify.ROUNDTRIP_TOL)
+    picard = runs["picard_consistency"].details
+    assert (picard["tol"], picard["n_iter"]) == (verify.PICARD_TOL,
+                                                 verify.PICARD_ITER)
+    assert list(runs["additive_identity"].details["per_alpha_max_abs_err"]) \
+        == [str(a) for a in verify.DRIFTLESS_ALPHAS]
+    oracle = density_oracle_suite(seed=4)
+    assert oracle.tolerance == verify.ORACLE_TOL
+    assert oracle.details["n_samples"] == verify.ORACLE_SAMPLES
+
+
+def test_option_free_signatures_of_the_shared_helpers():
+    assert list(inspect.signature(smoothness_diagnostic).parameters) == [
+        "sample", "grid"]
+    assert "seed" not in inspect.signature(simulate_increments).parameters
 
 
 @pytest.mark.parametrize("seed", [4, 9, 11, 15])
@@ -97,8 +161,8 @@ def test_shared_block_gives_the_fresh_draws_batches():
     grid = GridSpec(n_steps=n_steps, horizon=1.0)
     cases = []
     for suite in (additive_identity_suite, malliavin_closed_form_suite):
-        alphas = inspect.signature(suite).parameters["alphas"].default
-        cases += [(suite, verify._driftless_spec(a)) for a in alphas]
+        cases += [(suite, verify._driftless_spec(a))
+                  for a in verify.DRIFTLESS_ALPHAS]
     spec = verify._lamperti_spec()
     cases += [(lamperti_suite, spec),
               (lamperti_suite, transformed_spec(build_transform(spec))),
@@ -106,7 +170,7 @@ def test_shared_block_gives_the_fresh_draws_batches():
     for suite, spec in cases:
         seed = inspect.signature(suite).parameters["seed"].default
         db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
-        _assert_same_batch(simulate_increments(spec, grid, db, seed=seed),
+        _assert_same_batch(simulate_increments(spec, grid, db),
                            simulate_batch(spec, grid, n_paths, seed))
 
 
