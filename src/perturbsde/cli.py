@@ -46,6 +46,7 @@ from . import io
 from .bounds import floor_violations, regime_report
 from .density import (
     _check_n_grid,
+    _mean_std,
     kde,
     l1_distance,
     oracle_driftless,
@@ -74,9 +75,18 @@ def _require(config: dict, command: str, *fields: str) -> None:
 
 def _moments(values: np.ndarray) -> dict[str, float]:
     v = np.asarray(values, float)
-    ddof = 1 if v.size > 1 else 0
-    return {"mean": float(np.mean(v)), "std": float(np.std(v, ddof=ddof)),
+    mean, std = _mean_std(v, ddof=1 if v.size > 1 else 0)
+    return {"mean": mean, "std": std,
             "min": float(np.min(v)), "max": float(np.max(v))}
+
+
+# Every numeric failure is detected explicitly (NonFinite, the finiteness
+# checks of validate, the spline refusal), so numpy's floating-point
+# warnings add nothing to a run's one error line: the command line and
+# every chunk worker run with them off.  errstate is per thread and the
+# workers may run in other processes, so they carry it themselves.  The
+# library keeps numpy's defaults.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 # -- chunk workers (top level so they survive pickling) ----------------------
@@ -87,6 +97,7 @@ def _moments(values: np.ndarray) -> dict[str, float]:
 # parent formats with ``io.path_major_blocks`` in both modes.
 
 
+@_quiet
 def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
     spec = io.problem_from_json(problem_json)
     grid = io.grid_from_json(grid_json)
@@ -98,12 +109,14 @@ def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
     return part, (x.T, running_max.T)
 
 
+@_quiet
 def _terminal_worker(problem_json, grid_json, seed, n_paths, path_offset):
     spec = io.problem_from_json(problem_json)
     grid = io.grid_from_json(grid_json)
     return simulate_terminal(spec, grid, n_paths, seed, path_offset), ()
 
 
+@_quiet
 def _derivative_worker(problem_json, grid_json, seed, report, n_paths,
                        path_offset):
     spec = io.problem_from_json(problem_json)
@@ -457,6 +470,7 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return config
 
 
+@_quiet
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handler, sized_by = _HANDLERS[args.command]

@@ -127,12 +127,38 @@ def oracle_driftless(x0: float, sigma_const: float, alpha: float, t: float,
     return float(p) if z_arr.ndim == 0 else p
 
 
+def _mean_std(sample: np.ndarray, ddof: int = 1) -> tuple[float, float]:
+    """``np.mean`` and ``np.std(ddof=ddof)`` of ``sample`` as floats.
+
+    Either one that comes out non-finite on a finite sample has
+    overflowed in its own sums or squares: it is taken again on the
+    sample scaled by a power of two that brings its largest magnitude
+    into ``[0.5, 1)``, and scaled back (Chan, Golub & LeVeque, *Amer.
+    Statist.* 37, 1983; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., SIAM, 2002).  The scaling is exact for every
+    value that stays normal.  A finite first try is returned as it is.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(sample))
+        std = float(np.std(sample, ddof=ddof))
+    if (math.isfinite(mean) and math.isfinite(std)) \
+            or not np.all(np.isfinite(sample)):
+        return mean, std
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(sample))))[1])
+    scaled = sample * scale
+    if not math.isfinite(mean):
+        mean = float(np.mean(scaled)) / scale
+    if not math.isfinite(std):
+        std = float(np.std(scaled, ddof=ddof)) / scale
+    return mean, std
+
+
 def bandwidth_rule(sample: np.ndarray) -> float:
     """Normal-reference bandwidth ``1.06 s N^{-1/5}``."""
     n = sample.size
     if n < 2:
         raise EmptySample("bandwidth rule needs at least 2 samples")
-    return 1.06 * float(np.std(sample, ddof=1)) * n ** (-0.2)
+    return 1.06 * _mean_std(sample)[1] * n ** (-0.2)
 
 
 def derivative_bandwidth_rule(sample: np.ndarray) -> float:
@@ -140,7 +166,7 @@ def derivative_bandwidth_rule(sample: np.ndarray) -> float:
     n = sample.size
     if n < 2:
         raise EmptySample("bandwidth rule needs at least 2 samples")
-    return 1.06 * float(np.std(sample, ddof=1)) * n ** (-1.0 / 9.0)
+    return 1.06 * _mean_std(sample)[1] * n ** (-1.0 / 9.0)
 
 
 @dataclass(frozen=True)
@@ -280,8 +306,7 @@ def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
             f"kernel estimation needs at least 2 samples, got {sample.size}")
     if not np.all(np.isfinite(sample)):
         raise EmptySample("sample contains non-finite values")
-    mean = float(np.mean(sample))
-    std = float(np.std(sample, ddof=1))
+    mean, std = _mean_std(sample)
     if bandwidth is None:
         bandwidth = rule(sample)
         if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
@@ -295,7 +320,8 @@ def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
     if default_grid:
         _check_n_grid(n_grid)
         half = GRID_HALFWIDTH_STDS * (std if std > 0.0 else bandwidth)
-        eval_grid = np.linspace(mean - half, mean + half, n_grid)
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below
+            eval_grid = np.linspace(mean - half, mean + half, n_grid)
     zs = np.ascontiguousarray(np.asarray(eval_grid, float))
     if zs.ndim != 1 or zs.size < 2:
         raise ConfigError(

@@ -9,7 +9,10 @@ where ``A`` carries the initial value plus the accumulated drift and noise
 increments, and ``M_prev`` is the running maximum so far.  For ``alpha < 1``
 that equation has exactly one solution, split into a no-new-maximum branch
 ``x = A + alpha * M_prev`` and a new-maximum branch ``x = A / (1 - alpha)``;
-ties land on the no-new-maximum branch.
+ties land on the no-new-maximum branch.  The engine records which branch
+each step took as the new-maximum flags of a :class:`PathBatch`; they are
+the package's only new-maximum bookkeeping.  :func:`picard_solve` returns
+its final iterate's values alone.
 
 Increment accumulation uses compensated (Kahan) summation so that the exact
 additive identity against :func:`explicit_additive_path` holds to 1e-12 even
@@ -63,7 +66,6 @@ __all__ = [
     "simulate_terminal",
     "generate_increments",
     "kahan_cumsum",
-    "max_bookkeeping",
 ]
 
 _U64 = np.uint64
@@ -292,23 +294,6 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
         pp = path_offset + int(np.argwhere(bad)[0][0])
         raise NonFinite(f"non-finite state on path {pp}", path_index=pp)
     return None if record else x
-
-
-def max_bookkeeping(x: np.ndarray) -> np.ndarray:
-    """New-maximum flags of path values ``x``, shaped ``(n+1,)`` or
-    time-major ``(n+1, P)``: step ``k`` sets a new maximum when ``x[k]``
-    strictly exceeds the running maximum before it, and step 0 never does.
-
-    The running maximum is carried one ``(P,)`` row at a time, so only the
-    bool flags are allocated at full size.
-    """
-    new = np.zeros(x.shape, dtype=bool)
-    rows, flags = x.reshape(x.shape[0], -1), new.reshape(x.shape[0], -1)
-    M = rows[0].copy()
-    for k in range(1, rows.shape[0]):
-        np.greater(rows[k], M, out=flags[k])
-        np.maximum(M, rows[k], out=M)
-    return new
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -545,18 +530,19 @@ def explicit_additive_path(x0: float, alpha: float, sigma_const: float,
 class PicardResult:
     """Outcome of :func:`picard_solve` for a block of ``P`` paths.
 
-    ``paths`` holds the last iterate of every column.  ``n_sweeps[p]``
-    counts the sweeps column ``p`` took, and ``sup_diffs[m, p]`` is the
-    uniform distance between its iterates ``X^{m+1}`` and ``X^m``; rows
-    past a column's last sweep are NaN.  ``n_iterations`` is the total
-    sweep count.  A column that misses the tolerance within the iteration
-    budget still returns its best iterate, with ``converged[p] = False``
-    rather than an error; callers that need a hard failure can check the
-    flags.  Results compare and hash by identity, since the generated
-    field-wise ``==`` cannot compare arrays.
+    ``x`` is the last iterate, time-major ``(n_steps+1, P)`` like a
+    batch's values; the result keeps no flags and no increments.
+    ``n_sweeps[p]`` counts the sweeps column ``p`` took, and
+    ``sup_diffs[m, p]`` is the uniform distance between its iterates
+    ``X^{m+1}`` and ``X^m``; rows past a column's last sweep are NaN.
+    ``n_iterations`` is the total sweep count.  A column that misses the
+    tolerance within the iteration budget still returns its best iterate,
+    with ``converged[p] = False`` rather than an error; callers that need a
+    hard failure can check the flags.  Results compare and hash by
+    identity, since the generated field-wise ``==`` cannot compare arrays.
     """
 
-    paths: PathBatch
+    x: np.ndarray              # (n_steps+1, P)
     sup_diffs: np.ndarray      # (max sweeps, P)
     converged: np.ndarray      # bool, (P,)
     n_sweeps: np.ndarray       # int, (P,)
@@ -580,7 +566,9 @@ def picard_solve(spec, grid: GridSpec, db: np.ndarray,
     The fixed point of this map is exactly the per-step Euler solution, so
     a converged iteration reproduces :func:`simulate_increments` on the
     same block.  A column stops sweeping once its gap is within ``tol``,
-    so each column's iterates are those of a one-column solve.
+    so each column's iterates are those of a one-column solve.  The
+    result holds the final iterate's values and no new-maximum flags:
+    those are set only by the Euler engine, as it steps.
     """
     db = _increment_block(db, grid)
     if n_iter < 1:
@@ -618,7 +606,6 @@ def picard_solve(spec, grid: GridSpec, db: np.ndarray,
         if live.size == 0:
             break
 
-    paths = PathBatch(x=x, new_max=max_bookkeeping(x), db=db)
-    return PicardResult(paths=paths, sup_diffs=sup_diffs[:n_sweeps.max()],
+    return PicardResult(x=x, sup_diffs=sup_diffs[:n_sweeps.max()],
                         converged=converged, n_sweeps=n_sweeps,
                         n_iterations=int(n_sweeps.sum()))

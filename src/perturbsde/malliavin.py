@@ -229,17 +229,16 @@ def inner_product(fields: DerivativeFieldBatch, h: np.ndarray) -> np.ndarray:
 
 
 def cameron_martin_fd(spec, grid: GridSpec, db: np.ndarray,
-                      h: np.ndarray, eps: float = 1e-4,
-                      base: np.ndarray | None = None) -> np.ndarray:
+                      h: np.ndarray, eps: float = 1e-4, *,
+                      base: np.ndarray) -> np.ndarray:
     """Finite-difference directional derivatives of terminal values.
 
-    ``db`` is a time-major ``(n_steps, n_paths)`` increment block.  Every
-    column is re-simulated with its increments shifted by
-    ``eps * h(t_k) * dt`` and the result is ``(X_T^eps - X_T) / eps`` per
-    path.  ``base`` may supply the unshifted terminal values ``X_T`` when
-    the caller has already simulated ``db``; otherwise the base and the
-    shifted columns run together as one block.  Either way column ``i``
-    comes out bitwise equal to the same column run alone.
+    ``db`` is a time-major ``(n_steps, n_paths)`` increment block and
+    ``base`` the terminal values ``X_T`` its caller simulated on it, one
+    per path.  Every column is re-simulated once, with its increments
+    shifted by ``eps * h(t_k) * dt``, and the result is
+    ``(X_T^eps - X_T) / eps`` per path; column ``i`` comes out bitwise
+    equal to the same column run alone.
 
     As ``eps`` shrinks this converges to :func:`inner_product` of the
     propagated field with ``h`` (they differ by O(eps), plus rare jumps
@@ -252,14 +251,9 @@ def cameron_martin_fd(spec, grid: GridSpec, db: np.ndarray,
     if h_arr.shape != (grid.n_steps,):
         raise GridMismatch("h must have one entry per increment")
     db = _increment_block(db, grid)
+    base = np.asarray(base, float)
+    if base.shape != (db.shape[1],):
+        raise GridMismatch("base must hold one terminal value per path")
     shifted = db + (eps * h_arr * grid.dt)[:, None]
-    if base is None:
-        block = np.concatenate([db, shifted], axis=1)
-        final = simulate_increments(spec, grid, block, record=False)
-        base, bumped = np.split(final, 2)
-    else:
-        bumped = simulate_increments(spec, grid, shifted, record=False)
-        base = np.asarray(base, float)
-        if base.shape != bumped.shape:
-            raise GridMismatch("base must hold one terminal value per path")
+    bumped = simulate_increments(spec, grid, shifted, record=False)
     return (bumped - base) / eps

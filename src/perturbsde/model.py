@@ -329,12 +329,15 @@ def _spline_bounds(nodes: np.ndarray, values: np.ndarray, slopes: np.ndarray,
                                          order)[0] for order in (0, 1)))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _not_a_knot_slopes(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Node slopes of the not-a-knot cubic spline through ``(nodes, values)``:
     a continuous second derivative at interior nodes, a continuous third
     one at the second and second-to-last.  Thomas elimination needs no
     pivoting because every pivot of this tridiagonal system is positive;
-    one that rounding leaves otherwise makes every slope NaN."""
+    one that rounding leaves otherwise makes every slope NaN, as does a
+    table whose arithmetic overflows, without a warning: the caller
+    refuses a spline with a NaN slope."""
     dx = np.diff(nodes)
     secant = np.diff(values) / dx
     n = nodes.size

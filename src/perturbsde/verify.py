@@ -318,7 +318,7 @@ def picard_suite(seed: int = 20240806, n_paths: int = 50,
     db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
     direct = simulate_increments(spec, grid, db)
     result = picard_solve(spec, grid, db, n_iter=PICARD_ITER, tol=PICARD_TOL)
-    worst = float(np.max(np.abs(result.paths.x - direct.x)))
+    worst = float(np.max(np.abs(result.x - direct.x)))
     # the NaN rows past a path's last sweep compare False
     all_monotone = not np.any(np.diff(result.sup_diffs[1:], axis=0) > 1e-14)
     n_converged = int(np.count_nonzero(result.converged))

@@ -103,7 +103,8 @@ def test_criterion_03_directional_derivative_consistency():
     for i, ip in enumerate(ips):
         # each path re-simulated from its own keyed stream, alone
         db = generate_increments(17, i, grid.n_steps, grid.dt)[:, None]
-        fd = cameron_martin_fd(spec, grid, db, h, eps=1e-4)[0]
+        fd = cameron_martin_fd(spec, grid, db, h, eps=1e-4,
+                               base=batch.x[-1, i:i + 1])[0]
         rel.append(abs(fd - ip) / max(abs(fd), abs(ip), 1e-300))
     assert float(np.median(rel)) <= 1e-2
 
@@ -253,7 +254,7 @@ def test_criterion_11_integral_equation_solver():
     ref = simulate_batch(spec, GRID, 50, seed=20241111)
     result = picard_solve(spec, GRID, ref.db, n_iter=30, tol=1e-6)
     assert np.all(result.converged) and np.all(result.n_sweeps <= 30)
-    worst = float(np.max(np.abs(result.paths.x - ref.x)))
+    worst = float(np.max(np.abs(result.x - ref.x)))
     for i in range(50):
         diffs = result.sup_diffs[:result.n_sweeps[i], i]
         assert np.all(np.diff(diffs[1:]) <= 1e-15)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -504,6 +505,33 @@ def test_derivative_runs_where_one_minus_alpha_squared_overflows(
     assert all(math.isfinite(v) for v in summary["sup_h_norm_sq"])
 
 
+def _huge_spread_config():
+    # every value finite, spread about 1e200: its squares overflow
+    problem = base_problem(x0=0.0)
+    problem["diffusion"] = {"preset": "const", "params": {"value": 1e200}}
+    return simulate_config(problem=problem, grid={"n_steps": 8}, n_paths=64)
+
+
+def test_simulate_reports_finite_moments_of_a_huge_spread(
+        tmp_path, write_config, capsys):
+    out = tmp_path / "o"
+    assert run("simulate", write_config(_huge_spread_config()), out) == 0
+    assert capsys.readouterr().err == ""
+    summary = read_json(out / "summary.json")
+    for key in ("terminal", "running_max"):
+        assert 1e199 < summary[key]["std"] < 1e201
+
+
+def test_density_of_a_huge_spread_runs_quietly(tmp_path, write_config,
+                                               capsys):
+    out = tmp_path / "o"
+    assert run("density", write_config(_huge_spread_config()), out) == 0
+    assert capsys.readouterr().err == ""
+    diagnostic = read_json(out / "diagnostic.json")
+    assert 1e199 < diagnostic["sample_std"] < 1e201
+    assert math.isfinite(diagnostic["bandwidth"])
+
+
 def test_degenerate_transform_exits_3(tmp_path, write_config):
     problem = base_problem(x0=0.0)
     problem["diffusion"] = {"preset": "sine", "params": {"amplitude": 1.0}}
@@ -582,10 +610,19 @@ def test_generated_configs_exit_with_a_documented_code(command, config):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run(command, path, Path(tmp) / "out", "--workers", "1")
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    # a run's stderr is its one error line, or nothing
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 # -- analysis subcommands -----------------------------------------------------

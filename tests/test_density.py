@@ -27,6 +27,7 @@ from perturbsde.density import (
     CALIBRATED_MIN_SAMPLES,
     MAX_MESH_NODES,
     _kernel_sums,
+    _mean_std,
     _mesh_plan,
 )
 
@@ -236,13 +237,37 @@ def test_kde_input_validation():
         derivative_bandwidth_rule(np.array([3.0]))
 
 
+def test_moments_of_a_finite_sample_are_finite():
+    rng = np.random.default_rng(37)
+    unit = rng.standard_normal(64)
+    # a finite first try is kept bit for bit
+    assert _mean_std(unit) == (float(np.mean(unit)),
+                               float(np.std(unit, ddof=1)))
+    assert _mean_std(unit, ddof=0)[1] == float(np.std(unit))
+    # squares of 1e200 overflow, the sample is rescaled by a power of two
+    for ddof in (0, 1):
+        mean, std = _mean_std(1e200 * unit, ddof=ddof)
+        assert mean == float(np.mean(1e200 * unit))   # finite first try
+        assert std == pytest.approx(1e200 * np.std(unit, ddof=ddof),
+                                    rel=1e-14)
+    # sums of 1.7e308 overflow, so does the mean's first try
+    assert _mean_std(np.full(4, 1.7e308)) == (1.7e308, 0.0)
+    for rule in (bandwidth_rule, derivative_bandwidth_rule):
+        assert rule(1e200 * unit) == pytest.approx(1e200 * rule(unit),
+                                                   rel=1e-14)
+    # non-finite values keep non-finite moments
+    assert all(map(math.isnan, _mean_std(np.array([math.inf, -math.inf]))))
+
+
 def test_failures_of_the_sample_are_numerical_not_config():
     # a rule bandwidth of zero or inf, or a default grid that cannot be
     # uniform about the sample, comes from the draws: EmptySample (exit 3)
-    spread_overflows = np.array([-1e308, 1e308, 0.0])
+    spread_overflows = np.array([-1.7e308, 1.7e308])   # std 2.4e308
+    grid_overflows = np.array([-1e308, 1e308, 0.0])      # std 1e308
     far_and_narrow = 1e17 + np.array([0.0, 16.0, 32.0])   # 16 is one ulp
     cases = [(np.full(100, 2.0), {}, "bandwidth rule gives 0.0"),
              (spread_overflows, {}, "bandwidth rule gives inf"),
+             (grid_overflows, {}, "no uniform evaluation grid"),
              (far_and_narrow, {}, "no uniform evaluation grid"),
              (far_and_narrow, {"bandwidth": 1.0}, "no uniform evaluation")]
     with np.errstate(over="ignore"):

@@ -27,7 +27,7 @@ from perturbsde import (
     simulate_terminal,
 )
 from perturbsde import integrate
-from perturbsde.integrate import _NOISE_TILE, _generate_block, max_bookkeeping
+from perturbsde.integrate import _NOISE_TILE, _generate_block
 from conftest import (COEFFICIENT_CASES, make_driftless, make_tanh,
                       mixed_case)
 
@@ -232,7 +232,9 @@ def test_explicit_path_hand_case_positive_alpha():
     # discrete Brownian points B = (0, 1, 0.5)
     x = explicit_additive_path(0.0, 0.5, 1.0, np.array([1.0, -0.5]))
     np.testing.assert_allclose(x, [0.0, 2.0, 1.5], atol=1e-15)
-    np.testing.assert_array_equal(max_bookkeeping(x), [False, True, False])
+    # steps 1..n: a new maximum strictly above every earlier value
+    np.testing.assert_array_equal(
+        x[1:] > np.maximum.accumulate(x, axis=0)[:-1], [True, False])
 
 
 def test_explicit_path_hand_case_negative_alpha():
@@ -277,7 +279,10 @@ def test_euler_matches_explicit_solution(alpha, driftless):
     direct = simulate_batch(spec, grid, 5, seed=17)
     closed = explicit_additive_path(0.5, alpha, 1.0, direct.db)
     assert float(np.max(np.abs(direct.x - closed))) <= 1e-12
-    np.testing.assert_array_equal(direct.new_max, max_bookkeeping(closed))
+    assert not direct.new_max[0].any()
+    np.testing.assert_array_equal(
+        direct.new_max[1:],
+        closed[1:] > np.maximum.accumulate(closed, axis=0)[:-1])
 
 
 def test_monotone_coupling_in_alpha():
@@ -366,21 +371,16 @@ def test_increment_block_shape_validation(tanh_spec, grid_1000):
             simulate_increments(tanh_spec, grid_1000, bad)
 
 
-def test_max_bookkeeping_sources_agree():
+def test_engine_flags_strict_new_maxima_of_an_exact_path():
+    # the engine builds this path exactly from its (exactly summable)
+    # increments, and flags only the steps strictly above every earlier
+    # value: the ties at steps 2 and 6 set none
     x = np.array([0.0, 1.0, 1.0, 0.5, 2.0, -1.0, 2.0, 3.0])
-    new = max_bookkeeping(x)
-    np.testing.assert_array_equal(new, [0, 1, 0, 0, 1, 0, 0, 1])
-    # the engine sets the same flags on the path it builds from these
-    # (exactly summable) increments
     engine = simulate_increments(make_driftless(0.0), GridSpec(7, 1.0),
                                  np.diff(x)[:, None])
     np.testing.assert_array_equal(engine.x[:, 0], x)
-    np.testing.assert_array_equal(engine.new_max[:, 0], new)
-    # time-major columns are handled independently
-    xs = np.stack([x, -x, x[::-1]], axis=1)
-    new2 = max_bookkeeping(xs)
-    for j in range(3):
-        np.testing.assert_array_equal(new2[:, j], max_bookkeeping(xs[:, j]))
+    np.testing.assert_array_equal(engine.new_max[:, 0],
+                                  [0, 1, 0, 0, 1, 0, 0, 1])
 
 
 def test_batch_offset_is_a_pure_relabeling(tanh_spec):
@@ -880,7 +880,7 @@ def test_picard_first_iterate_solves_the_additive_case(driftless, grid_1000):
     assert result.n_iterations == 2
     assert result.sup_diffs[1, 0] == 0.0
     closed = explicit_additive_path(0.5, 0.3, 1.0, db)
-    assert float(np.max(np.abs(result.paths.x - closed))) <= 1e-12
+    assert float(np.max(np.abs(result.x - closed))) <= 1e-12
 
 
 def test_picard_converges_to_the_per_step_scheme(grid_1000):
@@ -889,7 +889,7 @@ def test_picard_converges_to_the_per_step_scheme(grid_1000):
     result = picard_solve(spec, grid_1000, direct.db, n_iter=30, tol=1e-10)
     assert np.all(result.converged)
     for i in range(5):
-        assert float(np.max(np.abs(result.paths.x[:, i]
+        assert float(np.max(np.abs(result.x[:, i]
                                    - direct.x[:, i]))) <= 1e-9
         # geometric-style contraction after the first sweep
         diffs = result.sup_diffs[:result.n_sweeps[i], i]
@@ -902,7 +902,7 @@ def test_picard_reports_non_convergence_with_best_iterate(grid_1000):
     result = picard_solve(spec, grid_1000, db, n_iter=1, tol=1e-16)
     assert not result.converged[0]
     assert result.n_iterations == 1
-    assert result.paths.x.shape == (1001, 1)
+    assert result.x.shape == (1001, 1)
 
 
 @pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
@@ -920,7 +920,7 @@ def test_picard_columns_equal_single_column_solves(case):
         k = alone.n_iterations
         assert block.n_sweeps[i] == k
         assert block.converged[i] == alone.converged[0]
-        np.testing.assert_array_equal(block.paths.x[:, i], alone.paths.x[:, 0])
+        np.testing.assert_array_equal(block.x[:, i], alone.x[:, 0])
         np.testing.assert_array_equal(block.sup_diffs[:k, i],
                                       alone.sup_diffs[:, 0])
         assert np.all(np.isnan(block.sup_diffs[k:, i]))

@@ -443,10 +443,11 @@ def test_grid_mismatch_rejected(tanh_spec, grid_1000):
 def test_constant_direction_classical_case(driftless, grid_1000):
     # X_T is a linear functional of the noise, so the quotient is exact
     spec = driftless(0.0)
-    db = simulate_batch(spec, grid_1000, 1, seed=13).db
+    batch = simulate_batch(spec, grid_1000, 1, seed=13)
     h = np.ones(grid_1000.n_steps)
     for eps in (0.5, 1e-4):
-        assert cameron_martin_fd(spec, grid_1000, db, h, eps=eps)[0] == \
+        assert cameron_martin_fd(spec, grid_1000, batch.db, h, eps=eps,
+                                 base=batch.x[-1])[0] == \
             pytest.approx(1.0, abs=1e-7)
 
 
@@ -458,7 +459,8 @@ def test_directional_derivative_matches_field_pairing(driftless, grid_1000):
     batch = simulate_batch(spec, grid_1000, 20, seed=241)
     fields = propagate_derivative_batch(batch, spec, grid_1000)
     tau = batch.final_argmax_idx() * grid_1000.dt
-    fd = cameron_martin_fd(spec, grid_1000, batch.db, h, eps=1e-4)
+    fd = cameron_martin_fd(spec, grid_1000, batch.db, h, eps=1e-4,
+                           base=batch.x[-1])
     ip = inner_product(fields, h)
     np.testing.assert_allclose(ip, tau / 0.5 + (1.0 - tau), rtol=1e-10)
     assert float(np.median(np.abs(fd - ip))) <= 1e-9
@@ -472,7 +474,8 @@ def test_directional_derivative_with_smooth_drift():
     h = np.ones(grid.n_steps)
     batch = simulate_batch(spec, grid, 20, seed=251)
     fields = propagate_derivative_batch(batch, spec, grid)
-    fd = cameron_martin_fd(spec, grid, batch.db, h, eps=1e-4)
+    fd = cameron_martin_fd(spec, grid, batch.db, h, eps=1e-4,
+                           base=batch.x[-1])
     ip = inner_product(fields, h)
     rel = np.abs(fd - ip) / np.maximum(np.maximum(np.abs(fd), np.abs(ip)),
                                        1e-300)
@@ -492,21 +495,21 @@ def test_batch_directional_derivative_equals_per_path_calls():
     for spec, grid, db in cases:
         h = np.cos(np.linspace(0.0, 3.0, grid.n_steps))
         base = simulate_increments(spec, grid, db, record=False)
-        per_path = [cameron_martin_fd(spec, grid, db[:, i:i + 1], h)[0]
+        per_path = [cameron_martin_fd(spec, grid, db[:, i:i + 1], h,
+                                      base=base[i:i + 1])[0]
                     for i in range(db.shape[1])]
-        together = cameron_martin_fd(spec, grid, db, h)
-        reused = cameron_martin_fd(spec, grid, db, h, base=base)
+        together = cameron_martin_fd(spec, grid, db, h, base=base)
         np.testing.assert_array_equal(together, per_path)
-        np.testing.assert_array_equal(reused, per_path)
 
 
 def test_batch_directional_derivative_input_validation(tanh_spec, grid_1000):
     db = simulate_batch(tanh_spec, grid_1000, 3, seed=0).db
     h = np.ones(grid_1000.n_steps)
+    base = np.zeros(3)
     with pytest.raises(GridMismatch):
-        cameron_martin_fd(tanh_spec, grid_1000, db[:, 0], h)
+        cameron_martin_fd(tanh_spec, grid_1000, db[:, 0], h, base=base)
     with pytest.raises(GridMismatch):
-        cameron_martin_fd(tanh_spec, grid_1000, db[:-1], h)
+        cameron_martin_fd(tanh_spec, grid_1000, db[:-1], h, base=base)
     with pytest.raises(GridMismatch):
         cameron_martin_fd(tanh_spec, grid_1000, db, h, base=np.zeros(2))
 
@@ -515,9 +518,11 @@ def test_directional_derivative_input_validation(tanh_spec, grid_1000):
     batch = simulate_batch(tanh_spec, grid_1000, 1, seed=0)
     with pytest.raises(ConfigError):
         cameron_martin_fd(tanh_spec, grid_1000, batch.db,
-                          np.ones(grid_1000.n_steps), eps=0.0)
+                          np.ones(grid_1000.n_steps), eps=0.0,
+                          base=batch.x[-1])
     with pytest.raises(GridMismatch):
-        cameron_martin_fd(tanh_spec, grid_1000, batch.db, np.ones(5))
+        cameron_martin_fd(tanh_spec, grid_1000, batch.db, np.ones(5),
+                          base=batch.x[-1])
     fields = propagate_derivative_batch(batch, tanh_spec, grid_1000)
     with pytest.raises(GridMismatch):
         inner_product(fields, np.ones(5))
