@@ -26,9 +26,7 @@ from .bounds import (
 )
 from .density import (
     DensityEstimate,
-    SmoothnessReport,
     bandwidth_rule,
-    derivative_bandwidth_rule,
     kde,
     l1_distance,
     oracle_driftless,
@@ -105,9 +103,8 @@ __all__ = [
     "transformed_spec", "transformed_drift_bound", "transformed_field",
     "lift_bound_check",
     # density
-    "oracle_driftless", "bandwidth_rule",
-    "derivative_bandwidth_rule", "kde", "DensityEstimate",
-    "smoothness_diagnostic", "SmoothnessReport", "l1_distance",
+    "oracle_driftless", "bandwidth_rule", "kde", "DensityEstimate",
+    "smoothness_diagnostic", "l1_distance",
     # verify
     "SuiteResult", "ALL_SUITES", "run_suites",
     # errors

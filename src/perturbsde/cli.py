@@ -5,7 +5,8 @@ One JSON config describes one run; subcommands bind it to the pipeline:
 * ``simulate``   paths table + terminal summary
 * ``derivative`` noise-derivative table + norm summary
 * ``regime``     admissibility report + lower-bound curve
-* ``density``    kernel density table + smoothness diagnostic
+* ``density``    kernel density table + the exact law's smoothness, where
+                 the closed form applies
 * ``transform``  unit-diffusion change-of-variables table + transformed spec
 * ``verify``     invariant suites with a pass/fail report
 
@@ -23,8 +24,9 @@ chunks sized by a fixed byte budget (never by ``--workers``), each
 chunk's table rows are formatted in this process and appended in path
 order as the chunk finishes, and only the per-path summary values
 outlive a chunk.  The summaries are computed from those values joined
-in path order, exactly as from one whole run.  ``density`` keeps one
-chunk per worker; its chunks return one terminal value per path.
+in path order, exactly as from one whole run.  ``density`` cuts one
+chunk per process it runs (``--workers``, capped by the usable CPUs);
+its chunks return one terminal value per path.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import numpy as np
 from . import io
 from .bounds import floor_violations, regime_report
 from .density import (
+    DEFAULT_GRID_POINTS,
     _check_n_grid,
     _mean_std,
     kde,
@@ -336,43 +339,40 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
     _require(config, "density", "problem", "grid", "n_paths", "seed")
     problem, grid, grid_json = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
-    n_grid = config.get("n_grid", 512)
+    n_grid = config.get("n_grid", DEFAULT_GRID_POINTS)
     _check_n_grid(n_grid)          # before the sample is simulated
-    chunks = _chunks(n_paths, math.ceil(n_paths / workers))
+    # and so is the regime: a degenerate diffusion is refused at once
+    report = _regime(config, problem) if config.get("t0") is not None \
+        else None
+    processes = _pool_size(workers, n_paths, _usable_cpus())
+    chunks = _chunks(n_paths, math.ceil(n_paths / processes))
     sample = np.concatenate([part for _, (part, _) in _stream(
         _terminal_worker, (config["problem"], grid_json, seed), chunks,
         workers)])
 
     estimate = kde(sample, bandwidth=config.get("bandwidth"), n_grid=n_grid)
-    smooth = smoothness_diagnostic(sample, estimate.grid)
 
     columns = {"z": estimate.grid, "p_hat": estimate.pdf}
     diagnostic: dict[str, Any] = {
         "n_samples": int(sample.size),
         "bandwidth": estimate.bandwidth,
-        "derivative_bandwidth": smooth.bandwidth,
         "normalization": estimate.normalization(),
         "sample_mean": estimate.sample_mean,
         "sample_std": estimate.sample_std,
-        "smoothness": {
-            "verdict": smooth.verdict,
-            "score": smooth.score,
-            "d1_score": smooth.d1_score,
-            "d2_score": smooth.d2_score,
-            "d1_threshold": smooth.d1_threshold,
-            "d2_threshold": smooth.d2_threshold,
-            "note": smooth.note,
-        },
     }
-    # Zero drift and constant nonzero diffusion: the closed form applies.
+    # Zero drift and constant nonzero diffusion: the closed form applies,
+    # and with it the law's exact smoothness.  Elsewhere nothing is said
+    # about smoothness.
     sigma_const = problem.diffusion.constant_value
     if problem.drift.constant_value == 0.0 and sigma_const not in (None, 0.0):
         p_oracle = oracle_driftless(problem.x0, sigma_const, problem.alpha,
                                     grid.horizon, estimate.grid)
         columns["p_oracle"] = p_oracle
         diagnostic["l1_to_oracle"] = l1_distance(estimate, p_oracle)
-    if config.get("t0") is not None:
-        diagnostic["regime"] = _regime_block(_regime(config, problem))
+        diagnostic["smoothness"] = smoothness_diagnostic(
+            problem.x0, sigma_const, problem.alpha, grid.horizon)
+    if report is not None:
+        diagnostic["regime"] = _regime_block(report)
     io.write_csv(out_dir / "density.csv", columns, meta=meta)
     io.write_json(out_dir / "diagnostic.json", diagnostic, meta=meta)
 

@@ -1,27 +1,26 @@
 """Monte Carlo estimation of the terminal law, with a closed-form check.
 
-The pipeline is terminal sample (``integrate.simulate_terminal``) -> kde
-and smoothness diagnostic, one estimator per question.  :func:`kde`
-estimates the density with the Gaussian kernel at the normal-reference
-bandwidth ``1.06 s N^{-1/5}``.  :func:`smoothness_diagnostic` estimates
-the first two derivatives at half, one and two times the slower-shrinking
-rule ``1.06 s N^{-1/9}``, since estimating density *derivatives* well
-needs more smoothing than estimating the density itself (at the
-density-optimal bandwidth the second derivative of the estimate is
-noise-dominated even for a clean Gaussian at sample sizes around 10^5,
-and no stability verdict is possible).
+The pipeline is terminal sample (``integrate.simulate_terminal``) -> kde.
+:func:`kde` estimates the density with the Gaussian kernel at the
+normal-reference bandwidth ``1.06 s N^{-1/5}``.
 
 Kernel sums are binned, not direct: the sample is linearly binned onto a
-uniform mesh and the counts are convolved with each kernel by FFT
+uniform mesh and the counts are convolved with the kernel by FFT
 (Silverman, AS 176, Appl. Statist. 31, 1982; Wand, J. Comput. Graph.
-Statist. 3, 1994), O(N + mesh log mesh) instead of O(N x grid), and each
-estimator convolves only the kernels it reports.  See :func:`kde` for
-the error bound, the uniform-grid requirement and the mesh cap.
+Statist. 3, 1994), O(N + mesh log mesh) instead of O(N x grid).  See
+:func:`kde` for the error bound, the uniform-grid requirement and the
+mesh cap.
 
 In the driftless constant-``sigma`` case the terminal law is known in
 closed form (:func:`oracle_driftless`), which turns the whole pipeline
 into a measurable quantity: the L1 gap between the kernel estimate and
-the oracle.
+the oracle.  The same closed form states the law's smoothness exactly
+(:func:`smoothness_diagnostic`): it is C^1 and, unless ``alpha = 0``,
+not C^2 at ``c = x0/(1-alpha)``.  No smoothness is estimated from a
+sample: a positive ``||DX_t||^2`` gives a density, but smoothness needs
+higher Malliavin derivatives, which the running supremum lacks
+(Nualart, *The Malliavin Calculus and Related Topics*, 2nd ed., 2006,
+ch. 2).
 """
 
 from __future__ import annotations
@@ -35,18 +34,13 @@ from .errors import ConfigError, DegenerateDiffusion, EmptySample, GridMismatch
 
 __all__ = [
     "DensityEstimate",
-    "SmoothnessReport",
     "oracle_driftless",
     "bandwidth_rule",
-    "derivative_bandwidth_rule",
     "kde",
     "smoothness_diagnostic",
     "l1_distance",
     "DEFAULT_GRID_POINTS",
     "GRID_HALFWIDTH_STDS",
-    "D1_THRESHOLD",
-    "D2_THRESHOLD",
-    "CALIBRATED_MIN_SAMPLES",
     "MAX_MESH_NODES",
 ]
 
@@ -66,16 +60,20 @@ MAX_MESH_NODES = 2**22
 # bandwidth; it is refused before it is built.
 _MAX_GRID_POINTS = (MAX_MESH_NODES - 9) // 2 + 1
 
-# Ladder verdict thresholds for the relative L2 discrepancy of derivative
-# estimates between adjacent rungs on the central window, calibrated on
-# N ~ 1e5..2e5 samples at the derivative bandwidth rule: clean Gaussian
-# samples stay below ~0.19 (d1) / ~0.39 (d2) while a 10% point-mass
-# contamination sits above ~0.45 (d1) / ~0.85 (d2).  Below
-# CALIBRATED_MIN_SAMPLES the Gaussian baseline itself crosses the d1
-# threshold (measured ~0.25 at N=2e4), so the report flags the verdict.
-D1_THRESHOLD = 0.25
-D2_THRESHOLD = 0.50
-CALIBRATED_MIN_SAMPLES = 50_000
+
+def _kink(x0: float, sigma_const: float, alpha: float,
+          t: float) -> tuple[float, float]:
+    """The driftless law's kink ``c = x0/(1-alpha)`` and ``|sigma|``, after
+    the checks :func:`oracle_driftless` and :func:`smoothness_diagnostic`
+    share."""
+    if not (alpha < 1.0):
+        raise ConfigError(f"alpha must be < 1, got {alpha!r}")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ConfigError(f"t must be positive and finite, got {t!r}")
+    if sigma_const == 0.0:
+        raise DegenerateDiffusion(
+            "sigma = 0 gives a point mass, not a density")
+    return float(x0) / (1.0 - alpha), abs(float(sigma_const))
 
 
 def oracle_driftless(x0: float, sigma_const: float, alpha: float, t: float,
@@ -105,19 +103,10 @@ def oracle_driftless(x0: float, sigma_const: float, alpha: float, t: float,
     the density is C^1 and not C^2 there: its one-sided second
     derivatives are ``-p(c) / (sigma^2 t)`` below ``c`` and
     ``-(1-alpha)^2 p(c) / (sigma^2 t)`` above, at every ``t > 0``, also
-    where ``bounds.max_horizon`` is infinite.  The bandwidth-ladder
-    diagnostic does not resolve that jump: it reads "pass" on
-    ``configs/density.json`` (``alpha = 0.5``).
+    where ``bounds.max_horizon`` is infinite (:func:`smoothness_diagnostic`
+    states them).
     """
-    if not (alpha < 1.0):
-        raise ConfigError(f"alpha must be < 1, got {alpha!r}")
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ConfigError(f"t must be positive and finite, got {t!r}")
-    if sigma_const == 0.0:
-        raise DegenerateDiffusion(
-            "sigma = 0 gives a point mass, not a density")
-    sig = abs(float(sigma_const))
-    c = float(x0) / (1.0 - alpha)
+    c, sig = _kink(x0, sigma_const, alpha, t)
     beta = alpha / (1.0 - alpha)
     z_arr = np.asarray(z, float)
     w = (z_arr - c) / sig
@@ -159,14 +148,6 @@ def bandwidth_rule(sample: np.ndarray) -> float:
     if n < 2:
         raise EmptySample("bandwidth rule needs at least 2 samples")
     return 1.06 * _mean_std(sample)[1] * n ** (-0.2)
-
-
-def derivative_bandwidth_rule(sample: np.ndarray) -> float:
-    """Wider rule ``1.06 s N^{-1/9}`` for derivative-ladder estimates."""
-    n = sample.size
-    if n < 2:
-        raise EmptySample("bandwidth rule needs at least 2 samples")
-    return 1.06 * _mean_std(sample)[1] * n ** (-1.0 / 9.0)
 
 
 @dataclass(frozen=True)
@@ -229,16 +210,9 @@ def _mesh_plan(h: float, dz: float, n_grid: int, below: float,
     return r, n_lo, n_mesh, half, n_fft
 
 
-# Hermite polynomials He_k: the order-k derivative of a kernel estimate sums
-# (-1)^k He_k(u) phi(u) / h^(k+1) over the sample.
-_HERMITE = (lambda u: 1.0, lambda u: u, lambda u: u * u - 1.0)
-
-
-def _kernel_sums(sample: np.ndarray, zs: np.ndarray, h: float,
-                 orders: tuple[int, ...]) -> list[np.ndarray]:
-    """Binned kernel estimates at bandwidth ``h`` on the uniform grid
-    ``zs``: the density's derivative of each order in ``orders`` (0, 1
-    or 2), one convolution each, in that order."""
+def _kernel_sums(sample: np.ndarray, zs: np.ndarray, h: float) -> np.ndarray:
+    """Binned Gaussian-kernel density estimate at bandwidth ``h`` on the
+    uniform grid ``zs``, by one convolution."""
     n_grid = zs.size
     dz = float(zs[-1] - zs[0]) / (n_grid - 1)
     r, n_lo, n_mesh, half, n_fft = _mesh_plan(
@@ -253,26 +227,17 @@ def _kernel_sums(sample: np.ndarray, zs: np.ndarray, h: float,
     w = t - j
     counts = (np.bincount(j, 1.0 - w, minlength=n_mesh)
               + np.bincount(j + 1, w, minlength=n_mesh))
-    counts_f = np.fft.rfft(counts, n_fft)
 
-    # kernels at circular offsets k = node(z) - node(x), so u = k delta / h
+    # the kernel at circular offsets k = node(z) - node(x), so u = k delta / h
     k = np.fft.fftfreq(n_fft, 1.0 / n_fft)
     u = k * (delta / h)
     phi = np.where(np.abs(k) <= half, np.exp(-0.5 * u * u), 0.0)
     at_grid = n_lo + r * np.arange(n_grid)
-    norm = sample.size * h * _SQRT_2PI
-    scale = (norm, -norm * h, norm * h * h)
-
-    sums = []
-    for order in orders:
-        kernel = _HERMITE[order](u) * phi
-        s = np.fft.irfft(counts_f * np.fft.rfft(kernel), n_fft)[at_grid]
-        if order == 0:
-            # roundoff of the transform can dip below zero where the sum
-            # underflows
-            np.maximum(s, 0.0, out=s)
-        sums.append(s / scale[order])
-    return sums
+    s = np.fft.irfft(np.fft.rfft(counts, n_fft) * np.fft.rfft(phi),
+                     n_fft)[at_grid]
+    # roundoff of the transform can dip below zero where the sum underflows
+    np.maximum(s, 0.0, out=s)
+    return s / (sample.size * h * _SQRT_2PI)
 
 
 def _check_n_grid(n_grid: int) -> None:
@@ -286,13 +251,13 @@ def _check_n_grid(n_grid: int) -> None:
             f"got {n_grid}")
 
 
-def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
-             rule) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """The input check :func:`kde` and :func:`smoothness_diagnostic`
-    share.  Returns the sample as a flat float array, the evaluation grid,
-    the bandwidth (``rule(sample)`` when ``bandwidth`` is None), and the
-    sample mean and standard deviation.  The default grid spans the mean
-    plus or minus :data:`GRID_HALFWIDTH_STDS` standard deviations in
+def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int
+             ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """The input check of :func:`kde`.  Returns the sample as a flat float
+    array, the evaluation grid, the bandwidth (``bandwidth_rule(sample)``
+    when ``bandwidth`` is None), and the sample mean and standard
+    deviation.  The default grid spans the mean plus or minus
+    :data:`GRID_HALFWIDTH_STDS` standard deviations in
     ``n_grid`` points; a given grid must be strictly increasing and
     uniformly spaced.
 
@@ -308,7 +273,7 @@ def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int,
         raise EmptySample("sample contains non-finite values")
     mean, std = _mean_std(sample)
     if bandwidth is None:
-        bandwidth = rule(sample)
+        bandwidth = bandwidth_rule(sample)
         if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
             raise EmptySample(
                 f"bandwidth rule gives {bandwidth!r} on a sample of "
@@ -355,121 +320,42 @@ def kde(sample, bandwidth: float | None = None,
     The estimate is binned: the sample is linearly binned onto a mesh of
     spacing ``h/64`` or finer that holds every grid point (see
     :func:`_mesh_plan`), and the counts are convolved with the sampled
-    kernel ``phi(u)`` by FFT; :func:`smoothness_diagnostic` convolves the
-    same counts with ``u phi(u)`` and ``(u^2 - 1) phi(u)`` for the first
-    two derivatives.  For the estimates the package builds (the pdf at
-    :func:`bandwidth_rule` and :func:`derivative_bandwidth_rule`, and the
-    derivatives at half, one and two times either) the result agrees with
-    the direct sums over the sample to within ``1e-4`` of each channel's
-    maximum absolute value (tested on normal, perturbed and point-mass
+    kernel ``phi(u)`` by FFT.  At :func:`bandwidth_rule` the result agrees
+    with the direct sums over the sample to within ``1e-4`` of the
+    estimate's maximum (tested on normal, perturbed and point-mass
     samples of 10^5 draws).  Binning moves each sample's kernel by at
-    most ``(h_mesh/h)^2 max|K''| / 8``, at most ``9.2e-5`` of the
-    kernel's maximum for ``K = (u^2 - 1) phi``, and not at all for a
-    sample on a mesh node.  Samples more than ten bandwidths beyond the
-    grid are left out and kernels are cut at ten bandwidths; what that
-    drops is below ``1e-19`` of a kernel's maximum.  A bandwidth so small
-    against the grid that the mesh would exceed :data:`MAX_MESH_NODES`
-    raises :class:`ConfigError`, and so does an ``n_grid`` too large for
-    any bandwidth, before the grid is built.
+    most ``(h_mesh/h)^2 max|phi''| / 8``, at most ``3.1e-5`` of the
+    kernel's maximum, and not at all for a sample on a mesh node.
+    Samples more than ten bandwidths beyond the grid are left out and
+    kernels are cut at ten bandwidths; what that drops is below ``1e-19``
+    of a kernel's maximum.  A bandwidth so small against the grid that
+    the mesh would exceed :data:`MAX_MESH_NODES` raises
+    :class:`ConfigError`, and so does an ``n_grid`` too large for any
+    bandwidth, before the grid is built.
     """
     sample, zs, h, mean, std = _checked(sample, bandwidth, eval_grid,
-                                        n_grid, bandwidth_rule)
-    (pdf,) = _kernel_sums(sample, zs, h, (0,))
-    return DensityEstimate(grid=zs, pdf=pdf, bandwidth=h,
-                           n_samples=int(sample.size), sample_mean=mean,
-                           sample_std=std)
+                                        n_grid)
+    return DensityEstimate(grid=zs, pdf=_kernel_sums(sample, zs, h),
+                           bandwidth=h, n_samples=int(sample.size),
+                           sample_mean=mean, sample_std=std)
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
-    """Bandwidth-ladder stability verdict.
+def smoothness_diagnostic(x0: float, sigma_const: float, alpha: float,
+                          t: float) -> dict[str, float | bool]:
+    """The exact smoothness of the driftless constant-``sigma`` law.
 
-    A stability heuristic, not a proof: it measures how much the
-    derivative estimates move when the bandwidth halves or doubles,
-    normalized so that 1.0 sits at the configured threshold.
-    ``bandwidth`` is the middle rung ``h`` of the ladder ``h/2, h, 2h``,
-    and ``pairs`` holds rows ``(h_low, h_high, d1_discrepancy,
-    d2_discrepancy)`` for its two adjacent pairs.
+    The density :func:`oracle_driftless` is C^1 everywhere and smooth away
+    from ``c = x0/(1-alpha)``, where its one-sided second derivatives are
+    ``curvature_below = -p(c) / (sigma^2 t)`` and ``curvature_above =
+    -(1-alpha)^2 p(c) / (sigma^2 t)``.  They differ unless ``alpha = 0``,
+    so ``twice_differentiable`` is ``alpha == 0``.  Inputs are checked as
+    :func:`oracle_driftless` checks them.
     """
-
-    verdict: str
-    score: float
-    d1_score: float
-    d2_score: float
-    d1_threshold: float
-    d2_threshold: float
-    bandwidth: float
-    window: tuple[float, float]
-    pairs: tuple[tuple[float, float, float, float], ...]
-    n_samples: int = 0
-    note: str = ("bandwidth-ladder stability heuristic; "
-                 "not a proof of smoothness")
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-
-def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    denom = max(na, nb)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a - b)) / denom
-
-
-def smoothness_diagnostic(sample, grid: np.ndarray | None = None
-                          ) -> SmoothnessReport:
-    """Stability of derivative estimates across a bandwidth ladder.
-
-    The first and second derivatives of the density are estimated on
-    ``grid`` (by default the grid :func:`kde` would choose) at half, one
-    and two times ``h = derivative_bandwidth_rule(sample)``: estimating
-    derivatives well needs more smoothing than the density itself, and at
-    the density-optimal bandwidth the second-derivative channel is noise
-    even for smooth targets.  For each adjacent pair of bandwidths the
-    relative L2 discrepancy of each derivative is taken over the central
-    window (sample mean plus or minus two standard deviations, where
-    there is enough mass for the estimates to mean anything).  The
-    verdict fails when any pair exceeds its channel threshold.
-    """
-    sample, zs, h, mean, std = _checked(sample, None, grid,
-                                        DEFAULT_GRID_POINTS,
-                                        derivative_bandwidth_rule)
-    lo = mean - 2.0 * std
-    hi = mean + 2.0 * std
-    win = (zs >= lo) & (zs <= hi)
-    if not np.any(win):
-        raise ConfigError("evaluation grid misses the central window")
-
-    rungs = [(hk, *_kernel_sums(sample, zs, hk, (1, 2)))
-             for hk in (0.5 * h, h, 2.0 * h)]
-    pairs = []
-    d1_worst = 0.0
-    d2_worst = 0.0
-    for (ha, a1, a2), (hb, b1, b2) in zip(rungs[:-1], rungs[1:]):
-        disc1 = _rel_l2(a1[win], b1[win])
-        disc2 = _rel_l2(a2[win], b2[win])
-        pairs.append((ha, hb, disc1, disc2))
-        d1_worst = max(d1_worst, disc1)
-        d2_worst = max(d2_worst, disc2)
-
-    d1_score = d1_worst / D1_THRESHOLD
-    d2_score = d2_worst / D2_THRESHOLD
-    score = max(d1_score, d2_score)
-    n = int(sample.size)
-    note = SmoothnessReport.note
-    if n < CALIBRATED_MIN_SAMPLES:
-        note += (f"; below the calibrated sample size "
-                 f"({n} < {CALIBRATED_MIN_SAMPLES}), "
-                 f"ladder noise may dominate the verdict")
-    return SmoothnessReport(
-        verdict="pass" if score <= 1.0 else "fail",
-        score=score, d1_score=d1_score, d2_score=d2_score,
-        d1_threshold=D1_THRESHOLD, d2_threshold=D2_THRESHOLD,
-        bandwidth=h, window=(float(lo), float(hi)), pairs=tuple(pairs),
-        n_samples=n, note=note)
+    c, sig = _kink(x0, sigma_const, alpha, t)
+    below = -oracle_driftless(x0, sigma_const, alpha, t, c) / sig / sig / t
+    return {"c": c, "curvature_below": below,
+            "curvature_above": (1.0 - alpha) * (1.0 - alpha) * below,
+            "twice_differentiable": alpha == 0.0}
 
 
 def l1_distance(estimate: DensityEstimate, oracle_values) -> float:

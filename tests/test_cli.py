@@ -37,6 +37,7 @@ from perturbsde import (
     propagate_derivative_batch,
     regime_report,
     simulate_batch,
+    smoothness_diagnostic,
     transformed_spec,
 )
 from perturbsde.cli import (_chunk_paths, _chunks, _fold_counts, _pool_size,
@@ -548,6 +549,24 @@ def test_degenerate_regime_exits_3(tmp_path, write_config, capsys):
     assert "changes sign" in capsys.readouterr().err
 
 
+def test_degenerate_density_exits_3_before_it_simulates(
+        tmp_path, write_config, capsys, monkeypatch):
+    # the regime is checked before any path runs, as derivative checks it
+    def worker(*args):
+        raise AssertionError("a chunk ran before the regime check")
+
+    monkeypatch.setattr(cli_mod, "_terminal_worker", worker)
+    problem = base_problem(x0=0.0)
+    problem["diffusion"] = {"preset": "sine",
+                            "params": {"amplitude": 1.0, "offset": 0.0}}
+    cfg = write_config({"problem": problem, "grid": {"n_steps": 2048},
+                        "n_paths": 40_000, "seed": 1, "t0": 1.0})
+    assert run("density", cfg, tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "diffusion vanishes or changes sign" in err
+
+
 # Menus for generated configs: signed zeros, the smallest subnormal, values
 # near both ends of the double range, and the alpha endpoints.
 _VALUES = [0.0, -0.0, 5e-324, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300]
@@ -675,11 +694,10 @@ def test_density_artifacts(tmp_path, write_config):
                         "grid": {"n_steps": 64}, "n_paths": 2000,
                         "seed": 3, "t0": 0.25})
     out = tmp_path / "run"
-    # one convolution for kde's pdf, and the diagnostic's two derivative
-    # channels at each of its three bandwidths
+    # one convolution, for kde's pdf
     with mock.patch.object(np.fft, "irfft", wraps=np.fft.irfft) as irfft:
         assert run("density", cfg, out) == 0
-    assert irfft.call_count == 7
+    assert irfft.call_count == 1
     header_line = next(l for l in (out / "density.csv").read_text()
                        .splitlines() if not l.startswith("#"))
     assert header_line == "z,p_hat,p_oracle"
@@ -688,8 +706,21 @@ def test_density_artifacts(tmp_path, write_config):
     assert doc["bandwidth"] > 0
     assert doc["normalization"] == pytest.approx(1.0, abs=0.1)
     assert doc["l1_to_oracle"] >= 0.0
-    assert "below the calibrated sample size" in doc["smoothness"]["note"]
+    # the closed form's exact smoothness, nothing estimated
+    assert doc["smoothness"] == smoothness_diagnostic(0.0, 1.0, 0.5, 1.0)
+    assert doc["smoothness"]["twice_differentiable"] is False
+    assert "derivative_bandwidth" not in doc
     assert doc["regime"]["admissible"] is False
+    # with no closed form the report says nothing about smoothness
+    problem = base_problem(alpha=0.5, x0=0.0)
+    problem["drift"] = {"preset": "tanh",
+                        "params": {"amplitude": 0.1, "scale": 1.0}}
+    cfg = write_config({"problem": problem, "grid": {"n_steps": 64},
+                        "n_paths": 2000, "seed": 3}, "tanh.json")
+    assert run("density", cfg, tmp_path / "tanh") == 0
+    assert set(read_json(tmp_path / "tanh" / "diagnostic.json")) == {
+        "meta", "n_samples", "bandwidth", "normalization", "sample_mean",
+        "sample_std"}
 
 
 def test_density_deterministic_across_workers(tmp_path, write_config):
@@ -918,6 +949,7 @@ def test_chunks_are_sized_by_the_budget_not_the_workers(tmp_path,
     monkeypatch.setattr(cli_mod, "_CHUNK_BYTES",
                         7 * cli_mod._DERIVATIVE_BYTES * 41)
     monkeypatch.setattr(cli_mod, "_MIN_CHUNK_PATHS", 1)
+    monkeypatch.setattr(cli_mod, "_usable_cpus", lambda: 4)
     cfg = write_config({"problem": _TANH, "grid": {"n_steps": 40},
                         "n_paths": 50, "seed": 1})
     for workers in (1, 3, 64):
@@ -926,10 +958,11 @@ def test_chunks_are_sized_by_the_budget_not_the_workers(tmp_path,
                        "--workers", str(workers)) == 0
     assert seen["_simulate_worker"] == [_chunks(50, 16)] * 3
     assert seen["_derivative_worker"] == [_chunks(50, 7)] * 3
-    # density keeps one chunk per worker: ceil(50 / workers) paths each
+    # density cuts one chunk per process it would run: ceil(50 / processes)
+    # paths each, with no more processes than usable CPUs
     assert seen["_terminal_worker"] == [
         [(0, 50)], [(0, 17), (17, 17), (34, 16)],
-        [(lo, 1) for lo in range(50)]]
+        [(0, 13), (13, 13), (26, 13), (39, 11)]]
 
 
 class _StubPool:

@@ -1,5 +1,5 @@
-"""Terminal-law tools: the closed-form driftless density, kernel
-estimation, and the bandwidth-ladder smoothness heuristic."""
+"""Terminal-law tools: the closed-form driftless density and its exact
+smoothness, and kernel estimation."""
 
 import math
 
@@ -15,7 +15,6 @@ from perturbsde import (
     GridMismatch,
     GridSpec,
     bandwidth_rule,
-    derivative_bandwidth_rule,
     kde,
     l1_distance,
     max_horizon,
@@ -24,7 +23,6 @@ from perturbsde import (
     smoothness_diagnostic,
 )
 from perturbsde.density import (
-    CALIBRATED_MIN_SAMPLES,
     MAX_MESH_NODES,
     _kernel_sums,
     _mean_std,
@@ -42,19 +40,13 @@ def brownian_with_sup(rng, n, t=1.0):
 
 
 def direct_kernel_sums(sample, zs, h):
-    # reference for the binned estimator: the O(N x grid) Gaussian sums of
-    # the pdf, u phi(u) and (u^2 - 1) phi(u) channels, normalized as in kde
+    # reference for the binned estimator: the O(N x grid) Gaussian sums,
+    # normalized as in kde
     pdf = np.zeros(zs.size)
-    d1 = np.zeros(zs.size)
-    d2 = np.zeros(zs.size)
     for i in range(0, sample.size, 4096):
         v = (zs[:, None] - sample[None, i:i + 4096]) / h
-        phi = np.exp(-0.5 * v * v)
-        pdf += phi.sum(axis=1)
-        d1 += (v * phi).sum(axis=1)
-        d2 += ((v * v - 1.0) * phi).sum(axis=1)
-    norm_ = sample.size * h * math.sqrt(2.0 * math.pi)
-    return pdf / norm_, -d1 / (norm_ * h), d2 / (norm_ * h * h)
+        pdf += np.exp(-0.5 * v * v).sum(axis=1)
+    return pdf / (sample.size * h * math.sqrt(2.0 * math.pi))
 
 
 def cdf_alpha_half(z):
@@ -150,6 +142,34 @@ def test_admissible_law_is_not_twice_differentiable(alpha, left, right):
     assert (round(below, 4), round(above, 4)) == (left, right)
     assert above - below == pytest.approx(
         (1.0 - (1.0 - alpha)**2) * p[2] / t, abs=1e-4)
+    # the density report states the same curvatures, also where x0, sigma
+    # and t are not 1
+    for x0, sigma, t in ((0.0, 1.0, 1.0), (0.4, -1.7, 0.6)):
+        c = x0 / (1.0 - alpha)
+        p = oracle_driftless(x0, sigma, alpha, t, c + h * np.arange(-2.0, 3.0))
+        assert smoothness_diagnostic(x0, sigma, alpha, t) == {
+            "c": c,
+            "curvature_below": pytest.approx(
+                (p[2] - 2.0 * p[1] + p[0]) / h**2, abs=5e-5),
+            "curvature_above": pytest.approx(
+                (p[4] - 2.0 * p[3] + p[2]) / h**2, abs=5e-5),
+            "twice_differentiable": False}
+
+
+def test_gaussian_law_is_twice_differentiable():
+    # alpha = 0 is N(x0, sigma^2 t): one curvature -p/(sigma^2 t) at the mean
+    report = smoothness_diagnostic(0.7, 1.3, 0.0, 2.0)
+    curvature = -norm.pdf(0.0, 0.0, 1.3 * math.sqrt(2.0)) / (1.3**2 * 2.0)
+    assert report == {"c": 0.7,
+                      "curvature_below": pytest.approx(curvature, rel=1e-12),
+                      "curvature_above": pytest.approx(curvature, rel=1e-12),
+                      "twice_differentiable": True}
+    with pytest.raises(ConfigError):
+        smoothness_diagnostic(0.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ConfigError):
+        smoothness_diagnostic(0.0, 1.0, 0.0, 0.0)
+    with pytest.raises(DegenerateDiffusion):
+        smoothness_diagnostic(0.0, 0.0, 0.0, 1.0)
 
 
 # -- simulated terminal samples -----------------------------------------------
@@ -225,16 +245,8 @@ def test_kde_input_validation():
                  np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.0, math.inf])):
         with pytest.raises(ConfigError, match="evaluation grid"):
             kde(sample, bandwidth=0.5, eval_grid=grid)
-        with pytest.raises(ConfigError, match="evaluation grid"):
-            smoothness_diagnostic(sample, grid)
-    with pytest.raises(EmptySample):
-        smoothness_diagnostic(np.array([1.0]))
-    with pytest.raises(EmptySample, match="bandwidth"):
-        smoothness_diagnostic(np.full(100, 2.0))
     with pytest.raises(EmptySample):
         bandwidth_rule(np.array([3.0]))
-    with pytest.raises(EmptySample):
-        derivative_bandwidth_rule(np.array([3.0]))
 
 
 def test_moments_of_a_finite_sample_are_finite():
@@ -252,9 +264,8 @@ def test_moments_of_a_finite_sample_are_finite():
                                     rel=1e-14)
     # sums of 1.7e308 overflow, so does the mean's first try
     assert _mean_std(np.full(4, 1.7e308)) == (1.7e308, 0.0)
-    for rule in (bandwidth_rule, derivative_bandwidth_rule):
-        assert rule(1e200 * unit) == pytest.approx(1e200 * rule(unit),
-                                                   rel=1e-14)
+    assert bandwidth_rule(1e200 * unit) == pytest.approx(
+        1e200 * bandwidth_rule(unit), rel=1e-14)
     # non-finite values keep non-finite moments
     assert all(map(math.isnan, _mean_std(np.array([math.inf, -math.inf]))))
 
@@ -274,8 +285,6 @@ def test_failures_of_the_sample_are_numerical_not_config():
         for sample, kwargs, message in cases:
             with pytest.raises(EmptySample, match=message):
                 kde(sample, **kwargs)
-        with pytest.raises(EmptySample, match="no uniform evaluation"):
-            smoothness_diagnostic(far_and_narrow)
     # what the caller gives stays a configuration error on the same sample
     with pytest.raises(ConfigError, match="bandwidth must be positive"):
         kde(np.full(100, 2.0), bandwidth=math.inf)
@@ -302,20 +311,16 @@ def atom_sample(rng, n):
 @pytest.mark.parametrize("draw", [
     lambda rng, n: rng.standard_normal(n), perturbed_sample, atom_sample,
 ], ids=["normal", "perturbed-alpha-0.3", "atom"])
-@pytest.mark.parametrize("rule", [bandwidth_rule, derivative_bandwidth_rule])
+@pytest.mark.parametrize("rule", [bandwidth_rule])
 def test_binned_kde_matches_direct_sums(draw, rule):
-    # kde's pdf at h, and the diagnostic's d1/d2 channels at h/2, h and 2h
     sample = draw(np.random.default_rng(71), 100_000)
-    h = rule(sample)
-    est = kde(sample, bandwidth=h)
-    ref = {hk: direct_kernel_sums(sample, est.grid, hk)
-           for hk in (0.5 * h, h, 2.0 * h)}
-    checks = [(est.pdf, ref[h][0])]
-    for hk, (_, d1, d2) in ref.items():
-        checks += zip(_kernel_sums(sample, est.grid, hk, (1, 2)), (d1, d2))
-    for got, want in checks:
-        assert float(np.max(np.abs(got - want))) \
-            <= 1e-4 * float(np.max(np.abs(want)))
+    est = kde(sample)
+    assert est.bandwidth == rule(sample)
+    want = direct_kernel_sums(sample, est.grid, est.bandwidth)
+    assert np.array_equal(_kernel_sums(sample, est.grid, est.bandwidth),
+                          est.pdf)
+    assert float(np.max(np.abs(est.pdf - want))) \
+        <= 1e-4 * float(np.max(want))
 
 
 def test_mesh_plan_size_rule():
@@ -357,56 +362,6 @@ def test_bandwidth_rules_scaling():
     s = float(np.std(sample, ddof=1))
     assert bandwidth_rule(sample) == pytest.approx(
         1.06 * s * 10_000 ** -0.2)
-    assert derivative_bandwidth_rule(sample) == pytest.approx(
-        1.06 * s * 10_000 ** (-1.0 / 9.0))
-    assert derivative_bandwidth_rule(sample) > bandwidth_rule(sample)
-
-
-# -- smoothness heuristic -----------------------------------------------------
-
-
-def test_smoothness_passes_on_gaussian():
-    rng = np.random.default_rng(43)
-    report = smoothness_diagnostic(rng.standard_normal(100_000))
-    assert report.passed and report.verdict == "pass"
-    assert report.score <= 1.0
-    assert len(report.pairs) == 2
-    assert "not a proof" in report.note
-
-
-def test_smoothness_flags_atoms():
-    rng = np.random.default_rng(47)
-    n = 50_000
-    sample = rng.standard_normal(n)
-    sample[: n // 10] = 0.0
-    report = smoothness_diagnostic(sample)
-    assert not report.passed
-    assert report.score > 1.0
-
-
-def test_smoothness_passes_on_perturbed_law():
-    # alpha = 0.3 terminal draw b + beta s with beta = 3/7
-    rng = np.random.default_rng(53)
-    b, s = brownian_with_sup(rng, 100_000)
-    report = smoothness_diagnostic(b + (3.0 / 7.0) * s)
-    assert report.passed
-
-
-def test_smoothness_small_sample_note():
-    rng = np.random.default_rng(59)
-    report = smoothness_diagnostic(rng.standard_normal(5000))
-    assert report.n_samples == 5000
-    assert "below the calibrated sample size" in report.note
-    assert str(CALIBRATED_MIN_SAMPLES) in report.note
-
-
-def test_smoothness_ladder_bandwidths():
-    rng = np.random.default_rng(37)
-    sample = rng.standard_normal(500)
-    report = smoothness_diagnostic(sample)
-    h = derivative_bandwidth_rule(sample)
-    assert report.bandwidth == h
-    assert [row[:2] for row in report.pairs] == [(0.5 * h, h), (h, 2.0 * h)]
 
 
 # -- L1 comparison ------------------------------------------------------------

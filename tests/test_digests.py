@@ -85,7 +85,7 @@ DIGESTS = {
         "density.csv":
             "46d81f04c1bcb1208c288b06f48b581c42066ebb82bd7741042f8dc0b2aca117",
         "diagnostic.json":
-            "934a2b204ba8121a67e9bee6666bcd65394b57d3c2209d8b1d6a268ab0c1bf56",
+            "5aeb2cfc53e1f003d4c73079ac7b52aaa23628115d6b09ae165120bde8b738ab",
     },
 }
 

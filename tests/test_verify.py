@@ -137,7 +137,7 @@ def test_reports_carry_the_spec_constants():
 
 def test_option_free_signatures_of_the_shared_helpers():
     assert list(inspect.signature(smoothness_diagnostic).parameters) == [
-        "sample", "grid"]
+        "x0", "sigma_const", "alpha", "t"]
     assert "seed" not in inspect.signature(simulate_increments).parameters
 
 
