@@ -14,10 +14,10 @@ Exit codes: 0 success, 2 configuration error (an unwritable artifact and
 a run too large for the memory at hand included), 3 numerical failure, 4
 verification failure; a package error's class carries its code.
 Everything a run produces carries the tool version, a hash of the
-effective config, and the seed, and is bitwise reproducible for a fixed
-config: worker processes only partition the path range, and
-each path's noise is keyed by (seed, path index), so the artifact content
-is independent of ``--workers``.
+config, and the seed, and is a pure function of the config file: worker
+processes only partition the path range, and each path's noise is keyed
+by (seed, path index), so the artifact content is independent of
+``--workers`` and of the output directory.
 
 ``simulate`` and ``derivative`` stream: their paths run in contiguous
 chunks sized by a fixed byte budget (never by ``--workers``), each
@@ -101,9 +101,9 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_quiet
-def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
+def _simulate_worker(problem_json, n_steps, seed, n_paths, path_offset):
     spec = io.problem_from_json(problem_json)
-    grid = io.grid_from_json(grid_json)
+    grid = GridSpec(n_steps, spec.horizon)
     batch = simulate_batch(spec, grid, n_paths, seed, path_offset)
     x, argmax = batch.x, batch.final_argmax_idx()
     del batch          # frees the flags before the maximum
@@ -113,17 +113,17 @@ def _simulate_worker(problem_json, grid_json, seed, n_paths, path_offset):
 
 
 @_quiet
-def _terminal_worker(problem_json, grid_json, seed, n_paths, path_offset):
+def _terminal_worker(problem_json, n_steps, seed, n_paths, path_offset):
     spec = io.problem_from_json(problem_json)
-    grid = io.grid_from_json(grid_json)
+    grid = GridSpec(n_steps, spec.horizon)
     return simulate_terminal(spec, grid, n_paths, seed, path_offset), ()
 
 
 @_quiet
-def _derivative_worker(problem_json, grid_json, seed, report, n_paths,
+def _derivative_worker(problem_json, n_steps, seed, report, n_paths,
                        path_offset):
     spec = io.problem_from_json(problem_json)
-    grid = io.grid_from_json(grid_json)
+    grid = GridSpec(n_steps, spec.horizon)
     batch = simulate_batch(spec, grid, n_paths, seed, path_offset)
     fields = propagate_derivative_batch(batch, spec, grid,
                                         track_all_times=report is not None)
@@ -248,11 +248,9 @@ def _fold_counts(counts: Sequence[dict]) -> dict:
 # -- shared config plumbing ---------------------------------------------------
 
 
-def _problem_and_grid(config: dict) -> tuple[ProblemSpec, GridSpec, dict]:
+def _problem_and_grid(config: dict) -> tuple[ProblemSpec, GridSpec]:
     problem = io.problem_from_json(config["problem"])
-    grid = io.grid_from_json(config["grid"],
-                             default_horizon=problem.horizon)
-    return problem, grid, io.grid_to_json(grid)
+    return problem, io.grid_from_json(config["grid"], problem.horizon)
 
 
 def _regime(config: dict, problem: ProblemSpec):
@@ -262,11 +260,11 @@ def _regime(config: dict, problem: ProblemSpec):
 
 
 def _regime_block(report) -> dict[str, Any]:
-    return {"t0": report.t0, "theta_at_t0": report.theta_at_t0,
-            "admissible": report.admissible, "t0_max": report.t0_max,
-            "alpha": report.alpha, "lb": report.lb,
-            "lb_source": report.lb_source, "sigma_bar": report.sigma_bar,
-            "transformed": report.transformed, "rigorous": report.rigorous}
+    """The report's fields in declaration order, but for the curve,
+    which ``regime`` writes as its own table."""
+    return {f.name: getattr(report, f.name)
+            for f in dataclasses.fields(report)
+            if f.name != "lower_bound_curve"}
 
 
 # -- subcommands --------------------------------------------------------------
@@ -275,13 +273,13 @@ def _regime_block(report) -> dict[str, Any]:
 def cmd_simulate(config: dict, out_dir: Path, workers: int,
                  meta: dict) -> None:
     _require(config, "simulate", "problem", "grid", "n_paths", "seed")
-    problem, grid, grid_json = _problem_and_grid(config)
+    problem, grid = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
     chunks = _chunks(n_paths, _chunk_paths(grid.n_steps, _SIMULATE_BYTES))
     parts = _stream_table(out_dir / "paths.csv",
                           ("path", "t", "x", "running_max"), grid.times,
                           meta, _simulate_worker,
-                          (config["problem"], grid_json, seed), chunks,
+                          (config["problem"], grid.n_steps, seed), chunks,
                           workers)
     terminal, running_max, argmax_final = map(np.concatenate, zip(*parts))
     io.write_json(out_dir / "summary.json", {
@@ -298,7 +296,7 @@ def cmd_simulate(config: dict, out_dir: Path, workers: int,
 def cmd_derivative(config: dict, out_dir: Path, workers: int,
                    meta: dict) -> None:
     _require(config, "derivative", "problem", "grid", "n_paths", "seed")
-    problem, grid, grid_json = _problem_and_grid(config)
+    problem, grid = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
     # the floors are checked chunk by chunk, so no chunk's by-time norm
     # curve outlives it
@@ -308,7 +306,7 @@ def cmd_derivative(config: dict, out_dir: Path, workers: int,
     parts = _stream_table(out_dir / "derivative.csv",
                           ("path", "r", "d_x", "d_m"), grid.times[:-1],
                           meta, _derivative_worker,
-                          (config["problem"], grid_json, seed, report),
+                          (config["problem"], grid.n_steps, seed, report),
                           chunks, workers)
     h_final, h_sup, argmax_final, floors = zip(*parts)
 
@@ -337,7 +335,7 @@ def cmd_regime(config: dict, out_dir: Path, workers: int,
 def cmd_density(config: dict, out_dir: Path, workers: int,
                 meta: dict) -> None:
     _require(config, "density", "problem", "grid", "n_paths", "seed")
-    problem, grid, grid_json = _problem_and_grid(config)
+    problem, grid = _problem_and_grid(config)
     n_paths, seed = config["n_paths"], config["seed"]
     n_grid = config.get("n_grid", DEFAULT_GRID_POINTS)
     _check_n_grid(n_grid)          # before the sample is simulated
@@ -347,7 +345,7 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
     processes = _pool_size(workers, n_paths, _usable_cpus())
     chunks = _chunks(n_paths, math.ceil(n_paths / processes))
     sample = np.concatenate([part for _, (part, _) in _stream(
-        _terminal_worker, (config["problem"], grid_json, seed), chunks,
+        _terminal_worker, (config["problem"], grid.n_steps, seed), chunks,
         workers)])
 
     estimate = kde(sample, bandwidth=config.get("bandwidth"), n_grid=n_grid)
@@ -415,15 +413,23 @@ def cmd_verify(config: dict, out_dir: Path, workers: int,
             f"{', '.join(failed)}")
 
 
-# Each subcommand's handler, and what to reduce when it runs out of
-# memory: the config fields that size its arrays.
+# Each subcommand's handler, its help text, and what to reduce when it
+# runs out of memory: the config fields that size its arrays.
 _HANDLERS = {
-    "simulate": (cmd_simulate, "reduce n_paths or grid.n_steps"),
-    "derivative": (cmd_derivative, "reduce n_paths or grid.n_steps"),
-    "regime": (cmd_regime, "reduce transform.n_nodes"),
-    "density": (cmd_density, "reduce n_paths or n_grid"),
-    "transform": (cmd_transform, "reduce transform.n_nodes"),
-    "verify": (cmd_verify, "run fewer suites"),
+    "simulate": (cmd_simulate, "simulate paths and write a terminal summary",
+                 "reduce n_paths or grid.n_steps"),
+    "derivative": (cmd_derivative,
+                   "propagate noise derivatives along simulated paths",
+                   "reduce n_paths or grid.n_steps"),
+    "regime": (cmd_regime, "evaluate the density lower-bound regime report",
+               "reduce transform.n_nodes"),
+    "density": (cmd_density, "estimate the terminal density with diagnostics",
+                "reduce n_paths or n_grid"),
+    "transform": (cmd_transform,
+                  "tabulate the unit-diffusion change of variables",
+                  "reduce transform.n_nodes"),
+    "verify": (cmd_verify, "run the invariant verification suites",
+               "run fewer suites"),
 }
 
 
@@ -436,36 +442,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation and analysis of diffusions with "
                     "running-supremum feedback.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("simulate", "simulate paths and write a terminal summary"),
-        ("derivative", "propagate noise derivatives along simulated paths"),
-        ("regime", "evaluate the density lower-bound regime report"),
-        ("density", "estimate the terminal density with diagnostics"),
-        ("transform", "tabulate the unit-diffusion change of variables"),
-        ("verify", "run the invariant verification suites"),
-    ]:
+    for name, (_, help_text, _) in _HANDLERS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="path to the JSON run config")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config 'out', "
-                            "PERTURBSDE_OUT, or '.')")
+        p.add_argument("--out", default=".",
+                       help="output directory (default: '.')")
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes; never affects results")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     return parser
 
 
-def _effective_config(args: argparse.Namespace) -> dict:
+def _read_config(path: str) -> dict:
     try:
-        config = io.read_json(args.config)
+        config = io.read_json(path)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError: bad JSON or UTF-8, or an integer past the digit limit
         raise ConfigError(f"cannot read config: {exc}") from None
-    # the override is checked with the rest; a non-object config fails there
-    if args.seed is not None and isinstance(config, dict):
-        config["seed"] = args.seed
     io.check_config(config)
     return config
 
@@ -473,23 +466,19 @@ def _effective_config(args: argparse.Namespace) -> dict:
 @_quiet
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, sized_by = _HANDLERS[args.command]
+    handler, _, sized_by = _HANDLERS[args.command]
     try:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
-        config = _effective_config(args)
-        out_dir = Path(args.out or os.environ.get("PERTURBSDE_OUT")
-                       or config.get("out") or ".")
+        config = _read_config(args.config)
+        out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except (OSError, ValueError) as exc:     # ValueError: a NUL byte
             raise ConfigError(f"cannot create output directory: {exc}") \
                 from None
-        # The hash covers everything that determines artifact content; the
-        # output location does not.
-        hashed = {k: v for k, v in config.items() if k != "out"}
         meta = {"version": io.TOOL_VERSION,
-                "config_sha256": io.config_hash(hashed),
+                "config_sha256": io.config_hash(config),
                 "seed": config.get("seed")}
         try:
             handler(config, out_dir, args.workers, meta)

@@ -8,8 +8,7 @@ Kernel sums are binned, not direct: the sample is linearly binned onto a
 uniform mesh and the counts are convolved with the kernel by FFT
 (Silverman, AS 176, Appl. Statist. 31, 1982; Wand, J. Comput. Graph.
 Statist. 3, 1994), O(N + mesh log mesh) instead of O(N x grid).  See
-:func:`kde` for the error bound, the uniform-grid requirement and the
-mesh cap.
+:func:`kde` for the error bound and the mesh cap.
 
 In the driftless constant-``sigma`` case the terminal law is known in
 closed form (:func:`oracle_driftless`), which turns the whole pipeline
@@ -56,7 +55,7 @@ _MESH_PER_BANDWIDTH = 64
 _MESH_TAIL = 10.0
 MAX_MESH_NODES = 2**22
 # The mesh bound counts at least two nodes per grid step plus 9 (see
-# _mesh_plan), so a larger default grid would pass the cap at any
+# _mesh_plan), so a larger grid would pass the cap at any
 # bandwidth; it is refused before it is built.
 _MAX_GRID_POINTS = (MAX_MESH_NODES - 9) // 2 + 1
 
@@ -241,9 +240,11 @@ def _kernel_sums(sample: np.ndarray, zs: np.ndarray, h: float) -> np.ndarray:
 
 
 def _check_n_grid(n_grid: int) -> None:
-    """Refuse a default grid of more points than a kernel mesh holds;
-    :func:`_checked` runs it before the grid is allocated, the
+    """Refuse a grid of fewer than 2 points, or of more than a kernel mesh
+    holds; :func:`_checked` runs it before the grid is allocated, the
     ``density`` command before it simulates."""
+    if n_grid < 2:
+        raise ConfigError(f"config: n_grid: must be at least 2, got {n_grid}")
     if not n_grid <= _MAX_GRID_POINTS:
         raise ConfigError(
             f"config: n_grid: must be at most {_MAX_GRID_POINTS}, the "
@@ -251,20 +252,18 @@ def _check_n_grid(n_grid: int) -> None:
             f"got {n_grid}")
 
 
-def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int
+def _checked(sample, bandwidth: float | None, n_grid: int
              ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
     """The input check of :func:`kde`.  Returns the sample as a flat float
     array, the evaluation grid, the bandwidth (``bandwidth_rule(sample)``
     when ``bandwidth`` is None), and the sample mean and standard
-    deviation.  The default grid spans the mean plus or minus
-    :data:`GRID_HALFWIDTH_STDS` standard deviations in
-    ``n_grid`` points; a given grid must be strictly increasing and
-    uniformly spaced.
+    deviation.  The grid spans the mean plus or minus
+    :data:`GRID_HALFWIDTH_STDS` standard deviations in ``n_grid`` points.
 
-    A given bandwidth, grid or ``n_grid`` that fails raises
-    :class:`ConfigError`.  Where what fails comes from the sample itself,
-    a rule bandwidth that is zero or not finite or a default grid that is
-    not finite and uniform, it raises :class:`EmptySample`."""
+    A given bandwidth or ``n_grid`` that fails raises :class:`ConfigError`.
+    Where what fails comes from the sample itself, a rule bandwidth that
+    is zero or not finite or a grid that is not finite and uniform, it
+    raises :class:`EmptySample`."""
     sample = np.ascontiguousarray(np.asarray(sample, float).ravel())
     if sample.size < 2:
         raise EmptySample(
@@ -281,41 +280,29 @@ def _checked(sample, bandwidth: float | None, eval_grid, n_grid: int
     bandwidth = float(bandwidth)
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ConfigError(f"bandwidth must be positive, got {bandwidth!r}")
-    default_grid = eval_grid is None
-    if default_grid:
-        _check_n_grid(n_grid)
-        half = GRID_HALFWIDTH_STDS * (std if std > 0.0 else bandwidth)
-        with np.errstate(over="ignore", invalid="ignore"):   # refused below
-            eval_grid = np.linspace(mean - half, mean + half, n_grid)
-    zs = np.ascontiguousarray(np.asarray(eval_grid, float))
-    if zs.ndim != 1 or zs.size < 2:
-        raise ConfigError(
-            "evaluation grid must be a 1-D array of >= 2 points")
+    _check_n_grid(n_grid)
+    half = GRID_HALFWIDTH_STDS * (std if std > 0.0 else bandwidth)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        zs = np.linspace(mean - half, mean + half, n_grid)
     # uniform to 1e-6 of the spacing, far looser than linspace roundoff
     gaps = np.diff(zs)
     spacing = (zs[-1] - zs[0]) / (zs.size - 1)
     if not (np.all(gaps > 0.0) and math.isfinite(spacing)
             and float(np.max(np.abs(gaps - spacing))) <= 1e-6 * spacing):
-        if default_grid:
-            raise EmptySample(
-                f"no uniform evaluation grid about a sample of mean "
-                f"{mean!r} and standard deviation {std!r}")
-        raise ConfigError(
-            "evaluation grid must be strictly increasing and uniformly "
-            "spaced")
+        raise EmptySample(
+            f"no uniform evaluation grid about a sample of mean "
+            f"{mean!r} and standard deviation {std!r}")
     return sample, zs, bandwidth, mean, std
 
 
-def kde(sample, bandwidth: float | None = None,
-        eval_grid: np.ndarray | None = None,
+def kde(sample, bandwidth: float | None = None, *,
         n_grid: int = DEFAULT_GRID_POINTS) -> DensityEstimate:
     """Gaussian-kernel density estimate.
 
-    ``bandwidth=None`` applies :func:`bandwidth_rule`.  The default grid
-    spans the sample mean plus or minus six sample standard deviations,
-    wide enough that the estimate integrates to 1 within a couple of
-    percent.  A given ``eval_grid`` must be strictly increasing and
-    uniformly spaced (a ``linspace``).
+    ``bandwidth=None`` applies :func:`bandwidth_rule`.  The estimate is
+    evaluated on ``n_grid`` uniformly spaced points spanning the sample
+    mean plus or minus six sample standard deviations, wide enough that
+    it integrates to 1 within a couple of percent.
 
     The estimate is binned: the sample is linearly binned onto a mesh of
     spacing ``h/64`` or finer that holds every grid point (see
@@ -330,11 +317,10 @@ def kde(sample, bandwidth: float | None = None,
     kernels are cut at ten bandwidths; what that drops is below ``1e-19``
     of a kernel's maximum.  A bandwidth so small against the grid that
     the mesh would exceed :data:`MAX_MESH_NODES` raises
-    :class:`ConfigError`, and so does an ``n_grid`` too large for any
-    bandwidth, before the grid is built.
+    :class:`ConfigError`, and so does an ``n_grid`` below 2 or too large
+    for any bandwidth, before the grid is built.
     """
-    sample, zs, h, mean, std = _checked(sample, bandwidth, eval_grid,
-                                        n_grid)
+    sample, zs, h, mean, std = _checked(sample, bandwidth, n_grid)
     return DensityEstimate(grid=zs, pdf=_kernel_sums(sample, zs, h),
                            bandwidth=h, n_samples=int(sample.size),
                            sample_mean=mean, sample_std=std)

@@ -40,7 +40,6 @@ __all__ = [
     "coefficient_from_json",
     "problem_to_json",
     "problem_from_json",
-    "grid_to_json",
     "grid_from_json",
     "read_json",
     "write_json",
@@ -182,10 +181,8 @@ def _check_problem(obj: Any, field: str = "problem") -> None:
 
 
 def _check_grid(obj: Any, field: str = "grid") -> None:
-    _check_keys(obj, field, ("n_steps", "horizon"), required=("n_steps",))
+    _check_keys(obj, field, ("n_steps",), required=("n_steps",))
     _check_int(obj["n_steps"], f"{field}.n_steps", 1)
-    if "horizon" in obj:
-        _check_number(obj["horizon"], f"{field}.horizon", positive=True)
 
 
 def _check_transform(obj: Any, field: str) -> None:
@@ -223,7 +220,6 @@ _CONFIG_FIELDS = {
     "n_grid": lambda v, f: _check_int(v, f, 8),
     "transform": _check_transform,
     "suites": lambda v, f: _check_list(v, f, _check_string),
-    "out": _check_string,
     "format": lambda v, f: _check_string(v, f, ("csv",)),
 }
 
@@ -288,27 +284,10 @@ def problem_from_json(obj: Any) -> ProblemSpec:
                        horizon=float(obj["horizon"]))
 
 
-def grid_to_json(grid: GridSpec) -> dict[str, Any]:
-    return {"n_steps": grid.n_steps, "horizon": grid.horizon}
-
-
-def grid_from_json(obj: Any, default_horizon: float | None = None) -> GridSpec:
-    """Build a :class:`GridSpec`; the horizon may be inherited.
-
-    Configs usually state the horizon once, on the problem, and pass it
-    here as ``default_horizon``.  A grid block that also states a horizon
-    must agree with it.
-    """
+def grid_from_json(obj: Any, horizon: float) -> GridSpec:
+    """Build the :class:`GridSpec` of a config's ``grid`` block on the
+    problem's ``horizon``, the one place a config states it."""
     _check_grid(obj)
-    horizon = obj.get("horizon", default_horizon)
-    if horizon is None:
-        raise _invalid("grid.horizon", "required when no problem horizon "
-                                       "is available")
-    if "horizon" in obj and default_horizon is not None \
-            and float(obj["horizon"]) != default_horizon:
-        raise _invalid("grid.horizon",
-                       f"{obj['horizon']} disagrees with problem.horizon "
-                       f"({default_horizon})")
     return GridSpec(n_steps=obj["n_steps"], horizon=horizon)
 
 

@@ -103,10 +103,13 @@ def test_simulate_deterministic(tmp_path, write_config):
 
 
 def test_seed_override_changes_outputs(tmp_path, write_config):
-    cfg = write_config(simulate_config(n_paths=8))
+    # the seed is overridden in the config file, the one place it is set
+    cfg = write_config(simulate_config(n_paths=8), "base.json")
+    reseeded = write_config(simulate_config(n_paths=8, seed=777),
+                            "reseeded.json")
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("simulate", cfg, a) == 0
-    assert run("simulate", cfg, b, "--seed", "777") == 0
+    assert run("simulate", reseeded, b) == 0
     meta_a = read_json(a / "summary.json")["meta"]
     meta_b = read_json(b / "summary.json")["meta"]
     assert meta_b["seed"] == 777
@@ -115,41 +118,54 @@ def test_seed_override_changes_outputs(tmp_path, write_config):
 
 
 def test_hash_ignores_output_location(tmp_path, write_config):
-    plain = write_config(simulate_config(n_paths=4), "plain.json")
-    routed = write_config(
-        simulate_config(n_paths=4, out=str(tmp_path / "routed")),
-        "routed.json")
-    assert run("simulate", plain, tmp_path / "a") == 0
-    assert main(["simulate", "--config", str(routed)]) == 0
+    cfg = write_config(simulate_config(n_paths=4))
+    assert run("simulate", cfg, tmp_path / "a") == 0
+    assert run("simulate", cfg, tmp_path / "b" / "nested") == 0
     sha_a = read_json(tmp_path / "a" / "summary.json")["meta"]["config_sha256"]
-    sha_b = read_json(tmp_path / "routed" / "summary.json")["meta"][
+    sha_b = read_json(tmp_path / "b" / "nested" / "summary.json")["meta"][
         "config_sha256"]
     assert sha_a == sha_b
 
 
 def test_out_dir_precedence(tmp_path, write_config, monkeypatch):
-    cfg_dir = tmp_path / "from_config"
-    env_dir = tmp_path / "from_env"
-    flag_dir = tmp_path / "from_flag"
-    cfg = write_config(simulate_config(n_paths=4, out=str(cfg_dir)))
-    monkeypatch.delenv("PERTURBSDE_OUT", raising=False)
+    # --out is the one way to place the artifacts; without it they land
+    # in the working directory, whatever the environment says
+    cwd, flag_dir = tmp_path / "cwd", tmp_path / "from_flag"
+    cwd.mkdir()
+    cfg = write_config(simulate_config(n_paths=4))
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("PERTURBSDE_OUT", str(tmp_path / "from_env"))
     assert main(["simulate", "--config", str(cfg)]) == 0
-    assert (cfg_dir / "summary.json").exists()
-    monkeypatch.setenv("PERTURBSDE_OUT", str(env_dir))
-    assert main(["simulate", "--config", str(cfg)]) == 0
-    assert (env_dir / "summary.json").exists()
+    assert (cwd / "summary.json").exists()
     assert main(["simulate", "--config", str(cfg), "--out",
                  str(flag_dir)]) == 0
     assert (flag_dir / "summary.json").exists()
+    assert not (tmp_path / "from_env").exists()
 
 
-def test_config_out_is_read_as_a_string(tmp_path, write_config, monkeypatch):
-    # "inf" is a directory name like any other: configs hold no infinity
-    cfg = write_config({"problem": base_problem(), "t0": 1.0, "out": "inf"})
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PERTURBSDE_OUT", raising=False)
-    assert main(["regime", "--config", str(cfg)]) == 0
-    assert (tmp_path / "inf" / "regime.json").exists()
+@pytest.mark.parametrize("command", sorted(cli_mod._HANDLERS))
+def test_every_artifact_hashes_the_config_file_as_read(
+        tmp_path, repo_configs, command):
+    config = read_json(repo_configs / f"{command}.json")
+    if "n_paths" in config:        # a short run: only the meta blocks count
+        config["n_paths"] = 8
+    if command == "verify":
+        config["suites"] = ["additive_identity"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config, indent=3), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(command, cfg, out) == 0
+    expected = pio.config_hash(read_json(cfg))
+    artifacts = sorted(out.iterdir())
+    assert artifacts
+    for path in artifacts:
+        if path.suffix == ".json":
+            meta = read_json(path)["meta"]
+        else:
+            meta = dict(line[2:].split(" = ", 1)
+                        for line in path.read_text().splitlines()
+                        if line.startswith("# "))
+        assert meta["config_sha256"] == expected, path.name
 
 
 # config_sha256 of each shipped config, as the CLI hashes it
@@ -174,10 +190,9 @@ def test_shipped_config_hash_is_unchanged(tmp_path, repo_configs, monkeypatch,
                                           command):
     # the handler is stubbed: only the config reading and hashing run
     seen = {}
-    sized_by = cli_mod._HANDLERS[command][1]
     monkeypatch.setitem(cli_mod._HANDLERS, command,
                         (lambda config, out, workers, meta: seen.update(meta),
-                         sized_by))
+                         *cli_mod._HANDLERS[command][1:]))
     assert run(command, repo_configs / f"{command}.json", tmp_path) == 0
     assert seen["config_sha256"] == _SHIPPED_SHA256[command]
 
@@ -213,6 +228,10 @@ def test_wrong_type_rejected_by_schema(tmp_path, write_config):
     ("transform", "transform", {"spacing": 0.1}, "transform.spacing"),
     ("verify", "suites", ["additive_identity", 3], "suites"),
     ("simulate", "out", 5, "out"),
+    # the output directory is --out alone, the horizon problem.horizon
+    ("simulate", "out", "inf", "config: out: unknown key"),
+    ("simulate", "grid", {"n_steps": 32, "horizon": 1.0},
+     "config: grid.horizon: unknown key"),
     ("simulate", "format", "xml", "format"),
     ("simulate", "format", "json", "format"),
     ("simulate", "problem",
@@ -223,7 +242,8 @@ def test_wrong_type_rejected_by_schema(tmp_path, write_config):
         "seed-float", "t0-zero", "t0-overflows-float", "bandwidth-string",
         "n_grid-float", "bandwidth-mesh-too-fine", "transform.n_nodes-float",
         "transform.domain-length", "transform-unknown-key", "suites-item",
-        "out-type", "format-xml", "format-json", "declared_bounds-sup_d2"])
+        "out-type", "out-inf", "grid.horizon", "format-xml", "format-json",
+        "declared_bounds-sup_d2"])
 def test_invalid_field_exits_2_and_names_it(tmp_path, write_config, capsys,
                                              command, field, value, name):
     cfg = write_config(simulate_config(**{field: value}))
@@ -253,12 +273,15 @@ def test_unknown_nested_key_exits_2_and_names_it(tmp_path, write_config,
     assert ".".join((block, *path, "mystery")) in err
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_seed_flag_out_of_range_exits_2(tmp_path, write_config, capsys, seed):
+@pytest.mark.parametrize("seed", ["7", "-1", str(2**64)])
+def test_seed_flag_exits_2(tmp_path, write_config, capsys, seed):
+    # the seed is set in the config only; the flag is not an option
     cfg = write_config(simulate_config())
-    assert run("simulate", cfg, tmp_path / "o", "--seed", seed) == 2
-    err = capsys.readouterr().err
-    assert "config" in err and "seed" in err
+    with pytest.raises(SystemExit) as exit_:
+        run("simulate", cfg, tmp_path / "o", "--seed", seed)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_alpha_out_of_range_names_the_field(tmp_path, write_config, capsys):
@@ -371,7 +394,7 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path, write_config,
             ("transform", "reduce transform.n_nodes"),
             ("density", "reduce n_paths or n_grid")]:
         monkeypatch.setitem(cli_mod._HANDLERS, command,
-                            (exhausted, cli_mod._HANDLERS[command][1]))
+                            (exhausted, *cli_mod._HANDLERS[command][1:]))
         assert run(command, cfg, tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ")
@@ -607,8 +630,6 @@ def _configs(draw):
         "n_paths": draw(st.integers(1, 30)),
         "seed": draw(st.sampled_from([0, 7, 2**64 - 1])),
     }
-    if draw(st.booleans()):
-        config["grid"]["horizon"] = draw(st.sampled_from(_POSITIVE))
     for key, menu in [("t0", _POSITIVE), ("n_grid", [8, 64]),
                       ("transform", [{"n_nodes": n} for n in (5, 9, 65)])]:
         if draw(st.booleans()):
@@ -889,13 +910,12 @@ def test_derivative_chunk_frees_the_norm_curve_before_its_slots():
     # are counted a chunk holds its values, flags and two slot arrays,
     # with less than half that curve to spare
     n_paths, n_steps = 256, 200
-    grid_json = {"n_steps": n_steps, "horizon": 1.0}
     report = regime_report(problem_from_json(_TANH), 1.0)
     worker = cli_mod._derivative_worker
-    worker(_TANH, grid_json, 13, report, 1, 0)   # one-time allocations
+    worker(_TANH, n_steps, 13, report, 1, 0)   # one-time allocations
     tracemalloc.start()
     try:
-        worker(_TANH, grid_json, 13, report, n_paths, 0)
+        worker(_TANH, n_steps, 13, report, n_paths, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

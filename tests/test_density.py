@@ -237,14 +237,15 @@ def test_kde_input_validation():
     sample = np.array([0.0, 1.0, 2.0])
     with pytest.raises(ConfigError):
         kde(sample, bandwidth=-0.5)
-    with pytest.raises(ConfigError):
-        kde(sample, eval_grid=np.zeros((2, 2)))
-    with pytest.raises(ConfigError):
-        kde(sample, eval_grid=np.array([0.0]))
-    for grid in (np.array([0.0, 1.0, 3.0]), np.linspace(2.0, -2.0, 9),
-                 np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.0, math.inf])):
-        with pytest.raises(ConfigError, match="evaluation grid"):
-            kde(sample, bandwidth=0.5, eval_grid=grid)
+    for n_grid in (1, 0, -3):
+        with pytest.raises(ConfigError,
+                           match="n_grid: must be at least 2, got"):
+            kde(sample, n_grid=n_grid)
+    # the grid comes from the sample; no caller passes one
+    with pytest.raises(TypeError):
+        kde(sample, eval_grid=np.linspace(-1.0, 3.0, 9))
+    with pytest.raises(TypeError):
+        kde(sample, 0.5, 9)
     with pytest.raises(EmptySample):
         bandwidth_rule(np.array([3.0]))
 
@@ -288,10 +289,9 @@ def test_failures_of_the_sample_are_numerical_not_config():
     # what the caller gives stays a configuration error on the same sample
     with pytest.raises(ConfigError, match="bandwidth must be positive"):
         kde(np.full(100, 2.0), bandwidth=math.inf)
-    with pytest.raises(ConfigError, match="evaluation grid must be"):
-        kde(far_and_narrow, bandwidth=1.0,
-            eval_grid=np.linspace(1e17 - 6.0, 1e17 + 6.0, 64))
-    with pytest.raises(ConfigError, match="evaluation grid must be"):
+    with pytest.raises(ConfigError, match="n_grid: must be at least 2"):
+        kde(far_and_narrow, bandwidth=1.0, n_grid=1)
+    with pytest.raises(ConfigError, match="n_grid: must be at least 2"):
         kde(np.full(100, 2.0), bandwidth=1.0, n_grid=1)
 
 
@@ -370,10 +370,10 @@ def test_bandwidth_rules_scaling():
 def test_l1_distance_identical_and_disjoint():
     rng = np.random.default_rng(67)
     sample = rng.standard_normal(20_000)
-    grid = np.linspace(-8.0, 20.0, 2801)
-    est = kde(sample, eval_grid=grid)
+    est = kde(sample)
     assert l1_distance(est, est.pdf) == 0.0
-    assert l1_distance(est, norm.pdf(grid - 12.0)) == pytest.approx(
-        2.0, abs=0.02)
+    # a law on the estimate's grid that sits in the sample's far tail
+    disjoint = norm.pdf(est.grid, loc=4.5, scale=0.25)
+    assert l1_distance(est, disjoint) == pytest.approx(2.0, abs=0.02)
     with pytest.raises(GridMismatch):
         l1_distance(est, np.zeros(5))

@@ -1,11 +1,11 @@
 """Committed sha256 digests of the command line's artifacts.
 
-A run's artifacts are a pure function of (config, seed), and neither
+A run's artifacts are a pure function of its config file, and neither
 ``--workers`` nor a faster code path may change a byte of them.  The other
 determinism tests compare two runs of one tree; this table pins the bytes
 from one commit to the next.  It covers every artifact of the shipped
 ``simulate``, ``derivative``, ``regime``, ``transform`` and ``verify``
-configs, ``verify_report.json`` at ``--seed 7``, and ``density.csv`` and
+configs, ``verify_report.json`` at seed 7, and ``density.csv`` and
 ``diagnostic.json`` of ``configs/density.json`` cut to
 :data:`DENSITY_CUT_PATHS` paths.  Each run but ``verify``'s, which takes
 no ``--workers``, is checked at ``--workers 1`` and ``2``.
@@ -36,17 +36,17 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # about half a second of simulation at one worker on 2 shared vCPUs
 DENSITY_CUT_PATHS = 12_000
 
-# run name -> (subcommand, config overrides, extra arguments)
+# run name -> (subcommand, config overrides)
 RUNS = {
-    "simulate": ("simulate", {}, ()),
-    "derivative": ("derivative", {}, ()),
-    "regime": ("regime", {}, ()),
-    "transform": ("transform", {}, ()),
-    "verify": ("verify", {}, ()),
-    "verify --seed 7": ("verify", {}, ("--seed", "7")),
-    "density (cut)": ("density", {"n_paths": DENSITY_CUT_PATHS}, ()),
+    "simulate": ("simulate", {}),
+    "derivative": ("derivative", {}),
+    "regime": ("regime", {}),
+    "transform": ("transform", {}),
+    "verify": ("verify", {}),
+    "verify (seed 7)": ("verify", {"seed": 7}),
+    "density (cut)": ("density", {"n_paths": DENSITY_CUT_PATHS}),
 }
-ONE_PROCESS = {"verify", "verify --seed 7"}
+ONE_PROCESS = {"verify", "verify (seed 7)"}
 
 DIGESTS = {
     "simulate": {
@@ -77,7 +77,7 @@ DIGESTS = {
         "verify_report.json":
             "49d7273f298fd492e35fb4f76b13d624dbffb85e54de4d6c21f828465936c757",
     },
-    "verify --seed 7": {
+    "verify (seed 7)": {
         "verify_report.json":
             "a39048f6995dbf91cabd91b065a7f74422489a2000ee0b3a6cd8ae2ffea40998",
     },
@@ -92,7 +92,7 @@ DIGESTS = {
 
 def artifact_digests(run: str, workers: int) -> dict[str, str]:
     """sha256 of every file ``run`` writes, by file name."""
-    command, overrides, extra = RUNS[run]
+    command, overrides = RUNS[run]
     config = json.loads((CONFIGS / f"{command}.json").read_text("utf-8"))
     config.update(overrides)
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,7 +101,7 @@ def artifact_digests(run: str, workers: int) -> dict[str, str]:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(path), "--out", str(out),
-                         "--workers", str(workers), *extra])
+                         "--workers", str(workers)])
         assert code == 0, err.getvalue()
         return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                 for f in sorted(out.iterdir())}

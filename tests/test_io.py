@@ -28,7 +28,6 @@ from perturbsde.io import (
     config_hash,
     encode_floats,
     grid_from_json,
-    grid_to_json,
     problem_from_json,
     problem_to_json,
     read_json,
@@ -156,26 +155,25 @@ def test_problem_json_validation():
 
 
 def test_grid_round_trip_and_horizon_inheritance():
+    # a grid block states its steps; the horizon is the problem's
     grid = GridSpec(n_steps=128, horizon=2.0)
-    rebuilt = grid_from_json(grid_to_json(grid))
-    assert rebuilt.n_steps == grid.n_steps
-    assert rebuilt.horizon == grid.horizon
-    inherited = grid_from_json({"n_steps": 64}, default_horizon=0.5)
+    rebuilt = grid_from_json({"n_steps": grid.n_steps}, grid.horizon)
+    assert rebuilt == grid and rebuilt.dt == grid.dt
+    inherited = grid_from_json({"n_steps": 64}, 0.5)
     assert inherited.n_steps == 64 and inherited.horizon == 0.5
-    explicit = grid_from_json({"n_steps": 64, "horizon": 0.5},
-                              default_horizon=0.5)
-    assert explicit.horizon == 0.5
 
 
 def test_grid_json_validation():
-    with pytest.raises(ConfigError, match="disagrees"):
-        grid_from_json({"n_steps": 64, "horizon": 1.0}, default_horizon=2.0)
+    with pytest.raises(ConfigError, match="grid.horizon: unknown key"):
+        grid_from_json({"n_steps": 64, "horizon": 0.5}, 0.5)
     with pytest.raises(ConfigError, match="n_steps"):
-        grid_from_json({"horizon": 1.0})
-    with pytest.raises(ConfigError, match="horizon"):
-        grid_from_json({"n_steps": 64})
-    with pytest.raises(ConfigError, match="unknown"):
-        grid_from_json({"n_steps": 64, "horizon": 1.0, "dt": 0.1})
+        grid_from_json({}, 1.0)
+    with pytest.raises(ConfigError, match="n_steps"):
+        grid_from_json({"n_steps": 0}, 1.0)
+    with pytest.raises(ConfigError, match="grid.dt: unknown key"):
+        grid_from_json({"n_steps": 64, "dt": 0.1}, 1.0)
+    with pytest.raises(TypeError):
+        grid_from_json({"n_steps": 64})     # the horizon is not optional
 
 
 # -- artifact writers ---------------------------------------------------------
