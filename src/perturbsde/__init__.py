@@ -53,7 +53,6 @@ from .integrate import (
     PicardResult,
     explicit_additive_path,
     generate_increments,
-    kahan_cumsum,
     picard_solve,
     simulate_batch,
     simulate_increments,
@@ -91,7 +90,7 @@ __all__ = [
     # integrate
     "PathBatch", "PicardResult", "generate_increments",
     "simulate_increments", "simulate_batch", "simulate_terminal",
-    "explicit_additive_path", "kahan_cumsum", "picard_solve",
+    "explicit_additive_path", "picard_solve",
     # malliavin
     "DerivativeFieldBatch", "propagate_derivative_batch", "inner_product",
     "cameron_martin_fd",

@@ -55,7 +55,12 @@ from .density import (
     oracle_driftless,
     smoothness_diagnostic,
 )
-from .errors import ConfigError, PerturbSDEError, VerificationFailure
+from .errors import (
+    ConfigError,
+    DegenerateDiffusion,
+    PerturbSDEError,
+    VerificationFailure,
+)
 from .integrate import simulate_batch, simulate_terminal
 from .lamperti import (
     DEFAULT_NODES,
@@ -342,6 +347,11 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
     # and so is the regime: a degenerate diffusion is refused at once
     report = _regime(config, problem) if config.get("t0") is not None \
         else None
+    # as is a law without one: every path stays at c if b(c) = sigma(c) = 0
+    c = problem.x0 / (1.0 - problem.alpha)
+    if problem.drift(c) == 0.0 and problem.diffusion(c) == 0.0:
+        raise DegenerateDiffusion(f"b and sigma vanish at x0/(1-alpha) = "
+                                  f"{c!r}: the terminal law is a point mass")
     processes = _pool_size(workers, n_paths, _usable_cpus())
     chunks = _chunks(n_paths, math.ceil(n_paths / processes))
     sample = np.concatenate([part for _, (part, _) in _stream(
@@ -402,9 +412,7 @@ def cmd_verify(config: dict, out_dir: Path, workers: int,
     results = verify_mod.run_suites(config.get("suites"), config.get("seed"))
     io.write_json(out_dir / "verify_report.json", {
         "all_passed": all(r.passed for r in results),
-        "suites": [{"name": r.name, "passed": r.passed, "worst": r.worst,
-                    "tolerance": r.tolerance, "details": r.details}
-                   for r in results],
+        "suites": [dataclasses.asdict(r) for r in results],
     }, meta=meta)
     failed = [r.name for r in results if not r.passed]
     if failed:

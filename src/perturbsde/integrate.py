@@ -5,8 +5,8 @@ at every step, the scalar fixed point
 
     x = A + alpha * max(M_prev, x)
 
-where ``A`` carries the initial value plus the accumulated drift and noise
-increments, and ``M_prev`` is the running maximum so far.  For ``alpha < 1``
+where ``A = x0 + Z``, ``Z`` is the sum of the drift and noise increments
+so far, and ``M_prev`` is the running maximum so far.  For ``alpha < 1``
 that equation has exactly one solution, split into a no-new-maximum branch
 ``x = A + alpha * M_prev`` and a new-maximum branch ``x = A / (1 - alpha)``;
 ties land on the no-new-maximum branch.  The engine records which branch
@@ -14,15 +14,16 @@ each step took as the new-maximum flags of a :class:`PathBatch`; they are
 the package's only new-maximum bookkeeping.  :func:`picard_solve` returns
 its final iterate's values alone.
 
-Increment accumulation uses compensated (Kahan) summation so that the exact
-additive identity against :func:`explicit_additive_path` holds to 1e-12 even
-on long grids.  The batched engine works on time-major arrays: all paths
-advance one step per iteration, which keeps every numpy operation on
-contiguous memory.  Per-path values are bitwise independent of how paths are
-grouped into batches, which is what makes worker-count-independent output
-possible at the command line.  Coefficients enter through
-:meth:`~perturbsde.model.Coefficient.evaluator`, so a structurally
-constant one is a float the step multiplies by, not an array it builds.
+The engine, :func:`explicit_additive_path` and :func:`picard_solve` share
+one summation rule: ``Z`` is a plain running sum started at zero, and
+``x0`` is added to it afterwards.  The batched engine works on time-major
+arrays: all paths advance one step per iteration, which keeps every numpy
+operation on contiguous memory.  Per-path values are bitwise independent of
+how paths are grouped into batches, which is what makes
+worker-count-independent output possible at the command line.
+Coefficients enter through :meth:`~perturbsde.model.Coefficient.evaluator`,
+so a structurally constant one is a float the step multiplies by, not an
+array it builds.
 
 Memory: a recorded :class:`PathBatch` of ``P`` paths over ``n`` steps
 holds ``9 (n+1) P`` bytes (float values plus bool new-maximum flags); one
@@ -65,7 +66,6 @@ __all__ = [
     "simulate_batch",
     "simulate_terminal",
     "generate_increments",
-    "kahan_cumsum",
 ]
 
 _U64 = np.uint64
@@ -226,19 +226,14 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
     is ``max(M, x)``, so it equals ``maximum.accumulate`` of the recorded
     values by construction and is never stored.  A structurally constant
     diffusion of 1.0 skips its multiply, and one of drift ``+-0.0`` its
-    add, where either pass would change no bit."""
+    add, where either pass would change no bit: ``Z`` starts at ``+0.0``
+    and so is never ``-0.0``, whatever sign a zero increment has."""
     P = n_paths
     alpha = spec.alpha
     one_minus = 1.0 - alpha
     b, s = spec.drift.evaluator(0), spec.diffusion.evaluator(0)
     unit_sigma = spec.diffusion.constant_value == 1.0
-    # Adding b dt = -0.0 changes nothing, and adding +0.0 only turns a -0.0
-    # increment into +0.0.  That sign reaches the state only through an
-    # accumulator at -0.0 (x + y is -0.0 only for x = y = -0.0), and the
-    # accumulator starts at x0, so +0.0 is skipped unless x0 is -0.0.
-    b_const = spec.drift.constant_value
-    zero_drift = b_const == 0.0 and (math.copysign(1.0, b_const) < 0.0
-                                     or math.copysign(1.0, spec.x0) > 0.0)
+    zero_drift = spec.drift.constant_value == 0.0
 
     if record:
         x_tm, new_tm = record
@@ -248,9 +243,8 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
         x = np.full(P, spec.x0 / one_minus)
         new = np.empty(P, dtype=bool)
     M, lo = x.copy(), x.copy()
-    A = np.full(P, float(spec.x0))       # compensated accumulator
-    comp = np.zeros(P)
-    incr, y, t = np.empty(P), np.empty(P), np.empty(P)
+    Z = np.zeros(P)                      # the increments summed from zero
+    A, incr = np.empty(P), np.empty(P)
     k = 0
 
     # Overflow is not a warning condition here: divergence is detected from
@@ -264,14 +258,8 @@ def _euler_core(spec: ProblemSpec, dt: float, tiles, n_paths: int,
                     inc = np.multiply(s(x), inc, out=incr)
                 if not zero_drift:
                     inc = np.add(inc, b(x) * dt, out=incr)
-                # Kahan update of A; the combined increment is one addend
-                # so the accumulation order is part of the reproducibility
-                # contract.
-                np.subtract(inc, comp, out=y)
-                np.add(A, y, out=t)
-                np.subtract(t, A, out=comp)
-                comp -= y
-                A, t = t, A
+                Z += inc
+                np.add(Z, spec.x0, out=A)
                 if record:
                     k += 1
                     x, new = x_tm[k], new_tm[k]
@@ -396,7 +384,8 @@ def simulate_increments(spec, grid: GridSpec, db: np.ndarray, *,
 
     The state starts at the time-zero fixed point ``x0 / (1 - alpha)``.
     With ``alpha = 0`` the scheme reduces bitwise to classical
-    Euler-Maruyama with compensated increment accumulation.
+    Euler-Maruyama with ``x_k = x0 + Z_k``, ``Z`` the running sum of the
+    increments from zero.
     """
     db_tm = _increment_block(db, grid)
     P = db_tm.shape[1]
@@ -477,29 +466,6 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
 # -- explicit solution in the driftless additive case -------------------------
 
 
-def kahan_cumsum(increments: np.ndarray) -> np.ndarray:
-    """Compensated cumulative sum with a leading zero, along axis 0.
-
-    ``out[k] = sum(increments[:k])`` accumulated exactly like the Euler
-    engine accumulates its increments, so both sides of the additive
-    identity see the same partials.  ``increments`` is ``(n,)`` or
-    time-major ``(n, P)``; each column of a 2-D input is summed
-    independently and comes out bitwise equal to its 1-D sum.
-    """
-    inc = np.asarray(increments, float)
-    out = np.empty((inc.shape[0] + 1,) + inc.shape[1:])
-    out[0] = 0.0
-    s = np.zeros(inc.shape[1:])
-    c = np.zeros(inc.shape[1:])
-    for k in range(inc.shape[0]):
-        y = inc[k] - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[k + 1] = s
-    return out
-
-
 def explicit_additive_path(x0: float, alpha: float, sigma_const: float,
                            db: np.ndarray) -> np.ndarray:
     """Closed-form path values for zero drift and constant diffusion.
@@ -513,11 +479,14 @@ def explicit_additive_path(x0: float, alpha: float, sigma_const: float,
     which satisfies the per-step implicit equation of the Euler scheme
     exactly; the two constructions agree to floating-point roundoff on any
     noise.  (Taking the running maximum of ``Z`` rather than of ``B`` keeps
-    the identity exact for negative ``sigma`` as well.)
+    the identity exact for negative ``sigma`` as well.)  ``Z`` is summed
+    from zero, the engine's rule, so each column of a 2-D ``db`` comes out
+    bitwise equal to its 1-D run.
     """
     if not alpha < 1.0:
         raise ConfigError("the additive closed form requires alpha < 1")
-    z = kahan_cumsum(sigma_const * np.asarray(db, float))
+    z = np.insert(sigma_const * np.asarray(db, float), 0, 0.0, axis=0)
+    np.cumsum(z, axis=0, out=z)
     s = np.maximum.accumulate(z, axis=0)
     beta = alpha / (1.0 - alpha)
     return x0 / (1.0 - alpha) + z + beta * s
@@ -554,8 +523,8 @@ def picard_solve(spec, grid: GridSpec, db: np.ndarray,
     """Solve the discrete dynamics by fixed-point iteration on whole paths.
 
     ``db`` is a time-major ``(n_steps, P)`` increment block.  Starting from
-    the constant path ``X^0 = x0``, each sweep integrates the coefficients
-    along the previous iterate,
+    the constant path ``X^0 = x0``, each sweep sums from zero, the engine's
+    rule, the increments along the previous iterate,
 
         Z_k = sum_{j<k} [ b(X^n_j) dt + sigma(X^n_j) db_j ],
 
@@ -588,9 +557,8 @@ def picard_solve(spec, grid: GridSpec, db: np.ndarray,
         prev = x[:, live]
         left = prev[:-1]
         incr = b(left) * dt + s(left) * db[:, live]
-        z = np.empty_like(prev)
-        z[0] = 0.0
-        np.cumsum(incr, axis=0, out=z[1:])
+        z = np.insert(incr, 0, 0.0, axis=0)
+        np.cumsum(z, axis=0, out=z)
         x_new = c0 + z + beta * np.maximum.accumulate(z, axis=0)
         bad = ~np.all(np.isfinite(x_new), axis=0)
         if bad.any():

@@ -427,14 +427,37 @@ def test_oversized_n_grid_exits_2_before_the_simulation(
 
 
 def test_zero_diffusion_density_exits_3(tmp_path, write_config, capsys):
-    # every path lands on x0: the sample has no spread to estimate from
+    # every path follows the same drift line: the sample has no spread to
+    # estimate from
     problem = base_problem()
+    problem["drift"]["params"]["value"] = 0.5
     problem["diffusion"]["params"]["value"] = 0.0
     cfg = write_config(simulate_config(problem=problem, n_paths=64))
     assert run("density", cfg, tmp_path / "o") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: bandwidth rule gives 0.0 on a sample")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_point_mass_density_exits_3_before_the_simulation(
+        tmp_path, write_config, capsys, monkeypatch):
+    # sin vanishes at the fixed point x0/(1-alpha) = 0 and so does the
+    # drift: every path stays there, and no t0 asks for a regime check
+    def no_simulation(*args):
+        raise AssertionError("density simulated a point-mass law")
+
+    monkeypatch.setattr(cli_mod, "_terminal_worker", no_simulation)
+    problem = base_problem(alpha=0.5, x0=0.0)
+    problem["diffusion"] = {"preset": "sine",
+                            "params": {"amplitude": 1.0, "offset": 0.0}}
+    cfg = write_config(simulate_config(problem=problem, n_paths=40_000,
+                                       grid={"n_steps": 2048}))
+    out = tmp_path / "o"
+    assert run("density", cfg, out) == 3
+    assert capsys.readouterr().err == (
+        "error: b and sigma vanish at x0/(1-alpha) = 0.0: "
+        "the terminal law is a point mass\n")
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["simulate", "derivative", "density"])

@@ -51,15 +51,15 @@ ONE_PROCESS = {"verify", "verify (seed 7)"}
 DIGESTS = {
     "simulate": {
         "paths.csv":
-            "07de934118e20c0834d1b29a54969a96ecb05e655463e76c3f8dac6d8acc852b",
+            "5b8e79e6806274379401a3cf6fdd9a3e759472f33b8d6ae9e59b8a2f088af2d6",
         "summary.json":
-            "4475c9bd43f38b4cc3cbd968327796b9747962ccdce5518c9fee8feb6c426146",
+            "0e7b77652198f1dc3d572471e0aa69a3805146849c9b3368a204c73a6ed4ff6b",
     },
     "derivative": {
         "derivative.csv":
-            "940ad759c4b7d76516c3adf5ff66cb4ff617f4b4a86327bd5394b5026176c20e",
+            "3a891066e5fbdc7c7f6a303885728035e28c73beec727ccb4c2f5fcaa22e12eb",
         "derivative_summary.json":
-            "01a34491b917d6f8f9f912e9554a6b48c49b944ca66c05c9dd083ff6cfca0703",
+            "a974d714b122a4d277919917cc277993fb12b852c56c5ff073119199831f3138",
     },
     "regime": {
         "lower_bound_curve.csv":
@@ -75,17 +75,17 @@ DIGESTS = {
     },
     "verify": {
         "verify_report.json":
-            "49d7273f298fd492e35fb4f76b13d624dbffb85e54de4d6c21f828465936c757",
+            "ce53521bbc236e4a9ee44841016235e2256ace2e9be48fdc8f64a5aaa81aa994",
     },
     "verify (seed 7)": {
         "verify_report.json":
-            "a39048f6995dbf91cabd91b065a7f74422489a2000ee0b3a6cd8ae2ffea40998",
+            "9842430634502a069f3d97f6b669e74cf3f60e26dffcbfb105f77e603b69462a",
     },
     "density (cut)": {
         "density.csv":
-            "46d81f04c1bcb1208c288b06f48b581c42066ebb82bd7741042f8dc0b2aca117",
+            "7409fe6fdb7a66a6b6f1df0854a2cd67cb0be399002e295a195135edf7cc5b26",
         "diagnostic.json":
-            "5aeb2cfc53e1f003d4c73079ac7b52aaa23628115d6b09ae165120bde8b738ab",
+            "590b8d5c26058e443e3a977a0c006fd5b3e7ab389ee28f2625c3f8b5a9906c3e",
     },
 }
 

@@ -19,14 +19,13 @@ from perturbsde import (
     ProblemSpec,
     explicit_additive_path,
     generate_increments,
-    kahan_cumsum,
     picard_solve,
     propagate_derivative_batch,
     simulate_batch,
     simulate_increments,
     simulate_terminal,
 )
-from perturbsde import integrate
+from perturbsde import integrate, verify
 from perturbsde.integrate import _NOISE_TILE, _generate_block
 from conftest import (COEFFICIENT_CASES, make_driftless, make_tanh,
                       mixed_case)
@@ -285,6 +284,16 @@ def test_euler_matches_explicit_solution(alpha, driftless):
         closed[1:] > np.maximum.accumulate(closed, axis=0)[:-1])
 
 
+def test_additive_identity_holds_on_a_long_grid_away_from_zero():
+    # 10^5 steps from x0 = 10: the increments are summed from zero on both
+    # sides and x0 is added after, so the identity keeps the suite's
+    # tolerance (an accumulator started at x0 drifts to about 3e-12 here)
+    grid = GridSpec(n_steps=100_000, horizon=1.0)
+    direct = simulate_batch(make_driftless(0.9, x0=10.0), grid, 16, seed=43)
+    closed = explicit_additive_path(10.0, 0.9, 1.0, direct.db)
+    assert float(np.max(np.abs(direct.x - closed))) <= verify.ADDITIVE_TOL
+
+
 def test_monotone_coupling_in_alpha():
     # x0 = 0, sigma = 1: x_k = Z_k + (a/(1-a)) S_k with S_k >= 0, and
     # a/(1-a) increases in a, so paths order pointwise by alpha
@@ -305,7 +314,8 @@ def test_initial_point_is_the_fixed_point():
 # -- alpha = 0 reduction ------------------------------------------------------
 
 
-def test_alpha_zero_reduces_to_classical_euler_bitwise(grid_1000):
+def test_alpha_zero_is_classical_euler_on_increments_summed_from_zero(
+        grid_1000):
     spec = ProblemSpec(x0=0.3, alpha=0.0,
                        drift=Coefficient.sine(amplitude=0.5),
                        diffusion=Coefficient.sine(amplitude=0.2, offset=1.0),
@@ -313,21 +323,18 @@ def test_alpha_zero_reduces_to_classical_euler_bitwise(grid_1000):
     batch = simulate_batch(spec, grid_1000, 1, seed=29)
     db = batch.db[:, 0]
 
-    # independent classical reference: plain Euler-Maruyama with the same
-    # compensated accumulation, no maximum machinery at all
+    # independent classical reference: plain Euler-Maruyama whose
+    # increments are summed from zero and then added to x0, no maximum
+    # machinery at all
     b, s = spec.drift, spec.diffusion
     dt = grid_1000.dt
     x = np.array([0.3])
-    A = np.array([0.3])
-    comp = np.array([0.0])
+    Z = np.array([0.0])
     ref = [0.3]
     for k in range(grid_1000.n_steps):
         incr = b(x, 0) * dt + s(x, 0) * db[k]
-        y = incr - comp
-        t = A + y
-        comp = (t - A) - y
-        A = t
-        x = A.copy()
+        Z += incr
+        x = 0.3 + Z
         ref.append(x[0])
     np.testing.assert_array_equal(batch.x[:, 0], np.array(ref))
 
@@ -568,27 +575,39 @@ def test_final_argmax_reads_the_flags_without_an_index_array(tanh_spec):
     assert final.dtype == np.int64 and np.all(final[:3] == 0)
 
 
-def test_keyed_batch_holds_its_values_and_flags_only(tanh_spec):
+def test_keyed_batch_holds_its_values_and_flags_only(tanh_spec,
+                                                     monkeypatch):
     # the keyed block is drawn into the value array and integrated there:
-    # the batch holds no increment block, and the run allocates none
-    # beyond the staging tile of _NOISE_TILE paths and the step loop's
-    # (P,) vectors: M, A, the compensation, the increment and two Kahan
-    # temporaries, plus b(x) and b(x) dt of the tanh drift, and the bool
-    # finiteness of the last row
+    # the batch holds no increment block.  Drawing it holds the staging
+    # tile of _NOISE_TILE paths and the two ufunc buffers of its strided
+    # multiply; the step loop then holds seven (P,) vectors: M, lo, Z, A,
+    # the increment, and b(x) and b(x) dt of the tanh drift
     n, P = 500, 2000
     grid = GridSpec(n_steps=n, horizon=1.0)
     simulate_batch(tanh_spec, grid, 4, seed=281)
+    draw, draw_peaks = integrate._draw_block, []
+
+    def draw_then_reset_peak(*args):
+        block = draw(*args)
+        draw_peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return block
+
+    monkeypatch.setattr(integrate, "_draw_block", draw_then_reset_peak)
     tracemalloc.start()
     try:
         batch = simulate_batch(tanh_spec, grid, P, seed=281)
-        held, peak = tracemalloc.get_traced_memory()
+        held, step_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert batch.x.nbytes + batch.new_max.nbytes == 9 * (n + 1) * P
-    assert 9 * (n + 1) * P <= held < 9 * (n + 1) * P + 2**12
-    step_vectors = 8 * 8 * P + P
-    assert peak < (9 * (n + 1) * P + 8 * n * _NOISE_TILE + step_vectors
-                   + 2**14)
+    values = 9 * (n + 1) * P
+    assert batch.x.nbytes + batch.new_max.nbytes == values
+    assert values <= held < values + 2**12
+    ufunc_buffers = 2 * 8 * np.getbufsize()
+    assert draw_peaks[0] < (values + 8 * n * _NOISE_TILE + ufunc_buffers
+                            + 2**13)
+    step_vectors = 7 * 8 * P
+    assert step_peak < values + step_vectors + 2**12
 
 
 def test_terminal_run_holds_one_window_of_a_2048_path_chunk(tanh_spec):
@@ -843,28 +862,6 @@ def test_terminal_runs_fail_exactly_when_recorded_runs_do(alpha, drift,
     if failing:
         assert terminal.path_index == failing[0]
         assert recorded.path_index in failing
-
-
-# -- compensated summation ----------------------------------------------------
-
-
-def test_kahan_cumsum_prefixes_match_exact_sums():
-    rng = np.random.default_rng(2)
-    inc = rng.standard_normal(1000) * 0.03
-    out = kahan_cumsum(inc)
-    assert out[0] == 0.0
-    assert out.shape == (1001,)
-    for k in (1, 10, 500, 1000):
-        assert out[k] == pytest.approx(math.fsum(inc[:k]), abs=1e-13)
-
-
-def test_kahan_cumsum_columns_equal_one_dimensional_sums():
-    rng = np.random.default_rng(3)
-    inc = rng.standard_normal((1000, 7)) * 0.03
-    out = kahan_cumsum(inc)
-    assert out.shape == (1001, 7)
-    for j in range(7):
-        np.testing.assert_array_equal(out[:, j], kahan_cumsum(inc[:, j]))
 
 
 # -- Picard iteration ---------------------------------------------------------
