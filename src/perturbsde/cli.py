@@ -347,11 +347,14 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
     # and so is the regime: a degenerate diffusion is refused at once
     report = _regime(config, problem) if config.get("t0") is not None \
         else None
-    # as is a law without one: every path stays at c if b(c) = sigma(c) = 0
+    # as is a law without one: every path follows one drift line if sigma
+    # is 0, and stays at c if b(c) = sigma(c) = 0
     c = problem.x0 / (1.0 - problem.alpha)
-    if problem.drift(c) == 0.0 and problem.diffusion(c) == 0.0:
-        raise DegenerateDiffusion(f"b and sigma vanish at x0/(1-alpha) = "
-                                  f"{c!r}: the terminal law is a point mass")
+    if problem.diffusion.constant_value == 0.0 or (
+            problem.drift(c) == 0.0 and problem.diffusion(c) == 0.0):
+        raise DegenerateDiffusion("sigma vanishes on every path from "
+                                  f"x0/(1-alpha) = {c!r}: the terminal law "
+                                  "is a point mass")
     processes = _pool_size(workers, n_paths, _usable_cpus())
     chunks = _chunks(n_paths, math.ceil(n_paths / processes))
     sample = np.concatenate([part for _, (part, _) in _stream(
@@ -372,7 +375,7 @@ def cmd_density(config: dict, out_dir: Path, workers: int,
     # and with it the law's exact smoothness.  Elsewhere nothing is said
     # about smoothness.
     sigma_const = problem.diffusion.constant_value
-    if problem.drift.constant_value == 0.0 and sigma_const not in (None, 0.0):
+    if problem.drift.constant_value == 0.0 and sigma_const is not None:
         p_oracle = oracle_driftless(problem.x0, sigma_const, problem.alpha,
                                     grid.horizon, estimate.grid)
         columns["p_oracle"] = p_oracle

@@ -39,10 +39,15 @@ holds one time window of increments, ``_TERMINAL_WINDOW_STEPS`` steps of
 ``_TERMINAL_CHUNK_PATHS`` paths (512 x 2048, 8 MiB), whatever the step
 and path counts: each path's keyed stream pauses at the end of a window
 and resumes at the start of the next, and the step loop carries its
-state from one window to the next.  Keyed noise is drawn
-``_NOISE_TILE`` paths at a time into a path-major staging tile, one
-window long, and scaled into the time-major window by the transposing
-write.
+state from one window to the next.
+
+Keyed noise has one source, :class:`_KeyedNoise`: path ``i`` draws the
+Philox stream keyed by ``(seed, i)``.  :func:`generate_increments` returns
+its block as one time-major window, and :func:`simulate_batch` and
+:func:`simulate_terminal` draw the same streams into their own arrays.
+Paths are drawn ``_NOISE_TILE`` at a time into a path-major staging tile,
+one window long, scaled there and copied transposed into the time-major
+window.
 """
 
 from __future__ import annotations
@@ -90,50 +95,57 @@ def _check_u64(name: str, value: int) -> int:
     return int(value)
 
 
-def generate_increments(seed: int, path_index: int, n_steps: int,
-                        dt: float) -> np.ndarray:
-    """Brownian increments for one path from a counter-based generator.
+def generate_increments(seed: int, n_steps: int, dt: float, *,
+                        n_paths: int = 1, path_offset: int = 0) -> np.ndarray:
+    """Keyed Brownian increments of paths ``path_offset ..
+    path_offset+n_paths-1``, time-major with shape ``(n_steps, n_paths)``.
 
-    The stream is keyed by ``(seed, path_index)``, so regenerating with the
-    same pair yields bitwise-identical increments no matter how paths are
-    grouped, ordered, or distributed over workers.
+    Column ``p`` is the standard normal stream of a counter-based Philox
+    generator keyed by ``(seed, path_offset + p)``, scaled by
+    ``sqrt(dt)``, so redrawing a path yields bitwise-identical increments
+    no matter how paths are grouped, ordered, or distributed over
+    workers.  The block is the one-window case of :class:`_KeyedNoise`.
     """
-    key = np.array([_check_u64("seed", seed),
-                    _check_u64("path_index", path_index)], dtype=_U64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    db = gen.standard_normal(n_steps)
-    db *= math.sqrt(dt)
-    return db
-
-
-def _check_paths(path_offset: int, n_paths: int) -> None:
-    _check_u64("path_index", path_offset)
-    _check_u64("path_index", path_offset + n_paths - 1)
+    noise = _KeyedNoise(seed, path_offset, n_paths, n_steps, dt)
+    (block,) = noise.windows(path_offset, n_paths,
+                             np.empty(n_steps * n_paths))
+    return block
 
 
 class _KeyedNoise:
-    """Keyed increments of ``n_steps`` steps, drawn one time window at a
-    time for up to ``width`` paths.
+    """Keyed increments of ``n_steps`` steps for paths ``path_offset ..
+    path_offset+n_paths-1``, drawn one time window of ``window`` steps at a
+    time for up to ``width`` paths; by default one window spans the grid.
 
     Path ``i`` draws from a Philox stream reset to the fresh state of key
     ``(seed, i)``, with counter, buffer and spare word cleared, which is
-    exactly the state :func:`generate_increments` constructs.  When one
+    exactly the state a generator built with that key starts in.  When one
     window spans the grid, no stream outlives it and one shared generator
     serves every path, reset before each.  Otherwise each of the ``width``
     paths owns a generator (about 800 bytes, and slower to build than to
     reset), reset at the start of every chunk of paths: its stream pauses
     at the end of a window and resumes at the start of the next, so a
-    path's windows join bitwise into its one stream.
+    path's windows join bitwise into its one stream.  The seed,
+    ``n_paths >= 1`` and both ends of the path range are checked here,
+    before the caller allocates anything.
 
-    Paths are drawn ``_NOISE_TILE`` at a time into one reused path-major
-    staging tile, which one transposed multiply by ``sqrt(dt)`` writes
-    into the time-major window.
+    Paths are drawn ``_NOISE_TILE`` at a time into one path-major staging
+    tile, scaled there by ``sqrt(dt)`` and copied transposed into the
+    time-major window.
     """
 
-    def __init__(self, seed: int, width: int, n_steps: int, dt: float,
-                 window: int):
+    def __init__(self, seed: int, path_offset: int, n_paths: int,
+                 n_steps: int, dt: float, window: int | None = None,
+                 width: int | None = None):
         key = np.array([_check_u64("seed", seed), 0], dtype=_U64)
-        self.n_steps, self.window = n_steps, min(window, n_steps)
+        if n_paths < 1:
+            raise ConfigError("n_paths must be >= 1")
+        if n_steps < 1:
+            raise ConfigError("n_steps must be a positive integer")
+        _check_u64("path_index", path_offset)
+        _check_u64("path_index", path_offset + n_paths - 1)
+        self.n_steps = n_steps
+        self.window = n_steps if window is None else min(window, n_steps)
         self.shared = self.window == n_steps
         self.gens = [np.random.Generator(np.random.Philox(key=key))
                      for _ in range(1 if self.shared else width)]
@@ -143,7 +155,6 @@ class _KeyedNoise:
         fresh["buffer"] = fresh["buffer"].tolist()
         self.fresh = fresh
         self.scale = math.sqrt(dt)
-        self.tile = np.empty(min(width, _NOISE_TILE) * self.window)
 
     def _reset(self, gen, path_index: int) -> None:
         self.fresh["state"]["key"][1] = path_index
@@ -157,12 +168,17 @@ class _KeyedNoise:
         if not self.shared:
             for i, gen in enumerate(self.gens[:n_paths], path_offset):
                 self._reset(gen, i)
+        # the staging tile is allocated after the caller's ``out`` and
+        # freed with the last window: the other order left the allocator
+        # holding about 1.4 MB more on the benchmark's 1000-step derivative
+        # chunks, measured when the tile held 512 paths
+        staging = np.empty(min(n_paths, _NOISE_TILE) * self.window)
         for t0 in range(0, self.n_steps, self.window):
             w = min(self.window, self.n_steps - t0)
             tm = out[:w * n_paths].reshape(w, n_paths)
             for lo in range(0, n_paths, _NOISE_TILE):
                 m = min(_NOISE_TILE, n_paths - lo)
-                tile = self.tile[:m * w].reshape(m, w)
+                tile = staging[:m * w].reshape(m, w)
                 if self.shared:
                     gen = self.gens[0]
                     for i, row in enumerate(tile, path_offset + lo):
@@ -171,34 +187,11 @@ class _KeyedNoise:
                 else:
                     for gen, row in zip(self.gens[lo:], tile):
                         gen.standard_normal(out=row)
-                np.multiply(tile.T, self.scale, out=tm[:, lo:lo + m])
+                # scaled in place, then copied: a multiply into the
+                # strided window would allocate numpy's ufunc buffers
+                tile *= self.scale
+                tm[:, lo:lo + m] = tile.T
             yield tm
-
-
-def _generate_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
-                    dt: float) -> np.ndarray:
-    """Increment block for paths ``path_offset .. path_offset+n_paths-1``,
-    returned time-major with shape ``(n_steps, n_paths)``: the one-window
-    case of :class:`_KeyedNoise`, so column ``p`` is bitwise
-    :func:`generate_increments` for path ``path_offset + p``.
-    """
-    # the block is allocated before the staging tile, which is freed on
-    # return: the other order left the allocator holding about 1.4 MB more
-    # on the benchmark's 1000-step derivative chunks, measured when the
-    # tile held 512 paths
-    out = np.empty(n_steps * n_paths)
-    return _draw_block(seed, path_offset, n_paths, n_steps, dt, out)
-
-
-def _draw_block(seed: int, path_offset: int, n_paths: int, n_steps: int,
-                dt: float, out: np.ndarray) -> np.ndarray:
-    """Draw the keyed block of :func:`_generate_block` into the flat
-    buffer ``out``, ``n_steps * n_paths`` long, and return its time-major
-    ``(n_steps, n_paths)`` view."""
-    noise = _KeyedNoise(seed, n_paths, n_steps, dt, n_steps)
-    _check_paths(path_offset, n_paths)
-    (block,) = noise.windows(path_offset, n_paths, out)
-    return block
 
 
 # -- batched Euler engine -----------------------------------------------------
@@ -304,7 +297,7 @@ class PathBatch:
     any (with no ``seed`` from :func:`simulate_increments`).  A keyed
     batch, built with its ``seed``, ``path_offset`` and grid step ``dt``
     and no block, stores none: the first read of ``db`` redraws the block
-    of :func:`_generate_block`, bitwise the one it was simulated on, and
+    of :func:`generate_increments`, bitwise the one it was simulated on, and
     keeps it.  ``n_steps`` comes from ``x`` and never redraws.
     Batches compare and hash by identity.
     """
@@ -330,8 +323,9 @@ class PathBatch:
     @cached_property
     def db(self) -> np.ndarray:
         """Time-major ``(n_steps, n_paths)`` increments."""
-        return _generate_block(self.seed, self.path_offset, self.n_paths,
-                               self.n_steps, self.dt)
+        return generate_increments(self.seed, self.n_steps, self.dt,
+                                   n_paths=self.n_paths,
+                                   path_offset=self.path_offset)
 
     @property
     def n_paths(self) -> int:
@@ -419,16 +413,14 @@ def simulate_batch(spec, grid: GridSpec, n_paths: int, seed: int,
     The keyed block is drawn into rows ``1..n`` of the value array and
     integrated in place, each step overwriting the increments it consumed,
     so the result is bitwise :func:`simulate_increments` on
-    ``_generate_block(seed, path_offset, n_paths, n_steps, dt)`` but holds
-    no block: its ``db`` redraws one on first read.
+    ``generate_increments(seed, n_steps, dt, n_paths=n_paths,
+    path_offset=path_offset)`` but holds no block: its ``db`` redraws one
+    on first read.
     """
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1")
+    noise = _KeyedNoise(seed, path_offset, n_paths, grid.n_steps, grid.dt)
     x_tm, new_tm = _recorded_arrays(grid, n_paths)
-    _draw_block(seed, path_offset, n_paths, grid.n_steps, grid.dt,
-                x_tm[1:].reshape(-1))
-    _euler_core(spec, grid.dt, [x_tm[1:]], n_paths, path_offset,
-                (x_tm, new_tm))
+    (db,) = noise.windows(path_offset, n_paths, x_tm[1:].reshape(-1))
+    _euler_core(spec, grid.dt, [db], n_paths, path_offset, (x_tm, new_tm))
     return PathBatch(x=x_tm, new_max=new_tm, seed=seed,
                      path_offset=path_offset, dt=grid.dt)
 
@@ -447,12 +439,9 @@ def simulate_terminal(spec, grid: GridSpec, n_paths: int, seed: int,
     :func:`simulate_increments` on the whole block.  A non-finite state
     at any step raises :class:`NonFinite` naming the lowest such path.
     """
-    if n_paths < 1:
-        raise ConfigError("n_paths must be >= 1")
     width = min(n_paths, _TERMINAL_CHUNK_PATHS)
-    noise = _KeyedNoise(seed, width, grid.n_steps, grid.dt,
-                        _TERMINAL_WINDOW_STEPS)
-    _check_paths(path_offset, n_paths)
+    noise = _KeyedNoise(seed, path_offset, n_paths, grid.n_steps, grid.dt,
+                        _TERMINAL_WINDOW_STEPS, width)
     window = np.empty(noise.window * width)
     x_final = np.empty(n_paths)
     for lo in range(0, n_paths, width):

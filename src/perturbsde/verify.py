@@ -12,7 +12,7 @@ The suites are the spec: their tolerances and fixed sizes are constants
 here, and a suite takes only ``seed`` and its path and step counts.
 
 A suite that reads its increments draws its keyed block once, with
-``integrate._generate_block``, and runs each of its problems through
+``integrate.generate_increments``, and runs each of its problems through
 ``simulate_increments`` on that block, which gives it bitwise the batch
 ``simulate_batch`` would: the ``alpha`` sweeps of
 :func:`additive_identity_suite` and :func:`malliavin_closed_form_suite`,
@@ -117,7 +117,7 @@ def additive_identity_suite(seed: int = 20240801, n_paths: int = 100,
     worst = 0.0
     per_alpha: dict[str, float] = {}
     grid = GridSpec(n_steps=n_steps, horizon=1.0)   # every alpha's horizon
-    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+    db = integrate.generate_increments(seed, n_steps, grid.dt, n_paths=n_paths)
     for alpha in DRIFTLESS_ALPHAS:
         spec = _driftless_spec(alpha)
         direct = simulate_increments(spec, grid, db)
@@ -137,7 +137,7 @@ def malliavin_closed_form_suite(seed: int = 20240802, n_paths: int = 1000,
     worst = 0.0
     per_alpha: dict[str, float] = {}
     grid = GridSpec(n_steps=n_steps, horizon=1.0)   # every alpha's horizon
-    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+    db = integrate.generate_increments(seed, n_steps, grid.dt, n_paths=n_paths)
     for alpha in DRIFTLESS_ALPHAS:
         spec = _driftless_spec(alpha)
         batch = simulate_increments(spec, grid, db)
@@ -163,7 +163,7 @@ def cameron_martin_suite(seed: int = 20240803, n_paths: int = 100,
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
     h = np.ones(n_steps)
-    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+    db = integrate.generate_increments(seed, n_steps, grid.dt, n_paths=n_paths)
     batch = simulate_increments(spec, grid, db)
     fields = propagate_derivative_batch(batch, spec, grid)
     fds = cameron_martin_fd(spec, grid, db, h, eps=FD_EPS, base=batch.x[-1])
@@ -284,7 +284,7 @@ def lamperti_suite(seed: int = 20240805, n_paths: int = 100,
 
     yspec = transformed_spec(table)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
-    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+    db = integrate.generate_increments(seed, n_steps, grid.dt, n_paths=n_paths)
     xb = simulate_increments(spec, grid, db)
     yb = simulate_increments(yspec, grid, db)
     sups = np.max(np.abs(forward(table, xb.x) - yb.x), axis=0)
@@ -315,7 +315,7 @@ def picard_suite(seed: int = 20240806, n_paths: int = 50,
     (non-increasing iterate gaps after the second iterate)."""
     spec = _tanh_spec(alpha=0.1)
     grid = GridSpec(n_steps=n_steps, horizon=spec.horizon)
-    db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+    db = integrate.generate_increments(seed, n_steps, grid.dt, n_paths=n_paths)
     direct = simulate_increments(spec, grid, db)
     result = picard_solve(spec, grid, db, n_iter=PICARD_ITER, tol=PICARD_TOL)
     worst = float(np.max(np.abs(result.x - direct.x)))

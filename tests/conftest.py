@@ -43,11 +43,9 @@ def mixed_case(name: str):
     spec = ProblemSpec(x0=0.2, alpha=0.3, drift=drift, diffusion=diffusion,
                        horizon=1.0)
     grid = GridSpec(n_steps=400, horizon=1.0)
-    keyed = [generate_increments(61, i, grid.n_steps, grid.dt)
-             for i in range(6)]
-    db = np.stack(keyed + [np.full(grid.n_steps, 0.05),
-                           np.zeros(grid.n_steps),
-                           5.0 * keyed[0][::-1]], axis=1)
+    keyed = generate_increments(61, grid.n_steps, grid.dt, n_paths=6)
+    db = np.column_stack([keyed, np.full(grid.n_steps, 0.05),
+                          np.zeros(grid.n_steps), 5.0 * keyed[::-1, 0]])
     return spec, grid, db
 
 

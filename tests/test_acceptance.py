@@ -102,7 +102,7 @@ def test_criterion_03_directional_derivative_consistency():
     rel = []
     for i, ip in enumerate(ips):
         # each path re-simulated from its own keyed stream, alone
-        db = generate_increments(17, i, grid.n_steps, grid.dt)[:, None]
+        db = generate_increments(17, grid.n_steps, grid.dt, path_offset=i)
         fd = cameron_martin_fd(spec, grid, db, h, eps=1e-4,
                                base=batch.x[-1, i:i + 1])[0]
         rel.append(abs(fd - ip) / max(abs(fd), abs(ip), 1e-300))
@@ -187,8 +187,8 @@ def test_criterion_08_strong_order_on_linear_benchmark():
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     n_paths, n_fine = 256, 4096
     dt_fine = 1.0 / n_fine
-    db_fine = np.stack([generate_increments(20240808, p, n_fine, dt_fine)
-                        for p in range(n_paths)])
+    db_fine = generate_increments(20240808, n_fine, dt_fine,
+                                  n_paths=n_paths).T
     errors, dts = [], []
     for n in (256, 512, 1024, 2048, 4096):
         grid = GridSpec(n_steps=n, horizon=1.0)

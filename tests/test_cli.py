@@ -426,17 +426,24 @@ def test_oversized_n_grid_exits_2_before_the_simulation(
     assert "Traceback" not in err
 
 
-def test_zero_diffusion_density_exits_3(tmp_path, write_config, capsys):
-    # every path follows the same drift line: the sample has no spread to
-    # estimate from
+def test_zero_diffusion_density_exits_3(tmp_path, write_config, capsys,
+                                       monkeypatch):
+    # every path follows the same drift line: the law is a point mass,
+    # refused before anything is simulated
+    def no_simulation(*args):
+        raise AssertionError("density simulated a point-mass law")
+
+    monkeypatch.setattr(cli_mod, "_terminal_worker", no_simulation)
     problem = base_problem()
     problem["drift"]["params"]["value"] = 0.5
     problem["diffusion"]["params"]["value"] = 0.0
     cfg = write_config(simulate_config(problem=problem, n_paths=64))
-    assert run("density", cfg, tmp_path / "o") == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: bandwidth rule gives 0.0 on a sample")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    out = tmp_path / "o"
+    assert run("density", cfg, out) == 3
+    assert capsys.readouterr().err == (
+        "error: sigma vanishes on every path from x0/(1-alpha) = 1.0: "
+        "the terminal law is a point mass\n")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_point_mass_density_exits_3_before_the_simulation(
@@ -455,7 +462,7 @@ def test_point_mass_density_exits_3_before_the_simulation(
     out = tmp_path / "o"
     assert run("density", cfg, out) == 3
     assert capsys.readouterr().err == (
-        "error: b and sigma vanish at x0/(1-alpha) = 0.0: "
+        "error: sigma vanishes on every path from x0/(1-alpha) = 0.0: "
         "the terminal law is a point mass\n")
     assert not out.exists() or not any(out.iterdir())
 

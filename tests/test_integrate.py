@@ -26,7 +26,7 @@ from perturbsde import (
     simulate_terminal,
 )
 from perturbsde import integrate, verify
-from perturbsde.integrate import _NOISE_TILE, _generate_block
+from perturbsde.integrate import _NOISE_TILE
 from conftest import (COEFFICIENT_CASES, make_driftless, make_tanh,
                       mixed_case)
 
@@ -110,43 +110,63 @@ def test_resolve_step_solves_the_fixed_point(A, M, alpha):
 # -- noise --------------------------------------------------------------------
 
 
+def _keyed_stream(seed, path_index, n_steps, dt):
+    """The keyed contract built from numpy itself: the standard normals of
+    Philox keyed by ``(seed, path_index)``, scaled by ``sqrt(dt)``.  The
+    key is a uint64 array, as numpy reads a list holding an integer past
+    2**63 as float64."""
+    key = np.array([seed, path_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.standard_normal(n_steps) * math.sqrt(dt)
+
+
 def test_increments_are_reproducible_and_keyed():
-    a = generate_increments(7, 3, 64, 0.25)
-    b = generate_increments(7, 3, 64, 0.25)
+    a = generate_increments(7, 64, 0.25, path_offset=3)
+    b = generate_increments(7, 64, 0.25, path_offset=3)
+    assert a.shape == (64, 1)
     np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, generate_increments(7, 4, 64, 0.25))
-    assert not np.array_equal(a, generate_increments(8, 3, 64, 0.25))
+    np.testing.assert_array_equal(a[:, 0], _keyed_stream(7, 3, 64, 0.25))
+    assert not np.array_equal(a, generate_increments(7, 64, 0.25,
+                                                     path_offset=4))
+    assert not np.array_equal(a, generate_increments(8, 64, 0.25,
+                                                     path_offset=3))
+
+
+def test_old_positional_call_fails_loudly():
+    # (seed, path_index, n_steps, dt) no longer binds: the block's path
+    # range is keyword-only
+    with pytest.raises(TypeError):
+        generate_increments(7, 3, 64, 0.25)
 
 
 def test_increment_variance_scales_with_dt():
-    db = generate_increments(0, 0, 200_000, 0.01)
+    db = generate_increments(0, 200_000, 0.01)
     assert np.std(db) == pytest.approx(0.1, rel=2e-2)
     assert np.mean(db) == pytest.approx(0.0, abs=2e-3)
+
+
+def _assert_keyed_columns(block, seed, offset, dt):
+    """Every column of ``block`` is bitwise its keyed stream."""
+    for p in range(block.shape[1]):
+        want = _keyed_stream(seed, offset + p, block.shape[0], dt)
+        np.testing.assert_array_equal(block[:, p].view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def test_increment_block_columns_are_the_keyed_streams():
     # a path count that is not a multiple of the generator's staging tile,
     # at a nonzero offset
     n_paths, offset = 8 * _NOISE_TILE + 37, 1001
-    block = _generate_block(5, offset, n_paths, 24, 0.125)
+    block = generate_increments(5, 24, 0.125, n_paths=n_paths,
+                                path_offset=offset)
     assert block.shape == (24, n_paths) and block.flags.c_contiguous
-    for p in range(n_paths):
-        np.testing.assert_array_equal(
-            block[:, p], generate_increments(5, offset + p, 24, 0.125))
-
-
-def _assert_keyed_columns(block, seed, offset, dt):
-    """Every column of ``block`` is bitwise its keyed stream."""
-    for p in range(block.shape[1]):
-        want = generate_increments(seed, offset + p, block.shape[0], dt)
-        np.testing.assert_array_equal(block[:, p].view(np.uint64),
-                                      want.view(np.uint64))
+    _assert_keyed_columns(block, 5, offset, 0.125)
 
 
 @pytest.mark.parametrize("n_paths", [1, _NOISE_TILE - 1, _NOISE_TILE + 1,
                                      8 * _NOISE_TILE + 1])
 def test_increment_block_partial_tiles_and_blocks(n_paths):
-    block = _generate_block(11, 300, n_paths, 9, 0.5)
+    block = generate_increments(11, 9, 0.5, n_paths=n_paths, path_offset=300)
     assert block.shape == (9, n_paths)
     _assert_keyed_columns(block, 11, 300, 0.5)
 
@@ -154,14 +174,15 @@ def test_increment_block_partial_tiles_and_blocks(n_paths):
 def test_increment_block_at_the_top_of_the_key_range():
     n_paths = _NOISE_TILE + 3
     offset = 2**64 - n_paths          # the last column is path 2**64 - 1
-    block = _generate_block(2**64 - 1, offset, n_paths, 7, 0.25)
+    block = generate_increments(2**64 - 1, 7, 0.25, n_paths=n_paths,
+                                path_offset=offset)
     _assert_keyed_columns(block, 2**64 - 1, offset, 0.25)
 
 
 def test_state_reset_leaves_nothing_of_the_previous_path():
     # three normals per path end mid-way through Philox's four-word
     # buffer, so a buffer or position carried over shifts the next path
-    block = _generate_block(3, 0, 1000, 3, 1.0)
+    block = generate_increments(3, 3, 1.0, n_paths=1000)
     _assert_keyed_columns(block, 3, 0, 1.0)
     # the state assignment the generator relies on also clears the spare
     # 32-bit word, which normal draws never leave behind
@@ -180,14 +201,27 @@ def test_state_reset_leaves_nothing_of_the_previous_path():
                                   ref.standard_normal(9))
 
 
+def _keyed_refusals(spec, seed, n_paths, path_offset):
+    """The message of the ConfigError each keyed function raises on
+    ``seed``, ``n_paths`` and ``path_offset``."""
+    grid = GridSpec(n_steps=8, horizon=1.0)
+    calls = (
+        lambda: generate_increments(seed, grid.n_steps, grid.dt,
+                                    n_paths=n_paths, path_offset=path_offset),
+        lambda: simulate_batch(spec, grid, n_paths, seed, path_offset),
+        lambda: simulate_terminal(spec, grid, n_paths, seed, path_offset))
+    messages = []
+    for call in calls:
+        with pytest.raises(ConfigError) as exc_info:
+            call()
+        messages.append(str(exc_info.value))
+    return messages
+
+
 @pytest.mark.parametrize("offset, n_paths", [(-3, 4), (2**64 - 5, 10)])
 def test_path_range_outside_the_key_domain(tanh_spec, offset, n_paths):
-    grid = GridSpec(n_steps=8, horizon=1.0)
-    with pytest.raises(ConfigError, match="path_index"):
-        simulate_batch(tanh_spec, grid, n_paths, seed=5, path_offset=offset)
-    with pytest.raises(ConfigError, match="path_index"):
-        simulate_terminal(tanh_spec, grid, n_paths, seed=5,
-                          path_offset=offset)
+    assert _keyed_refusals(tanh_spec, 5, n_paths, offset) == \
+        3 * ["path_index must be an unsigned 64-bit integer"]
 
 
 def test_last_path_index_is_drawn(tanh_spec):
@@ -196,14 +230,11 @@ def test_last_path_index_is_drawn(tanh_spec):
     _assert_keyed_columns(batch.db, 5, 2**64 - 1, grid.dt)
 
 
-def test_seed_domain_validation():
-    with pytest.raises(ConfigError):
-        generate_increments(-1, 0, 8, 0.1)
-    with pytest.raises(ConfigError):
-        generate_increments(2**64, 0, 8, 0.1)
-    with pytest.raises(ConfigError):
-        generate_increments(1.5, 0, 8, 0.1)
-    generate_increments(2**64 - 1, 0, 8, 0.1)
+def test_seed_domain_validation(tanh_spec):
+    for seed in (-1, 2**64, 1.5):
+        assert _keyed_refusals(tanh_spec, seed, 4, 0) == \
+            3 * ["seed must be an unsigned 64-bit integer"]
+    generate_increments(2**64 - 1, 8, 0.1)
 
 
 def test_noise_block_validation_and_identity(tanh_spec):
@@ -212,7 +243,7 @@ def test_noise_block_validation_and_identity(tanh_spec):
     assert batch.n_steps == 16
     assert (batch.seed, batch.path_offset) == (5, 2)
     np.testing.assert_array_equal(batch.db[:, 0],
-                                  generate_increments(5, 2, 16, grid.dt))
+                                  _keyed_stream(5, 2, 16, grid.dt))
     synthetic = simulate_increments(tanh_spec, GridSpec(n_steps=4,
                                                         horizon=1.0),
                                     np.ones((4, 1)))
@@ -262,8 +293,7 @@ def test_explicit_path_rejects_alpha_at_one():
 
 
 def test_explicit_path_columns_equal_one_dimensional_paths():
-    db = np.stack([generate_increments(5, i, 300, 1.0 / 300)
-                   for i in range(4)], axis=1)
+    db = generate_increments(5, 300, 1.0 / 300, n_paths=4)
     x = explicit_additive_path(0.3, 0.6, 1.2, db)
     assert x.shape == (301, 4)
     for i in range(4):
@@ -350,7 +380,8 @@ def test_batch_agrees_with_single_paths_bitwise(tanh_spec, grid_1000):
         np.testing.assert_array_equal(batch.x[:, i], alone.x[:, 0])
         np.testing.assert_array_equal(
             batch.db[:, i],
-            generate_increments(101, i, grid_1000.n_steps, grid_1000.dt))
+            generate_increments(101, grid_1000.n_steps, grid_1000.dt,
+                                path_offset=i)[:, 0])
         np.testing.assert_array_equal(batch.new_max[:, i],
                                       alone.new_max[:, 0])
 
@@ -431,7 +462,8 @@ def test_terminal_windows_equal_the_whole_block_bitwise(case, monkeypatch):
                        horizon=1.0)
     grid = GridSpec(n_steps=10, horizon=1.0)
     whole = simulate_increments(
-        spec, grid, _generate_block(71, 1001, 11, 10, grid.dt),
+        spec, grid, generate_increments(71, 10, grid.dt, n_paths=11,
+                                        path_offset=1001),
         record=False)
     _small_windows(monkeypatch)
     term = simulate_terminal(spec, grid, 11, seed=71, path_offset=1001)
@@ -466,7 +498,7 @@ def test_non_finite_in_a_later_window_names_the_path(monkeypatch):
                        drift=Coefficient.tabulated(nodes, 4.0 * nodes),
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     grid = GridSpec(n_steps=10, horizon=1.0)
-    db = _generate_block(2, 1001, 11, 10, grid.dt)
+    db = generate_increments(2, 10, grid.dt, n_paths=11, path_offset=1001)
     failed = {}
     for p in range(11):
         try:
@@ -579,21 +611,23 @@ def test_keyed_batch_holds_its_values_and_flags_only(tanh_spec,
                                                      monkeypatch):
     # the keyed block is drawn into the value array and integrated there:
     # the batch holds no increment block.  Drawing it holds the staging
-    # tile of _NOISE_TILE paths and the two ufunc buffers of its strided
-    # multiply; the step loop then holds seven (P,) vectors: M, lo, Z, A,
-    # the increment, and b(x) and b(x) dt of the tanh drift
+    # tile of _NOISE_TILE paths, scaled in place and copied into the
+    # window with no ufunc buffer; the step loop then holds seven (P,)
+    # vectors: M, lo, Z, A, the increment, and b(x) and b(x) dt of the
+    # tanh drift
     n, P = 500, 2000
     grid = GridSpec(n_steps=n, horizon=1.0)
     simulate_batch(tanh_spec, grid, 4, seed=281)
-    draw, draw_peaks = integrate._draw_block, []
+    windows, draw_peaks = integrate._KeyedNoise.windows, []
 
-    def draw_then_reset_peak(*args):
-        block = draw(*args)
+    def draw_then_reset_peak(self, *args):
+        (block,) = windows(self, *args)
         draw_peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
-        return block
+        yield block
 
-    monkeypatch.setattr(integrate, "_draw_block", draw_then_reset_peak)
+    monkeypatch.setattr(integrate._KeyedNoise, "windows",
+                        draw_then_reset_peak)
     tracemalloc.start()
     try:
         batch = simulate_batch(tanh_spec, grid, P, seed=281)
@@ -603,9 +637,7 @@ def test_keyed_batch_holds_its_values_and_flags_only(tanh_spec,
     values = 9 * (n + 1) * P
     assert batch.x.nbytes + batch.new_max.nbytes == values
     assert values <= held < values + 2**12
-    ufunc_buffers = 2 * 8 * np.getbufsize()
-    assert draw_peaks[0] < (values + 8 * n * _NOISE_TILE + ufunc_buffers
-                            + 2**13)
+    assert draw_peaks[0] < values + 8 * n * _NOISE_TILE + 2**13
     step_vectors = 7 * 8 * P
     assert step_peak < values + step_vectors + 2**12
 
@@ -709,7 +741,8 @@ def test_keyed_batch_is_its_block_integrated(n_paths, n_steps, seed,
     # last path is at most 3 below the top of the key range
     grid = GridSpec(n_steps=n_steps, horizon=1.0)
     offset = 2**64 - n_paths - below_top
-    block = _generate_block(seed, offset, n_paths, n_steps, grid.dt)
+    block = generate_increments(seed, n_steps, grid.dt, n_paths=n_paths,
+                                path_offset=offset)
     spec = _keyed_property_spec(n_steps, overflow)
     if overflow:
         with pytest.raises(NonFinite) as want:
@@ -748,6 +781,9 @@ def test_batches_and_picard_results_compare_and_hash_by_identity(tanh_spec):
 def test_batch_path_count_validation(tanh_spec, grid_1000):
     with pytest.raises(ConfigError):
         simulate_batch(tanh_spec, grid_1000, 0, seed=1)
+    for n_paths in (0, -1):
+        assert _keyed_refusals(tanh_spec, 1, n_paths, 0) == \
+            3 * ["n_paths must be >= 1"]
 
 
 def test_noise_grid_mismatch_rejected(tanh_spec):
@@ -778,7 +814,7 @@ def test_divergent_drift_raises_non_finite():
     grid = GridSpec(n_steps=1000, horizon=1.0)
     with pytest.raises(NonFinite, match="non-finite") as exc_info:
         simulate_increments(spec, grid, generate_increments(
-            0, 0, grid.n_steps, grid.dt)[:, None])
+            0, grid.n_steps, grid.dt))
     assert exc_info.value.step is not None
     with pytest.raises(NonFinite) as exc_info:
         simulate_terminal(spec, grid, 3, seed=0, path_offset=10)
@@ -930,7 +966,7 @@ def test_picard_non_finite_iterate_names_the_path():
                        diffusion=Coefficient.const(1.0), horizon=1.0)
     grid = GridSpec(n_steps=100, horizon=1.0)
     db = np.stack([np.zeros(100),
-                   generate_increments(0, 0, 100, grid.dt)], axis=1)
+                   generate_increments(0, 100, grid.dt)[:, 0]], axis=1)
     with pytest.raises(NonFinite) as exc_info, \
             np.errstate(over="ignore", invalid="ignore"):
         picard_solve(spec, grid, db, n_iter=30)

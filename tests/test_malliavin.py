@@ -404,13 +404,13 @@ def test_keyed_block_is_redrawn_only_for_a_varying_diffusion(monkeypatch,
     # a keyed batch stores no increments: a constant diffusion never reads
     # them, and a varying one redraws the block once, on its first read
     draws = []
-    generate = integrate._generate_block
+    generate = integrate.generate_increments
 
-    def counting(*args):
-        draws.append(args)
-        return generate(*args)
+    def counting(*args, **kwargs):
+        draws.append((args, kwargs))
+        return generate(*args, **kwargs)
 
-    monkeypatch.setattr(integrate, "_generate_block", counting)
+    monkeypatch.setattr(integrate, "generate_increments", counting)
     grid = GridSpec(n_steps=50, horizon=1.0)
     batch = simulate_batch(tanh_spec, grid, 7, seed=3)
     fields = propagate_derivative_batch(batch, tanh_spec, grid,
@@ -424,7 +424,7 @@ def test_keyed_block_is_redrawn_only_for_a_varying_diffusion(monkeypatch,
     batch = simulate_batch(spec, grid, 7, seed=3, path_offset=5)
     assert draws == []
     db = batch.db
-    assert draws == [(3, 5, 7, 50, grid.dt)]
+    assert draws == [((3, 50, grid.dt), {"n_paths": 7, "path_offset": 5})]
     fields = propagate_derivative_batch(batch, spec, grid)
     fields.d_x
     assert batch.db is db and len(draws) == 1

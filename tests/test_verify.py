@@ -156,7 +156,7 @@ def _assert_same_batch(a, b):
 
 def test_shared_block_gives_the_fresh_draws_batches():
     # every problem a suite runs on its one keyed block, drawn with
-    # _generate_block, is bitwise the batch simulate_batch draws for it
+    # generate_increments, is bitwise the batch simulate_batch draws for it
     n_paths, n_steps = 30, 200
     grid = GridSpec(n_steps=n_steps, horizon=1.0)
     cases = []
@@ -169,20 +169,21 @@ def test_shared_block_gives_the_fresh_draws_batches():
               (picard_suite, verify._tanh_spec(alpha=0.1))]
     for suite, spec in cases:
         seed = inspect.signature(suite).parameters["seed"].default
-        db = integrate._generate_block(seed, 0, n_paths, n_steps, grid.dt)
+        db = integrate.generate_increments(seed, n_steps, grid.dt,
+                                           n_paths=n_paths)
         _assert_same_batch(simulate_increments(spec, grid, db),
                            simulate_batch(spec, grid, n_paths, seed))
 
 
 def test_suites_draw_their_keyed_block_once(monkeypatch):
     draws = []
-    generate = integrate._generate_block
+    generate = integrate.generate_increments
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         draws.append(args)
-        return generate(*args)
+        return generate(*args, **kwargs)
 
-    monkeypatch.setattr(integrate, "_generate_block", counting)
+    monkeypatch.setattr(integrate, "generate_increments", counting)
     for suite in (additive_identity_suite, malliavin_closed_form_suite,
                   lamperti_suite):
         draws.clear()
