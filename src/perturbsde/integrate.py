@@ -125,9 +125,9 @@ class _KeyedNoise:
     paths owns a generator (about 800 bytes, and slower to build than to
     reset), reset at the start of every chunk of paths: its stream pauses
     at the end of a window and resumes at the start of the next, so a
-    path's windows join bitwise into its one stream.  The seed,
-    ``n_paths >= 1`` and both ends of the path range are checked here,
-    before the caller allocates anything.
+    path's windows join bitwise into its one stream.  The seed, both
+    counts and both ends of the path range are checked here, before the
+    caller allocates anything.
 
     Paths are drawn ``_NOISE_TILE`` at a time into one path-major staging
     tile, scaled there by ``sqrt(dt)`` and copied transposed into the
